@@ -20,7 +20,7 @@ matrix of the vertical generators (no iterative search).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -216,23 +216,13 @@ def vertical_space(act: BiquotientAction, g: GroupElement) -> Subspace:
 
 def horizontal_space(act: BiquotientAction, g: GroupElement, P: MetricOperator) -> Subspace:
     """Metric-orthogonal complement of the vertical space at g."""
-    dec = act.dec()
-    vecs = vertical_vectors(act, g)
-    if not vecs:
-        return Subspace(dec, np.eye(dec.dim), label="horizontal")
-    vc = np.asarray([dec.to_coords(v) for v in vecs])
-    basis = scipy.linalg.null_space(vc @ P.mat).T
-    return Subspace(dec, basis, label="horizontal")
+    return PointFrame.at(act, g, P).horizontal()
 
 
 def action_gram(act: BiquotientAction, g: GroupElement, P: MetricOperator) -> np.ndarray:
     """Gram matrix N_jk = <v_j, v_k> of the vertical generators; positive
     definite exactly when the action is free at g."""
-    dec = act.dec()
-    vc = np.asarray([dec.to_coords(v) for v in vertical_vectors(act, g)])
-    if vc.size == 0:
-        return np.zeros((0, 0))
-    return vc @ P.mat @ vc.T
+    return PointFrame.at(act, g, P).gram
 
 
 @dataclass(frozen=True)
@@ -265,7 +255,12 @@ class PointFrame:
         return self.gram.shape[0] == 0 or self.gram_inv is not None
 
     def horizontal(self) -> Subspace:
-        return horizontal_space(self.act, self.g, self.P)
+        """Metric-orthogonal complement of the vertical space."""
+        dec = self.act.dec()
+        if self.vert_coords.size == 0:
+            return Subspace(dec, np.eye(dec.dim), label="horizontal")
+        basis = scipy.linalg.null_space(self.vert_coords @ self.P.mat).T
+        return Subspace(dec, basis, label="horizontal")
 
     def horizontal_residual(self, coords) -> float:
         if self.vert_coords.size == 0:
@@ -389,7 +384,3 @@ def quotient_sectional(
         point=g, x=x, y=y, sec_g=sec_g, oneill_term=oneill,
         sec_quotient=sec_g + oneill, certificate=certificate,
     )
-
-
-def with_certificate(report: PlaneReport, certificate: str) -> PlaneReport:
-    return replace(report, certificate=certificate)

@@ -11,8 +11,12 @@ Contents:
 - enumerators for the 7-dimensional circle-quotient family on SU(3) and
   the 13-dimensional family on SU(5), with canonical deduplication;
 - lattice-equivalence tests for weight matrices (Hermite-form comparison
-  under the family's symmetries), and desk-scale exhaustive scans backing
-  the uniqueness statements for the rank-2 groups.
+  under the family's symmetries), and one desk-scale exhaustive two-torus
+  scan, run on SU(3) and on Sp(2), backing the uniqueness statements for
+  the rank-2 groups.  The scan decides strict freeness of each weight
+  pair by the gcd of the 2 x 2 minors of every symmetry image, which is
+  the product of the Smith invariant factors; every symmetry comes from
+  freeness.conjugacy_symmetries.
 
 Rows whose right factor needs a spin or exceptional embedding are stored
 with full textual fidelity but verified only at the torus level.
@@ -21,7 +25,7 @@ with full textual fidelity but verified only at the torus level.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +35,12 @@ from .freeness import (
     STRICT,
     TorusActionWeights,
     bazaikin_free,
+    conjugacy_symmetries,
     eschenburg_free,
     eschenburg_positive_flag,
     is_free_exact,
 )
-from .intlattice import lattice_key, saturate_columns
+from .intlattice import hnf_columns, saturate_columns
 
 #: Recorded metadata only: the exceptional groups admit no free two-sided
 #: torus actions of maximal rank.  No computation here claims to verify
@@ -195,35 +200,27 @@ def spin6_extra() -> TorusNormalForm:
 # lattice equivalence of weighted torus actions
 # ---------------------------------------------------------------------------
 
-def _weight_columns(w: TorusActionWeights):
-    # stacked 2n x k matrix, left block on top; one column per circle
-    mat = [list(r) for r in w.w_left] + [list(r) for r in w.w_right]
-    return [tuple(mat[i][j] for i in range(len(mat))) for j in range(len(mat[0]))]
+def _lattice_columns(w: TorusActionWeights, saturate: bool = True):
+    """Generator columns of the action's weight lattice, left block on top.
 
-
-def _saturated_columns(w: TorusActionWeights):
-    """Generator columns, plus the scalar circle for the unitary families
+    With saturate=True they are replaced by a basis of the primitive
+    closure, extended first by the scalar circle for the unitary families
     (scalars act trivially on the determinant-one group, so actions that
-    differ by them coincide)."""
-    cols = _weight_columns(w)
+    differ by them coincide): that lattice depends only on the image
+    subtorus."""
+    cols = list(zip(*(w.w_left + w.w_right)))
+    if not saturate:
+        return cols
     if w.group.name in ("SU", "U"):
-        n = w.group.n
-        cols = cols + [tuple([1] * (2 * n))]
-    return cols
+        cols.append((1,) * (2 * w.n_rows))
+    return saturate_columns(cols)
 
 
 def _symmetry_images(cols, fam: GroupFamily):
-    """Orbit of a stacked-column set under per-side eigenvalue symmetries,
-    the side swap, and global negation."""
+    """Orbit of a stacked-column set under per-side eigenvalue symmetries
+    and the side swap."""
     n = len(cols[0]) // 2
-    if fam.name in ("SU", "U"):
-        sym = [tuple((p, (1,) * n)) for p in itertools.permutations(range(n))]
-    else:
-        sym = [
-            (p, s)
-            for p in itertools.permutations(range(n))
-            for s in itertools.product((1, -1), repeat=n)
-        ]
+    sym = list(conjugacy_symmetries(fam, n))
 
     def apply(col, left_sym, right_sym, swap):
         lp, ls = left_sym
@@ -246,11 +243,9 @@ def lattice_canonical_key(w: TorusActionWeights, saturate: bool = True):
     primitive closure of the column lattice, extended by the scalar
     circle for the unitary families: that is the invariant of the image
     subtorus acting on the determinant-one group."""
-    cols = _saturated_columns(w) if saturate else _weight_columns(w)
-    cols = saturate_columns(cols) if saturate else cols
     best = None
-    for image in _symmetry_images(list(cols), w.group):
-        key = lattice_key(image)
+    for image in _symmetry_images(_lattice_columns(w, saturate), w.group):
+        key = hnf_columns(image)
         if best is None or key < best:
             best = key
     return best
@@ -268,12 +263,8 @@ def lattice_equal(w1: TorusActionWeights, w2: TorusActionWeights,
     """Equality of the generated subtori (no symmetry applied):
     saturated lattices are compared, extended by the scalar circle for
     the unitary families."""
-    c1 = _saturated_columns(w1) if saturate else _weight_columns(w1)
-    c2 = _saturated_columns(w2) if saturate else _weight_columns(w2)
-    if saturate:
-        c1 = saturate_columns(c1)
-        c2 = saturate_columns(c2)
-    return lattice_key(c1) == lattice_key(c2)
+    return (hnf_columns(_lattice_columns(w1, saturate))
+            == hnf_columns(_lattice_columns(w2, saturate)))
 
 
 # ---------------------------------------------------------------------------
@@ -773,12 +764,20 @@ def enumerate_bazaikin(bound: int):
 
 @dataclass(frozen=True)
 class ScanResult:
+    """Outcome of an exhaustive two-torus scan.
+
+    free_pairs counts the unordered pairs of weight vectors (entries
+    bounded by `bound`) whose 2-torus acts strictly freely;
+    two_sided_classes holds the sorted lattice_canonical_key of every class
+    among them that acts on both sides, and matches_normal_form says
+    whether that is exactly the class of the family's normal form.
+    """
+
     family: str
     bound: int
     free_pairs: int
     two_sided_classes: tuple
     matches_normal_form: bool
-    details: dict = field(default_factory=dict)
 
 
 def corollary_su3_weights() -> TorusActionWeights:
@@ -797,160 +796,97 @@ def corollary_sp2_weights() -> TorusActionWeights:
                               mode=STRICT)
 
 
-def _su3_vectors(bound):
-    vals = np.arange(-bound, bound + 1)
-    grids = np.array(np.meshgrid(*([vals] * 6), indexing="ij")).reshape(6, -1).T
-    mask = grids[:, :3].sum(axis=1) == grids[:, 3:].sum(axis=1)
-    vecs = grids[mask]
+def _weight_grid(fam: GroupFamily, bound: int) -> np.ndarray:
+    """Every nonzero stacked circle weight (left, right) with entries in
+    [-bound, bound], in lexicographic order; on SU the two sides need
+    equal sums (equal determinants)."""
+    n = fam.n
+    vecs = np.array(list(itertools.product(range(-bound, bound + 1), repeat=2 * n)))
+    if fam.name == "SU":
+        vecs = vecs[vecs[:, :n].sum(axis=1) == vecs[:, n:].sum(axis=1)]
     return vecs[np.any(vecs != 0, axis=1)]
 
 
-def _perm_images(vecs, fam):
-    """d_sigma(v) = p - sigma(q) for each symmetry, vectorized over vecs."""
+def _strict_free_pairs(vecs: np.ndarray, fam: GroupFamily):
+    """Index pairs i < j into `vecs` whose 2-torus acts strictly freely.
+
+    The pair is free iff for every symmetry sigma the n x 2 character
+    matrix D_sigma = [d_sigma(v_i) | d_sigma(v_j)], d_sigma(p, q) =
+    p - sigma(q), has both invariant factors equal to 1, i.e. its 2 x 2
+    minors have gcd d_1 d_2 = 1.  A pair can only pass if each circle is
+    strictly free on its own (every d_sigma(v) primitive), so the other
+    vectors are dropped first.  This is the criterion is_free_exact
+    applies in strict mode on SU and Sp, where every symmetry is realized
+    by a conjugation (not on SO(2n), whose odd-signed ones need more)."""
     n = vecs.shape[1] // 2
-    p = vecs[:, :n]
-    q = vecs[:, n:]
-    images = []
-    if fam.name in ("SU", "U"):
-        for perm in itertools.permutations(range(n)):
-            images.append(p - q[:, perm])
-    else:
-        for perm in itertools.permutations(range(n)):
-            qp = q[:, perm]
-            for signs in itertools.product((1, -1), repeat=n):
-                images.append(p - np.asarray(signs) * qp)
-    return images
-
-
-def _circle_free_mask(images):
-    """Strict circle freeness: every symmetry image is a primitive vector."""
-    ok = None
-    for img in images:
-        g = np.gcd.reduce(np.abs(img), axis=1)
-        cur = g == 1
-        ok = cur if ok is None else (ok & cur)
-    return ok
-
-
-def _pairs_scan(vecs, fam, pair_minor_gcd_one):
-    """Enumerate unordered pairs of circle-free vectors whose joint action
-    is strictly free (vectorized necessary test + exact confirmation)."""
-    images = _perm_images(vecs, fam)
-    mask = _circle_free_mask(images)
-    fvecs = vecs[mask]
-    fimages = [img[mask] for img in images]
-    n_f = len(fvecs)
-    survivors = []
-    for i in range(n_f):
-        ok = np.ones(n_f - i - 1, dtype=bool)
-        for img in fimages:
-            di = img[i]
-            rest = img[i + 1 :]
-            ok &= pair_minor_gcd_one(di, rest)
+    images = [
+        vecs[:, :n] - np.asarray(signs) * vecs[:, n:][:, list(perm)]
+        for perm, signs in conjugacy_symmetries(fam, n)
+    ]
+    circle_free = np.flatnonzero(np.all(
+        [np.gcd.reduce(np.abs(img), axis=1) == 1 for img in images], axis=0))
+    images = [img[circle_free] for img in images]
+    pairs = []
+    for a in range(len(circle_free)):
+        ok = np.ones(len(circle_free) - a - 1, dtype=bool)
+        for img in images:
+            da, rest = img[a], img[a + 1:]
+            minors = [da[r] * rest[:, s] - da[s] * rest[:, r]
+                      for r, s in itertools.combinations(range(n), 2)]
+            ok &= np.gcd.reduce(np.abs(minors), axis=0) == 1
             if not ok.any():
                 break
-        for j in np.nonzero(ok)[0]:
-            survivors.append((fvecs[i], fvecs[i + 1 + j]))
-    return survivors
+        pairs += [(circle_free[a], circle_free[a + 1 + b]) for b in np.flatnonzero(ok)]
+    return pairs
 
 
-def _minor_gcd_one_3rows(di, rest):
-    # 2x2 minors of the 3x2 integer matrix [di | rest_row]
-    m0 = di[0] * rest[:, 1] - di[1] * rest[:, 0]
-    m1 = di[0] * rest[:, 2] - di[2] * rest[:, 0]
-    m2 = di[1] * rest[:, 2] - di[2] * rest[:, 1]
-    g = np.gcd(np.gcd(np.abs(m0), np.abs(m1)), np.abs(m2))
-    return g == 1
+def _one_sided(w: TorusActionWeights) -> bool:
+    """Does the image subtorus act on one side only?  It does when every
+    saturated lattice column has a trivial left block, or every one a
+    trivial right block: scalar on SU (scalars act trivially on the
+    determinant-one group), zero otherwise."""
+    n = w.n_rows
+    su_family = w.group.name == "SU"
+
+    def trivial(block):
+        return len(set(block)) == 1 if su_family else not any(block)
+
+    cols = _lattice_columns(w)
+    return (all(trivial(c[:n]) for c in cols)
+            or all(trivial(c[n:]) for c in cols))
 
 
-def _minor_gcd_one_2rows(di, rest):
-    m0 = di[0] * rest[:, 1] - di[1] * rest[:, 0]
-    return np.abs(m0) == 1
-
-
-def _one_sided_su3(cols):
-    lat = lattice_key(saturate_columns(cols))
-    left = all(all(x == c[0] for x in c[:3]) for c in lat)
-    right = all(all(x == c[3] for x in c[3:]) for c in lat)
-    return left or right
-
-
-def _one_sided_sp2(cols):
-    lat = lattice_key(saturate_columns(cols))
-    left = all(c[0] == 0 and c[1] == 0 for c in lat)
-    right = all(c[2] == 0 and c[3] == 0 for c in lat)
-    return left or right
+def _scan_two_torus(fam: GroupFamily, bound: int,
+                    corollary: TorusActionWeights) -> ScanResult:
+    """Exhaustive scan of 2-torus weights on a rank-2 group `fam` with
+    entries bounded by `bound`: every strictly free, genuinely two-sided
+    action must be lattice equivalent to `corollary`."""
+    vecs = _weight_grid(fam, bound)
+    pairs = _strict_free_pairs(vecs, fam)
+    n = fam.n
+    classes = set()
+    for i, j in pairs:
+        cols = vecs[[i, j]].T
+        w = TorusActionWeights(fam, 2, cols[:n], cols[n:], mode=STRICT)
+        if not _one_sided(w):
+            classes.add(lattice_canonical_key(w))
+    two_sided = tuple(sorted(classes))
+    return ScanResult(
+        family=str(fam),
+        bound=bound,
+        free_pairs=len(pairs),
+        two_sided_classes=two_sided,
+        matches_normal_form=(two_sided == (lattice_canonical_key(corollary),)),
+    )
 
 
 def scan_two_torus_su3(bound: int = 3) -> ScanResult:
     """Exhaustive scan of 2-torus weights on SU(3) with bounded entries:
     every strictly free, genuinely two-sided action must be lattice
     equivalent to the normal form."""
-    fam = su(3)
-    vecs = _su3_vectors(bound)
-    survivors = _pairs_scan(vecs, fam, _minor_gcd_one_3rows)
-
-    corollary = lattice_canonical_key(corollary_su3_weights())
-    classes = {}
-    n_free = 0
-    for v1, v2 in survivors:
-        wl = tuple((int(v1[i]), int(v2[i])) for i in range(3))
-        wr = tuple((int(v1[3 + i]), int(v2[3 + i])) for i in range(3))
-        try:
-            w = TorusActionWeights(fam, 2, wl, wr, mode=STRICT)
-        except Exception:
-            continue
-        if not is_free_exact(w, STRICT).free:
-            continue
-        n_free += 1
-        cols = _saturated_columns(w)
-        if _one_sided_su3(cols):
-            continue
-        key = lattice_canonical_key(w)
-        classes[key] = classes.get(key, 0) + 1
-    two_sided = tuple(sorted(classes))
-    return ScanResult(
-        family="SU(3)",
-        bound=bound,
-        free_pairs=n_free,
-        two_sided_classes=two_sided,
-        matches_normal_form=(two_sided == (corollary,)),
-        details={"pair_candidates": len(survivors)},
-    )
+    return _scan_two_torus(su(3), bound, corollary_su3_weights())
 
 
 def scan_two_torus_sp2(bound: int = 3) -> ScanResult:
     """Same scan on Sp(2) (signed symmetries, no determinant constraint)."""
-    fam = sp(2)
-    vals = np.arange(-bound, bound + 1)
-    grids = np.array(np.meshgrid(*([vals] * 4), indexing="ij")).reshape(4, -1).T
-    vecs = grids[np.any(grids != 0, axis=1)]
-    survivors = _pairs_scan(vecs, fam, _minor_gcd_one_2rows)
-
-    corollary = lattice_canonical_key(corollary_sp2_weights())
-    classes = {}
-    n_free = 0
-    for v1, v2 in survivors:
-        wl = tuple((int(v1[i]), int(v2[i])) for i in range(2))
-        wr = tuple((int(v1[2 + i]), int(v2[2 + i])) for i in range(2))
-        try:
-            w = TorusActionWeights(fam, 2, wl, wr, mode=STRICT)
-        except Exception:
-            continue
-        if not is_free_exact(w, STRICT).free:
-            continue
-        n_free += 1
-        cols = _saturated_columns(w)
-        if _one_sided_sp2(cols):
-            continue
-        key = lattice_canonical_key(w)
-        classes[key] = classes.get(key, 0) + 1
-    two_sided = tuple(sorted(classes))
-    return ScanResult(
-        family="Sp(2)",
-        bound=bound,
-        free_pairs=n_free,
-        two_sided_classes=two_sided,
-        matches_normal_form=(two_sided == (corollary,)),
-        details={"pair_candidates": len(survivors)},
-    )
+    return _scan_two_torus(sp(2), bound, corollary_sp2_weights())

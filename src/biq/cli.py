@@ -10,10 +10,6 @@ temporary file and renamed, never partially.
 
 Exit codes: 0 success (for `free`: the action is free), 1 a check failed
 (for `free`: not free), 2 input or usage error.
-
-The environment variable BIQ_THREADS caps worker parallelism; the current
-implementation evaluates sequentially, which trivially respects any cap,
-and records the setting in the report header.
 """
 
 from __future__ import annotations
@@ -36,14 +32,12 @@ from .biquotient import from_torus_weights
 from .freeness import TorusActionWeights, is_free_bruteforce, is_free_exact
 from .metric import build_metric
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    structural_tol: float = 1e-9
-    flatness_tol: float = 1e-8
     points: int = 5
     planes: int = 2000
     restarts: int = 4
@@ -53,11 +47,8 @@ class RunConfig:
     def header(self):
         return {
             "seed": self.seed,
-            "tolerances": {"structural": self.structural_tol,
-                           "flatness": self.flatness_tol},
             "budgets": {"points": self.points, "planes": self.planes,
                         "restarts": self.restarts},
-            "threads_cap": os.environ.get("BIQ_THREADS", "unset"),
             "schema_version": SCHEMA_VERSION,
         }
 
@@ -160,20 +151,21 @@ def _witness_dict(witness):
 def cmd_free(args) -> int:
     cfg = _config(args)
     weights = load_weights(args.weights)
-    verdict = is_free_exact(weights, args.mode)
+    mode = args.mode or weights.mode
+    verdict = is_free_exact(weights, mode)
     report = {
         "config": cfg.header(),
         "command": "free",
         "group": str(weights.group),
         "k": weights.k,
-        "mode": args.mode,
+        "mode": mode,
         "free": verdict.free,
         "odd_signed_only": verdict.odd_signed_only,
         "witness": _witness_dict(verdict.witness),
         "note": verdict.note,
     }
     if args.oracle:
-        oracle = is_free_bruteforce(weights, args.oracle, args.mode)
+        oracle = is_free_bruteforce(weights, args.oracle, mode)
         report["oracle"] = {
             "max_order": args.oracle,
             "violation_found": not oracle.free,
@@ -339,8 +331,6 @@ def _flatten_records(records):
 def _config(args) -> RunConfig:
     return RunConfig(
         seed=args.seed,
-        structural_tol=args.tol_structural,
-        flatness_tol=args.tol_flat,
         points=getattr(args, "points", 5),
         planes=getattr(args, "planes", 2000),
         restarts=getattr(args, "restarts", 4),
@@ -351,8 +341,6 @@ def _config(args) -> RunConfig:
 
 def _add_common(p, budgets=False):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-structural", type=float, default=1e-9)
-    p.add_argument("--tol-flat", type=float, default=1e-8)
     p.add_argument("--output", "-o", default=None)
     p.add_argument("--format", choices=("json", "csv", "jsonl"), default="json")
     if budgets:
@@ -371,7 +359,8 @@ def build_parser():
 
     p = sub.add_parser("free", help="exact freeness verdict for weight matrices")
     p.add_argument("weights", help="weights JSON file")
-    p.add_argument("--mode", choices=("strict", "mod-center"), default="strict")
+    p.add_argument("--mode", choices=("strict", "mod-center"), default=None,
+                   help="freeness notion (default: the file's mode)")
     p.add_argument("--oracle", type=int, default=0, metavar="MAX_ORDER",
                    help="cross-check with the brute-force falsifier")
     _add_common(p)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, bracket, inner_q
+from .algebra import AlgebraElement, bracket
 from .metric import MetricOperator, apply_P, metric_inner
 
 # Planes whose unit-scale Gram determinant falls below this are rejected.
@@ -68,14 +68,6 @@ def puttmann_numerator(P: MetricOperator, x: AlgebraElement, y: AlgebraElement) 
     return term1 + term2 + term3 + term4
 
 
-def plane_area(P: MetricOperator, x: AlgebraElement, y: AlgebraElement) -> float:
-    """Gram determinant <x,x><y,y> - <x,y>^2 of the frame."""
-    xx = metric_inner(P, x, x)
-    yy = metric_inner(P, y, y)
-    xy = metric_inner(P, x, y)
-    return xx * yy - xy * xy
-
-
 def sectional(P: MetricOperator, x: AlgebraElement, y: AlgebraElement) -> CurvatureValue:
     """Sectional curvature of span{x, y}; rejects degenerate planes."""
     xx = metric_inner(P, x, x)
@@ -86,10 +78,3 @@ def sectional(P: MetricOperator, x: AlgebraElement, y: AlgebraElement) -> Curvat
         raise DegeneratePlaneError("x and y do not span a 2-plane")
     num = puttmann_numerator(P, x, y)
     return CurvatureValue(numerator=num, area=area, sectional=num / area)
-
-
-def bi_invariant_sectional(x: AlgebraElement, y: AlgebraElement) -> float:
-    """Independent closed form for P = id: Q([x,y],[x,y]) / (4 area)."""
-    xy = bracket(x, y)
-    area = inner_q(x, x) * inner_q(y, y) - inner_q(x, y) ** 2
-    return 0.25 * inner_q(xy, xy) / area

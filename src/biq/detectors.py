@@ -53,6 +53,7 @@ from .biquotient import (
     quotient_sectional,
     unit_tangent_flow_action,
 )
+from .curvature import FLAT_THRESHOLD
 from .metric import (
     MetricOperator,
     apply_P,
@@ -468,7 +469,7 @@ def numeric_flat_search(
     rep = quotient_sectional(
         act, g, P, dec.from_coords(c1), dec.from_coords(c2), frame=frame
     )
-    cert = "numeric" if abs(rep.sec_quotient) < 1e-8 else "none"
+    cert = "numeric" if abs(rep.sec_quotient) < FLAT_THRESHOLD else "none"
     return PlaneReport(
         point=g, x=rep.x, y=rep.y, sec_g=rep.sec_g,
         oneill_term=rep.oneill_term, sec_quotient=rep.sec_quotient,

@@ -13,14 +13,6 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
 def smith_normal_form(mat):
     """Smith normal form with transforms.
 
@@ -187,11 +179,6 @@ def hnf_columns(vectors):
     return tuple(tuple(c) for c in basis)
 
 
-def lattice_key(vectors):
-    """Hashable canonical key for the integer lattice spanned by `vectors`."""
-    return hnf_columns(vectors)
-
-
 def integer_kernel(mat):
     """Basis of the saturated sublattice {x in Z^k : mat @ x = 0}."""
     _, circles = kernel_generators(mat)
@@ -214,4 +201,3 @@ def saturate_columns(vectors):
     if not complement:
         return tuple(tuple(1 if i == j else 0 for i in range(m)) for j in range(m))
     return integer_kernel([list(c) for c in complement])
-

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biq import algebra as al
 from biq import catalog as ca
@@ -228,3 +230,72 @@ class TestScans:
         assert res.matches_normal_form
         assert res.free_pairs > 0
         assert len(res.two_sided_classes) == 1
+
+    @pytest.mark.parametrize("fam,two_tori,free", [
+        (al.su(3), 9660, 240),
+        (al.sp(2), 3120, 200),
+    ])
+    def test_pair_criterion_is_strict_freeness_at_bound_one(self, fam, two_tori, free):
+        # the Smith-form checker is the reference for the scan's minor-gcd
+        # criterion, on every pair of weight vectors spanning a 2-torus
+        vecs = ca._weight_grid(fam, 1)
+        n = fam.n
+        exact = set()
+        checked = 0
+        for i, j in itertools.combinations(range(len(vecs)), 2):
+            cols = vecs[[i, j]].T
+            try:
+                w = fr.TorusActionWeights(fam, 2, cols[:n], cols[n:])
+            except al.AlgebraError:
+                continue  # parallel columns span only a circle
+            checked += 1
+            if fr.is_free_exact(w, fr.STRICT).free:
+                exact.add((i, j))
+        assert checked == two_tori
+        assert set(ca._strict_free_pairs(vecs, fam)) == exact
+        assert len(exact) == free
+
+
+# 2 x 2 integer matrices of determinant +-1 with small entries
+_UNIMODULAR = [
+    ((a, b), (c, d))
+    for a, b, c, d in itertools.product(range(-2, 3), repeat=4)
+    if abs(a * d - b * c) == 1
+]
+
+
+def _transform(side, sym, basis):
+    perm, signs = sym
+    rows = [[signs[i] * x for x in side[perm[i]]] for i in range(len(side))]
+    return [[sum(r[t] * basis[t][j] for t in range(2)) for j in range(2)] for r in rows]
+
+
+@st.composite
+def _two_torus_and_image(draw, fam):
+    """Random 2-torus weights on fam and an equivalent image of them: one
+    symmetry per side, an optional side swap and a change of basis."""
+    n = fam.n
+    entry = st.integers(-3, 3)
+    wl = [[draw(entry) for _ in range(2)] for _ in range(n)]
+    wr = [[draw(entry) for _ in range(2)] for _ in range(n)]
+    if fam.name == "SU":
+        wr[-1] = [sum(r[j] for r in wl) - sum(r[j] for r in wr[:-1]) for j in range(2)]
+    sym = list(fr.conjugacy_symmetries(fam, n))
+    basis = draw(st.sampled_from(_UNIMODULAR))
+    left = _transform(wl, draw(st.sampled_from(sym)), basis)
+    right = _transform(wr, draw(st.sampled_from(sym)), basis)
+    if draw(st.booleans()):
+        left, right = right, left
+    try:
+        return (fr.TorusActionWeights(fam, 2, wl, wr),
+                fr.TorusActionWeights(fam, 2, left, right))
+    except al.AlgebraError:
+        assume(False)
+
+
+@pytest.mark.parametrize("fam", [al.su(3), al.sp(2)])
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_canonical_key_invariant_under_equivalences(fam, data):
+    w, image = data.draw(_two_torus_and_image(fam))
+    assert ca.lattice_canonical_key(image) == ca.lattice_canonical_key(w)

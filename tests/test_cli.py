@@ -66,6 +66,25 @@ class TestFree:
     def test_missing_file_exits_two(self):
         assert cli.main(["free", "/nonexistent/weights.json"]) == 2
 
+    def test_file_mode_is_honoured_unless_overridden(self, tmp_path):
+        # (z^-2, z^-2) against (z^-2, 1) on Sp(2): t = 1/2 maps to the
+        # central identity on both sides, so the circle is free only mod center
+        path = tmp_path / "mod_center.json"
+        path.write_text(json.dumps({
+            "group": "Sp", "n": 2, "k": 1, "mode": "mod-center",
+            "W_L": [[-2], [-2]], "W_R": [[-2], [0]],
+        }))
+        out = tmp_path / "report.json"
+        assert cli.main(["free", str(path), "--oracle", "6", "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["mode"] == "mod-center"
+        assert report["free"] is True
+        assert report["oracle"]["violation_found"] is False
+        assert cli.main(["free", str(path), "--mode", "strict", "-o", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["mode"] == "strict"
+        assert report["free"] is False
+
 
 class TestScan:
     def test_gromoll_meyer_circle_scan(self, gm_circle_file, tmp_path):
