@@ -421,6 +421,14 @@ class RootDecomposition:
         """Coordinate slice of the i-th root space."""
         return slice(self.rank + 2 * i, self.rank + 2 * i + 2)
 
+    @property
+    def structure_constants(self) -> np.ndarray:
+        """The bracket in the Q-orthonormal frame as a read-only (d, d*d)
+        array C: C[i, j*d + k] is coordinate k of [B_i, B_j].  So
+        (x @ C).reshape(d, d) is the matrix of ad_x acting on coordinate
+        rows: y @ (x @ C).reshape(d, d) is the coordinate row of [x, y]."""
+        return _structure_constants_cached(self.family.name, self.family.n)
+
 
 def _flatten_basis(elements, size) -> np.ndarray:
     rows = []
@@ -559,6 +567,19 @@ def _root_decomposition_cached(name: str, n: int) -> RootDecomposition:
 def root_decomposition(family: GroupFamily) -> RootDecomposition:
     """Root-space decomposition with respect to the standard maximal torus."""
     return _root_decomposition_cached(family.name, family.n)
+
+
+@lru_cache(maxsize=None)
+def _structure_constants_cached(name: str, n: int) -> np.ndarray:
+    dec = _root_decomposition_cached(name, n)
+    size = dec.family.matrix_size
+    mats = np.array([e.mat for e in dec.basis])
+    prod = np.einsum("iab,jbc->ijac", mats, mats)
+    brackets = (prod - prod.transpose(1, 0, 2, 3)).reshape(dec.dim * dec.dim, size * size)
+    flat = np.concatenate([brackets.real, brackets.imag], axis=1)
+    c = (0.5 * (flat @ dec._basis_flat.T)).reshape(dec.dim, dec.dim * dec.dim)
+    c.setflags(write=False)
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,15 @@ of horizontal extensions has norm
 
 a generalized Rayleigh quotient computed in closed form from the Gram
 matrix of the vertical generators (no iterative search).
+
+`PointFrame.at` caches everything that depends only on the point: the
+coordinate rows A of Ad_{g^{-1}} X_L and R of X_R, the vertical rows
+A - R, their Gram matrix G and its inverse.  For a metric-orthonormal
+plane, z^2 = c G^{-1} c with c = A P L(x, y) - R P [x, y], where both
+P-rows come out of the curvature kernel (`curvature.plane_terms`) that
+also gives sec_G, so one kernel call evaluates the quotient curvature of
+a whole batch of planes (`PointFrame.curvature_rows`).
+`quotient_sectional` is the checked single-plane entry point.
 """
 
 from __future__ import annotations
@@ -34,13 +43,12 @@ from .algebra import (
     RootDecomposition,
     Subspace,
     adjoint,
-    bracket,
     quaternion_block,
     root_decomposition,
     torus_element,
 )
-from .curvature import DegeneratePlaneError, puttmann_numerator
-from .metric import L_tensor, MetricOperator
+from .curvature import DegeneratePlaneError, PlaneTerms, plane_terms
+from .metric import MetricOperator
 
 HORIZONTAL_TOL = 1e-9
 
@@ -227,11 +235,17 @@ def action_gram(act: BiquotientAction, g: GroupElement, P: MetricOperator) -> np
 
 @dataclass(frozen=True)
 class PointFrame:
-    """Cached vertical data for one (action, point, metric) triple."""
+    """Cached vertical data for one (action, point, metric) triple.
+
+    ad_left and right hold the coordinate rows of Ad_{g^{-1}} X_L and X_R
+    per generator pair; their difference spans the vertical space.
+    """
 
     act: BiquotientAction
     g: GroupElement
     P: MetricOperator
+    ad_left: np.ndarray  # (dim_u, dim)
+    right: np.ndarray  # (dim_u, dim)
     vert_coords: np.ndarray  # (dim_u, dim) raw generator coordinates
     gram: np.ndarray
     gram_inv: np.ndarray | None
@@ -239,16 +253,20 @@ class PointFrame:
     @classmethod
     def at(cls, act, g, P):
         dec = act.dec()
-        vc = np.asarray([dec.to_coords(v) for v in vertical_vectors(act, g)])
-        if vc.size == 0:
-            vc = np.zeros((0, dec.dim))
+        ginv = g.inverse()
+        ad_left = np.reshape(
+            [dec.to_coords(adjoint(ginv, xl)) for xl, _ in act.u_basis], (-1, dec.dim)
+        )
+        right = np.reshape([dec.to_coords(xr) for _, xr in act.u_basis], (-1, dec.dim))
+        vc = ad_left - right
         gram = vc @ P.mat @ vc.T
         gram_inv = None
         if gram.shape[0]:
             eigs = np.linalg.eigvalsh(gram)
             if eigs.min() > 1e-12 * max(eigs.max(), 1.0):
                 gram_inv = np.linalg.inv(gram)
-        return cls(act=act, g=g, P=P, vert_coords=vc, gram=gram, gram_inv=gram_inv)
+        return cls(act=act, g=g, P=P, ad_left=ad_left, right=right,
+                   vert_coords=vc, gram=gram, gram_inv=gram_inv)
 
     @property
     def is_free_point(self) -> bool:
@@ -278,6 +296,22 @@ class PointFrame:
         pairings = self.vert_coords @ (self.P.mat @ c)
         return c - self.vert_coords.T @ (self.gram_inv @ pairings)
 
+    def z_squared(self, terms: PlaneTerms) -> np.ndarray:
+        """z^2 = c G^{-1} c per plane, with the pairings
+        c = <Ad_{g^{-1}} X_L, L(x, y)> - <X_R, [x, y]> over the generators."""
+        if self.vert_coords.size == 0:
+            return np.zeros(len(terms.numerator))
+        if self.gram_inv is None:
+            raise NonFreePointError("action is not free at this point")
+        c = terms.p_fusing @ self.ad_left.T - terms.p_bracket @ self.right.T
+        return np.maximum(np.einsum("ij,ij->i", c @ self.gram_inv, c), 0.0)
+
+    def curvature_rows(self, cx, cy):
+        """(sec_G, O'Neill term) arrays for the planes span{cx[n], cy[n]}
+        of metric-orthonormal horizontal coordinate rows; no checks."""
+        terms = plane_terms(self.P, cx, cy)
+        return terms.numerator, 0.75 * self.z_squared(terms)
+
 
 def z_term(
     act: BiquotientAction,
@@ -300,21 +334,8 @@ def z_term(
     for c in (ca, cb):
         if frame.horizontal_residual(c) > HORIZONTAL_TOL * scale:
             raise NonHorizontalError("input vector is not horizontal at g")
-    c_vec = _z_pairings(act, g, P, a, b, dec)
-    val = float(c_vec @ frame.gram_inv @ c_vec)
-    return float(np.sqrt(max(val, 0.0)))
-
-
-def _z_pairings(act, g, P, a, b, dec):
-    ell = L_tensor(P, a, b)
-    ab = bracket(a, b)
-    p_ell = P.apply_coords(dec.to_coords(ell))
-    p_ab = P.apply_coords(dec.to_coords(ab))
-    ginv = g.inverse()
-    out = np.empty(len(act.u_basis))
-    for j, (xl, xr) in enumerate(act.u_basis):
-        out[j] = dec.to_coords(adjoint(ginv, xl)) @ p_ell - dec.to_coords(xr) @ p_ab
-    return out
+    z2 = frame.z_squared(plane_terms(P, ca[None], cb[None]))
+    return float(np.sqrt(z2[0]))
 
 
 @dataclass(frozen=True)
@@ -375,12 +396,9 @@ def quotient_sectional(
         raise DegeneratePlaneError("a and b do not span a 2-plane")
     cy = cb / nb
 
-    x = dec.from_coords(cx)
-    y = dec.from_coords(cy)
-    sec_g = puttmann_numerator(P, x, y)
-    z = z_term(act, g, P, x, y, frame=frame)
-    oneill = 0.75 * z * z
+    sec_g, oneill = frame.curvature_rows(cx[None], cy[None])
+    sec_g, oneill = float(sec_g[0]), float(oneill[0])
     return PlaneReport(
-        point=g, x=x, y=y, sec_g=sec_g, oneill_term=oneill,
-        sec_quotient=sec_g + oneill, certificate=certificate,
+        point=g, x=dec.from_coords(cx), y=dec.from_coords(cy), sec_g=sec_g,
+        oneill_term=oneill, sec_quotient=sec_g + oneill, certificate=certificate,
     )

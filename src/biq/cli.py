@@ -32,7 +32,7 @@ from .biquotient import from_torus_weights
 from .freeness import TorusActionWeights, is_free_bruteforce, is_free_exact
 from .metric import build_metric
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def cmd_scan(args) -> int:
             act, g, P, budget=cfg.planes, rng=rng,
             local_restarts=cfg.restarts,
         )
-        cert = _auto_certificate(act, g, P, rng)
+        cert, cert_sec = detectors.auto_flat_certificate(act, g, P, rng)
         rows.append({
             "point": name,
             "min_sec_quotient": best.sec_quotient,
@@ -219,6 +219,7 @@ def cmd_scan(args) -> int:
             "oneill_term": best.oneill_term,
             "numeric_certificate": best.certificate,
             "flat_certificate": cert.criterion if cert else "",
+            "flat_certificate_abs_sec": cert_sec,
         })
         if global_min is None or best.sec_quotient < global_min:
             global_min = best.sec_quotient
@@ -235,30 +236,6 @@ def cmd_scan(args) -> int:
     }
     _emit(report, cfg, csv_rows=rows)
     return 0
-
-
-def _auto_certificate(act, g, P, rng):
-    """Try the commuting-subspaces criterion on every pair of root spaces
-    whose bracket vanishes."""
-    from .algebra import bracket, root_subspace
-
-    dec = P.dec
-    nroots = len(dec.roots)
-    for i in range(nroots):
-        for j in range(i + 1, nroots):
-            ri, rj = dec.roots[i], dec.roots[j]
-            if any(
-                np.abs(bracket(a, b).mat).max() > 1e-12
-                for a in (ri.x, ri.y)
-                for b in (rj.x, rj.y)
-            ):
-                continue
-            cert = detectors.check_N2(
-                P, root_subspace(dec, i), root_subspace(dec, j), act, g, rng=rng
-            )
-            if cert is not None:
-                return cert
-    return None
 
 
 def cmd_fixtures(args) -> int:

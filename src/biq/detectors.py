@@ -234,6 +234,39 @@ def check_N2(
     return None
 
 
+def commuting_root_pairs(dec):
+    """Index pairs (i, j), i < j, of root spaces with [V_i, V_j] = 0, read
+    off the zero blocks of the cached structure constants."""
+    c = dec.structure_constants.reshape(dec.dim, dec.dim, dec.dim)
+    slices = [dec.root_block_slice(i) for i in range(len(dec.roots))]
+    return [
+        (i, j)
+        for i, si in enumerate(slices)
+        for j, sj in enumerate(slices[i + 1 :], start=i + 1)
+        if np.abs(c[si, sj]).max() <= 1e-12
+    ]
+
+
+def auto_flat_certificate(act, g, P, rng):
+    """N2 on every pair of commuting root spaces, in order, until a
+    certificate re-evaluates flat through quotient_sectional.
+
+    Returns (certificate, |sec_quotient| of its plane), or (None, None);
+    a certificate whose plane is not flat is dropped.
+    """
+    dec = P.dec
+    for i, j in commuting_root_pairs(dec):
+        cert = check_N2(
+            P, root_subspace(dec, i), root_subspace(dec, j), act, g, rng=rng
+        )
+        if cert is None:
+            continue
+        sec = abs(quotient_sectional(act, g, P, cert.x, cert.y).sec_quotient)
+        if sec < FLAT_THRESHOLD:
+            return cert, sec
+    return None, None
+
+
 def check_N3(
     P: MetricOperator,
     k_alg: Subspace,
@@ -396,6 +429,10 @@ def find_balanced_point(
 # numeric flat-plane search
 # ---------------------------------------------------------------------------
 
+# planes per batched kernel call: bounds its (N, d, d) temporaries
+SEARCH_CHUNK = 256
+
+
 def numeric_flat_search(
     act: BiquotientAction,
     g: GroupElement,
@@ -407,8 +444,12 @@ def numeric_flat_search(
     """Minimize quotient sectional curvature over horizontal planes at g
     by random sampling plus derivative-free local descent.
 
-    Returns the best plane found; its certificate field is "numeric" when
-    the value is below the flat threshold, else "none".
+    The random phase draws all samples at once and evaluates them in
+    chunks of SEARCH_CHUNK planes through the coordinate kernel; the
+    descent evaluates one plane per call through the same path.  Returns
+    the best plane found, re-evaluated by quotient_sectional; its
+    certificate field is "numeric" when the value is below the flat
+    threshold, else "none".
     """
     if budget < 1:
         raise ValueError("plane budget must be at least 1")
@@ -421,32 +462,27 @@ def numeric_flat_search(
         raise ValueError("horizontal space has dimension < 2")
     pm = P.mat
 
-    def value(theta):
-        c1 = hor.coords.T @ theta[:h]
-        c2 = hor.coords.T @ theta[h:]
-        n1 = np.sqrt(c1 @ pm @ c1)
-        if n1 < 1e-12:
-            return np.inf
-        c1 = c1 / n1
-        c2 = c2 - (c2 @ pm @ c1) * c1
-        n2 = np.sqrt(c2 @ pm @ c2)
-        if n2 < 1e-8:
-            return np.inf
-        c2 = c2 / n2
-        rep = quotient_sectional(
-            act, g, P, dec.from_coords(c1), dec.from_coords(c2), frame=frame
-        )
-        return rep.sec_quotient
+    def values(thetas):
+        """sec_quotient of the plane of each row of thetas (inf when the
+        row does not span a plane)."""
+        c = thetas.reshape(-1, h) @ hor.coords
+        c1, c2 = c[0::2], c[1::2]
+        n1 = np.sqrt(np.einsum("ij,ij->i", c1 @ pm, c1))
+        c1 = c1 / np.maximum(n1, 1e-12)[:, None]
+        c2 = c2 - np.einsum("ij,ij->i", c2 @ pm, c1)[:, None] * c1
+        n2 = np.sqrt(np.einsum("ij,ij->i", c2 @ pm, c2))
+        c2 = c2 / np.maximum(n2, 1e-8)[:, None]
+        sec_g, oneill = frame.curvature_rows(c1, c2)
+        return np.where((n1 >= 1e-12) & (n2 >= 1e-8), sec_g + oneill, np.inf)
 
     n_samples = max(budget // 2, 1)
-    best_theta = None
-    best_val = np.inf
-    for _ in range(n_samples):
-        theta = rng.standard_normal(2 * h)
-        v = value(theta)
-        if v < best_val:
-            best_val = v
-            best_theta = theta
+    thetas = rng.standard_normal((n_samples, 2 * h))
+    sampled = np.concatenate([
+        values(thetas[i : i + SEARCH_CHUNK]) for i in range(0, n_samples, SEARCH_CHUNK)
+    ])
+    best = int(np.argmin(sampled))  # the first minimum, as a strict < loop keeps
+    best_val = sampled[best]
+    best_theta = thetas[best]
     remaining = max(budget - n_samples, 0)
     # the descent from the best sample gets a double share of the budget
     shares = [2] + [1] * max(local_restarts - 1, 0)
@@ -457,7 +493,7 @@ def numeric_flat_search(
             break
         start = theta0 if k == 0 else theta0 + 0.3 * rng.standard_normal(2 * h)
         res = scipy.optimize.minimize(
-            value, start, method="Nelder-Mead",
+            lambda theta: values(theta[None])[0], start, method="Nelder-Mead",
             options={"maxfev": unit * share, "fatol": 1e-15, "xatol": 1e-11},
         )
         if res.fun < best_val:

@@ -333,6 +333,28 @@ def _folded(exponents, m, fold: bool):
     return sorted(vals)
 
 
+def _upper_half_count(exponents, m) -> int:
+    """Number of angles e/m strictly inside (0, 1/2) mod 1."""
+    return sum(1 for e in exponents if 0 < 2 * (e % m) < m)
+
+
+def _conjugate(fam: GroupFamily, a, b, m) -> bool:
+    """Are the torus elements with angles a/m and b/m conjugate in the group?
+
+    SU/U: equal angle multisets.  Sp and SO(2n+1): equal up to sign flips.
+    SO(2n): the flips must be even in number unless some angle is 0 or 1/2
+    (a real eigenvalue).  Otherwise every folded class keeps its count on
+    each side of 1/2 up to the flips inside it, so the total flip parity
+    is that of the difference of the upper-half counts.
+    """
+    fold = fam.name not in ("SU", "U")
+    if _folded(a, m, fold) != _folded(b, m, fold):
+        return False
+    if fam.kind != "SO-even" or any((2 * e) % m == 0 for e in a):
+        return True
+    return (_upper_half_count(a, m) - _upper_half_count(b, m)) % 2 == 0
+
+
 def is_free_bruteforce(
     w: TorusActionWeights, max_order: int, mode: str | None = None
 ) -> FreenessVerdict:
@@ -340,19 +362,19 @@ def is_free_bruteforce(
     of unity for m <= max_order and look for a conjugate left/right pair.
 
     Eigenvalue multisets are compared exactly (the exponents are rational),
-    with the family's +- pairing for Sp and SO.  A clean run proves nothing
-    beyond the stated order; it only fails to falsify.
+    with the family's +- pairing for Sp and SO and, for SO(2n), the even
+    sign-flip rule of its Weyl group.  A clean run proves nothing beyond
+    the stated order; it only fails to falsify.
     """
     mode = _normalize_mode(mode or w.mode)
     fam = w.group
-    fold = fam.name not in ("SU", "U")
     for m in range(1, max_order + 1):
         for col in product(range(m), repeat=w.k):
             if all(c == 0 for c in col):
                 continue
             a = w.left_exponents(col)
             b = w.right_exponents(col)
-            if _folded(a, m, fold) != _folded(b, m, fold):
+            if not _conjugate(fam, a, b, m):
                 continue
             if mode == MOD_CENTER:
                 ma = _all_congruent(a, m)

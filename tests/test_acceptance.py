@@ -6,6 +6,7 @@ Certificates produced by the example criteria are pooled and re-validated
 wholesale by the final soundness criterion.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -60,10 +61,32 @@ def test_criterion_01_freeness_oracle_equivalence():
         if exact and not fr.is_free_bruteforce(w, 12).free:
             contradictions += 1
     elapsed = time.time() - started
+    # the brute-force falsifier decides circles with weights in [-2, 2]
+    # completely at order 12 (kernel orders stay below 8), so both
+    # verdicts must agree: every circle on SO(4) and Sp(2), 1500 on SO(6)
+    disagreements = {}
+    for fam in (al.so(4), al.sp(2), al.so(6)):
+        rows = fam.rank if fam.name == "SO" else fam.n
+        pairs = list(itertools.product(
+            itertools.product(range(-2, 3), repeat=rows), repeat=2))
+        if len(pairs) > 1500:
+            pairs = [pairs[i] for i in rng.choice(len(pairs), 1500, replace=False)]
+        disagreements[str(fam)] = 0
+        for wl, wr in pairs:
+            try:
+                w = fr.TorusActionWeights(
+                    fam, 1, tuple((x,) for x in wl), tuple((x,) for x in wr)
+                )
+            except al.AlgebraError:
+                continue
+            if fr.is_free_exact(w).free != fr.is_free_bruteforce(w, 12).free:
+                disagreements[str(fam)] += 1
     _report(
-        1, "freeness oracle equivalence on 500 circle weights",
-        mismatches == 0 and contradictions == 0 and elapsed < 10.0,
-        f"mismatches={mismatches}, contradictions={contradictions}, {elapsed:.1f}s",
+        1, "freeness oracle equivalence on 500 circle weights, plus SO(4)/Sp(2)/SO(6)",
+        mismatches == 0 and contradictions == 0 and elapsed < 10.0
+        and not any(disagreements.values()),
+        f"mismatches={mismatches}, contradictions={contradictions}, {elapsed:.1f}s, "
+        f"bruteforce disagreements {disagreements}",
     )
 
 

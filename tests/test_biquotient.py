@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biq import algebra as al
 from biq import biquotient as bi
+from biq import catalog as ca
+from biq import detectors as de
 from biq import metric as me
 from biq import freeness as fr
+from oracles import matrix_quotient_sectional, matrix_z_squared
 
 
 def quat_diag(top, bot):
@@ -281,3 +286,98 @@ class TestQuotientSectional:
         other = quat_diag(QJ, O)
         with pytest.raises(bi.NonHorizontalError):
             bi.quotient_sectional(act, g, P, vertical, other)
+
+
+def _case(name, rng):
+    """A free action with a metric invariant under its right projection."""
+    if name == "gromoll-meyer":
+        act = bi.gromoll_meyer_action()
+        return act, de.random_gromoll_meyer_metric(act.dec(), rng)
+    if name == "sp2-circle":
+        w = fr.TorusActionWeights(al.sp(2), 1, ((1,), (1,)), ((3,), (2,)))
+    else:  # su3-two-torus
+        w = ca.corollary_su3_weights()
+    act = bi.from_torus_weights(w)
+    return act, de.random_torus_invariant_metric(act.dec(), rng)
+
+
+CASES = ("gromoll-meyer", "sp2-circle", "su3-two-torus")
+
+
+def _horizontal_plane(name, seed):
+    """Action, point, metric, frame and two horizontal coordinate rows."""
+    rng = np.random.default_rng(seed)
+    act, P = _case(name, rng)
+    g = al.random_group_element(act.group, rng)
+    frame = bi.PointFrame.at(act, g, P)
+    hor = frame.horizontal()
+    return act, g, P, frame, rng.standard_normal((2, hor.dim)) @ hor.coords
+
+
+class TestCoordinateKernel:
+    @pytest.mark.parametrize("name", CASES)
+    def test_z_term_matches_L_tensor_matrix_oracle(self, name):
+        for seed in range(4):
+            act, g, P, frame, c = _horizontal_plane(name, seed)
+            a, b = act.dec().from_coords(c[0]), act.dec().from_coords(c[1])
+            z = bi.z_term(act, g, P, a, b, frame=frame)
+            ref = matrix_z_squared(act, g, P, a, b)
+            assert abs(z * z - ref) <= 1e-12 * max(ref, 1.0)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_batched_rows_match_matrix_oracle(self, name):
+        act, g, P, frame, _ = _horizontal_plane(name, 3)
+        dec = act.dec()
+        rng = np.random.default_rng(11)
+        hor = frame.horizontal()
+        rows = []
+        for _ in range(5):
+            c = rng.standard_normal((2, hor.dim)) @ hor.coords
+            rep = bi.quotient_sectional(
+                act, g, P, dec.from_coords(c[0]), dec.from_coords(c[1]), frame=frame
+            )
+            rows.append((dec.to_coords(rep.x), dec.to_coords(rep.y), rep))
+        cx = np.array([r[0] for r in rows])
+        cy = np.array([r[1] for r in rows])
+        sec_g, oneill = frame.curvature_rows(cx, cy)
+        for n, (x, y, rep) in enumerate(rows):
+            ref = matrix_quotient_sectional(act, g, P, x, y)
+            assert abs(sec_g[n] + oneill[n] - ref) <= 1e-12 * max(abs(ref), 1.0)
+            assert abs(rep.sec_quotient - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(CASES),
+    seed=st.integers(0, 2**32 - 1),
+    m=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+)
+def test_quotient_sectional_invariant_under_plane_basis_change(name, seed, m):
+    m = np.reshape(m, (2, 2))
+    assume(abs(np.linalg.det(m)) > 0.1)
+    act, g, P, frame, c = _horizontal_plane(name, seed)
+    dec = act.dec()
+    rep = bi.quotient_sectional(
+        act, g, P, dec.from_coords(c[0]), dec.from_coords(c[1]), frame=frame
+    )
+    mc = m @ c
+    rep2 = bi.quotient_sectional(
+        act, g, P, dec.from_coords(mc[0]), dec.from_coords(mc[1]), frame=frame
+    )
+    assert abs(rep2.sec_quotient - rep.sec_quotient) <= 1e-9 * max(1.0, abs(rep.sec_quotient))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(CASES), seed=st.integers(0, 2**32 - 1))
+def test_oneill_term_nonnegative_on_horizontal_planes(name, seed):
+    act, g, P, frame, c = _horizontal_plane(name, seed)
+    dec = act.dec()
+    rep = bi.quotient_sectional(
+        act, g, P, dec.from_coords(c[0]), dec.from_coords(c[1]), frame=frame
+    )
+    assert rep.oneill_term >= 0
+    assert rep.sec_quotient >= rep.sec_g
+    # the clamp at zero in the kernel hides nothing: the unclamped matrix
+    # computation agrees
+    ref = 0.75 * matrix_z_squared(act, g, P, rep.x, rep.y)
+    assert abs(rep.oneill_term - ref) <= 1e-12 * max(1.0, abs(ref))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from biq import cli
+from biq import biquotient, cli, detectors
 
 
 @pytest.fixture
@@ -99,8 +99,35 @@ class TestScan:
         assert len(report["points"]) == 2
         # a flat plane exists at every point of any circle quotient here
         assert report["flat_planes_found"] == 2
+        assert report["config"]["schema_version"] == "3"
         for row in report["points"]:
             assert row["flat_certificate"] == "N2"
+            assert row["flat_certificate_abs_sec"] < 1e-8
+
+    def test_certificate_that_does_not_evaluate_flat_is_dropped(
+        self, gm_circle_file, tmp_path, monkeypatch
+    ):
+        def non_flat_n2(P, w1, w2, act, g, candidates=None, rng=None, diagnostics=None):
+            # a horizontal plane with clearly nonzero quotient curvature
+            frame = biquotient.PointFrame.at(act, g, P)
+            hor = frame.horizontal().basis_elements()
+            for x in hor:
+                for y in hor:
+                    if x is not y and abs(biquotient.quotient_sectional(
+                            act, g, P, x, y, frame=frame).sec_quotient) > 1e-3:
+                        return detectors.FlatCertificate("N2", g, x, y, ())
+            raise AssertionError("no curved horizontal plane")
+
+        monkeypatch.setattr(detectors, "check_N2", non_flat_n2)
+        out = tmp_path / "scan.json"
+        code = cli.main([
+            "scan", "--action", gm_circle_file,
+            "--points", "2", "--planes", "100", "--seed", "4", "-o", str(out),
+        ])
+        assert code == 0
+        for row in json.loads(out.read_text())["points"]:
+            assert row["flat_certificate"] == ""
+            assert row["flat_certificate_abs_sec"] is None
 
     def test_refuses_non_free_action(self, nonfree_file, tmp_path):
         out = tmp_path / "scan.json"
@@ -207,6 +234,20 @@ class TestDeterminism:
         cli.main(["free", thm2_file, "--oracle", "4", "--seed", "9", "-o", str(out1)])
         cli.main(["free", thm2_file, "--oracle", "4", "--seed", "9", "-o", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_scan_reports_byte_identical(self, gm_circle_file, tmp_path):
+        metric = tmp_path / "metric.json"
+        metric.write_text(json.dumps({
+            "t_block": [[1.0, 0.2], [0.2, 2.0]],
+            "alphas": [0.5, 1.0, 1.5, 2.0],
+        }))
+        outs = [tmp_path / "r1.json", tmp_path / "r2.json"]
+        for out in outs:
+            assert cli.main([
+                "scan", "--action", gm_circle_file, "--metric", str(metric),
+                "--points", "3", "--planes", "600", "--seed", "9", "-o", str(out),
+            ]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_no_partial_report_on_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -4,13 +4,73 @@ import pytest
 from biq import algebra as al
 from biq import curvature as cu
 from biq import metric as me
-from oracles import koszul_numerator
+from oracles import koszul_numerator, matrix_numerator
 
 
 def random_invariant_metric(dec, rng):
     a = rng.standard_normal((dec.rank, dec.rank))
     return me.build_metric(dec, a @ a.T + 0.4 * np.eye(dec.rank),
                            rng.uniform(0.4, 2.5, size=len(dec.roots)))
+
+
+def random_block_metric(dec, rng, n_blocks=3):
+    """Metric with one random positive block on each of n_blocks
+    subspaces of a random Q-orthonormal frame."""
+    q, _ = np.linalg.qr(rng.standard_normal((dec.dim, dec.dim)))
+    cuts = np.sort(rng.choice(np.arange(1, dec.dim), size=n_blocks - 1, replace=False))
+    blocks = []
+    for rows in np.split(q.T, cuts):
+        b = rng.standard_normal((len(rows), len(rows)))
+        blocks.append((al.Subspace(dec, rows), b @ b.T + 0.5 * np.eye(len(rows))))
+    return me.build_metric_from_subspaces(dec, blocks)
+
+
+KERNEL_FAMILIES = [al.su(3), al.sp(2), al.su(5), al.so(7)]
+
+
+class TestStructureConstants:
+    @pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=str)
+    def test_matches_matrix_bracket(self, fam, rng):
+        dec = al.root_decomposition(fam)
+        C = dec.structure_constants
+        assert C.shape == (dec.dim, dec.dim * dec.dim)
+        for _ in range(5):
+            x = al.random_algebra_element(fam, rng)
+            y = al.random_algebra_element(fam, rng)
+            cx, cy = dec.to_coords(x), dec.to_coords(y)
+            expected = dec.to_coords(al.bracket(x, y))
+            assert np.abs(cy @ (cx @ C).reshape(dec.dim, dec.dim) - expected).max() < 1e-12 * max(
+                1.0, np.abs(expected).max())
+
+
+class TestKernel:
+    @pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=str)
+    def test_single_and_batched_match_both_oracles(self, fam, rng):
+        dec = al.root_decomposition(fam)
+        P = random_block_metric(dec, rng)
+        X = rng.standard_normal((6, dec.dim))
+        Y = rng.standard_normal((6, dec.dim))
+        batched = cu.plane_terms(P, X, Y).numerator
+        for n in range(6):
+            x, y = dec.from_coords(X[n]), dec.from_coords(Y[n])
+            single = cu.puttmann_numerator(P, x, y)
+            for ref in (matrix_numerator(P, x, y), koszul_numerator(P, x, y)):
+                assert abs(single - ref) <= 1e-12 * abs(ref)
+                assert abs(batched[n] - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=str)
+    def test_fusing_rows_match_L_tensor(self, fam, rng):
+        dec = al.root_decomposition(fam)
+        P = random_block_metric(dec, rng)
+        X = rng.standard_normal((4, dec.dim))
+        Y = rng.standard_normal((4, dec.dim))
+        terms = cu.plane_terms(P, X, Y)
+        for n in range(4):
+            x, y = dec.from_coords(X[n]), dec.from_coords(Y[n])
+            p_ell = P.apply_coords(dec.to_coords(me.L_tensor(P, x, y)))
+            p_xy = P.apply_coords(dec.to_coords(al.bracket(x, y)))
+            for row, ref in ((terms.p_fusing[n], p_ell), (terms.p_bracket[n], p_xy)):
+                assert np.linalg.norm(row - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestBTensor:

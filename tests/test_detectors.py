@@ -7,6 +7,7 @@ from biq import detectors as de
 from biq import freeness as fr
 from biq import metric as me
 from conftest import assert_certificate_flat
+from oracles import matrix_quotient_sectional
 
 
 class TestCheckN1:
@@ -238,6 +239,40 @@ class TestNumericFlatSearch:
         P = me.build_metric(act.dec())
         with pytest.raises(ValueError):
             de.numeric_flat_search(act, al.identity(al.sp(2)), P, budget=0)
+
+    @pytest.mark.parametrize("chunk", [7, 256])
+    def test_random_phase_matches_sequential_matrix_loop(self, chunk, monkeypatch):
+        # a budget of 2n planes with n < 125 leaves the descent too few
+        # evaluations to start, so the search returns its best sample
+        monkeypatch.setattr(de, "SEARCH_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        act = bi.gromoll_meyer_action()
+        dec = act.dec()
+        P = de.random_gromoll_meyer_metric(dec, rng)
+        g = al.random_group_element(act.group, rng)
+        frame = bi.PointFrame.at(act, g, P)
+        hor = frame.horizontal()
+        h = hor.dim
+        pm = P.mat
+
+        stream = np.random.default_rng(9)
+        best_val, best_plane = np.inf, None
+        for _ in range(100):
+            theta = stream.standard_normal(2 * h)
+            c1 = hor.coords.T @ theta[:h]
+            c1 = c1 / np.sqrt(c1 @ pm @ c1)
+            c2 = hor.coords.T @ theta[h:]
+            c2 = c2 - (c2 @ pm @ c1) * c1
+            c2 = c2 / np.sqrt(c2 @ pm @ c2)
+            v = matrix_quotient_sectional(act, g, P, c1, c2)
+            if v < best_val:
+                best_val, best_plane = v, (c1, c2)
+
+        rep = de.numeric_flat_search(act, g, P, budget=200,
+                                     rng=np.random.default_rng(9))
+        assert np.abs(dec.to_coords(rep.x) - best_plane[0]).max() < 1e-10
+        assert np.abs(dec.to_coords(rep.y) - best_plane[1]).max() < 1e-10
+        assert abs(rep.sec_quotient - best_val) <= 1e-12 * max(1.0, abs(best_val))
 
 
 class TestFixturesSmall:

@@ -159,6 +159,19 @@ class TestBruteforce:
         w = circle(al.su(3), (1, 1, 1), (1, 1, 1))
         assert fr.is_free_bruteforce(w, 1).free
 
+    def test_so_even_odd_flip_without_real_eigenvalue_is_no_violation(self):
+        # at t = 1/5 the angles (2/5, 2/5) and (2/5, 3/5) agree up to one
+        # sign flip, which SO(4) cannot realize without a real eigenvalue
+        w = circle(al.so(4), (-3, -3), (-3, -2))
+        assert fr.is_free_exact(w).free
+        assert fr.is_free_bruteforce(w, 12).free
+
+    def test_so_even_real_eigenvalue_allows_odd_flip(self):
+        # a zero angle makes the single flip a conjugation in SO(4)
+        w = circle(al.so(4), (1, 0), (-1, 0))
+        assert not fr.is_free_exact(w).free
+        assert not fr.is_free_bruteforce(w, 12).free
+
 
 class TestEschenburgCondition:
     def test_known_free_triple(self):
