@@ -2,8 +2,8 @@
 maximal equal-rank extensions, and the parameter-family enumerations.
 
 Run as `python demos/04_classification_catalog.py` (the verification pass
-takes a few seconds; add --scan for the exhaustive rank-2 scans, about a
-minute).
+takes a few seconds; add --scan for the exhaustive rank-2 scans, a few
+seconds more).
 """
 
 import sys

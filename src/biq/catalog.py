@@ -15,8 +15,9 @@ Contents:
   scan, run on SU(3) and on Sp(2), backing the uniqueness statements for
   the rank-2 groups.  The scan decides strict freeness of each weight
   pair by the gcd of the 2 x 2 minors of every symmetry image, which is
-  the product of the Smith invariant factors; every symmetry comes from
-  freeness.conjugacy_symmetries.
+  the product of the Smith invariant factors, and classes each two-sided
+  pair by whether its one Hermite form lies in the normal form's
+  symmetry orbit; every symmetry comes from freeness.conjugacy_symmetries.
 
 Rows whose right factor needs a spin or exceptional embedding are stored
 with full textual fidelity but verified only at the torus level.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GroupFamily, bracket, so, sp, su
+from .algebra import AlgebraError, GroupFamily, bracket, so, sp, su
 from .freeness import (
     MOD_CENTER,
     STRICT,
@@ -200,20 +201,22 @@ def spin6_extra() -> TorusNormalForm:
 # lattice equivalence of weighted torus actions
 # ---------------------------------------------------------------------------
 
-def _lattice_columns(w: TorusActionWeights, saturate: bool = True):
-    """Generator columns of the action's weight lattice, left block on top.
-
-    With saturate=True they are replaced by a basis of the primitive
-    closure, extended first by the scalar circle for the unitary families
-    (scalars act trivially on the determinant-one group, so actions that
-    differ by them coincide): that lattice depends only on the image
-    subtorus."""
-    cols = list(zip(*(w.w_left + w.w_right)))
-    if not saturate:
-        return cols
-    if w.group.name in ("SU", "U"):
-        cols.append((1,) * (2 * w.n_rows))
+def _saturated_columns(cols, fam: GroupFamily):
+    """Basis of the primitive closure of the stacked columns `cols`,
+    extended first by the scalar circle for the unitary families (scalars
+    act trivially on the determinant-one group, so actions that differ by
+    them coincide): that lattice depends only on the image subtorus."""
+    cols = list(cols)
+    if fam.name in ("SU", "U"):
+        cols.append((1,) * len(cols[0]))
     return saturate_columns(cols)
+
+
+def _lattice_columns(w: TorusActionWeights, saturate: bool = True):
+    """Generator columns of the action's weight lattice, left block on top;
+    with saturate=True, the _saturated_columns basis instead."""
+    cols = list(zip(*(w.w_left + w.w_right)))
+    return _saturated_columns(cols, w.group) if saturate else cols
 
 
 def _symmetry_images(cols, fam: GroupFamily):
@@ -243,12 +246,15 @@ def lattice_canonical_key(w: TorusActionWeights, saturate: bool = True):
     primitive closure of the column lattice, extended by the scalar
     circle for the unitary families: that is the invariant of the image
     subtorus acting on the determinant-one group."""
-    best = None
-    for image in _symmetry_images(_lattice_columns(w, saturate), w.group):
-        key = hnf_columns(image)
-        if best is None or key < best:
-            best = key
-    return best
+    return min(_orbit_hnfs(_lattice_columns(w, saturate), w.group))
+
+
+def _orbit_hnfs(cols, fam: GroupFamily) -> set:
+    """Hermite forms of every symmetry image of the lattice spanned by
+    `cols`.  Two lattices are equivalent iff their sets meet, and then
+    the sets are equal (the images form a group orbit), so the canonical
+    key is the least element and one HNF decides membership."""
+    return {hnf_columns(image) for image in _symmetry_images(cols, fam)}
 
 
 def lattice_equivalent(w1: TorusActionWeights, w2: TorusActionWeights,
@@ -769,8 +775,10 @@ class ScanResult:
     free_pairs counts the unordered pairs of weight vectors (entries
     bounded by `bound`) whose 2-torus acts strictly freely;
     two_sided_classes holds the sorted lattice_canonical_key of every class
-    among them that acts on both sides, and matches_normal_form says
-    whether that is exactly the class of the family's normal form.
+    among them that acts on both sides (a pair in the normal form's orbit
+    takes the normal form's key, any other pair its own full key), and
+    matches_normal_form says whether that is exactly the class of the
+    family's normal form.
     """
 
     family: str
@@ -840,18 +848,16 @@ def _strict_free_pairs(vecs: np.ndarray, fam: GroupFamily):
     return pairs
 
 
-def _one_sided(w: TorusActionWeights) -> bool:
-    """Does the image subtorus act on one side only?  It does when every
-    saturated lattice column has a trivial left block, or every one a
-    trivial right block: scalar on SU (scalars act trivially on the
+def _one_sided(cols, fam: GroupFamily) -> bool:
+    """Does the subtorus with saturated lattice basis `cols` act on one side
+    only?  It does when every column has a trivial left block, or every one
+    a trivial right block: scalar on SU (scalars act trivially on the
     determinant-one group), zero otherwise."""
-    n = w.n_rows
-    su_family = w.group.name == "SU"
+    n = len(cols[0]) // 2
 
     def trivial(block):
-        return len(set(block)) == 1 if su_family else not any(block)
+        return len(set(block)) == 1 if fam.name == "SU" else not any(block)
 
-    cols = _lattice_columns(w)
     return (all(trivial(c[:n]) for c in cols)
             or all(trivial(c[n:]) for c in cols))
 
@@ -860,23 +866,38 @@ def _scan_two_torus(fam: GroupFamily, bound: int,
                     corollary: TorusActionWeights) -> ScanResult:
     """Exhaustive scan of 2-torus weights on a rank-2 group `fam` with
     entries bounded by `bound`: every strictly free, genuinely two-sided
-    action must be lattice equivalent to `corollary`."""
+    action must be lattice equivalent to `corollary`.
+
+    The Hermite forms of the corollary's symmetry images are hashed once.
+    Each free pair is saturated once; that basis decides the one-sided
+    test, and its single Hermite form decides membership in the
+    corollary's orbit.  Only a pair outside the orbit pays for a full
+    canonical key (2 |W|^2 Hermite forms)."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
     vecs = _weight_grid(fam, bound)
     pairs = _strict_free_pairs(vecs, fam)
-    n = fam.n
+    rows = [tuple(v) for v in vecs.tolist()]
+    normal_key = lattice_canonical_key(corollary)
+    normal_cols = _lattice_columns(corollary)
+    orbit = _orbit_hnfs(normal_cols, fam)
     classes = set()
     for i, j in pairs:
-        cols = vecs[[i, j]].T
-        w = TorusActionWeights(fam, 2, cols[:n], cols[n:], mode=STRICT)
-        if not _one_sided(w):
-            classes.add(lattice_canonical_key(w))
+        cols = _saturated_columns((rows[i], rows[j]), fam)
+        # a guard only: a minor gcd of 1 already implies rank 2
+        if len(cols) != len(normal_cols):
+            raise AlgebraError("weight columns do not define a 2-torus")
+        if _one_sided(cols, fam):
+            continue
+        classes.add(normal_key if hnf_columns(cols) in orbit
+                    else min(_orbit_hnfs(cols, fam)))
     two_sided = tuple(sorted(classes))
     return ScanResult(
         family=str(fam),
         bound=bound,
         free_pairs=len(pairs),
         two_sided_classes=two_sided,
-        matches_normal_form=(two_sided == (lattice_canonical_key(corollary),)),
+        matches_normal_form=(two_sided == (normal_key,)),
     )
 
 

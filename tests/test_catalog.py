@@ -255,6 +255,54 @@ class TestScans:
         assert set(ca._strict_free_pairs(vecs, fam)) == exact
         assert len(exact) == free
 
+    @pytest.mark.parametrize("scan,bound", [
+        (ca.scan_two_torus_su3, 0),
+        (ca.scan_two_torus_sp2, 0),
+        (ca.scan_two_torus_sp2, -1),
+    ])
+    def test_bound_below_one_rejected(self, scan, bound):
+        with pytest.raises(ValueError, match="bound must be at least 1"):
+            scan(bound)
+
+    def test_pair_outside_the_orbit_takes_the_full_key(self):
+        # a reference from another class: its orbit is disjoint from the
+        # normal form's, so every two-sided pair is classed by a full key
+        other = fr.TorusActionWeights(al.sp(2), 2, ((1, 0), (0, 1)), ((0, 0), (1, 0)))
+        assert ca.lattice_canonical_key(other) != ca.lattice_canonical_key(
+            ca.corollary_sp2_weights())
+        res = ca._scan_two_torus(al.sp(2), 1, other)
+        ref = ca.scan_two_torus_sp2(1)
+        assert res.free_pairs == ref.free_pairs == 200
+        assert res.two_sided_classes == ref.two_sided_classes
+        assert not res.matches_normal_form
+
+    @pytest.mark.parametrize("fam,bound,free,two_sided", [
+        (al.su(3), 1, 240, 216),
+        (al.sp(2), 2, 520, 416),
+    ])
+    def test_classes_equal_full_keys_of_two_sided_pairs(self, fam, bound, free, two_sided):
+        # reference: a full canonical key for every genuinely two-sided pair
+        vecs = ca._weight_grid(fam, bound)
+        pairs = ca._strict_free_pairs(vecs, fam)
+        n = fam.n
+
+        def trivial(block):
+            return len(set(block)) == 1 if fam.name == "SU" else not any(block)
+
+        keys = set()
+        count = 0
+        for i, j in pairs:
+            cols = vecs[[i, j]].T
+            w = fr.TorusActionWeights(fam, 2, cols[:n], cols[n:])
+            sat = ca._lattice_columns(w)
+            if all(trivial(c[:n]) for c in sat) or all(trivial(c[n:]) for c in sat):
+                continue
+            count += 1
+            keys.add(ca.lattice_canonical_key(w))
+        assert (len(pairs), count) == (free, two_sided)
+        scan = ca.scan_two_torus_su3 if fam.name == "SU" else ca.scan_two_torus_sp2
+        assert scan(bound).two_sided_classes == tuple(sorted(keys))
+
 
 # 2 x 2 integer matrices of determinant +-1 with small entries
 _UNIMODULAR = [

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biq import algebra as al
 from biq import freeness as fr
-from biq.intlattice import hnf_columns, smith_normal_form
+from biq.intlattice import hnf_columns, saturate_columns, smith_normal_form
 from oracles import witness_conjugate
 
 
@@ -38,6 +40,67 @@ class TestIntLattice:
             u = np.array([[1, 0], [3, 1]])  # unimodular recombination
             mixed = u @ vecs
             assert hnf_columns([tuple(v) for v in mixed]) == key
+
+
+@st.composite
+def _generators(draw):
+    """2 or 3 integer generators of equal length 2 to 6 (zero and
+    dependent ones included)."""
+    m = draw(st.integers(2, 6))
+    vec = st.lists(st.integers(-4, 4), min_size=m, max_size=m).map(tuple)
+    return draw(st.lists(vec, min_size=2, max_size=3))
+
+
+@st.composite
+def _unimodular_steps(draw, k):
+    """A random unimodular change of k generators as elementary steps:
+    swap two, negate one, or add an integer multiple of one to another."""
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        i, j = draw(st.permutations(range(k)))[:2]
+        kind = draw(st.sampled_from(("swap", "negate", "add")))
+        steps.append((kind, i, j, draw(st.integers(-3, 3).filter(bool))))
+    return steps
+
+
+def _apply_steps(vecs, steps):
+    vecs = [list(v) for v in vecs]
+    for kind, i, j, c in steps:
+        if kind == "swap":
+            vecs[i], vecs[j] = vecs[j], vecs[i]
+        elif kind == "negate":
+            vecs[i] = [-x for x in vecs[i]]
+        else:
+            vecs[i] = [x + c * y for x, y in zip(vecs[i], vecs[j])]
+    return [tuple(v) for v in vecs]
+
+
+_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_hnf_invariant_under_change_of_generators(data):
+    # the catalog decides orbit membership by one HNF per lattice, which
+    # is sound only if the HNF sees the lattice, not its generators
+    vecs = data.draw(_generators())
+    key = hnf_columns(vecs)
+    assert hnf_columns(_apply_steps(vecs, data.draw(_unimodular_steps(len(vecs))))) == key
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(vecs), max_size=len(vecs)))
+    combo = tuple(sum(c * v[r] for c, v in zip(coeffs, vecs)) for r in range(len(vecs[0])))
+    assert hnf_columns(vecs + [combo]) == key
+    assert hnf_columns(vecs + [(0,) * len(vecs[0])]) == key
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_saturation_invariant_under_scaling_a_generator(data):
+    vecs = data.draw(_generators())
+    i = data.draw(st.integers(0, len(vecs) - 1))
+    scale = data.draw(st.integers(-5, 5).filter(bool))
+    scaled = list(vecs)
+    scaled[i] = tuple(scale * x for x in vecs[i])
+    assert hnf_columns(saturate_columns(scaled)) == hnf_columns(saturate_columns(vecs))
 
 
 class TestIsFreeExact:
