@@ -32,7 +32,7 @@ from .biquotient import from_torus_weights
 from .freeness import TorusActionWeights, is_free_bruteforce, is_free_exact
 from .metric import build_metric
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,7 @@ def cmd_free(args) -> int:
         "odd_signed_only": verdict.odd_signed_only,
         "witness": _witness_dict(verdict.witness),
         "note": verdict.note,
+        "stats": verdict.stats,
     }
     if args.oracle:
         oracle = is_free_bruteforce(weights, args.oracle, mode)

@@ -8,7 +8,15 @@ action is free iff for every element sigma of the family's eigenvalue
 symmetry group (permutations for SU/U, signed permutations for Sp and SO)
 the character matrix D_sigma = W_L - sigma . W_R has trivial kernel as a
 map of tori, which is decided exactly by its Smith normal form: all k
-invariant factors equal to 1.
+invariant factors equal to 1, i.e. the rows of D_sigma span Z^k.
+
+The symmetries are walked depth first, one row of D_sigma at a time, in
+the order of conjugacy_symmetries.  Each row prefix keeps an echelon basis
+of the lattice its rows span (one extended-gcd insertion per row, shared
+by every symmetry with that prefix); a prefix whose rows already span Z^k
+is pruned with all its completions.  Only a symmetry that survives to a
+leaf gets a Smith form, one, which gives the invariant factors and the
+kernel generators that the mod-center and SO(2n) rules below inspect.
 
 "free modulo the center" additionally accepts kernel elements t whose
 images satisfy u_L(t) = u_R(t) = a central scalar of G.  All arithmetic is
@@ -26,13 +34,13 @@ witness comes from an odd-signed symmetry is flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd
+from math import factorial, gcd
 
 from .algebra import AlgebraError, GroupFamily
-from .intlattice import invariant_factors, kernel_generators
+from .intlattice import echelon_insert, echelon_spans_all, invariant_factors, smith_kernel
 
 STRICT = "strict"
 MOD_CENTER = "mod-center"
@@ -140,6 +148,8 @@ class FreenessVerdict:
     witness: Witness | None = None
     odd_signed_only: bool = False
     note: str = ""
+    #: counts of the exact walk (is_free_exact only); not part of equality
+    stats: dict = field(default_factory=dict, compare=False)
 
     def __bool__(self):
         return self.free
@@ -158,13 +168,6 @@ def conjugacy_symmetries(fam: GroupFamily, rows: int):
                 yield perm, signs
 
 
-def _apply_symmetry(w_right, perm, signs):
-    return [
-        [signs[i] * x for x in w_right[perm[i]]]
-        for i in range(len(w_right))
-    ]
-
-
 def _scalar_is_central(fam: GroupFamily, m: int, d: int) -> bool:
     """Is the scalar exp(2 pi i m / d) . I central in the family's group?"""
     if fam.name == "SU":
@@ -181,10 +184,10 @@ def _all_congruent(values, d):
     return m if all(v % d == m for v in values) else None
 
 
-def _kernel_is_central(w: TorusActionWeights, d_matrix) -> tuple:
-    """Check that every kernel element of the character map acts as an
-    allowed central scalar.  Returns (ok, offending_generator| None)."""
-    torsion, circles = kernel_generators(d_matrix)
+def _kernel_is_central(w: TorusActionWeights, torsion, circles) -> tuple:
+    """Check that every kernel element of the character map, given by its
+    kernel generators, acts as an allowed central scalar.  Returns
+    (ok, offending_generator | None)."""
     fam = w.group
     for col, order in torsion:
         a = w.left_exponents(col)
@@ -215,12 +218,12 @@ def _central_pair(w, exps_l, exps_r, order) -> bool:
     return ma is not None and ma == mb and _scalar_is_central(w.group, ma, order)
 
 
-def _odd_sigma_offender(w: TorusActionWeights, d_matrix, mode: str):
-    """Genuine violations inside the kernel of an odd-signed symmetry of
-    SO(2n): only elements with a real eigenvalue (some exponent at 0 or a
-    half turn) are actually conjugate inside the group.  Returns the first
-    offending element as (numerators, denominator, kind), or None."""
-    torsion, circles = kernel_generators(d_matrix)
+def _odd_sigma_offender(w: TorusActionWeights, torsion, circles, mode: str):
+    """Genuine violations inside the kernel (given by its generators) of an
+    odd-signed symmetry of SO(2n): only elements with a real eigenvalue
+    (some exponent at 0 or a half turn) are actually conjugate inside the
+    group.  Returns the first offending element as (numerators,
+    denominator, kind), or None."""
     for col, order in torsion:
         a = w.left_exponents(col)
         b = w.right_exponents(col)
@@ -249,31 +252,119 @@ def _odd_sigma_offender(w: TorusActionWeights, d_matrix, mode: str):
     return None
 
 
+class _Replay:
+    """A lazily filled list over an iterator: every pass replays the items
+    pulled so far and then pulls more, so the sibling subtrees of the
+    walk share one sequence of sign prefixes."""
+
+    __slots__ = ("_source", "_items")
+
+    def __init__(self, source):
+        self._source = source
+        self._items = []
+
+    def __iter__(self):
+        items = self._items
+        i = 0
+        while True:
+            if i == len(items):
+                item = next(self._source, None)
+                if item is None:
+                    return
+                items.append(item)
+            yield items[i]
+            i += 1
+
+    def empty(self) -> bool:
+        if self._items:
+            return False
+        item = next(self._source, None)
+        if item is None:
+            return True
+        self._items.append(item)
+        return False
+
+
+def _unpruned_symmetries(w: TorusActionWeights, stats: dict):
+    """Depth-first walk over the rows of D_sigma = W_L - sigma . W_R, whose
+    row i is W_L[i] - s_i W_R[perm[i]].
+
+    Yields (perm, signs, D_sigma) for every symmetry whose rows do not span
+    Z^k, in conjugacy_symmetries order.  A node is a permutation prefix
+    with the live sign prefixes under it, each with the echelon basis of
+    the rows assigned so far; a sign prefix whose rows already span Z^k is
+    pruned, since every completion then has all invariant factors 1, and a
+    permutation prefix with no live sign prefix is skipped whole.  Sign
+    prefixes are extended lazily and in lexicographic order (+1 first),
+    and replayed for every permutation sharing the prefix, so reaching the
+    first symmetry costs one insertion per row.  Sets stats["symmetries"]
+    to |W| and counts in stats["leaves_examined"] the symmetries whose
+    every row was inserted.
+    """
+    rows, k = w.n_rows, w.k
+    choices = (1,) if w.group.name in ("SU", "U") else (1, -1)
+    stats["symmetries"] = factorial(rows) * len(choices) ** rows
+    w_left, w_right = w.w_left, w.w_right
+    # row_of[j, p, s] is row j of D_sigma for perm[j] = p and s_j = s; built
+    # on first demand, so an early exit builds only the rows it inserts
+    row_of = {}
+
+    def extend(live, j, p):
+        for prefix, basis in live:
+            for s in choices:
+                row = row_of.get((j, p, s))
+                if row is None:
+                    row = row_of[j, p, s] = tuple(
+                        [x - s * y for x, y in zip(w_left[j], w_right[p])])
+                child = echelon_insert(basis, row)
+                if j + 1 == rows:
+                    stats["leaves_examined"] += 1
+                if not echelon_spans_all(child):
+                    yield prefix + (s,), child
+
+    def walk(perm, live):
+        j = len(perm)
+        if j == rows:
+            for signs, _ in live:
+                yield perm, signs, [
+                    [x - s * y for x, y in zip(w_left[i], w_right[perm[i]])]
+                    for i, s in enumerate(signs)
+                ]
+            return
+        for p in range(rows):
+            if p in perm:
+                continue
+            child = _Replay(extend(live, j, p))
+            if not child.empty():
+                yield from walk(perm + (p,), child)
+
+    yield from walk((), [((), (None,) * k)])
+
+
 def is_free_exact(w: TorusActionWeights, mode: str | None = None) -> FreenessVerdict:
     """Exact freeness verdict for a weighted torus action.
 
     strict mode demands a trivial kernel for every symmetry image (all
     Smith invariant factors equal to 1); mod-center mode accepts kernels
-    acting by central scalars.  The reported witness belongs to the first
-    failing symmetry in the iteration order; for SO(2n), failures caused
-    only by odd-signed symmetries are flagged odd_signed_only.
+    acting by central scalars.  All factors are 1 exactly when the rows of
+    D_sigma span Z^k, which the pruned walk of _unpruned_symmetries decides
+    with one echelon insertion per row prefix; a symmetry that survives it
+    gets one Smith form, which gives both the invariant factors and the
+    kernel generators.  The reported witness belongs to the first failing
+    symmetry in the iteration order; for SO(2n), failures caused only by
+    odd-signed symmetries are flagged odd_signed_only.  The verdict's stats
+    count the symmetries (|W|), the leaves examined and the Smith forms.
     """
     mode = _normalize_mode(mode or w.mode)
     fam = w.group
-    rows = w.n_rows
-    w_left = [list(r) for r in w.w_left]
+    stats = {"symmetries": 0, "leaves_examined": 0, "smith_forms": 0}
     first_odd_fail = None
 
-    for perm, signs in conjugacy_symmetries(fam, rows):
-        sw = _apply_symmetry(w.w_right, perm, signs)
-        d_matrix = [
-            [w_left[i][j] - sw[i][j] for j in range(w.k)] for i in range(rows)
-        ]
-        factors = invariant_factors(d_matrix, count=w.k)
-        if all(f == 1 for f in factors):
-            continue
+    for perm, signs, d_matrix in _unpruned_symmetries(w, stats):
+        stats["smith_forms"] += 1
+        factors, torsion, circles = smith_kernel(d_matrix)
         if fam.kind == "SO-even" and _sign_product(signs) < 0:
-            off = _odd_sigma_offender(w, d_matrix, mode)
+            off = _odd_sigma_offender(w, torsion, circles, mode)
             if off is None:
                 continue  # conjugacy not realized inside SO(2n)
             nums, den, kind = off
@@ -285,11 +376,10 @@ def is_free_exact(w: TorusActionWeights, mode: str | None = None) -> FreenessVer
             continue  # an even-signed violation, if any, is reported first
         offender = None
         if mode == MOD_CENTER:
-            ok, offender = _kernel_is_central(w, d_matrix)
+            ok, offender = _kernel_is_central(w, torsion, circles)
             if ok:
                 continue
         if offender is None:
-            torsion, circles = kernel_generators(d_matrix)
             if torsion:
                 offender = (*torsion[0], "torsion")
             else:
@@ -303,7 +393,7 @@ def is_free_exact(w: TorusActionWeights, mode: str | None = None) -> FreenessVer
             invariant_factors=tuple(factors),
             kind=kind,
         )
-        return FreenessVerdict(free=False, mode=mode, witness=witness)
+        return FreenessVerdict(free=False, mode=mode, witness=witness, stats=stats)
     if first_odd_fail is not None:
         return FreenessVerdict(
             free=False,
@@ -311,8 +401,9 @@ def is_free_exact(w: TorusActionWeights, mode: str | None = None) -> FreenessVer
             witness=first_odd_fail,
             odd_signed_only=True,
             note="the violation is realized only through odd-signed symmetries",
+            stats=stats,
         )
-    return FreenessVerdict(free=True, mode=mode)
+    return FreenessVerdict(free=True, mode=mode, stats=stats)
 
 
 def _sign_product(signs):

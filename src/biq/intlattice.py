@@ -2,7 +2,8 @@
 
 Everything here works on plain Python ints (arbitrary precision), never
 floats.  Matrices are lists of lists, row-major.  These routines back the
-freeness checker (kernel structure of character maps) and the catalog's
+freeness checker (kernel structure of character maps, and the echelon row
+insertions that decide whether rows span Z^k) and the catalog's
 lattice-equivalence tests, where floating point cannot certify gcd = 1.
 """
 
@@ -20,15 +21,27 @@ def smith_normal_form(mat):
     left and right are unimodular, and d[0] | d[1] | ... are the
     nonnegative invariant factors (padded with zeros up to min(m, k)).
     """
+    d, left, right, _ = _smith(mat, left_inverse=False)
+    return d, left, right
+
+
+def _smith(mat, left_inverse):
+    """smith_normal_form's elimination; with left_inverse=True it also
+    returns left^-1, kept by the column operation inverse to each row
+    operation on left (else None)."""
     a = [[int(x) for x in row] for row in mat]
     m = len(a)
     k = len(a[0]) if m else 0
     left = _identity(m)
     right = _identity(k)
+    inv = _identity(m) if left_inverse else None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         left[i], left[j] = left[j], left[i]
+        if inv is not None:
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -37,9 +50,12 @@ def smith_normal_form(mat):
             row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, c):
-        # row[dst] += c * row[src]
+        # row[dst] += c * row[src]; its inverse takes c * col[dst] off col[src]
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
         left[dst] = [x + c * y for x, y in zip(left[dst], left[src])]
+        if inv is not None:
+            for row in inv:
+                row[src] -= c * row[dst]
 
     def add_col(dst, src, c):
         for row in a:
@@ -50,21 +66,33 @@ def smith_normal_form(mat):
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         left[i] = [-x for x in left[i]]
+        if inv is not None:
+            for row in inv:
+                row[i] = -row[i]
 
     s = 0
     while s < min(m, k):
-        # pivot: nonzero entry of least magnitude in the trailing block
+        # pivot: first nonzero entry of least magnitude in the trailing
+        # block, row by row; none can undercut a magnitude of 1
         piv = None
         best = None
         for i in range(s, m):
+            row = a[i]
             for j in range(s, k):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
+                x = abs(row[j])
+                if x and (best is None or x < best):
+                    best = x
                     piv = (i, j)
+                    if x == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
-        swap_rows(s, piv[0])
-        swap_cols(s, piv[1])
+        if piv[0] != s:
+            swap_rows(s, piv[0])
+        if piv[1] != s:
+            swap_cols(s, piv[1])
 
         dirty = False
         for i in range(s + 1, m):
@@ -82,16 +110,18 @@ def smith_normal_form(mat):
         if dirty:
             continue  # remainders left; pick a smaller pivot
 
-        # divisibility: a[s][s] must divide the rest of the block
+        # divisibility: a[s][s] must divide the rest of the block, which a
+        # unit pivot always does
         stuck = False
-        for i in range(s + 1, m):
-            for j in range(s + 1, k):
-                if a[i][j] % a[s][s] != 0:
-                    add_row(s, i, 1)
-                    stuck = True
+        if best != 1:
+            for i in range(s + 1, m):
+                for j in range(s + 1, k):
+                    if a[i][j] % a[s][s] != 0:
+                        add_row(s, i, 1)
+                        stuck = True
+                        break
+                if stuck:
                     break
-            if stuck:
-                break
         if stuck:
             continue
         if a[s][s] < 0:
@@ -99,7 +129,7 @@ def smith_normal_form(mat):
         s += 1
 
     d = [a[i][i] for i in range(min(m, k))]
-    return d, left, right
+    return d, left, right, inv
 
 
 def invariant_factors(mat, count=None):
@@ -112,16 +142,13 @@ def invariant_factors(mat, count=None):
     return d + [0] * (count - len(d))
 
 
-def kernel_generators(mat):
-    """Generators of ker(T^k -> T^m) for the torus map given by `mat`.
+def smith_kernel(mat):
+    """Invariant factors and kernel generators of `mat` from one Smith form.
 
-    The map sends theta in R^k/Z^k to mat @ theta in R^m/Z^m.  Returns
-    (torsion, circles): torsion is a list of (column: tuple[int], order)
-    with the kernel element column/order, circles is a list of integer
-    columns spanning the positive-dimensional part.
+    Returns (factors, torsion, circles): the invariant factors padded with
+    zeros to the column count, and kernel_generators' two lists.
     """
-    m = len(mat)
-    k = len(mat[0]) if m else 0
+    k = len(mat[0]) if mat else 0
     d, _, right = smith_normal_form(mat)
     d = d + [0] * (k - len(d))
     torsion = []
@@ -132,6 +159,18 @@ def kernel_generators(mat):
             circles.append(col)
         elif d[i] > 1:
             torsion.append((col, d[i]))
+    return d, torsion, circles
+
+
+def kernel_generators(mat):
+    """Generators of ker(T^k -> T^m) for the torus map given by `mat`.
+
+    The map sends theta in R^k/Z^k to mat @ theta in R^m/Z^m.  Returns
+    (torsion, circles): torsion is a list of (column: tuple[int], order)
+    with the kernel element column/order, circles is a list of integer
+    columns spanning the positive-dimensional part.
+    """
+    _, torsion, circles = smith_kernel(mat)
     return torsion, circles
 
 
@@ -179,25 +218,70 @@ def hnf_columns(vectors):
     return tuple(tuple(c) for c in basis)
 
 
-def integer_kernel(mat):
-    """Basis of the saturated sublattice {x in Z^k : mat @ x = 0}."""
-    _, circles = kernel_generators(mat)
-    return circles
-
-
 def saturate_columns(vectors):
     """Primitive closure of the lattice spanned by `vectors`: all integer
     points of its rational span.
 
     The image of a torus homomorphism only depends on this closure, so
     weight matrices parametrizing the same subtorus have equal saturations
-    even when their raw column lattices differ by a finite index.
+    even when their raw column lattices differ by a finite index.  With the
+    vectors as the columns of M and diag(d) = L M R, M = L^-1 diag(d) R^-1
+    spans the same rational space as the first rank(M) columns of the
+    unimodular L^-1, which therefore form a basis of the closure.
     """
     cols = [tuple(int(x) for x in v) for v in vectors if any(v)]
     if not cols:
         return ()
-    m = len(cols[0])
-    complement = integer_kernel([list(v) for v in cols])
-    if not complement:
-        return tuple(tuple(1 if i == j else 0 for i in range(m)) for j in range(m))
-    return integer_kernel([list(c) for c in complement])
+    d, _, _, inv = _smith(list(zip(*cols)), left_inverse=True)
+    rank = sum(1 for x in d if x != 0)
+    return [tuple(row[j] for row in inv) for j in range(rank)]
+
+
+def echelon_insert(basis, row):
+    """Add an integer row to the echelon basis of a lattice in Z^k.
+
+    `basis` is a tuple of k slots: slot c is None or the basis row whose
+    first nonzero entry, positive, sits in column c.  Returns the echelon
+    basis of the lattice spanned by `basis` and `row`.  Column by column,
+    an extended-gcd step (a 2 x 2 unimodular change of the pivot row and
+    the incoming one) leaves the gcd in the pivot and zero in the incoming
+    row, so the lattice never changes; no transform is kept.
+    """
+    basis = list(basis)
+    v = list(row)
+    for c in range(len(v)):
+        x = v[c]
+        if x == 0:
+            continue
+        p = basis[c]
+        if p is None:
+            basis[c] = tuple(v) if x > 0 else tuple(-y for y in v)
+            return tuple(basis)
+        y = p[c]
+        if x % y == 0:
+            q = x // y
+            v = [a - q * b for a, b in zip(v, p)]
+            continue
+        g, s, t = _xgcd(y, x)
+        u, w = y // g, x // g  # s*y + t*x = g, so s*u + t*w = 1
+        basis[c] = tuple(s * b + t * a for a, b in zip(v, p))
+        v = [u * a - w * b for a, b in zip(v, p)]
+    return tuple(basis)
+
+
+def echelon_spans_all(basis) -> bool:
+    """Do the rows of an echelon_insert basis span all of Z^k?  Exactly
+    when every column has a pivot and every pivot is 1: the basis is
+    triangular, so its determinant is the product of the pivots."""
+    return None not in basis and all(p[c] == 1 for c, p in enumerate(basis))
+
+
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) > 0, for a, b not both 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)

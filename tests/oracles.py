@@ -4,12 +4,28 @@ The curvature oracle evaluates <R(X,Y)Y, X> from the Levi-Civita
 connection assembled via the Koszul formula for left-invariant fields,
 which shares no code path with the production four-term expression.
 The matrix oracles evaluate the production formulas with matrix-model
-brackets instead of the structure-constant kernel.
+brackets instead of the structure-constant kernel.  The exact oracles are
+the earlier forms of the freeness checker (one full Smith form per
+symmetry, no pruning) and of the saturation (the kernel of the kernel).
 """
 
 import numpy as np
 
 from biq.algebra import adjoint, bracket, inner_q
+from biq.freeness import (
+    MOD_CENTER,
+    STRICT,
+    FreenessVerdict,
+    TorusActionWeights,
+    Witness,
+    _all_congruent,
+    _central_pair,
+    _normalize_mode,
+    _scalar_is_central,
+    _sign_product,
+    conjugacy_symmetries,
+)
+from biq.intlattice import invariant_factors, kernel_generators
 from biq.metric import L_tensor, apply_P
 
 
@@ -119,3 +135,155 @@ def witness_conjugate(weights, witness, tol=1e-8):
     diff = np.abs(left - right)
     diff = np.minimum(diff, 1.0 - diff)
     return bool(np.all(diff < tol))
+
+
+# ---------------------------------------------------------------------------
+# exact oracles
+# ---------------------------------------------------------------------------
+
+def _apply_symmetry(w_right, perm, signs):
+    return [
+        [signs[i] * x for x in w_right[perm[i]]]
+        for i in range(len(w_right))
+    ]
+
+
+def _kernel_is_central(w: TorusActionWeights, d_matrix) -> tuple:
+    """Check that every kernel element of the character map acts as an
+    allowed central scalar.  Returns (ok, offending_generator| None)."""
+    torsion, circles = kernel_generators(d_matrix)
+    fam = w.group
+    for col, order in torsion:
+        a = w.left_exponents(col)
+        b = w.right_exponents(col)
+        ma = _all_congruent(a, order)
+        mb = _all_congruent(b, order)
+        if (
+            ma is None
+            or mb is None
+            or ma != mb
+            or not _scalar_is_central(fam, ma, order)
+        ):
+            return False, (col, order, "torsion")
+    for col in circles:
+        a = w.left_exponents(col)
+        b = w.right_exponents(col)
+        scalar_circle = (
+            len(set(a)) == 1 and len(set(b)) == 1 and a[0] == b[0]
+        )
+        if not (scalar_circle and fam.name == "U"):
+            return False, (col, 2, "circle")
+    return True, None
+
+
+def _odd_sigma_offender(w: TorusActionWeights, d_matrix, mode: str):
+    """Genuine violations inside the kernel of an odd-signed symmetry of
+    SO(2n): only elements with a real eigenvalue (some exponent at 0 or a
+    half turn) are actually conjugate inside the group.  Returns the first
+    offending element as (numerators, denominator, kind), or None."""
+    torsion, circles = kernel_generators(d_matrix)
+    for col, order in torsion:
+        a = w.left_exponents(col)
+        b = w.right_exponents(col)
+        for j in range(1, order):
+            aj = tuple((j * x) % order for x in a)
+            if not any((2 * x) % order == 0 for x in aj):
+                continue  # no real eigenvalue: not conjugate in SO(2n)
+            bj = tuple((j * x) % order for x in b)
+            if mode == STRICT or not _central_pair(w, aj, bj, order):
+                return tuple((j * c) % order for c in col), order, "torsion"
+    for col in circles:
+        a = w.left_exponents(col)
+        b = w.right_exponents(col)
+        if any(x == 0 for x in a):
+            # a permanently fixed block: every circle point is genuinely
+            # conjugate; pick one beyond the finite center
+            r = 2 * max(abs(x) for x in a) + 3
+            return tuple(c % r for c in col), r, "circle"
+        for ai in a:
+            order = 2 * abs(ai)
+            for m in range(1, order):
+                aj = tuple((m * x) % order for x in a)
+                bj = tuple((m * x) % order for x in b)
+                if mode == STRICT or not _central_pair(w, aj, bj, order):
+                    return tuple((m * c) % order for c in col), order, "circle"
+    return None
+
+
+def leafwise_is_free_exact(w: TorusActionWeights, mode: str | None = None) -> FreenessVerdict:
+    """Exact freeness verdict for a weighted torus action.
+
+    strict mode demands a trivial kernel for every symmetry image (all
+    Smith invariant factors equal to 1); mod-center mode accepts kernels
+    acting by central scalars.  The reported witness belongs to the first
+    failing symmetry in the iteration order; for SO(2n), failures caused
+    only by odd-signed symmetries are flagged odd_signed_only.
+    """
+    mode = _normalize_mode(mode or w.mode)
+    fam = w.group
+    rows = w.n_rows
+    w_left = [list(r) for r in w.w_left]
+    first_odd_fail = None
+
+    for perm, signs in conjugacy_symmetries(fam, rows):
+        sw = _apply_symmetry(w.w_right, perm, signs)
+        d_matrix = [
+            [w_left[i][j] - sw[i][j] for j in range(w.k)] for i in range(rows)
+        ]
+        factors = invariant_factors(d_matrix, count=w.k)
+        if all(f == 1 for f in factors):
+            continue
+        if fam.kind == "SO-even" and _sign_product(signs) < 0:
+            off = _odd_sigma_offender(w, d_matrix, mode)
+            if off is None:
+                continue  # conjugacy not realized inside SO(2n)
+            nums, den, kind = off
+            if first_odd_fail is None:
+                first_odd_fail = Witness(
+                    perm=perm, signs=signs, numerators=nums, denominator=den,
+                    invariant_factors=tuple(factors), kind=kind,
+                )
+            continue  # an even-signed violation, if any, is reported first
+        offender = None
+        if mode == MOD_CENTER:
+            ok, offender = _kernel_is_central(w, d_matrix)
+            if ok:
+                continue
+        if offender is None:
+            torsion, circles = kernel_generators(d_matrix)
+            if torsion:
+                offender = (*torsion[0], "torsion")
+            else:
+                offender = (circles[0], 2, "circle")
+        col, order, kind = offender
+        witness = Witness(
+            perm=perm,
+            signs=signs,
+            numerators=tuple(int(c) % order for c in col),
+            denominator=int(order),
+            invariant_factors=tuple(factors),
+            kind=kind,
+        )
+        return FreenessVerdict(free=False, mode=mode, witness=witness)
+    if first_odd_fail is not None:
+        return FreenessVerdict(
+            free=False,
+            mode=mode,
+            witness=first_odd_fail,
+            odd_signed_only=True,
+            note="the violation is realized only through odd-signed symmetries",
+        )
+    return FreenessVerdict(free=True, mode=mode)
+
+
+def saturate_columns_two_kernels(vectors):
+    """Primitive closure of the lattice spanned by `vectors` as the kernel
+    of its orthogonal complement's kernel (two Smith forms)."""
+    cols = [tuple(int(x) for x in v) for v in vectors if any(v)]
+    if not cols:
+        return ()
+    m = len(cols[0])
+    _, complement = kernel_generators([list(v) for v in cols])
+    if not complement:
+        return tuple(tuple(1 if i == j else 0 for i in range(m)) for j in range(m))
+    return kernel_generators([list(c) for c in complement])[1]

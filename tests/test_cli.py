@@ -45,6 +45,15 @@ class TestFree:
         assert report["free"] is True
         assert report["oracle"]["violation_found"] is False
 
+    def test_report_carries_walk_stats_and_repeats_byte_for_byte(self, thm2_file, tmp_path):
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli.main(["free", thm2_file, "-o", str(out1)]) == 0
+        assert cli.main(["free", thm2_file, "-o", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        report = json.loads(out1.read_text())
+        assert report["config"]["schema_version"] == "4"
+        assert report["stats"] == {"symmetries": 6, "leaves_examined": 0, "smith_forms": 0}
+
     def test_nonfree_action_exits_one_with_witness(self, nonfree_file, tmp_path):
         out = tmp_path / "report.json"
         code = cli.main(["free", nonfree_file, "-o", str(out)])
@@ -99,7 +108,7 @@ class TestScan:
         assert len(report["points"]) == 2
         # a flat plane exists at every point of any circle quotient here
         assert report["flat_planes_found"] == 2
-        assert report["config"]["schema_version"] == "3"
+        assert report["config"]["schema_version"] == "4"
         for row in report["points"]:
             assert row["flat_certificate"] == "N2"
             assert row["flat_certificate_abs_sec"] < 1e-8

@@ -1,12 +1,23 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biq import algebra as al
+from biq import catalog as ca
 from biq import freeness as fr
-from biq.intlattice import hnf_columns, saturate_columns, smith_normal_form
-from oracles import witness_conjugate
+from biq.intlattice import (
+    echelon_insert,
+    echelon_spans_all,
+    hnf_columns,
+    invariant_factors,
+    saturate_columns,
+    smith_normal_form,
+)
+from oracles import leafwise_is_free_exact, saturate_columns_two_kernels, witness_conjugate
 
 
 def circle(fam, p, q, **kw):
@@ -103,6 +114,167 @@ def test_saturation_invariant_under_scaling_a_generator(data):
     assert hnf_columns(saturate_columns(scaled)) == hnf_columns(saturate_columns(vecs))
 
 
+@_PROPERTY
+@given(vecs=_generators())
+def test_saturation_from_one_smith_form_matches_two_kernels(vecs):
+    assert hnf_columns(saturate_columns(vecs)) == hnf_columns(saturate_columns_two_kernels(vecs))
+
+
+def _exact_det(mat):
+    """Determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+@st.composite
+def _int_matrices(draw, max_rows=5, max_cols=5, bound=6):
+    m = draw(st.integers(1, max_rows))
+    k = draw(st.integers(1, max_cols))
+    row = st.lists(st.integers(-bound, bound), min_size=k, max_size=k)
+    return draw(st.lists(row, min_size=m, max_size=m))
+
+
+@_PROPERTY
+@given(mat=_int_matrices())
+def test_smith_form_identities(mat):
+    d, left, right = smith_normal_form(mat)
+    m, k = len(mat), len(mat[0])
+    product = [[sum(left[i][r] * mat[r][c] for r in range(m)) for c in range(k)]
+               for i in range(m)]
+    product = [[sum(product[i][c] * right[c][j] for c in range(k)) for j in range(k)]
+               for i in range(m)]
+    assert product == [[d[i] if i == j and i < len(d) else 0 for j in range(k)]
+                       for i in range(m)]
+    assert _exact_det(left) in (1, -1)
+    assert _exact_det(right) in (1, -1)
+    assert len(d) == min(m, k) and all(x >= 0 for x in d)
+    for a, b in zip(d, d[1:]):
+        assert (b == 0) if a == 0 else (b % a == 0)
+
+
+@_PROPERTY
+@given(mat=_int_matrices(max_rows=7))
+def test_echelon_rows_span_the_lattice_of_the_matrix(mat):
+    basis = (None,) * len(mat[0])
+    for row in mat:
+        basis = echelon_insert(basis, row)
+    assert hnf_columns([r for r in basis if r is not None]) == hnf_columns(mat)
+    unimodular = len(mat) >= len(mat[0]) and all(
+        f == 1 for f in invariant_factors(mat, count=len(mat[0])))
+    assert echelon_spans_all(basis) == unimodular
+
+
+#: every family the checker knows, odd and even SO included
+_FAMILIES = (al.su(3), al.su(4), al.su(5), al.u(2), al.u(3), al.sp(2), al.sp(3),
+             al.so(5), al.so(7), al.so(4), al.so(6), al.so(8))
+
+
+@st.composite
+def _tori(draw):
+    """A k-torus, k = 1..rank, on one of _FAMILIES with entries in [-3, 3]
+    (on SU the last right row is forced by the equal column sums), in
+    either mode."""
+    fam = draw(st.sampled_from(_FAMILIES))
+    rows = fam.rank if fam.name == "SO" else fam.n
+    k = draw(st.integers(1, fam.n if fam.name == "U" else fam.rank))
+    block = st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                     min_size=rows, max_size=rows)
+    wl, wr = draw(block), draw(block)
+    if fam.name == "SU":
+        wr[-1] = [sum(r[j] for r in wl) - sum(r[j] for r in wr[:-1]) for j in range(k)]
+    mode = draw(st.sampled_from((fr.STRICT, fr.MOD_CENTER)))
+    try:
+        return fr.TorusActionWeights(fam, k, wl, wr, mode=mode)
+    except al.AlgebraError:
+        assume(False)
+
+
+_TORI = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@settings(_TORI, max_examples=600)
+@given(w=_tori())
+def test_pruned_walk_equals_leafwise_reference(w):
+    # equal verdicts compare the witness, odd_signed_only and note too
+    assert fr.is_free_exact(w) == leafwise_is_free_exact(w)
+
+
+def test_pruned_walk_equals_leafwise_reference_on_every_so4_circle():
+    verdicts = set()
+    for wl, wr in itertools.product(itertools.product(range(-2, 3), repeat=2), repeat=2):
+        for mode in (fr.STRICT, fr.MOD_CENTER):
+            try:
+                w = fr.TorusActionWeights(al.so(4), 1, tuple((x,) for x in wl),
+                                          tuple((x,) for x in wr), mode=mode)
+            except al.AlgebraError:
+                continue
+            v = fr.is_free_exact(w)
+            assert v == leafwise_is_free_exact(w), (wl, wr, mode)
+            verdicts.add((mode, v.free))
+    assert len(verdicts) == 4  # free and not free in both modes
+
+
+def _even_symmetries(fam, rows):
+    return [(perm, signs) for perm, signs in fr.conjugacy_symmetries(fam, rows)
+            if fam.kind != "SO-even" or np.prod(signs) > 0]
+
+
+def _image(w_side, perm, signs):
+    return [[signs[i] * x for x in w_side[perm[i]]] for i in range(len(w_side))]
+
+
+@_TORI
+@given(w=_tori(), data=st.data())
+def test_verdict_invariant_under_a_symmetry_of_either_side(w, data):
+    # on SO(2n) only the even-signed symmetries are conjugations in the group
+    perm, signs = data.draw(st.sampled_from(_even_symmetries(w.group, w.n_rows)))
+    verdict = fr.is_free_exact(w).free
+    left = fr.TorusActionWeights(w.group, w.k, _image(w.w_left, perm, signs), w.w_right, w.mode)
+    right = fr.TorusActionWeights(w.group, w.k, w.w_left, _image(w.w_right, perm, signs), w.mode)
+    assert fr.is_free_exact(left).free == verdict
+    assert fr.is_free_exact(right).free == verdict
+
+
+@_TORI
+@given(w=_tori())
+def test_verdict_invariant_under_side_swap(w):
+    swapped = fr.TorusActionWeights(w.group, w.k, w.w_right, w.w_left, w.mode)
+    assert fr.is_free_exact(swapped).free == fr.is_free_exact(w).free
+
+
+@pytest.mark.parametrize("w", [
+    # every row of D_sigma is even: nothing prunes, every symmetry is a leaf
+    fr.TorusActionWeights(al.sp(3), 1, ((1,), (1,), (1,)), ((1,), (1,), (1,))),
+    fr.TorusActionWeights(al.so(8), 2, ((1, 0), (0, 1), (1, 1), (0, 0)),
+                          ((1, 1), (0, 1), (1, 0), (1, 0))),
+    ca.spin6_extra().weights,
+    ca.su_tori(4, 2, 1).weights,
+], ids=["sp3-even-circle", "so8-2-torus", "spin6-extra", "su4-normal-form"])
+def test_walk_replays_signs_in_symmetry_order(w):
+    """The walk yields exactly the symmetries whose D_sigma has a factor
+    other than 1, in conjugacy_symmetries order, with their D_sigma."""
+    expected = []
+    for perm, signs in fr.conjugacy_symmetries(w.group, w.n_rows):
+        d = [[x - s * y for x, y in zip(w.w_left[i], w.w_right[perm[i]])]
+             for i, s in enumerate(signs)]
+        if any(f != 1 for f in invariant_factors(d, count=w.k)):
+            expected.append((perm, signs, d))
+    assert list(fr._unpruned_symmetries(w, {"leaves_examined": 0})) == expected
+
+
 class TestIsFreeExact:
     def test_two_torus_normal_form_is_free(self):
         w = fr.TorusActionWeights(
@@ -145,6 +317,21 @@ class TestIsFreeExact:
             perm = rng.permutation(3)
             w2 = circle(al.su(3), p[perm], q)
             assert fr.is_free_exact(w2).free == verdict
+
+    def test_stats_repeat_and_count_the_walk(self):
+        w = ca.su_tori(5, 2, 1).weights
+        first, second = fr.is_free_exact(w), fr.is_free_exact(w)
+        assert first.free
+        assert first.stats == second.stats
+        # every row prefix of a free SU(5) normal form is settled by
+        # pruning: no Smith form is taken
+        assert first.stats["symmetries"] == 120
+        assert first.stats["smith_forms"] == 0
+
+    def test_early_exit_takes_one_leaf_and_one_smith_form(self):
+        v = fr.is_free_exact(circle(al.su(3), (1, 1, 1), (1, 1, 1)))
+        assert not v.free
+        assert v.stats == {"symmetries": 6, "leaves_examined": 1, "smith_forms": 1}
 
     def test_mod_center_accepts_central_kernel(self):
         # a doubled one-sided circle: the parametrization half turn acts
@@ -203,6 +390,17 @@ class TestIsFreeExact:
                 count += 1
                 if fr.is_free_exact(w).free:
                     assert fr.is_free_bruteforce(w, 12).free, (fam, wl, wr)
+
+
+class TestRankScaling:
+    @pytest.mark.parametrize("w", [
+        *(ca.sp_tori(6, v).weights for v in (1, 2)),
+        *(ca.p_torus_weights(6, v, al.so(12)) for v in (1, 2)),
+        *(ca.su_tori(8, l, v).weights for l in (1, 4) for v in (1, 2)),
+    ], ids=["sp6-1", "sp6-2", "so12-1", "so12-2", "su8-l1-1", "su8-l1-2",
+            "su8-l4-1", "su8-l4-2"])
+    def test_rank_six_to_eight_normal_forms_free_mod_center(self, w):
+        assert fr.is_free_exact(w, fr.MOD_CENTER).free
 
 
 class TestBruteforce:
