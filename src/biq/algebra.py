@@ -83,10 +83,6 @@ class GroupFamily:
             return "SO-even" if self.n % 2 == 0 else "SO-odd"
         return self.name
 
-    @property
-    def is_real(self) -> bool:
-        return self.name == "SO"
-
     def __str__(self):
         return f"{self.name}({self.n})"
 

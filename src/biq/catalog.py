@@ -750,10 +750,11 @@ def bazaikin_canonical(p):
 
 
 def enumerate_bazaikin(bound: int):
-    """All canonical odd 5-tuples with entries bounded by `bound`, up to
-    sorting and a global sign, flagged by the closed-form freeness test."""
-    if bound < 1 or bound % 2 == 0:
-        raise ValueError("bound must be odd and positive")
+    """All canonical 5-tuples of odd entries in [-bound, bound], up to
+    sorting and a global sign, flagged by the closed-form freeness test
+    (an even bound takes the odd entries below it)."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
     vals = [x for x in range(-bound, bound + 1) if x % 2 != 0]
     seen = {}
     for p in itertools.product(vals, repeat=5):
@@ -825,7 +826,8 @@ def _strict_free_pairs(vecs: np.ndarray, fam: GroupFamily):
     strictly free on its own (every d_sigma(v) primitive), so the other
     vectors are dropped first.  This is the criterion is_free_exact
     applies in strict mode on SU and Sp, where every symmetry is realized
-    by a conjugation (not on SO(2n), whose odd-signed ones need more)."""
+    by a conjugation; on SO(2n) is_free_exact counts only the even-signed
+    ones."""
     n = vecs.shape[1] // 2
     images = [
         vecs[:, :n] - np.asarray(signs) * vecs[:, n:][:, list(perm)]

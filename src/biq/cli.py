@@ -32,7 +32,7 @@ from .biquotient import from_torus_weights
 from .freeness import TorusActionWeights, is_free_bruteforce, is_free_exact
 from .metric import build_metric
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,6 @@ def cmd_free(args) -> int:
         "k": weights.k,
         "mode": mode,
         "free": verdict.free,
-        "odd_signed_only": verdict.odd_signed_only,
         "witness": _witness_dict(verdict.witness),
         "note": verdict.note,
         "stats": verdict.stats,

@@ -118,10 +118,6 @@ def _subspace_p_invariance(P: MetricOperator, sub: Subspace) -> float:
     return float(np.abs(resid).max() / max(np.abs(img).max(), 1e-300))
 
 
-def _bracket_coords(dec, a: AlgebraElement, b: AlgebraElement):
-    return dec.to_coords(bracket(a, b))
-
-
 def check_N1(
     P: MetricOperator,
     a_sub: Subspace,

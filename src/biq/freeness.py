@@ -5,10 +5,11 @@ A k-torus in G x G is described by integer weight matrices (W_L, W_R): the
 element with torus coordinates theta acts through the diagonal characters
 with exponents W_L theta on the left and W_R theta on the right.  The
 action is free iff for every element sigma of the family's eigenvalue
-symmetry group (permutations for SU/U, signed permutations for Sp and SO)
-the character matrix D_sigma = W_L - sigma . W_R has trivial kernel as a
-map of tori, which is decided exactly by its Smith normal form: all k
-invariant factors equal to 1, i.e. the rows of D_sigma span Z^k.
+symmetry group (permutations for SU/U, signed permutations for Sp and
+SO(2n+1), even-signed permutations for SO(2n)) the character matrix
+D_sigma = W_L - sigma . W_R has trivial kernel as a map of tori, which is
+decided exactly by its Smith normal form: all k invariant factors equal
+to 1, i.e. the rows of D_sigma span Z^k.
 
 The symmetries are walked depth first, one row of D_sigma at a time, in
 the order of conjugacy_symmetries.  Each row prefix keeps an echelon basis
@@ -16,20 +17,24 @@ of the lattice its rows span (one extended-gcd insertion per row, shared
 by every symmetry with that prefix); a prefix whose rows already span Z^k
 is pruned with all its completions.  Only a symmetry that survives to a
 leaf gets a Smith form, one, which gives the invariant factors and the
-kernel generators that the mod-center and SO(2n) rules below inspect.
+kernel generators that the mod-center rule below inspects.
 
 "free modulo the center" additionally accepts kernel elements t whose
 images satisfy u_L(t) = u_R(t) = a central scalar of G.  All arithmetic is
 on arbitrary-precision integers; floating point never decides a verdict.
 
-For SO(2n) the Weyl group consists of the even-signed permutations only.
-An odd-signed match is realized inside SO(2n) exactly when the torus
-element has a real eigenvalue (a rotation angle of 0 or a half turn):
-without one, the centralizer is a product of unitary groups and lies in
-the identity component, so the conjugation cannot be corrected.  The
-checker applies this exact criterion, enumerating the (finitely many)
-real-eigenvalue elements of each odd-signed kernel; a verdict whose
-witness comes from an odd-signed symmetry is flagged.
+For SO(2n) the Weyl group consists of the even-signed permutations only,
+and the walk skips every odd-signed leaf before its Smith form.  An
+odd-signed symmetry sigma can add no violation.  Its match is realized
+inside SO(2n) only by a kernel element t with a real eigenvalue, i.e.
+(W_L t)_i = 0 or 1/2 mod 1 at some row i (without one, the centralizer is
+a product of unitary groups and lies in the identity component, so the
+conjugation cannot be corrected).  Row i of D_sigma t is integral, so
+(W_R t)_perm[i] = s_i (W_L t)_i mod 1, and with s_i flipped the row reads
+2 (W_L t)_i = 0 mod 1: the even-signed sigma' that differs from sigma in s_i
+has t in its kernel too.  In strict mode that kernel is nontrivial.  Modulo
+the center t is a violation only if it is not a central pair, and then the
+kernel of sigma' is not central either.  Either way sigma' fails already.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from .algebra import AlgebraError, GroupFamily
 from .intlattice import echelon_insert, echelon_spans_all, invariant_factors, smith_kernel
@@ -48,16 +53,9 @@ _MODES = (STRICT, MOD_CENTER)
 
 
 def _normalize_mode(mode: str) -> str:
-    aliases = {
-        "strict": STRICT,
-        "strict-free": STRICT,
-        "mod-center": MOD_CENTER,
-        "free-mod-center": MOD_CENTER,
-    }
-    try:
-        return aliases[mode]
-    except KeyError:
-        raise ValueError(f"unknown freeness mode {mode!r}") from None
+    if mode not in _MODES:
+        raise ValueError(f"unknown freeness mode {mode!r}")
+    return mode
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,6 @@ class FreenessVerdict:
     free: bool
     mode: str
     witness: Witness | None = None
-    odd_signed_only: bool = False
     note: str = ""
     #: counts of the exact walk (is_free_exact only); not part of equality
     stats: dict = field(default_factory=dict, compare=False)
@@ -188,18 +185,8 @@ def _kernel_is_central(w: TorusActionWeights, torsion, circles) -> tuple:
     """Check that every kernel element of the character map, given by its
     kernel generators, acts as an allowed central scalar.  Returns
     (ok, offending_generator | None)."""
-    fam = w.group
     for col, order in torsion:
-        a = w.left_exponents(col)
-        b = w.right_exponents(col)
-        ma = _all_congruent(a, order)
-        mb = _all_congruent(b, order)
-        if (
-            ma is None
-            or mb is None
-            or ma != mb
-            or not _scalar_is_central(fam, ma, order)
-        ):
+        if not _central_pair(w, w.left_exponents(col), w.right_exponents(col), order):
             return False, (col, order, "torsion")
     for col in circles:
         a = w.left_exponents(col)
@@ -207,49 +194,17 @@ def _kernel_is_central(w: TorusActionWeights, torsion, circles) -> tuple:
         scalar_circle = (
             len(set(a)) == 1 and len(set(b)) == 1 and a[0] == b[0]
         )
-        if not (scalar_circle and fam.name == "U"):
+        if not (scalar_circle and w.group.name == "U"):
             return False, (col, 2, "circle")
     return True, None
 
 
 def _central_pair(w, exps_l, exps_r, order) -> bool:
+    """Do the exponents (mod order) of u_L(t) and u_R(t) give the same
+    central scalar of the family's group?"""
     ma = _all_congruent(exps_l, order)
     mb = _all_congruent(exps_r, order)
     return ma is not None and ma == mb and _scalar_is_central(w.group, ma, order)
-
-
-def _odd_sigma_offender(w: TorusActionWeights, torsion, circles, mode: str):
-    """Genuine violations inside the kernel (given by its generators) of an
-    odd-signed symmetry of SO(2n): only elements with a real eigenvalue
-    (some exponent at 0 or a half turn) are actually conjugate inside the
-    group.  Returns the first offending element as (numerators,
-    denominator, kind), or None."""
-    for col, order in torsion:
-        a = w.left_exponents(col)
-        b = w.right_exponents(col)
-        for j in range(1, order):
-            aj = tuple((j * x) % order for x in a)
-            if not any((2 * x) % order == 0 for x in aj):
-                continue  # no real eigenvalue: not conjugate in SO(2n)
-            bj = tuple((j * x) % order for x in b)
-            if mode == STRICT or not _central_pair(w, aj, bj, order):
-                return tuple((j * c) % order for c in col), order, "torsion"
-    for col in circles:
-        a = w.left_exponents(col)
-        b = w.right_exponents(col)
-        if any(x == 0 for x in a):
-            # a permanently fixed block: every circle point is genuinely
-            # conjugate; pick one beyond the finite center
-            r = 2 * max(abs(x) for x in a) + 3
-            return tuple(c % r for c in col), r, "circle"
-        for ai in a:
-            order = 2 * abs(ai)
-            for m in range(1, order):
-                aj = tuple((m * x) % order for x in a)
-                bj = tuple((m * x) % order for x in b)
-                if mode == STRICT or not _central_pair(w, aj, bj, order):
-                    return tuple((m * c) % order for c in col), order, "circle"
-    return None
 
 
 class _Replay:
@@ -351,29 +306,20 @@ def is_free_exact(w: TorusActionWeights, mode: str | None = None) -> FreenessVer
     with one echelon insertion per row prefix; a symmetry that survives it
     gets one Smith form, which gives both the invariant factors and the
     kernel generators.  The reported witness belongs to the first failing
-    symmetry in the iteration order; for SO(2n), failures caused only by
-    odd-signed symmetries are flagged odd_signed_only.  The verdict's stats
-    count the symmetries (|W|), the leaves examined and the Smith forms.
+    symmetry in the iteration order; on SO(2n) the odd-signed symmetries
+    are skipped, since none adds a violation (see the module docstring).
+    The verdict's stats count the symmetries (|W|), the leaves examined and
+    the Smith forms.
     """
     mode = _normalize_mode(mode or w.mode)
-    fam = w.group
+    so_even = w.group.kind == "SO-even"
     stats = {"symmetries": 0, "leaves_examined": 0, "smith_forms": 0}
-    first_odd_fail = None
 
     for perm, signs, d_matrix in _unpruned_symmetries(w, stats):
+        if so_even and prod(signs) < 0:
+            continue
         stats["smith_forms"] += 1
         factors, torsion, circles = smith_kernel(d_matrix)
-        if fam.kind == "SO-even" and _sign_product(signs) < 0:
-            off = _odd_sigma_offender(w, torsion, circles, mode)
-            if off is None:
-                continue  # conjugacy not realized inside SO(2n)
-            nums, den, kind = off
-            if first_odd_fail is None:
-                first_odd_fail = Witness(
-                    perm=perm, signs=signs, numerators=nums, denominator=den,
-                    invariant_factors=tuple(factors), kind=kind,
-                )
-            continue  # an even-signed violation, if any, is reported first
         offender = None
         if mode == MOD_CENTER:
             ok, offender = _kernel_is_central(w, torsion, circles)
@@ -394,23 +340,7 @@ def is_free_exact(w: TorusActionWeights, mode: str | None = None) -> FreenessVer
             kind=kind,
         )
         return FreenessVerdict(free=False, mode=mode, witness=witness, stats=stats)
-    if first_odd_fail is not None:
-        return FreenessVerdict(
-            free=False,
-            mode=mode,
-            witness=first_odd_fail,
-            odd_signed_only=True,
-            note="the violation is realized only through odd-signed symmetries",
-            stats=stats,
-        )
     return FreenessVerdict(free=True, mode=mode, stats=stats)
-
-
-def _sign_product(signs):
-    p = 1
-    for s in signs:
-        p *= s
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -467,16 +397,8 @@ def is_free_bruteforce(
             b = w.right_exponents(col)
             if not _conjugate(fam, a, b, m):
                 continue
-            if mode == MOD_CENTER:
-                ma = _all_congruent(a, m)
-                mb = _all_congruent(b, m)
-                if (
-                    ma is not None
-                    and mb is not None
-                    and ma == mb
-                    and _scalar_is_central(fam, ma, m)
-                ):
-                    continue
+            if mode == MOD_CENTER and _central_pair(w, a, b, m):
+                continue
             witness = Witness(
                 perm=tuple(range(w.n_rows)),
                 signs=(1,) * w.n_rows,

@@ -9,6 +9,8 @@ the earlier forms of the freeness checker (one full Smith form per
 symmetry, no pruning) and of the saturation (the kernel of the kernel).
 """
 
+import math
+
 import numpy as np
 
 from biq.algebra import adjoint, bracket, inner_q
@@ -22,7 +24,6 @@ from biq.freeness import (
     _central_pair,
     _normalize_mode,
     _scalar_is_central,
-    _sign_product,
     conjugacy_symmetries,
 )
 from biq.intlattice import invariant_factors, kernel_generators
@@ -216,8 +217,10 @@ def leafwise_is_free_exact(w: TorusActionWeights, mode: str | None = None) -> Fr
     strict mode demands a trivial kernel for every symmetry image (all
     Smith invariant factors equal to 1); mod-center mode accepts kernels
     acting by central scalars.  The reported witness belongs to the first
-    failing symmetry in the iteration order; for SO(2n), failures caused
-    only by odd-signed symmetries are flagged odd_signed_only.
+    failing symmetry in the iteration order.  For SO(2n) it still
+    enumerates the real-eigenvalue elements of every odd-signed kernel; a
+    violation found only there is returned with a note, which the
+    production checker, skipping odd-signed symmetries, would never match.
     """
     mode = _normalize_mode(mode or w.mode)
     fam = w.group
@@ -233,7 +236,7 @@ def leafwise_is_free_exact(w: TorusActionWeights, mode: str | None = None) -> Fr
         factors = invariant_factors(d_matrix, count=w.k)
         if all(f == 1 for f in factors):
             continue
-        if fam.kind == "SO-even" and _sign_product(signs) < 0:
+        if fam.kind == "SO-even" and math.prod(signs) < 0:
             off = _odd_sigma_offender(w, d_matrix, mode)
             if off is None:
                 continue  # conjugacy not realized inside SO(2n)
@@ -270,7 +273,6 @@ def leafwise_is_free_exact(w: TorusActionWeights, mode: str | None = None) -> Fr
             free=False,
             mode=mode,
             witness=first_odd_fail,
-            odd_signed_only=True,
             note="the violation is realized only through odd-signed symmetries",
         )
     return FreenessVerdict(free=True, mode=mode)

@@ -259,6 +259,7 @@ class TestScans:
         (ca.scan_two_torus_su3, 0),
         (ca.scan_two_torus_sp2, 0),
         (ca.scan_two_torus_sp2, -1),
+        (ca.enumerate_bazaikin, 0),
     ])
     def test_bound_below_one_rejected(self, scan, bound):
         with pytest.raises(ValueError, match="bound must be at least 1"):

@@ -51,7 +51,7 @@ class TestFree:
         assert cli.main(["free", thm2_file, "-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         report = json.loads(out1.read_text())
-        assert report["config"]["schema_version"] == "4"
+        assert report["config"]["schema_version"] == "5"
         assert report["stats"] == {"symmetries": 6, "leaves_examined": 0, "smith_forms": 0}
 
     def test_nonfree_action_exits_one_with_witness(self, nonfree_file, tmp_path):
@@ -108,7 +108,7 @@ class TestScan:
         assert len(report["points"]) == 2
         # a flat plane exists at every point of any circle quotient here
         assert report["flat_planes_found"] == 2
-        assert report["config"]["schema_version"] == "4"
+        assert report["config"]["schema_version"] == "5"
         for row in report["points"]:
             assert row["flat_certificate"] == "N2"
             assert row["flat_certificate_abs_sec"] < 1e-8
@@ -226,6 +226,14 @@ class TestCatalog:
                          "-o", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["count"] == len(ca.enumerate_bazaikin(3))
+
+    def test_bazaikin_default_bound_takes_the_odd_entries_within_it(self, tmp_path):
+        from biq import catalog as ca
+
+        out = tmp_path / "bz.json"
+        assert cli.main(["catalog", "enumerate-bazaikin", "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["count"] == len(ca.enumerate_bazaikin(1))
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "records.csv"

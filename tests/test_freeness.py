@@ -183,11 +183,11 @@ _FAMILIES = (al.su(3), al.su(4), al.su(5), al.u(2), al.u(3), al.sp(2), al.sp(3),
 
 
 @st.composite
-def _tori(draw):
-    """A k-torus, k = 1..rank, on one of _FAMILIES with entries in [-3, 3]
+def _tori(draw, families=_FAMILIES):
+    """A k-torus, k = 1..rank, on one of `families` with entries in [-3, 3]
     (on SU the last right row is forced by the equal column sums), in
     either mode."""
-    fam = draw(st.sampled_from(_FAMILIES))
+    fam = draw(st.sampled_from(families))
     rows = fam.rank if fam.name == "SO" else fam.n
     k = draw(st.integers(1, fam.n if fam.name == "U" else fam.rank))
     block = st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
@@ -208,23 +208,26 @@ _TORI = settings(max_examples=300, deadline=None, derandomize=True, database=Non
 @settings(_TORI, max_examples=600)
 @given(w=_tori())
 def test_pruned_walk_equals_leafwise_reference(w):
-    # equal verdicts compare the witness, odd_signed_only and note too
+    # equal verdicts compare the witness and note too; on SO(2n) the
+    # reference still enumerates the odd-signed kernels the walk skips
     assert fr.is_free_exact(w) == leafwise_is_free_exact(w)
 
 
 def test_pruned_walk_equals_leafwise_reference_on_every_so4_circle():
-    verdicts = set()
-    for wl, wr in itertools.product(itertools.product(range(-2, 3), repeat=2), repeat=2):
-        for mode in (fr.STRICT, fr.MOD_CENTER):
-            try:
-                w = fr.TorusActionWeights(al.so(4), 1, tuple((x,) for x in wl),
-                                          tuple((x,) for x in wr), mode=mode)
-            except al.AlgebraError:
-                continue
-            v = fr.is_free_exact(w)
-            assert v == leafwise_is_free_exact(w), (wl, wr, mode)
-            verdicts.add((mode, v.free))
-    assert len(verdicts) == 4  # free and not free in both modes
+    # and on every SO(6) circle with weights in [-1, 1]
+    for fam, span in ((al.so(4), range(-2, 3)), (al.so(6), range(-1, 2))):
+        verdicts = set()
+        for wl, wr in itertools.product(itertools.product(span, repeat=fam.rank), repeat=2):
+            for mode in (fr.STRICT, fr.MOD_CENTER):
+                try:
+                    w = fr.TorusActionWeights(fam, 1, tuple((x,) for x in wl),
+                                              tuple((x,) for x in wr), mode=mode)
+                except al.AlgebraError:
+                    continue
+                v = fr.is_free_exact(w)
+                assert v == leafwise_is_free_exact(w), (fam, wl, wr, mode)
+                verdicts.add((mode, v.free))
+        assert len(verdicts) == 4, fam  # free and not free in both modes
 
 
 def _even_symmetries(fam, rows):
@@ -246,6 +249,19 @@ def test_verdict_invariant_under_a_symmetry_of_either_side(w, data):
     right = fr.TorusActionWeights(w.group, w.k, w.w_left, _image(w.w_right, perm, signs), w.mode)
     assert fr.is_free_exact(left).free == verdict
     assert fr.is_free_exact(right).free == verdict
+
+
+@_TORI
+@given(w=_tori((al.so(4), al.so(6), al.so(8))), data=st.data())
+def test_so_even_verdict_invariant_under_the_same_odd_flip_of_both_sides(w, data):
+    # flipping the same rows of W_L and W_R is conjugation by a reflection,
+    # an automorphism of SO(2n) that the Weyl group does not contain
+    signs = data.draw(st.sampled_from(
+        [s for s in itertools.product((1, -1), repeat=w.n_rows) if np.prod(s) < 0]))
+    ident = tuple(range(w.n_rows))
+    flipped = fr.TorusActionWeights(w.group, w.k, _image(w.w_left, ident, signs),
+                                    _image(w.w_right, ident, signs), w.mode)
+    assert fr.is_free_exact(flipped).free == fr.is_free_exact(w).free
 
 
 @_TORI
