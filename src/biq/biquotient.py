@@ -23,7 +23,9 @@ A - R, their Gram matrix G and its inverse.  For a metric-orthonormal
 plane, z^2 = c G^{-1} c with c = A P L(x, y) - R P [x, y], where both
 P-rows come out of the curvature kernel (`curvature.plane_terms`) that
 also gives sec_G, so one kernel call evaluates the quotient curvature of
-a whole batch of planes (`PointFrame.curvature_rows`).
+a whole batch of planes (`PointFrame.curvature_rows`).  Since c is
+linear in each argument, the quotient numerator is a quadratic form in y
+for fixed x as well (`PointFrame.quotient_forms`).
 `quotient_sectional` is the checked single-plane entry point.
 """
 
@@ -47,7 +49,7 @@ from .algebra import (
     root_decomposition,
     torus_element,
 )
-from .curvature import DegeneratePlaneError, PlaneTerms, plane_terms
+from .curvature import DegeneratePlaneError, PlaneTerms, numerator_forms, plane_terms
 from .metric import MetricOperator
 
 HORIZONTAL_TOL = 1e-9
@@ -305,6 +307,20 @@ class PointFrame:
             raise NonFreePointError("action is not free at this point")
         c = terms.p_fusing @ self.ad_left.T - terms.p_bracket @ self.right.T
         return np.maximum(np.einsum("ij,ij->i", c @ self.gram_inv, c), 0.0)
+
+    def quotient_forms(self, X) -> np.ndarray:
+        """(r, d, d) symmetric forms Q with Y Q[n] Y = <R(X[n], Y) Y, X[n]>
+        + 3/4 z(X[n], Y)^2 for horizontal Y: the numerator form plus
+        3/4 K^T G^{-1} K, symmetrized, where K Y holds the pairings c of
+        z_squared."""
+        terms = numerator_forms(self.P, X)
+        if self.vert_coords.size == 0:
+            return terms.forms
+        if self.gram_inv is None:
+            raise NonFreePointError("action is not free at this point")
+        K = self.ad_left @ terms.p_fusing - self.right @ terms.p_bracket
+        Z = K.transpose(0, 2, 1) @ (self.gram_inv @ K)
+        return terms.forms + 0.375 * (Z + Z.transpose(0, 2, 1))
 
     def curvature_rows(self, cx, cy):
         """(sec_G, O'Neill term) arrays for the planes span{cx[n], cy[n]}

@@ -32,7 +32,7 @@ from .biquotient import from_torus_weights
 from .freeness import TorusActionWeights, is_free_bruteforce, is_free_exact
 from .metric import build_metric
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def _emit(report, cfg: RunConfig, csv_rows=None):
         lines = [json.dumps(r, sort_keys=True) for r in csv_rows or []]
         _write_report("\n".join(lines), cfg.output)
     else:
-        rows = csv_rows or []
+        rows = [_flat_row(r) for r in csv_rows or []]
         buf = io.StringIO()
         if rows:
             writer = csv.DictWriter(buf, fieldnames=sorted(rows[0]))
@@ -133,6 +133,17 @@ def _emit(report, cfg: RunConfig, csv_rows=None):
             for row in rows:
                 writer.writerow(row)
         _write_report(buf.getvalue(), cfg.output)
+
+
+def _flat_row(row):
+    """A CSV row: a nested dict becomes one "key.subkey" column per entry."""
+    flat = {}
+    for k, v in row.items():
+        if isinstance(v, dict):
+            flat.update({f"{k}.{kk}": vv for kk, vv in v.items()})
+        else:
+            flat[k] = v
+    return flat
 
 
 def _witness_dict(witness):
@@ -180,7 +191,7 @@ def cmd_free(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _config(args)
-    if cfg.planes < 1 or cfg.points < 1:
+    if min(cfg.planes, cfg.points, cfg.restarts) < 1:
         raise InputError("budgets must be at least 1")
     weights = load_weights(args.action)
     verdict = is_free_exact(weights)
@@ -207,11 +218,14 @@ def cmd_scan(args) -> int:
     for name, _ in points:
         g = group_identity(weights.group) if name == "identity" else \
             random_group_element(weights.group, rng)
+        stats = {}
         best = detectors.numeric_flat_search(
             act, g, P, budget=cfg.planes, rng=rng,
-            local_restarts=cfg.restarts,
+            local_restarts=cfg.restarts, diagnostics=stats,
         )
-        cert, cert_sec = detectors.auto_flat_certificate(act, g, P, rng)
+        cert, cert_sec = detectors.auto_flat_certificate(
+            act, g, P, rng, diagnostics=stats
+        )
         rows.append({
             "point": name,
             "min_sec_quotient": best.sec_quotient,
@@ -220,6 +234,7 @@ def cmd_scan(args) -> int:
             "numeric_certificate": best.certificate,
             "flat_certificate": cert.criterion if cert else "",
             "flat_certificate_abs_sec": cert_sec,
+            "stats": stats,
         })
         if global_min is None or best.sec_quotient < global_min:
             global_min = best.sec_quotient

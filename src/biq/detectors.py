@@ -21,7 +21,7 @@ not fire proves nothing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -243,24 +243,38 @@ def commuting_root_pairs(dec):
     ]
 
 
-def auto_flat_certificate(act, g, P, rng):
+def auto_flat_certificate(act, g, P, rng, diagnostics: dict | None = None):
     """N2 on every pair of commuting root spaces, in order, until a
     certificate re-evaluates flat through quotient_sectional.
 
     Returns (certificate, |sec_quotient| of its plane), or (None, None);
-    a certificate whose plane is not flat is dropped.
+    a certificate whose plane is not flat is dropped.  diagnostics, when
+    given, receives the counts n2_attempts, n2_hypothesis_failures,
+    n2_search_failures and n2_not_flat (certificates dropped).
     """
     dec = P.dec
+    counts = {"n2_attempts": 0, "n2_hypothesis_failures": 0,
+              "n2_search_failures": 0, "n2_not_flat": 0}
+    found = None, None
     for i, j in commuting_root_pairs(dec):
+        diag = {}
+        counts["n2_attempts"] += 1
         cert = check_N2(
-            P, root_subspace(dec, i), root_subspace(dec, j), act, g, rng=rng
+            P, root_subspace(dec, i), root_subspace(dec, j), act, g, rng=rng,
+            diagnostics=diag,
         )
         if cert is None:
+            failure = "hypothesis" if "hypothesis" in diag else "search"
+            counts[f"n2_{failure}_failures"] += 1
             continue
         sec = abs(quotient_sectional(act, g, P, cert.x, cert.y).sec_quotient)
         if sec < FLAT_THRESHOLD:
-            return cert, sec
-    return None, None
+            found = cert, sec
+            break
+        counts["n2_not_flat"] += 1
+    if diagnostics is not None:
+        diagnostics.update(counts)
+    return found
 
 
 def check_N3(
@@ -428,6 +442,79 @@ def find_balanced_point(
 # planes per batched kernel call: bounds its (N, d, d) temporaries
 SEARCH_CHUNK = 256
 
+# a descent start with a smaller share of the budget is not run
+MIN_DESCENT_SHARE = 50
+
+# alternation rounds before the polish, and the relative gain that ends
+# them early
+ALTERNATIONS = 20
+ALTERNATION_RTOL = 1e-12
+
+
+class _BudgetSpent(Exception):
+    """The polish used up its evaluations."""
+
+
+def _alternation_step(frame, H, a):
+    """One block step from each unit row a (P-orthonormal horizontal
+    coordinates in the rows of H): the least value over unit b orthogonal
+    to a of kappa(a H, b H) and its minimizer b.
+
+    Q_x annihilates x, so the form is projected onto the complement of a
+    and a is moved above its spectrum, which leaves the least eigenvalue
+    on the complement."""
+    F = H @ frame.quotient_forms(a @ H) @ H.T
+    proj = np.eye(a.shape[1]) - a[:, :, None] * a[:, None, :]
+    shift = 1.0 + np.abs(F).sum(axis=(1, 2))
+    F = proj @ F @ proj + shift[:, None, None] * (a[:, :, None] * a[:, None, :])
+    w, v = np.linalg.eigh(F)
+    b = v[:, :, 0]
+    b = b - np.einsum("ij,ij->i", b, a)[:, None] * a
+    return w[:, 0], b / np.linalg.norm(b, axis=1)[:, None]
+
+
+def _polish(frame, H, a, b, max_evals):
+    """L-BFGS-B on kappa / area over pairs (a, b), with the closed-form
+    gradients 2 Q_b a and 2 Q_a b; returns (value, a, b, evaluations) of
+    the best pair evaluated, at most max_evals of them."""
+    h = H.shape[0]
+    theta0 = np.concatenate([a, b])
+    best = [np.inf, theta0]
+    count = [0]
+
+    def fun(theta):
+        if count[0] == max_evals:
+            raise _BudgetSpent
+        count[0] += 1
+        a, b = theta[:h], theta[h:]
+        Fa, Fb = H @ frame.quotient_forms(np.stack([a, b]) @ H) @ H.T
+        ga, gb = 2.0 * Fb @ a, 2.0 * Fa @ b
+        kappa = 0.5 * float(b @ gb)
+        aa, bb, ab = a @ a, b @ b, a @ b
+        area = aa * bb - ab * ab
+        if area <= 1e-12 * aa * bb:
+            return np.inf, np.zeros_like(theta)
+        f = kappa / area
+        if f < best[0]:
+            best[:] = f, theta.copy()
+        grad = np.concatenate([
+            ga - f * 2.0 * (bb * a - ab * b),
+            gb - f * 2.0 * (aa * b - ab * a),
+        ]) / area
+        return f, grad
+
+    try:
+        scipy.optimize.minimize(
+            fun, theta0, jac=True, method="L-BFGS-B",
+            options={"maxfun": max_evals, "maxiter": max_evals,
+                     "ftol": 1e-15, "gtol": 1e-13},
+        )
+    except _BudgetSpent:
+        pass
+    f, theta = best
+    a, b = theta[:h], theta[h:]
+    return f, a / np.linalg.norm(a), b / np.linalg.norm(b), count[0]
+
 
 def numeric_flat_search(
     act: BiquotientAction,
@@ -436,19 +523,36 @@ def numeric_flat_search(
     budget: int = 10_000,
     rng=None,
     local_restarts: int = 4,
+    diagnostics: dict | None = None,
 ) -> PlaneReport:
     """Minimize quotient sectional curvature over horizontal planes at g
-    by random sampling plus derivative-free local descent.
+    by random sampling plus an exact block-coordinate descent.
 
-    The random phase draws all samples at once and evaluates them in
-    chunks of SEARCH_CHUNK planes through the coordinate kernel; the
-    descent evaluates one plane per call through the same path.  Returns
-    the best plane found, re-evaluated by quotient_sectional; its
+    The random phase draws budget // 2 planes at once and evaluates them
+    in chunks of SEARCH_CHUNK planes through the coordinate kernel.  The
+    descent starts from the local_restarts best samples and spends the
+    other half of the budget.  kappa(x, y) = <R(x,y)y, x> + 3/4 z(x,y)^2
+    is biquadratic, so for fixed unit x the least value over unit
+    horizontal y orthogonal to x is the least eigenvalue of the quotient
+    form Q_x on that complement (PointFrame.quotient_forms); alternating
+    x <- that minimizer never raises kappa (the alternating method for
+    biquadratic forms on two spheres).  All starts alternate together for
+    up to ALTERNATIONS rounds, one batched eigen solve per round, and
+    L-BFGS-B then polishes the best pair on kappa / area with the
+    closed-form gradients.  An alternation step at one start and a polish
+    evaluation each count as one evaluation of the budget; no descent
+    runs when a start's share is under MIN_DESCENT_SHARE.
+
+    Returns the best plane found, re-evaluated by quotient_sectional; its
     certificate field is "numeric" when the value is below the flat
-    threshold, else "none".
+    threshold, else "none".  diagnostics, when given, receives the counts
+    planes_sampled, descent_starts, alternation_steps and
+    polish_evaluations.
     """
     if budget < 1:
         raise ValueError("plane budget must be at least 1")
+    if local_restarts < 1:
+        raise ValueError("local_restarts must be at least 1")
     rng = rng or np.random.default_rng(0)
     dec = act.dec()
     frame = PointFrame.at(act, g, P)
@@ -458,9 +562,9 @@ def numeric_flat_search(
         raise ValueError("horizontal space has dimension < 2")
     pm = P.mat
 
-    def values(thetas):
-        """sec_quotient of the plane of each row of thetas (inf when the
-        row does not span a plane)."""
+    def planes(thetas):
+        """Metric-orthonormal pair of each row of thetas and whether the
+        row spans a plane."""
         c = thetas.reshape(-1, h) @ hor.coords
         c1, c2 = c[0::2], c[1::2]
         n1 = np.sqrt(np.einsum("ij,ij->i", c1 @ pm, c1))
@@ -468,45 +572,59 @@ def numeric_flat_search(
         c2 = c2 - np.einsum("ij,ij->i", c2 @ pm, c1)[:, None] * c1
         n2 = np.sqrt(np.einsum("ij,ij->i", c2 @ pm, c2))
         c2 = c2 / np.maximum(n2, 1e-8)[:, None]
+        return c1, c2, (n1 >= 1e-12) & (n2 >= 1e-8)
+
+    def values(thetas):
+        """sec_quotient of the plane of each row of thetas (inf when the
+        row does not span a plane)."""
+        c1, c2, ok = planes(thetas)
         sec_g, oneill = frame.curvature_rows(c1, c2)
-        return np.where((n1 >= 1e-12) & (n2 >= 1e-8), sec_g + oneill, np.inf)
+        return np.where(ok, sec_g + oneill, np.inf)
 
     n_samples = max(budget // 2, 1)
     thetas = rng.standard_normal((n_samples, 2 * h))
     sampled = np.concatenate([
         values(thetas[i : i + SEARCH_CHUNK]) for i in range(0, n_samples, SEARCH_CHUNK)
     ])
-    best = int(np.argmin(sampled))  # the first minimum, as a strict < loop keeps
-    best_val = sampled[best]
-    best_theta = thetas[best]
-    remaining = max(budget - n_samples, 0)
-    # the descent from the best sample gets a double share of the budget
-    shares = [2] + [1] * max(local_restarts - 1, 0)
-    unit = remaining // max(sum(shares), 1)
-    theta0 = best_theta
-    for k, share in enumerate(shares):
-        if unit * share < 50:
-            break
-        start = theta0 if k == 0 else theta0 + 0.3 * rng.standard_normal(2 * h)
-        res = scipy.optimize.minimize(
-            lambda theta: values(theta[None])[0], start, method="Nelder-Mead",
-            options={"maxfev": unit * share, "fatol": 1e-15, "xatol": 1e-11},
-        )
-        if res.fun < best_val:
-            best_val = res.fun
-            best_theta = res.x
+    # stable: the best sample is the first minimum, as a strict < loop keeps
+    order = np.argsort(sampled, kind="stable")[:local_restarts]
+    c1, c2, _ = planes(thetas[order])
+    best_pair = c1[0], c2[0]
+    live = np.isfinite(sampled[order])
+    n_starts = int(live.sum())
+    stats = {"planes_sampled": n_samples, "descent_starts": 0,
+             "alternation_steps": 0, "polish_evaluations": 0}
+    evals = max(budget - n_samples, 0)
+    if n_starts and evals // n_starts >= MIN_DESCENT_SHARE:
+        # P-orthonormal rows spanning the horizontal space
+        chol = np.linalg.cholesky(hor.coords @ pm @ hor.coords.T)
+        H = scipy.linalg.solve_triangular(chol, hor.coords, lower=True)
+        a, b = c1[live] @ pm @ H.T, c2[live] @ pm @ H.T
+        val = sampled[order][live]
+        stats["descent_starts"] = n_starts
+        for _ in range(ALTERNATIONS):
+            lam, nxt = _alternation_step(frame, H, b)
+            stats["alternation_steps"] += n_starts
+            gain = val - lam
+            better = gain > 0
+            a[better], b[better], val[better] = b[better], nxt[better], lam[better]
+            if not np.any(gain > ALTERNATION_RTOL * np.maximum(1.0, np.abs(val))):
+                break
+        k = int(np.argmin(val))
+        f, pa, pb, n = _polish(frame, H, a[k], b[k],
+                               evals - stats["alternation_steps"])
+        stats["polish_evaluations"] = n
+        x, y = (pa, pb) if f < val[k] else (a[k], b[k])
+        best_pair = x @ H, y @ H
+    if diagnostics is not None:
+        diagnostics.update(stats)
 
-    c1 = hor.coords.T @ best_theta[:h]
-    c2 = hor.coords.T @ best_theta[h:]
     rep = quotient_sectional(
-        act, g, P, dec.from_coords(c1), dec.from_coords(c2), frame=frame
+        act, g, P, dec.from_coords(best_pair[0]), dec.from_coords(best_pair[1]),
+        frame=frame,
     )
-    cert = "numeric" if abs(rep.sec_quotient) < FLAT_THRESHOLD else "none"
-    return PlaneReport(
-        point=g, x=rep.x, y=rep.y, sec_g=rep.sec_g,
-        oneill_term=rep.oneill_term, sec_quotient=rep.sec_quotient,
-        certificate=cert,
-    )
+    flat = abs(rep.sec_quotient) < FLAT_THRESHOLD
+    return replace(rep, certificate="numeric" if flat else "none")
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ images satisfy u_L(t) = u_R(t) = a central scalar of G.  All arithmetic is
 on arbitrary-precision integers; floating point never decides a verdict.
 
 For SO(2n) the Weyl group consists of the even-signed permutations only,
-and the walk skips every odd-signed leaf before its Smith form.  An
-odd-signed symmetry sigma can add no violation.  Its match is realized
-inside SO(2n) only by a kernel element t with a real eigenvalue, i.e.
+and the walk fixes the last sign by the parity of the others, so it
+never builds an odd-signed leaf.  An odd-signed symmetry sigma can add
+no violation.  Its match is realized inside SO(2n) only by a kernel
+element t with a real eigenvalue, i.e.
 (W_L t)_i = 0 or 1/2 mod 1 at some row i (without one, the centralizer is
 a product of unitary groups and lies in the identity component, so the
 conjugation cannot be corrected).  Row i of D_sigma t is integral, so
@@ -252,27 +253,31 @@ def _unpruned_symmetries(w: TorusActionWeights, stats: dict):
     permutation prefix with no live sign prefix is skipped whole.  Sign
     prefixes are extended lazily and in lexicographic order (+1 first),
     and replayed for every permutation sharing the prefix, so reaching the
-    first symmetry costs one insertion per row.  Sets stats["symmetries"]
-    to |W| and counts in stats["leaves_examined"] the symmetries whose
-    every row was inserted.
+    first symmetry costs one insertion per row.  On SO(2n) the last sign
+    is fixed by the parity of the others, so only the even-signed
+    symmetries of the Weyl group are walked (see the module docstring).
+    Sets stats["symmetries"] to |W| and counts in stats["leaves_examined"]
+    the symmetries whose every row was inserted.
     """
     rows, k = w.n_rows, w.k
     choices = (1,) if w.group.name in ("SU", "U") else (1, -1)
-    stats["symmetries"] = factorial(rows) * len(choices) ** rows
+    so_even = w.group.kind == "SO-even"
+    stats["symmetries"] = factorial(rows) * len(choices) ** (rows - so_even)
     w_left, w_right = w.w_left, w.w_right
     # row_of[j, p, s] is row j of D_sigma for perm[j] = p and s_j = s; built
     # on first demand, so an early exit builds only the rows it inserts
     row_of = {}
 
     def extend(live, j, p):
+        last = j + 1 == rows
         for prefix, basis in live:
-            for s in choices:
+            for s in (prod(prefix),) if so_even and last else choices:
                 row = row_of.get((j, p, s))
                 if row is None:
                     row = row_of[j, p, s] = tuple(
                         [x - s * y for x, y in zip(w_left[j], w_right[p])])
                 child = echelon_insert(basis, row)
-                if j + 1 == rows:
+                if last:
                     stats["leaves_examined"] += 1
                 if not echelon_spans_all(child):
                     yield prefix + (s,), child
@@ -306,18 +311,16 @@ def is_free_exact(w: TorusActionWeights, mode: str | None = None) -> FreenessVer
     with one echelon insertion per row prefix; a symmetry that survives it
     gets one Smith form, which gives both the invariant factors and the
     kernel generators.  The reported witness belongs to the first failing
-    symmetry in the iteration order; on SO(2n) the odd-signed symmetries
-    are skipped, since none adds a violation (see the module docstring).
+    symmetry in the iteration order; on SO(2n) the walk visits the
+    even-signed symmetries only, since an odd-signed one adds no violation
+    (see the module docstring).
     The verdict's stats count the symmetries (|W|), the leaves examined and
     the Smith forms.
     """
     mode = _normalize_mode(mode or w.mode)
-    so_even = w.group.kind == "SO-even"
     stats = {"symmetries": 0, "leaves_examined": 0, "smith_forms": 0}
 
     for perm, signs, d_matrix in _unpruned_symmetries(w, stats):
-        if so_even and prod(signs) < 0:
-            continue
         stats["smith_forms"] += 1
         factors, torsion, circles = smith_kernel(d_matrix)
         offender = None

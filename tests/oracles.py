@@ -6,14 +6,18 @@ which shares no code path with the production four-term expression.
 The matrix oracles evaluate the production formulas with matrix-model
 brackets instead of the structure-constant kernel.  The exact oracles are
 the earlier forms of the freeness checker (one full Smith form per
-symmetry, no pruning) and of the saturation (the kernel of the kernel).
+symmetry, no pruning), of the saturation (the kernel of the kernel) and of
+the numeric flat-plane search (random phase plus Nelder-Mead descents).
 """
 
 import math
 
 import numpy as np
+import scipy.optimize
 
 from biq.algebra import adjoint, bracket, inner_q
+from biq.biquotient import PlaneReport, PointFrame, quotient_sectional
+from biq.curvature import FLAT_THRESHOLD
 from biq.freeness import (
     MOD_CENTER,
     STRICT,
@@ -289,3 +293,70 @@ def saturate_columns_two_kernels(vectors):
     if not complement:
         return tuple(tuple(1 if i == j else 0 for i in range(m)) for j in range(m))
     return kernel_generators([list(c) for c in complement])[1]
+
+
+def nelder_mead_flat_search(act, g, P, budget=10_000, rng=None, local_restarts=4,
+                            chunk=256):
+    """The flat-plane search before the eigen-descent: the same random
+    phase, then Nelder-Mead descents from the best sample and from random
+    perturbations of it, one plane per evaluation."""
+    if budget < 1:
+        raise ValueError("plane budget must be at least 1")
+    rng = rng or np.random.default_rng(0)
+    dec = act.dec()
+    frame = PointFrame.at(act, g, P)
+    hor = frame.horizontal()
+    h = hor.dim
+    if h < 2:
+        raise ValueError("horizontal space has dimension < 2")
+    pm = P.mat
+
+    def values(thetas):
+        """sec_quotient of the plane of each row of thetas (inf when the
+        row does not span a plane)."""
+        c = thetas.reshape(-1, h) @ hor.coords
+        c1, c2 = c[0::2], c[1::2]
+        n1 = np.sqrt(np.einsum("ij,ij->i", c1 @ pm, c1))
+        c1 = c1 / np.maximum(n1, 1e-12)[:, None]
+        c2 = c2 - np.einsum("ij,ij->i", c2 @ pm, c1)[:, None] * c1
+        n2 = np.sqrt(np.einsum("ij,ij->i", c2 @ pm, c2))
+        c2 = c2 / np.maximum(n2, 1e-8)[:, None]
+        sec_g, oneill = frame.curvature_rows(c1, c2)
+        return np.where((n1 >= 1e-12) & (n2 >= 1e-8), sec_g + oneill, np.inf)
+
+    n_samples = max(budget // 2, 1)
+    thetas = rng.standard_normal((n_samples, 2 * h))
+    sampled = np.concatenate([
+        values(thetas[i : i + chunk]) for i in range(0, n_samples, chunk)
+    ])
+    best = int(np.argmin(sampled))  # the first minimum, as a strict < loop keeps
+    best_val = sampled[best]
+    best_theta = thetas[best]
+    remaining = max(budget - n_samples, 0)
+    # the descent from the best sample gets a double share of the budget
+    shares = [2] + [1] * max(local_restarts - 1, 0)
+    unit = remaining // max(sum(shares), 1)
+    theta0 = best_theta
+    for k, share in enumerate(shares):
+        if unit * share < 50:
+            break
+        start = theta0 if k == 0 else theta0 + 0.3 * rng.standard_normal(2 * h)
+        res = scipy.optimize.minimize(
+            lambda theta: values(theta[None])[0], start, method="Nelder-Mead",
+            options={"maxfev": unit * share, "fatol": 1e-15, "xatol": 1e-11},
+        )
+        if res.fun < best_val:
+            best_val = res.fun
+            best_theta = res.x
+
+    c1 = hor.coords.T @ best_theta[:h]
+    c2 = hor.coords.T @ best_theta[h:]
+    rep = quotient_sectional(
+        act, g, P, dec.from_coords(c1), dec.from_coords(c2), frame=frame
+    )
+    cert = "numeric" if abs(rep.sec_quotient) < FLAT_THRESHOLD else "none"
+    return PlaneReport(
+        point=g, x=rep.x, y=rep.y, sec_g=rep.sec_g,
+        oneill_term=rep.oneill_term, sec_quotient=rep.sec_quotient,
+        certificate=cert,
+    )

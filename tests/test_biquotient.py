@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from biq import algebra as al
 from biq import biquotient as bi
 from biq import catalog as ca
+from biq import curvature as cu
 from biq import detectors as de
 from biq import metric as me
 from biq import freeness as fr
@@ -295,6 +296,10 @@ def _case(name, rng):
         return act, de.random_gromoll_meyer_metric(act.dec(), rng)
     if name == "sp2-circle":
         w = fr.TorusActionWeights(al.sp(2), 1, ((1,), (1,)), ((3,), (2,)))
+    elif name == "su5-circle":
+        w = fr.TorusActionWeights(al.su(5), 1, ((1,),) * 5, ((5,), (0,), (0,), (0,), (0,)))
+    elif name == "so5-circle":
+        w = fr.TorusActionWeights(al.so(5), 1, ((1,), (1,)), ((1,), (0,)))
     else:  # su3-two-torus
         w = ca.corollary_su3_weights()
     act = bi.from_torus_weights(w)
@@ -302,6 +307,7 @@ def _case(name, rng):
 
 
 CASES = ("gromoll-meyer", "sp2-circle", "su3-two-torus")
+FORM_CASES = CASES + ("su5-circle", "so5-circle")
 
 
 def _horizontal_plane(name, seed):
@@ -365,6 +371,26 @@ def test_quotient_sectional_invariant_under_plane_basis_change(name, seed, m):
         act, g, P, dec.from_coords(mc[0]), dec.from_coords(mc[1]), frame=frame
     )
     assert abs(rep2.sec_quotient - rep.sec_quotient) <= 1e-9 * max(1.0, abs(rep.sec_quotient))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(FORM_CASES), at_identity=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_quotient_forms_equal_the_kernel(name, at_identity, seed):
+    # Y Q_X Y = numerator + 3/4 z^2 on horizontal rows of any length
+    rng = np.random.default_rng(seed)
+    act, P = _case(name, rng)
+    g = al.identity(act.group) if at_identity else al.random_group_element(act.group, rng)
+    frame = bi.PointFrame.at(act, g, P)
+    hor = frame.horizontal()
+    X = rng.standard_normal((3, hor.dim)) @ hor.coords
+    Y = rng.standard_normal((3, hor.dim)) @ hor.coords
+    terms = cu.plane_terms(P, X, Y)
+    ref = terms.numerator + 0.75 * frame.z_squared(terms)
+    forms = frame.quotient_forms(X)
+    value = np.einsum("ni,nij,nj->n", Y, forms, Y)
+    assert np.array_equal(forms, forms.transpose(0, 2, 1))
+    assert np.abs(value - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)

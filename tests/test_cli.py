@@ -51,7 +51,7 @@ class TestFree:
         assert cli.main(["free", thm2_file, "-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         report = json.loads(out1.read_text())
-        assert report["config"]["schema_version"] == "5"
+        assert report["config"]["schema_version"] == "6"
         assert report["stats"] == {"symmetries": 6, "leaves_examined": 0, "smith_forms": 0}
 
     def test_nonfree_action_exits_one_with_witness(self, nonfree_file, tmp_path):
@@ -108,10 +108,36 @@ class TestScan:
         assert len(report["points"]) == 2
         # a flat plane exists at every point of any circle quotient here
         assert report["flat_planes_found"] == 2
-        assert report["config"]["schema_version"] == "5"
+        assert report["config"]["schema_version"] == "6"
         for row in report["points"]:
             assert row["flat_certificate"] == "N2"
             assert row["flat_certificate_abs_sec"] < 1e-8
+
+    def test_rows_carry_search_and_certificate_counts(self, gm_circle_file, tmp_path):
+        out = tmp_path / "scan.json"
+        code = cli.main([
+            "scan", "--action", gm_circle_file, "--points", "2", "--planes", "600",
+            "--restarts", "2", "--seed", "4", "-o", str(out),
+        ])
+        assert code == 0
+        for row in json.loads(out.read_text())["points"]:
+            st = row["stats"]
+            assert st["planes_sampled"] == 300
+            assert st["descent_starts"] == 2
+            steps = st["alternation_steps"]
+            assert 0 < steps <= 2 * detectors.ALTERNATIONS and steps % 2 == 0
+            assert 0 < st["polish_evaluations"] <= 300 - steps
+            assert st["n2_attempts"] == (
+                st["n2_hypothesis_failures"] + st["n2_search_failures"]
+                + st["n2_not_flat"] + (row["flat_certificate"] == "N2")
+            )
+        csv_out = tmp_path / "scan.csv"
+        cli.main([
+            "scan", "--action", gm_circle_file, "--points", "2", "--planes", "600",
+            "--restarts", "2", "--seed", "4", "--format", "csv", "-o", str(csv_out),
+        ])
+        header = csv_out.read_text().splitlines()[0].split(",")
+        assert "stats.polish_evaluations" in header and "stats" not in header
 
     def test_certificate_that_does_not_evaluate_flat_is_dropped(
         self, gm_circle_file, tmp_path, monkeypatch
@@ -147,6 +173,16 @@ class TestScan:
 
     def test_zero_plane_budget_is_input_error(self, gm_circle_file):
         assert cli.main(["scan", "--action", gm_circle_file, "--planes", "0"]) == 2
+
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_restarts_below_one_is_input_error(self, gm_circle_file, tmp_path, capsys,
+                                               restarts):
+        out = tmp_path / "scan.json"
+        code = cli.main(["scan", "--action", gm_circle_file, "--points", "1",
+                         "--planes", "200", "--restarts", restarts, "-o", str(out)])
+        assert code == 2
+        assert "budgets must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_metric_file(self, gm_circle_file, tmp_path):
         metric = tmp_path / "metric.json"

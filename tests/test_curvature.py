@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biq import algebra as al
 from biq import curvature as cu
@@ -26,6 +28,7 @@ def random_block_metric(dec, rng, n_blocks=3):
 
 
 KERNEL_FAMILIES = [al.su(3), al.sp(2), al.su(5), al.so(7)]
+FORM_FAMILIES = [al.su(3), al.sp(2), al.su(5), al.so(5)]
 
 
 class TestStructureConstants:
@@ -211,3 +214,43 @@ class TestSectional:
                 assert val.sectional >= -1e-12
                 bracket_norm = al.norm_q(al.bracket(x, y))
                 assert val.is_flat() == (bracket_norm < 1e-7)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(fam=st.sampled_from(FORM_FAMILIES), bi_invariant=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_numerator_forms_equal_the_kernel(fam, bi_invariant, seed):
+    # Y M Y and the linear maps reproduce plane_terms on arbitrary rows
+    rng = np.random.default_rng(seed)
+    dec = al.root_decomposition(fam)
+    P = me.build_metric(dec) if bi_invariant else random_block_metric(dec, rng)
+    X = rng.standard_normal((3, dec.dim))
+    Y = rng.standard_normal((3, dec.dim))
+    terms = cu.plane_terms(P, X, Y)
+    forms = cu.numerator_forms(P, X)
+    assert np.array_equal(forms.forms, forms.forms.transpose(0, 2, 1))
+    value = np.einsum("ni,nij,nj->n", Y, forms.forms, Y)
+    scale = max(1.0, np.abs(terms.numerator).max())
+    assert np.abs(value - terms.numerator).max() <= 1e-11 * scale
+    for op, rows in ((forms.p_bracket, terms.p_bracket),
+                     (forms.p_fusing, terms.p_fusing)):
+        mapped = np.einsum("nij,nj->ni", op, Y)
+        assert np.abs(mapped - rows).max() <= 1e-11 * max(1.0, np.abs(rows).max())
+    # Y along X adds nothing: M X = 0
+    assert np.abs(np.einsum("nij,nj->ni", forms.forms, X)).max() <= 1e-11 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(fam=st.sampled_from(FORM_FAMILIES), seed=st.integers(0, 2**32 - 1),
+       m=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+def test_sectional_invariant_under_plane_basis_change(fam, seed, m):
+    m = np.reshape(m, (2, 2))
+    assume(abs(np.linalg.det(m)) > 0.1)
+    rng = np.random.default_rng(seed)
+    dec = al.root_decomposition(fam)
+    P = random_block_metric(dec, rng)
+    x = al.random_algebra_element(fam, rng)
+    y = al.random_algebra_element(fam, rng)
+    s0 = cu.sectional(P, x, y).sectional
+    s1 = cu.sectional(P, m[0, 0] * x + m[0, 1] * y, m[1, 0] * x + m[1, 1] * y).sectional
+    assert abs(s1 - s0) <= 1e-9 * max(1.0, abs(s0))

@@ -3,11 +3,12 @@ import pytest
 
 from biq import algebra as al
 from biq import biquotient as bi
+from biq import catalog as ca
 from biq import detectors as de
 from biq import freeness as fr
 from biq import metric as me
 from conftest import assert_certificate_flat
-from oracles import matrix_quotient_sectional
+from oracles import matrix_quotient_sectional, nelder_mead_flat_search
 
 
 class TestCheckN1:
@@ -205,6 +206,17 @@ class TestFindBalancedPoint:
         assert abs(al.inner_q(al.adjoint(g.inverse(), xl) - xr, y3)) < 1e-10
 
 
+def _circle_action(name):
+    """The free circle (1, ..., 1) on the left, (n, 0, ..., 0) on the right
+    of Sp(2), SU(3) or SU(5), or the SU(3) two-torus of the corollary."""
+    if name == "two-torus":
+        return bi.from_torus_weights(ca.corollary_su3_weights())
+    fam = {"Sp(2)": al.sp(2), "SU(3)": al.su(3), "SU(5)": al.su(5)}[name]
+    w = fr.TorusActionWeights(fam, 1, ((1,),) * fam.n,
+                              ((fam.n,),) + ((0,),) * (fam.n - 1))
+    return bi.from_torus_weights(w)
+
+
 class TestNumericFlatSearch:
     def test_gromoll_meyer_identity_positive(self, rng):
         act = bi.gromoll_meyer_action()
@@ -239,6 +251,84 @@ class TestNumericFlatSearch:
         P = me.build_metric(act.dec())
         with pytest.raises(ValueError):
             de.numeric_flat_search(act, al.identity(al.sp(2)), P, budget=0)
+
+    def test_restarts_below_one_rejected(self):
+        act = bi.gromoll_meyer_action()
+        P = me.build_metric(act.dec())
+        with pytest.raises(ValueError):
+            de.numeric_flat_search(act, al.identity(al.sp(2)), P, local_restarts=0)
+
+    def test_diagnostics_count_the_phases(self):
+        act = bi.gromoll_meyer_action()
+        P = me.build_metric(act.dec())
+        g = al.identity(al.sp(2))
+        small, full = {}, {}
+        # 100 descent evaluations over 4 starts: a share of 25, no descent
+        de.numeric_flat_search(act, g, P, budget=200, diagnostics=small)
+        assert small == {"planes_sampled": 100, "descent_starts": 0,
+                         "alternation_steps": 0, "polish_evaluations": 0}
+        de.numeric_flat_search(act, g, P, budget=2000, local_restarts=3,
+                               diagnostics=full)
+        assert full["planes_sampled"] == 1000
+        assert full["descent_starts"] == 3
+        assert 0 < full["alternation_steps"] <= 3 * de.ALTERNATIONS
+        assert full["alternation_steps"] % 3 == 0
+        assert 0 < full["polish_evaluations"] <= 1000 - full["alternation_steps"]
+
+    @pytest.mark.parametrize("name", ["gromoll-meyer", "Sp(2)", "SU(5)"])
+    def test_alternation_steps_never_raise_kappa(self, name):
+        rng = np.random.default_rng(3)
+        if name == "gromoll-meyer":
+            act = bi.gromoll_meyer_action()
+            P = de.random_gromoll_meyer_metric(act.dec(), rng)
+        else:
+            act = _circle_action(name)
+            P = de.random_torus_invariant_metric(act.dec(), rng)
+        g = al.random_group_element(act.group, rng)
+        frame = bi.PointFrame.at(act, g, P)
+        hor = frame.horizontal()
+        chol = np.linalg.cholesky(hor.coords @ P.mat @ hor.coords.T)
+        H = np.linalg.solve(chol, hor.coords)
+        q, _ = np.linalg.qr(rng.standard_normal((hor.dim, 2)))
+        a, b = q.T[None, 0], q.T[None, 1]
+        sec_g, oneill = frame.curvature_rows(a @ H, b @ H)
+        value = sec_g + oneill
+        for _ in range(15):
+            lam, nxt = de._alternation_step(frame, H, b)
+            assert lam[0] <= value[0] + 1e-12 * max(1.0, abs(value[0]))
+            # the step's value is the curvature of the orthonormal pair
+            assert abs(nxt[0] @ b[0]) < 1e-12 and abs(nxt[0] @ nxt[0] - 1) < 1e-12
+            sec_g, oneill = frame.curvature_rows(b @ H, nxt @ H)
+            assert abs(sec_g[0] + oneill[0] - lam[0]) <= 1e-10 * max(1.0, abs(lam[0]))
+            value, b = lam, nxt
+
+    @pytest.mark.parametrize("name, at_identity", [
+        ("Sp(2)", True), ("SU(3)", True), ("two-torus", True),
+        ("Sp(2)", False), ("two-torus", False), ("SU(5)", False),
+    ])
+    def test_not_above_the_nelder_mead_reference(self, name, at_identity):
+        rng = np.random.default_rng(100)
+        act = _circle_action(name)
+        P = de.random_torus_invariant_metric(act.dec(), rng)
+        g = al.identity(act.group) if at_identity else al.random_group_element(act.group, rng)
+        new = de.numeric_flat_search(act, g, P, budget=2000,
+                                     rng=np.random.default_rng(7))
+        ref = nelder_mead_flat_search(act, g, P, budget=2000,
+                                      rng=np.random.default_rng(7))
+        assert new.sec_quotient <= ref.sec_quotient + 1e-12 * max(1.0, abs(ref.sec_quotient))
+
+    @pytest.mark.parametrize("budget", [800, 10_000])
+    def test_gromoll_meyer_identity_not_above_the_nelder_mead_reference(self, budget):
+        act = bi.gromoll_meyer_action()
+        P = me.build_metric(act.dec())
+        g = al.identity(al.sp(2))
+        new = de.numeric_flat_search(act, g, P, budget=budget,
+                                     rng=np.random.default_rng(1))
+        ref = nelder_mead_flat_search(act, g, P, budget=budget,
+                                      rng=np.random.default_rng(1))
+        assert new.sec_quotient <= ref.sec_quotient + 1e-12 * max(1.0, abs(ref.sec_quotient))
+        # every budget and seed tried converges to this minimum (16/157 to rounding)
+        assert abs(new.sec_quotient - 16 / 157) < 1e-12
 
     @pytest.mark.parametrize("chunk", [7, 256])
     def test_random_phase_matches_sequential_matrix_loop(self, chunk, monkeypatch):

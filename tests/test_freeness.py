@@ -281,9 +281,12 @@ def test_verdict_invariant_under_side_swap(w):
 ], ids=["sp3-even-circle", "so8-2-torus", "spin6-extra", "su4-normal-form"])
 def test_walk_replays_signs_in_symmetry_order(w):
     """The walk yields exactly the symmetries whose D_sigma has a factor
-    other than 1, in conjugacy_symmetries order, with their D_sigma."""
+    other than 1, in conjugacy_symmetries order, with their D_sigma; on
+    SO(2n) only the even-signed ones."""
     expected = []
     for perm, signs in fr.conjugacy_symmetries(w.group, w.n_rows):
+        if w.group.kind == "SO-even" and np.prod(signs) < 0:
+            continue
         d = [[x - s * y for x, y in zip(w.w_left[i], w.w_right[perm[i]])]
              for i, s in enumerate(signs)]
         if any(f != 1 for f in invariant_factors(d, count=w.k)):
@@ -348,6 +351,12 @@ class TestIsFreeExact:
         v = fr.is_free_exact(circle(al.su(3), (1, 1, 1), (1, 1, 1)))
         assert not v.free
         assert v.stats == {"symmetries": 6, "leaves_examined": 1, "smith_forms": 1}
+
+    def test_so_even_walk_builds_no_odd_signed_leaf(self):
+        # SO(6): 3! * 2^2 even-signed symmetries; every row of this torus
+        # survives, so each of them is a leaf with one Smith form
+        v = fr.is_free_exact(ca.spin6_extra().weights, "mod-center")
+        assert v.stats == {"symmetries": 24, "leaves_examined": 24, "smith_forms": 24}
 
     def test_mod_center_accepts_central_kernel(self):
         # a doubled one-sided circle: the parametrization half turn acts
