@@ -413,6 +413,30 @@ class RootDecomposition:
         mat = flat[:n2].reshape(size, size) + 1j * flat[n2:].reshape(size, size)
         return AlgebraElement(self.family, mat)
 
+    def coords_rows(self, mats) -> np.ndarray:
+        """to_coords along the leading axes of a (..., s, s) matrix stack."""
+        m = np.asarray(mats)
+        shape = m.shape[:-2] + (m.shape[-1] * m.shape[-2],)
+        flat = np.concatenate([m.real.reshape(shape), m.imag.reshape(shape)], axis=-1)
+        return 0.5 * (flat @ self._basis_flat.T)
+
+    def matrices(self, rows) -> np.ndarray:
+        """from_coords along the leading axes of (..., d) coordinate rows,
+        as a (..., s, s) complex matrix stack."""
+        flat = np.asarray(rows, dtype=float) @ self._basis_flat
+        size = self.family.matrix_size
+        n2 = size * size
+        mats = flat[..., :n2] + 1j * flat[..., n2:]
+        return mats.reshape(*flat.shape[:-1], size, size)
+
+    def ad(self, rows) -> np.ndarray:
+        """ad matrices of coordinate rows from the structure constants:
+        y @ ad(x)[n] is the coordinate row of [x[n], y]."""
+        rows = np.asarray(rows, dtype=float)
+        return (rows @ self.structure_constants).reshape(
+            *rows.shape[:-1], self.dim, self.dim
+        )
+
     def root_block_slice(self, i: int) -> slice:
         """Coordinate slice of the i-th root space."""
         return slice(self.rank + 2 * i, self.rank + 2 * i + 2)

@@ -255,11 +255,15 @@ class PointFrame:
     @classmethod
     def at(cls, act, g, P):
         dec = act.dec()
-        ginv = g.inverse()
-        ad_left = np.reshape(
-            [dec.to_coords(adjoint(ginv, xl)) for xl, _ in act.u_basis], (-1, dec.dim)
-        )
-        right = np.reshape([dec.to_coords(xr) for _, xr in act.u_basis], (-1, dec.dim))
+        size = act.group.matrix_size
+        # (dim_u, 2, s, s): X_L conjugated by g^{-1} next to X_R, so one
+        # flat-basis product gives both coordinate row sets
+        pairs = np.array(
+            [(xl.mat, xr.mat) for xl, xr in act.u_basis], dtype=complex
+        ).reshape(-1, 2, size, size)
+        pairs[:, 0] = g.mat.conj().T @ pairs[:, 0] @ g.mat
+        rows = dec.coords_rows(pairs)
+        ad_left, right = rows[:, 0], rows[:, 1]
         vc = ad_left - right
         gram = vc @ P.mat @ vc.T
         gram_inv = None

@@ -12,6 +12,11 @@ g from purely algebraic conditions:
       generators, a horizontal X in the metric's invariance algebra and a
       horizontal Y in V with [P(X), Y] = 0.
 
+The criteria work on coordinate rows in the Q-orthonormal frame: every
+bracket comes from the cached structure constants (`RootDecomposition.ad`),
+and residuals are coordinate norms.  Matrices are built only for the
+vectors of a returned certificate.
+
 Every certificate records the residuals of the conditions it checked; the
 curvature engine independently confirms each certified plane, so a
 certificate is never taken on faith.  Hypothesis failures are reported
@@ -22,6 +27,7 @@ not fire proves nothing).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +40,6 @@ from .algebra import (
     GroupFamily,
     Subspace,
     adjoint,
-    bracket,
     cartan_subspace,
     identity,
     inner_q,
@@ -56,7 +61,6 @@ from .biquotient import (
 from .curvature import FLAT_THRESHOLD
 from .metric import (
     MetricOperator,
-    apply_P,
     bi_invariant_metric,
     build_metric,
     build_metric_from_subspaces,
@@ -70,8 +74,8 @@ class HypothesisError(ValueError):
 
 
 class BalancedPointError(RuntimeError):
-    """The balanced-point solve did not converge; the interval hypothesis
-    on the parameters may fail."""
+    """No balanced point: the target lies outside [min p, max p], or the
+    closed-form point failed its defect check."""
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,11 @@ def _subspace_p_invariance(P: MetricOperator, sub: Subspace) -> float:
     return float(np.abs(resid).max() / max(np.abs(img).max(), 1e-300))
 
 
+def _bracket_residual(dec, a_rows, b_rows) -> float:
+    """Largest coordinate norm of [a, b] over the rows of a_rows, b_rows."""
+    return float(np.linalg.norm(b_rows @ dec.ad(a_rows), axis=-1).max(initial=0.0))
+
+
 def check_N1(
     P: MetricOperator,
     a_sub: Subspace,
@@ -132,11 +141,7 @@ def check_N1(
     of the intersection, or None.
     """
     dec = P.dec
-    basis = a_sub.basis_elements()
-    ab_res = 0.0
-    for i, bi_ in enumerate(basis):
-        for bj in basis[i + 1 :]:
-            ab_res = max(ab_res, float(np.abs(bracket(bi_, bj).mat).max()))
+    ab_res = _bracket_residual(dec, a_sub.coords, a_sub.coords)
     pinv_res = _subspace_p_invariance(P, a_sub)
     if ab_res > RESIDUAL_TOL or pinv_res > RESIDUAL_TOL:
         _record(diagnostics, "hypothesis", f"abelian residual {ab_res:.2e}, "
@@ -147,15 +152,14 @@ def check_N1(
     if slc.shape[0] < 2:
         _record(diagnostics, "search", "horizontal intersection has dimension < 2")
         return None
-    x = dec.from_coords(slc[0])
-    y = dec.from_coords(slc[1])
     conds = (
         ("abelian", ab_res),
         ("P_invariant", pinv_res),
         ("horizontal_X", frame.horizontal_residual(slc[0])),
         ("horizontal_Y", frame.horizontal_residual(slc[1])),
     )
-    return FlatCertificate("N1", g, x, y, conds)
+    return FlatCertificate("N1", g, dec.from_coords(slc[0]), dec.from_coords(slc[1]),
+                           conds)
 
 
 def check_N2(
@@ -173,14 +177,13 @@ def check_N2(
     Searches Y over candidates in W2 intersected with the horizontal space
     (defaults: an orthonormal basis of the intersection plus 20 random unit
     combinations) for [Y, P(Y)] in W2, and takes any horizontal X in W1.
+    All candidates are tested at once in coordinates: [Y, PY] is
+    PY @ ad_Y from the structure constants.
     """
     dec = P.dec
     p1 = _subspace_p_invariance(P, w1)
     p2 = _subspace_p_invariance(P, w2)
-    br = 0.0
-    for e1 in w1.basis_elements():
-        for e2 in w2.basis_elements():
-            br = max(br, float(np.abs(bracket(e1, e2).mat).max()))
+    br = _bracket_residual(dec, w1.coords, w2.coords)
     if max(p1, p2) > RESIDUAL_TOL or br > RESIDUAL_TOL:
         _record(diagnostics, "hypothesis",
                 f"P-invariance residuals {p1:.2e}/{p2:.2e}, [W1,W2] residual {br:.2e}")
@@ -192,42 +195,38 @@ def check_N2(
     if slc1.shape[0] < 1 or slc2.shape[0] < 1:
         _record(diagnostics, "search", "no horizontal vectors in W1 or W2")
         return None
-    x_coords = slc1[0]
-    x = dec.from_coords(x_coords)
 
-    cand_coords = list(slc2)
     if candidates is not None:
-        for c in candidates:
-            cc = dec.to_coords(c)
-            cc = (slc2.T @ (slc2 @ cc))  # restrict to the horizontal slice
-            nrm = np.linalg.norm(cc)
-            if nrm > 1e-12:
-                cand_coords.append(cc / nrm)
+        size = dec.family.matrix_size
+        extra = dec.coords_rows(
+            np.array([c.mat for c in candidates], dtype=complex).reshape(-1, size, size)
+        )
+        extra = extra @ slc2.T @ slc2  # restrict to the horizontal slice
+        nrm = np.linalg.norm(extra, axis=1)
+        extra = extra[nrm > 1e-12] / nrm[nrm > 1e-12, None]
     else:
         rng = rng or np.random.default_rng(0)
-        for _ in range(20):
-            mix = rng.standard_normal(slc2.shape[0])
-            cc = slc2.T @ mix
-            cand_coords.append(cc / np.linalg.norm(cc))
+        extra = rng.standard_normal((20, slc2.shape[0])) @ slc2
+        extra /= np.linalg.norm(extra, axis=1)[:, None]
+    cand = np.concatenate([slc2, extra])
 
-    for cy in cand_coords:
-        y = dec.from_coords(cy)
-        ypy = bracket(y, apply_P(P, y))
-        c_ypy = dec.to_coords(ypy)
-        resid = np.linalg.norm(c_ypy - w2.project_coords(c_ypy))
-        resid /= max(np.linalg.norm(c_ypy), 1.0)
-        if resid <= RESIDUAL_TOL:
-            conds = (
-                ("P_invariant_W1", p1),
-                ("P_invariant_W2", p2),
-                ("bracket_W1_W2", br),
-                ("Y_PY_in_W2", float(resid)),
-                ("horizontal_X", frame.horizontal_residual(x_coords)),
-                ("horizontal_Y", frame.horizontal_residual(cy)),
-            )
-            return FlatCertificate("N2", g, x, y, conds)
-    _record(diagnostics, "search", "no candidate Y satisfied [Y, P(Y)] in W2")
-    return None
+    ypy = np.einsum("nj,njk->nk", cand @ P.mat, dec.ad(cand))
+    off = ypy - ypy @ w2.coords.T @ w2.coords
+    resid = np.linalg.norm(off, axis=1) / np.maximum(np.linalg.norm(ypy, axis=1), 1.0)
+    hits = np.flatnonzero(resid <= RESIDUAL_TOL)
+    if hits.size == 0:
+        _record(diagnostics, "search", "no candidate Y satisfied [Y, P(Y)] in W2")
+        return None
+    cy = cand[hits[0]]
+    conds = (
+        ("P_invariant_W1", p1),
+        ("P_invariant_W2", p2),
+        ("bracket_W1_W2", br),
+        ("Y_PY_in_W2", float(resid[hits[0]])),
+        ("horizontal_X", frame.horizontal_residual(slc1[0])),
+        ("horizontal_Y", frame.horizontal_residual(cy)),
+    )
+    return FlatCertificate("N2", g, dec.from_coords(slc1[0]), dec.from_coords(cy), conds)
 
 
 def commuting_root_pairs(dec):
@@ -298,16 +297,13 @@ def check_N3(
     eig_res = float(np.abs(img - lam * v_sub.coords).max() / max(abs(lam), 1e-300))
     if eig_res > RESIDUAL_TOL:
         raise HypothesisError(f"subspace is not a P-eigenspace (residual {eig_res:.2e})")
-    ur_res = 0.0
-    for _, xr in act.u_basis:
-        c = dec.to_coords(xr)
-        ur_res = max(ur_res, float(np.abs(v_sub.coords @ c).max()))
+    frame = PointFrame.at(act, g, P)
+    ur_res = float(np.abs(v_sub.coords @ frame.right.T).max(initial=0.0))
     if ur_res > RESIDUAL_TOL:
         raise HypothesisError(
             f"eigenspace is not orthogonal to the right generators ({ur_res:.2e})"
         )
 
-    frame = PointFrame.at(act, g, P)
     slc_k = _metric_normal_slice(k_alg, frame)
     slc_v = _metric_normal_slice(v_sub, frame)
     if slc_k.shape[0] < 1 or slc_v.shape[0] < 1:
@@ -315,27 +311,23 @@ def check_N3(
         return None
     # [P(X), Y] = 0 is linear in X, so for each candidate Y solve for X
     # inside the horizontal slice of k_alg instead of enumerating
-    px_slice = [apply_P(P, dec.from_coords(ck)) for ck in slc_k]
-    y_candidates = list(slc_v)
+    px = slc_k @ P.mat
+    ys = slc_v
     if slc_v.shape[0] > 1:
         mix = slc_v.sum(axis=0)
-        y_candidates.append(mix / np.linalg.norm(mix))
-    for cv in y_candidates:
-        y = dec.from_coords(cv)
-        cols = np.array([dec.to_coords(bracket(px, y)) for px in px_slice]).T
-        scale = max(
-            max(float(np.abs(px.mat).max()) for px in px_slice)
-            * float(np.abs(y.mat).max()),
-            1e-300,
-        )
-        _, s, vt = np.linalg.svd(cols)
-        rank = int(np.sum(s > 1e-10 * scale))
+        ys = np.vstack([slc_v, mix / np.linalg.norm(mix)])
+    ad_y = dec.ad(ys)
+    # cols[n] has one column [P(X), Y_n] per slice vector X; every Y_n is a unit row
+    cols = -(px @ ad_y).transpose(0, 2, 1)
+    scale = max(float(np.linalg.norm(px, axis=1).max()), 1e-300)
+    _, s, vt = np.linalg.svd(cols)
+    for n, cv in enumerate(ys):
+        rank = int(np.sum(s[n] > 1e-10 * scale))
         if rank >= slc_k.shape[0]:
             continue
-        ck = slc_k.T @ vt[rank]
+        ck = slc_k.T @ vt[n, rank]
         ck /= np.linalg.norm(ck)
-        x = dec.from_coords(ck)
-        resid = float(np.abs(bracket(apply_P(P, x), y).mat).max()) / scale
+        resid = float(np.linalg.norm(ck @ P.mat @ ad_y[n])) / scale
         if resid <= RESIDUAL_TOL:
             conds = (
                 ("V_eigenspace", eig_res),
@@ -344,7 +336,8 @@ def check_N3(
                 ("horizontal_X", frame.horizontal_residual(ck)),
                 ("horizontal_Y", frame.horizontal_residual(cv)),
             )
-            return FlatCertificate("N3", g, x, y, conds)
+            return FlatCertificate("N3", g, dec.from_coords(ck), dec.from_coords(cv),
+                                   conds)
     _record(diagnostics, "search", "no pair with [P(X), Y] = 0 found")
     return None
 
@@ -359,21 +352,23 @@ Y3_COORDS = (1.0, 1.0, -2.0)
 def find_balanced_point(
     p,
     q,
-    P: MetricOperator | None = None,
     q_index: int = 2,
-    restarts: int = 8,
     tol: float = 1e-10,
     rng=None,
 ) -> GroupElement:
     """Point g where the circle's vertical generator is Q-orthogonal to
     Y3 = i diag(1,1,-2).
 
-    Applies when q[q_index] lies in [min p, max p] (q_index permutes the
-    distinguished coordinate into the last slot; default is the third).
-    The solve moves g along a one-parameter rotation coupling the last
-    coordinate with an entry of p on the other side of q[q_index], where
-    the defect changes sign; a random-restart minimization is the
-    fallback.  Raises BalancedPointError when no root is found.
+    q_index permutes the distinguished coordinate of q into the last slot
+    (default: the third).  The defect at g is proportional to
+    (g* diag(p) g)_33 - target with target = q_3 - mean q + mean p.  By
+    Schur-Horn (A. Horn, Amer. J. Math. 76, 1954) that diagonal entry
+    takes exactly the values in [min p, max p], so a balanced point exists
+    iff target lies there.  Along the rotation by t in the (j, 3) plane
+    the entry is p_3 cos^2 t + p_j sin^2 t, so the solve is the closed form
+    sin^2 t = (target - p_3) / (p_j - p_3) for the first j in (1, 2) that
+    puts it in [0, 1]; the defect is then checked against tol.  Raises
+    BalancedPointError when no j works.  rng is unused.
     """
     p = tuple(int(x) for x in p)
     q = tuple(int(x) for x in q)
@@ -393,45 +388,24 @@ def find_balanced_point(
         ad = gmat.conj().T @ xl.mat @ gmat
         return -0.5 * float(np.trace((ad - xr.mat) @ y3.mat).real)
 
-    def rotation(j, t):
-        m = np.eye(3, dtype=complex)
-        c, s = np.cos(t), np.sin(t)
-        m[j, j] = c
-        m[2, 2] = c
-        m[j, 2] = s
-        m[2, j] = -s
-        return m
-
-    f0 = defect(np.eye(3, dtype=complex))
-    if abs(f0) <= tol:
+    if abs(defect(np.eye(3))) <= tol:
         return identity(fam)
+    target = q[2] + (sum(p) - sum(q)) / 3
     for j in (0, 1):
-        fj = defect(rotation(j, np.pi / 2))
-        if f0 * fj <= 0:
-            t_star = scipy.optimize.brentq(
-                lambda t: defect(rotation(j, t)), 0.0, np.pi / 2, xtol=1e-15
-            )
-            gmat = rotation(j, t_star)
-            if abs(defect(gmat)) <= tol:
-                return GroupElement(fam, gmat)
-    # fallback: random-restart minimization of the squared defect over SU(3)
-    rng = rng or np.random.default_rng(0)
-    dec = root_decomposition(fam)
-    from .algebra import random_algebra_element
-
-    for _ in range(restarts):
-        x0 = dec.to_coords(random_algebra_element(fam, rng, scale=0.8))
-
-        def cost(c):
-            return defect(scipy.linalg.expm(dec.from_coords(c).mat)) ** 2
-
-        res = scipy.optimize.minimize(cost, x0, method="Nelder-Mead",
-                                      options={"fatol": 1e-24, "xatol": 1e-12,
-                                               "maxfev": 4000})
-        if res.fun < tol * tol:
-            return GroupElement(fam, scipy.linalg.expm(dec.from_coords(res.x).mat))
+        if p[j] == p[2]:
+            continue
+        s2 = (target - p[2]) / (p[j] - p[2])
+        if not 0.0 <= s2 <= 1.0:
+            continue
+        gmat = np.eye(3, dtype=complex)
+        c, s = np.sqrt(1.0 - s2), np.sqrt(s2)
+        gmat[j, j] = gmat[2, 2] = c
+        gmat[j, 2], gmat[2, j] = s, -s
+        if abs(defect(gmat)) <= tol:
+            return GroupElement(fam, gmat)
     raise BalancedPointError(
-        "no balanced point found; the interval hypothesis on q may fail"
+        f"no balanced point: target {target:g} outside [min p, max p] = "
+        f"[{min(p)}, {max(p)}], or the defect check failed"
     )
 
 
@@ -442,7 +416,7 @@ def find_balanced_point(
 # planes per batched kernel call: bounds its (N, d, d) temporaries
 SEARCH_CHUNK = 256
 
-# a descent start with a smaller share of the budget is not run
+# least share of the descent budget per start
 MIN_DESCENT_SHARE = 50
 
 # alternation rounds before the polish, and the relative gain that ends
@@ -540,8 +514,10 @@ def numeric_flat_search(
     up to ALTERNATIONS rounds, one batched eigen solve per round, and
     L-BFGS-B then polishes the best pair on kappa / area with the
     closed-form gradients.  An alternation step at one start and a polish
-    evaluation each count as one evaluation of the budget; no descent
-    runs when a start's share is under MIN_DESCENT_SHARE.
+    evaluation each count as one evaluation of the budget; the descent
+    keeps only as many starts as give each a share of at least
+    MIN_DESCENT_SHARE evaluations, and none when even one start would get
+    less.
 
     Returns the best plane found, re-evaluated by quotient_sectional; its
     certificate field is "numeric" when the value is below the flat
@@ -590,12 +566,13 @@ def numeric_flat_search(
     order = np.argsort(sampled, kind="stable")[:local_restarts]
     c1, c2, _ = planes(thetas[order])
     best_pair = c1[0], c2[0]
-    live = np.isfinite(sampled[order])
-    n_starts = int(live.sum())
+    evals = max(budget - n_samples, 0)
+    # as many of the best live samples as the budget affords
+    live = np.flatnonzero(np.isfinite(sampled[order]))[: evals // MIN_DESCENT_SHARE]
+    n_starts = live.size
     stats = {"planes_sampled": n_samples, "descent_starts": 0,
              "alternation_steps": 0, "polish_evaluations": 0}
-    evals = max(budget - n_samples, 0)
-    if n_starts and evals // n_starts >= MIN_DESCENT_SHARE:
+    if n_starts:
         # P-orthonormal rows spanning the horizontal space
         chol = np.linalg.cholesky(hor.coords @ pm @ hor.coords.T)
         H = scipy.linalg.solve_triangular(chol, hor.coords, lower=True)
@@ -680,8 +657,17 @@ def random_gromoll_meyer_metric(dec, rng) -> MetricOperator:
 
 def unit_tangent_blocks(n, dec):
     """Invariant subspaces for the flow quotient of SO(2n+1): the
-    so(2n-1) block, the two coupled columns, and the corner line."""
-    fam = dec.family
+    so(2n-1) block, the two coupled columns, and the corner line.  dec is
+    the root decomposition of SO(2n+1); the blocks are built once per n."""
+    if dec.family != GroupFamily("SO", 2 * n + 1):
+        raise ValueError(f"unit_tangent_blocks({n}) needs the decomposition of SO({2 * n + 1})")
+    return _unit_tangent_blocks(n)
+
+
+@lru_cache(maxsize=None)
+def _unit_tangent_blocks(n):
+    fam = GroupFamily("SO", 2 * n + 1)
+    dec = root_decomposition(fam)
     size = fam.matrix_size
 
     def skew(i, j):
@@ -897,21 +883,15 @@ def example4_abelian_pair(n, P, act, g):
     slc_w = _metric_normal_slice(sub_w, frame)
     if slc_v.shape[0] < 1 or slc_w.shape[0] < 1:
         return None
-
-    def column(el, col):
-        return np.array([el.mat[i, col].real for i in range(2 * n - 1)])
-
-    for cx in slc_v:
-        x = dec.from_coords(cx)
-        xvec = column(x, 2 * n - 1)
-        dots = np.array(
-            [column(dec.from_coords(c), 2 * n) @ xvec for c in slc_w]
-        )
+    # the column vectors of the slice rows: x-columns times w-columns
+    # gives every dot product at once
+    xcols = dec.matrices(slc_v)[:, : 2 * n - 1, 2 * n - 1].real
+    wcols = dec.matrices(slc_w)[:, : 2 * n - 1, 2 * n].real
+    for cx, dots in zip(slc_v, xcols @ wcols.T):
         null = scipy.linalg.null_space(dots[None, :])
         if null.shape[1] == 0:
             continue
-        cy = slc_w.T @ null[:, 0]
-        return x, dec.from_coords(cy)
+        return dec.from_coords(cx), dec.from_coords(slc_w.T @ null[:, 0])
     return None
 
 

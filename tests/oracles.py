@@ -6,8 +6,9 @@ which shares no code path with the production four-term expression.
 The matrix oracles evaluate the production formulas with matrix-model
 brackets instead of the structure-constant kernel.  The exact oracles are
 the earlier forms of the freeness checker (one full Smith form per
-symmetry, no pruning), of the saturation (the kernel of the kernel) and of
-the numeric flat-plane search (random phase plus Nelder-Mead descents).
+symmetry, no pruning), of the saturation (the kernel of the kernel), of
+the numeric flat-plane search (random phase plus Nelder-Mead descents) and
+of the flat-plane criteria N1/N2/N3 (matrix brackets per candidate).
 """
 
 import math
@@ -15,9 +16,17 @@ import math
 import numpy as np
 import scipy.optimize
 
-from biq.algebra import adjoint, bracket, inner_q
-from biq.biquotient import PlaneReport, PointFrame, quotient_sectional
+from biq.algebra import GroupElement, Subspace, adjoint, bracket, inner_q
+from biq.biquotient import BiquotientAction, PlaneReport, PointFrame, quotient_sectional
 from biq.curvature import FLAT_THRESHOLD
+from biq.detectors import (
+    RESIDUAL_TOL,
+    FlatCertificate,
+    HypothesisError,
+    _metric_normal_slice,
+    _record,
+    _subspace_p_invariance,
+)
 from biq.freeness import (
     MOD_CENTER,
     STRICT,
@@ -31,7 +40,7 @@ from biq.freeness import (
     conjugacy_symmetries,
 )
 from biq.intlattice import invariant_factors, kernel_generators
-from biq.metric import L_tensor, apply_P
+from biq.metric import L_tensor, MetricOperator, apply_P
 
 
 _structure_cache = {}
@@ -360,3 +369,192 @@ def nelder_mead_flat_search(act, g, P, budget=10_000, rng=None, local_restarts=4
         oneill_term=rep.oneill_term, sec_quotient=rep.sec_quotient,
         certificate=cert,
     )
+
+
+# The flat-plane criteria with matrix-model brackets: every hypothesis
+# bracket, every candidate [Y, P(Y)] and every [P(X), Y] goes through
+# AlgebraElement matrices, with max-abs matrix residuals.  The production
+# criteria run on coordinate rows and the structure constants.
+
+def matrix_check_N1(
+    P: MetricOperator,
+    a_sub: Subspace,
+    act: BiquotientAction,
+    g: GroupElement,
+    diagnostics: dict | None = None,
+) -> FlatCertificate | None:
+    """Flat plane from a P-invariant abelian subalgebra.
+
+    Verifies the hypotheses, intersects the subalgebra with the horizontal
+    space at g, and returns a certificate built on two independent vectors
+    of the intersection, or None.
+    """
+    dec = P.dec
+    basis = a_sub.basis_elements()
+    ab_res = 0.0
+    for i, bi_ in enumerate(basis):
+        for bj in basis[i + 1 :]:
+            ab_res = max(ab_res, float(np.abs(bracket(bi_, bj).mat).max()))
+    pinv_res = _subspace_p_invariance(P, a_sub)
+    if ab_res > RESIDUAL_TOL or pinv_res > RESIDUAL_TOL:
+        _record(diagnostics, "hypothesis", f"abelian residual {ab_res:.2e}, "
+                f"P-invariance residual {pinv_res:.2e}")
+        return None
+    frame = PointFrame.at(act, g, P)
+    slc = _metric_normal_slice(a_sub, frame)
+    if slc.shape[0] < 2:
+        _record(diagnostics, "search", "horizontal intersection has dimension < 2")
+        return None
+    x = dec.from_coords(slc[0])
+    y = dec.from_coords(slc[1])
+    conds = (
+        ("abelian", ab_res),
+        ("P_invariant", pinv_res),
+        ("horizontal_X", frame.horizontal_residual(slc[0])),
+        ("horizontal_Y", frame.horizontal_residual(slc[1])),
+    )
+    return FlatCertificate("N1", g, x, y, conds)
+
+
+def matrix_check_N2(
+    P: MetricOperator,
+    w1: Subspace,
+    w2: Subspace,
+    act: BiquotientAction,
+    g: GroupElement,
+    candidates=None,
+    rng=None,
+    diagnostics: dict | None = None,
+) -> FlatCertificate | None:
+    """Flat plane from commuting P-invariant subspaces.
+
+    Searches Y over candidates in W2 intersected with the horizontal space
+    (defaults: an orthonormal basis of the intersection plus 20 random unit
+    combinations) for [Y, P(Y)] in W2, and takes any horizontal X in W1.
+    """
+    dec = P.dec
+    p1 = _subspace_p_invariance(P, w1)
+    p2 = _subspace_p_invariance(P, w2)
+    br = 0.0
+    for e1 in w1.basis_elements():
+        for e2 in w2.basis_elements():
+            br = max(br, float(np.abs(bracket(e1, e2).mat).max()))
+    if max(p1, p2) > RESIDUAL_TOL or br > RESIDUAL_TOL:
+        _record(diagnostics, "hypothesis",
+                f"P-invariance residuals {p1:.2e}/{p2:.2e}, [W1,W2] residual {br:.2e}")
+        return None
+
+    frame = PointFrame.at(act, g, P)
+    slc1 = _metric_normal_slice(w1, frame)
+    slc2 = _metric_normal_slice(w2, frame)
+    if slc1.shape[0] < 1 or slc2.shape[0] < 1:
+        _record(diagnostics, "search", "no horizontal vectors in W1 or W2")
+        return None
+    x_coords = slc1[0]
+    x = dec.from_coords(x_coords)
+
+    cand_coords = list(slc2)
+    if candidates is not None:
+        for c in candidates:
+            cc = dec.to_coords(c)
+            cc = (slc2.T @ (slc2 @ cc))  # restrict to the horizontal slice
+            nrm = np.linalg.norm(cc)
+            if nrm > 1e-12:
+                cand_coords.append(cc / nrm)
+    else:
+        rng = rng or np.random.default_rng(0)
+        for _ in range(20):
+            mix = rng.standard_normal(slc2.shape[0])
+            cc = slc2.T @ mix
+            cand_coords.append(cc / np.linalg.norm(cc))
+
+    for cy in cand_coords:
+        y = dec.from_coords(cy)
+        ypy = bracket(y, apply_P(P, y))
+        c_ypy = dec.to_coords(ypy)
+        resid = np.linalg.norm(c_ypy - w2.project_coords(c_ypy))
+        resid /= max(np.linalg.norm(c_ypy), 1.0)
+        if resid <= RESIDUAL_TOL:
+            conds = (
+                ("P_invariant_W1", p1),
+                ("P_invariant_W2", p2),
+                ("bracket_W1_W2", br),
+                ("Y_PY_in_W2", float(resid)),
+                ("horizontal_X", frame.horizontal_residual(x_coords)),
+                ("horizontal_Y", frame.horizontal_residual(cy)),
+            )
+            return FlatCertificate("N2", g, x, y, conds)
+    _record(diagnostics, "search", "no candidate Y satisfied [Y, P(Y)] in W2")
+    return None
+
+
+def matrix_check_N3(
+    P: MetricOperator,
+    k_alg: Subspace,
+    v_sub: Subspace,
+    act: BiquotientAction,
+    g: GroupElement,
+    diagnostics: dict | None = None,
+) -> FlatCertificate | None:
+    """Flat plane from an invariant eigenspace of P.
+
+    Validates that v_sub is an eigenspace of P and orthogonal to the right
+    generators of the action (raising HypothesisError otherwise), then
+    searches horizontal X in k_alg and horizontal Y in v_sub with
+    [P(X), Y] = 0.
+    """
+    dec = P.dec
+    img = v_sub.coords @ P.mat
+    lam = float(np.sum(img * v_sub.coords) / v_sub.dim)
+    eig_res = float(np.abs(img - lam * v_sub.coords).max() / max(abs(lam), 1e-300))
+    if eig_res > RESIDUAL_TOL:
+        raise HypothesisError(f"subspace is not a P-eigenspace (residual {eig_res:.2e})")
+    ur_res = 0.0
+    for _, xr in act.u_basis:
+        c = dec.to_coords(xr)
+        ur_res = max(ur_res, float(np.abs(v_sub.coords @ c).max()))
+    if ur_res > RESIDUAL_TOL:
+        raise HypothesisError(
+            f"eigenspace is not orthogonal to the right generators ({ur_res:.2e})"
+        )
+
+    frame = PointFrame.at(act, g, P)
+    slc_k = _metric_normal_slice(k_alg, frame)
+    slc_v = _metric_normal_slice(v_sub, frame)
+    if slc_k.shape[0] < 1 or slc_v.shape[0] < 1:
+        _record(diagnostics, "search", "no horizontal vectors available")
+        return None
+    # [P(X), Y] = 0 is linear in X, so for each candidate Y solve for X
+    # inside the horizontal slice of k_alg instead of enumerating
+    px_slice = [apply_P(P, dec.from_coords(ck)) for ck in slc_k]
+    y_candidates = list(slc_v)
+    if slc_v.shape[0] > 1:
+        mix = slc_v.sum(axis=0)
+        y_candidates.append(mix / np.linalg.norm(mix))
+    for cv in y_candidates:
+        y = dec.from_coords(cv)
+        cols = np.array([dec.to_coords(bracket(px, y)) for px in px_slice]).T
+        scale = max(
+            max(float(np.abs(px.mat).max()) for px in px_slice)
+            * float(np.abs(y.mat).max()),
+            1e-300,
+        )
+        _, s, vt = np.linalg.svd(cols)
+        rank = int(np.sum(s > 1e-10 * scale))
+        if rank >= slc_k.shape[0]:
+            continue
+        ck = slc_k.T @ vt[rank]
+        ck /= np.linalg.norm(ck)
+        x = dec.from_coords(ck)
+        resid = float(np.abs(bracket(apply_P(P, x), y).mat).max()) / scale
+        if resid <= RESIDUAL_TOL:
+            conds = (
+                ("V_eigenspace", eig_res),
+                ("V_perp_uR", ur_res),
+                ("PX_Y_bracket", resid),
+                ("horizontal_X", frame.horizontal_residual(ck)),
+                ("horizontal_Y", frame.horizontal_residual(cv)),
+            )
+            return FlatCertificate("N3", g, x, y, conds)
+    _record(diagnostics, "search", "no pair with [P(X), Y] = 0 found")
+    return None

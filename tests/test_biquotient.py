@@ -330,6 +330,27 @@ class TestCoordinateKernel:
             ref = matrix_z_squared(act, g, P, a, b)
             assert abs(z * z - ref) <= 1e-12 * max(ref, 1.0)
 
+    @pytest.mark.parametrize("name", FORM_CASES + ("flow-S3", "trivial"))
+    def test_frame_rows_match_per_generator_loop(self, name):
+        # the batched conjugation against Ad_{g^-1} X_L and X_R, one
+        # generator at a time
+        rng = np.random.default_rng(7)
+        if name == "flow-S3":
+            act = bi.unit_tangent_flow_action(3)
+        elif name == "trivial":
+            act = bi.trivial_action(al.su(3))
+        else:
+            act, _ = _case(name, rng)
+        dec = act.dec()
+        g = al.random_group_element(act.group, rng)
+        frame = bi.PointFrame.at(act, g, me.bi_invariant_metric(dec))
+        ad_left = [dec.to_coords(al.adjoint(g.inverse(), xl)) for xl, _ in act.u_basis]
+        right = [dec.to_coords(xr) for _, xr in act.u_basis]
+        assert frame.ad_left.shape == frame.right.shape == (act.dim_u, dec.dim)
+        if act.dim_u:
+            assert np.abs(frame.ad_left - np.array(ad_left)).max() <= 1e-13
+            assert np.abs(frame.right - np.array(right)).max() <= 1e-13
+
     @pytest.mark.parametrize("name", CASES)
     def test_batched_rows_match_matrix_oracle(self, name):
         act, g, P, frame, _ = _horizontal_plane(name, 3)

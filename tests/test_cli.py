@@ -139,6 +139,17 @@ class TestScan:
         header = csv_out.read_text().splitlines()[0].split(",")
         assert "stats.polish_evaluations" in header and "stats" not in header
 
+    def test_small_plane_budget_still_descends(self, gm_circle_file, tmp_path):
+        # 150 descent evaluations afford 3 of the 4 default starts; the
+        # bi-invariant circle quotient has a flat plane at every point
+        out = tmp_path / "scan.json"
+        assert cli.main(["scan", "--action", gm_circle_file, "--planes", "300",
+                         "-o", str(out)]) == 0
+        for row in json.loads(out.read_text())["points"]:
+            assert row["stats"]["descent_starts"] == 3
+            assert row["numeric_certificate"] == "numeric"
+            assert abs(row["min_sec_quotient"]) < 1e-12
+
     def test_certificate_that_does_not_evaluate_flat_is_dropped(
         self, gm_circle_file, tmp_path, monkeypatch
     ):

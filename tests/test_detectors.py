@@ -1,5 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biq import algebra as al
 from biq import biquotient as bi
@@ -8,7 +12,13 @@ from biq import detectors as de
 from biq import freeness as fr
 from biq import metric as me
 from conftest import assert_certificate_flat
-from oracles import matrix_quotient_sectional, nelder_mead_flat_search
+from oracles import (
+    matrix_check_N1,
+    matrix_check_N2,
+    matrix_check_N3,
+    matrix_quotient_sectional,
+    nelder_mead_flat_search,
+)
 
 
 class TestCheckN1:
@@ -193,7 +203,50 @@ class TestFindBalancedPoint:
     def test_positive_flag_parameters_fail(self):
         p, q = (1, 2, 3), (0, 0, 6)
         with pytest.raises(de.BalancedPointError):
-            de.find_balanced_point(p, q, restarts=2)
+            de.find_balanced_point(p, q)
+
+    # every balanced pair with entries in [-2, 2] whose q_3 is an entry p_j
+    # with the other entry of p on the wrong side: sin^2 t = 1, t = pi/2
+    ENDPOINT_PAIRS = [
+        ((-2, -1, 1), (0, 0, -2)), ((-2, 1, -1), (0, 0, -2)),
+        ((-1, -2, 1), (0, 0, -2)), ((-1, 2, 1), (0, 0, 2)),
+        ((1, -2, -1), (0, 0, -2)), ((1, 2, -1), (0, 0, 2)),
+        ((2, -1, 1), (0, 0, 2)), ((2, 1, -1), (0, 0, 2)),
+    ]
+
+    @pytest.mark.parametrize("p, q", ENDPOINT_PAIRS)
+    def test_endpoint_target_is_a_plane_rotation(self, p, q):
+        assert fr.eschenburg_free(p, q)
+        g = de.find_balanced_point(p, q, tol=1e-10)
+        assert _balance_defect(p, q, g) <= 1e-10
+        # the identity outside rows and columns {j, 3} for some j: the
+        # other row and column of the first two are a unit vector
+        e = np.eye(3)
+        assert any(
+            np.abs(g.mat[k] - e[k]).max() < 1e-12
+            and np.abs(g.mat[:, k] - e[k]).max() < 1e-12
+            for k in (0, 1)
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        p=st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+        q12=st.lists(st.integers(-6, 6), min_size=2, max_size=2),
+        q_index=st.sampled_from([0, 1, 2]),
+    )
+    def test_point_returned_iff_target_in_interval(self, p, q12, q_index):
+        # Schur-Horn: the (3,3) entry of g* diag(p) g fills [min p, max p]
+        q3 = sum(p) - sum(q12)
+        q = list(q12)
+        q.insert(q_index, q3)
+        inside = min(p) <= q3 <= max(p)
+        try:
+            g = de.find_balanced_point(p, q, q_index=q_index, tol=1e-10)
+        except de.BalancedPointError:
+            assert not inside
+            return
+        assert inside
+        assert _balance_defect(p, q12 + [q3], g) <= 1e-10
 
     def test_permutation_hook(self):
         # distinguished entry in the first slot instead of the third
@@ -204,6 +257,17 @@ class TestFindBalancedPoint:
         xl, xr = act.u_basis[0]
         y3 = al.torus_element(al.su(3), np.array(de.Y3_COORDS))
         assert abs(al.inner_q(al.adjoint(g.inverse(), xl) - xr, y3)) < 1e-10
+
+
+def _balance_defect(p, q, g):
+    """|Q(Ad_{g^-1} X_L - X_R, Y3)| for the circle p, q (distinguished
+    entry of q last), with mean-free torus coordinates."""
+    fam = al.su(3)
+    pv, qv = np.array(p, dtype=float), np.array(q, dtype=float)
+    xl = al.torus_element(fam, pv - pv.mean())
+    xr = al.torus_element(fam, qv - qv.mean())
+    y3 = al.torus_element(fam, np.array(de.Y3_COORDS))
+    return abs(al.inner_q(al.adjoint(g.inverse(), xl) - xr, y3))
 
 
 def _circle_action(name):
@@ -262,11 +326,16 @@ class TestNumericFlatSearch:
         act = bi.gromoll_meyer_action()
         P = me.build_metric(act.dec())
         g = al.identity(al.sp(2))
-        small, full = {}, {}
-        # 100 descent evaluations over 4 starts: a share of 25, no descent
+        none, small, full = {}, {}, {}
+        # 40 descent evaluations: less than one start's share, no descent
+        de.numeric_flat_search(act, g, P, budget=80, diagnostics=none)
+        assert none == {"planes_sampled": 40, "descent_starts": 0,
+                        "alternation_steps": 0, "polish_evaluations": 0}
+        # 100 descent evaluations afford 2 of the 4 starts
         de.numeric_flat_search(act, g, P, budget=200, diagnostics=small)
-        assert small == {"planes_sampled": 100, "descent_starts": 0,
-                         "alternation_steps": 0, "polish_evaluations": 0}
+        assert small["planes_sampled"] == 100
+        assert small["descent_starts"] == 2
+        assert 0 < small["polish_evaluations"] <= 100 - small["alternation_steps"]
         de.numeric_flat_search(act, g, P, budget=2000, local_restarts=3,
                                diagnostics=full)
         assert full["planes_sampled"] == 1000
@@ -332,8 +401,8 @@ class TestNumericFlatSearch:
 
     @pytest.mark.parametrize("chunk", [7, 256])
     def test_random_phase_matches_sequential_matrix_loop(self, chunk, monkeypatch):
-        # a budget of 2n planes with n < 125 leaves the descent too few
-        # evaluations to start, so the search returns its best sample
+        # a budget of 2n planes with n < MIN_DESCENT_SHARE leaves the descent
+        # too few evaluations to start, so the search returns its best sample
         monkeypatch.setattr(de, "SEARCH_CHUNK", chunk)
         rng = np.random.default_rng(5)
         act = bi.gromoll_meyer_action()
@@ -347,7 +416,7 @@ class TestNumericFlatSearch:
 
         stream = np.random.default_rng(9)
         best_val, best_plane = np.inf, None
-        for _ in range(100):
+        for _ in range(45):
             theta = stream.standard_normal(2 * h)
             c1 = hor.coords.T @ theta[:h]
             c1 = c1 / np.sqrt(c1 @ pm @ c1)
@@ -358,7 +427,7 @@ class TestNumericFlatSearch:
             if v < best_val:
                 best_val, best_plane = v, (c1, c2)
 
-        rep = de.numeric_flat_search(act, g, P, budget=200,
+        rep = de.numeric_flat_search(act, g, P, budget=90,
                                      rng=np.random.default_rng(9))
         assert np.abs(dec.to_coords(rep.x) - best_plane[0]).max() < 1e-10
         assert np.abs(dec.to_coords(rep.y) - best_plane[1]).max() < 1e-10
@@ -382,3 +451,117 @@ class TestFixturesSmall:
     def test_example4_small(self):
         r = de.run_example4(seed=11, ns=(2,), n_points=3, n_metrics=2)
         assert r["passed"]
+
+
+_MATRIX_REFERENCE = {"check_N1": matrix_check_N1, "check_N2": matrix_check_N2,
+                     "check_N3": matrix_check_N3}
+
+
+def _outcome(fn, args, kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except de.HypothesisError as exc:
+        return exc
+
+
+def _assert_same_certificate(expected, got):
+    """Same verdict, criterion and X, Y to 1e-12 (N3's X up to sign: it
+    is a null vector of an SVD)."""
+    if isinstance(expected, Exception) or expected is None:
+        assert type(got) is type(expected)
+        return
+    assert got is not None and got.criterion == expected.criterion
+    for a, b in ((expected.x, got.x), (expected.y, got.y)):
+        dist = np.abs(a.mat - b.mat).max()
+        if got.criterion == "N3":
+            dist = min(dist, np.abs(a.mat + b.mat).max())
+        assert dist < 1e-12
+    assert got.max_residual() < de.RESIDUAL_TOL
+
+
+class TestCriteriaMatchMatrixReference:
+    """The coordinate-native criteria against the matrix-bracket forms
+    (tests/oracles.py) on the inputs the fixtures draw."""
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("example1", dict(n_weights=2, n_metrics=2, n_points=3)),
+        ("example2", dict(n_cases=4)),
+        ("example3", dict(n_metrics=3, budget=800)),
+        ("example4", dict(ns=(2, 3), n_points=3, n_metrics=2)),
+    ])
+    def test_fixture_inputs(self, name, kwargs, monkeypatch):
+        compared = []
+
+        def twin(crit):
+            new, ref = getattr(de, crit), _MATRIX_REFERENCE[crit]
+
+            def run(*args, **kw):
+                ref_kw = dict(kw)
+                if kw.get("rng") is not None:
+                    ref_kw["rng"] = copy.deepcopy(kw["rng"])
+                expected = _outcome(ref, args, ref_kw)
+                got = _outcome(new, args, kw)
+                _assert_same_certificate(expected, got)
+                compared.append(crit)
+                if isinstance(got, Exception):
+                    raise got
+                return got
+            return run
+
+        for crit in _MATRIX_REFERENCE:
+            monkeypatch.setattr(de, crit, twin(crit))
+        assert de.FIXTURES[name](seed=11, **kwargs)["passed"]
+        assert compared
+
+    def test_explicit_candidates(self, rng):
+        act = bi.gromoll_meyer_action()
+        dec = act.dec()
+        w1, w2, _ = de.gromoll_meyer_blocks(dec)
+        g = al.GroupElement(act.group, al.quaternion_block(
+            np.array([[1, 1j], [1j, 1]]) / np.sqrt(2), np.zeros((2, 2))))
+        for _ in range(5):
+            P = de.random_gromoll_meyer_metric(dec, rng)
+            cands = [al.random_algebra_element(act.group, rng) for _ in range(3)]
+            cands.append(al.zero(act.group))  # dropped: no horizontal part in W2
+            args = (P, w1, w2, act, g)
+            expected = matrix_check_N2(*args, candidates=cands)
+            assert expected is not None
+            _assert_same_certificate(expected, de.check_N2(*args, candidates=cands))
+
+    def test_positive_flag_no_certificate(self, rng):
+        p, q = (1, 2, 3), (0, 0, 6)
+        fam = al.su(3)
+        dec = al.root_decomposition(fam)
+        act = de.eschenburg_action(p, q)
+        t_sub = al.cartan_subspace(dec)
+        for _ in range(10):
+            P = de.random_torus_invariant_metric(dec, rng)
+            g = al.random_group_element(fam, rng)
+            for i in range(3):
+                args = (P, t_sub, al.root_subspace(dec, i), act, g)
+                expected = _outcome(matrix_check_N3, args, {})
+                assert expected is None
+                _assert_same_certificate(expected, _outcome(de.check_N3, args, {}))
+
+    def test_hypothesis_failures(self, rng):
+        fam = al.su(3)
+        dec = al.root_decomposition(fam)
+        act = bi.trivial_action(fam)
+        g = al.identity(fam)
+        P = me.build_metric(dec, alphas=[1.0, 2.0, 3.0])
+        root0 = al.root_subspace(dec, 0)
+        mixed = al.Subspace.from_elements(dec, [dec.roots[0].x + dec.roots[1].x])
+        cases = [
+            ("check_N1", (P, root0, act, g), {}),
+            ("check_N2", (P, root0, root0, act, g), {"rng": rng}),
+            ("check_N3", (P, al.cartan_subspace(dec), mixed, act, g), {}),
+        ]
+        for crit, args, kwargs in cases:
+            ref_kwargs = {k: copy.deepcopy(v) for k, v in kwargs.items()}
+            ref_diag, diag = {}, {}
+            if crit != "check_N3":
+                ref_kwargs["diagnostics"], kwargs["diagnostics"] = ref_diag, diag
+            expected = _outcome(_MATRIX_REFERENCE[crit], args, ref_kwargs)
+            got = _outcome(getattr(de, crit), args, kwargs)
+            _assert_same_certificate(expected, got)
+            assert ref_diag.keys() == diag.keys()
