@@ -32,7 +32,7 @@ from .biquotient import from_torus_weights
 from .freeness import TorusActionWeights, is_free_bruteforce, is_free_exact
 from .metric import build_metric
 
-SCHEMA_VERSION = "6"
+SCHEMA_VERSION = "7"
 
 
 @dataclass(frozen=True)

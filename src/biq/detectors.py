@@ -868,31 +868,41 @@ def run_example3(seed=0, n_metrics=20, budget=10_000, min_positive=0.01,
     }
 
 
+def _reference_in_slice(refs, rows, functional=None):
+    """The unit projection onto span(rows), rows orthonormal, of the first
+    reference row whose projection is not ~0, or None; with `functional`
+    (on the coefficients over the rows) onto its kernel only.  Unlike the
+    basis an SVD picks, it depends on the span alone."""
+    for ref in refs:
+        c = rows @ ref
+        if functional is not None and np.linalg.norm(functional) > 1e-12:
+            c = c - functional * (functional @ c) / (functional @ functional)
+        if np.linalg.norm(c) > 1e-8:
+            return c @ rows / np.linalg.norm(c)
+    return None
+
+
 def example4_abelian_pair(n, P, act, g):
     """Horizontal commuting pair (X in the first column block, Y in the
     second) for the flow quotient at g, or None.
 
     [v(x), w(y)] is the corner generator scaled by the dot product of the
-    column vectors, so the pair commutes iff those are orthogonal; the
-    orthogonality constraint is solved inside the horizontal slice of the
-    second block, which keeps Y horizontal."""
+    column vectors, so the pair commutes iff those are orthogonal.  X and Y
+    project fixed basis vectors of the blocks onto the horizontal slices
+    (Y within that constraint), so they do not depend on the slice bases."""
     dec = P.dec
     frame = PointFrame.at(act, g, P)
     _, sub_v, sub_w, _ = unit_tangent_blocks(n, dec)
     slc_v = _metric_normal_slice(sub_v, frame)
     slc_w = _metric_normal_slice(sub_w, frame)
-    if slc_v.shape[0] < 1 or slc_w.shape[0] < 1:
+    x = _reference_in_slice(sub_v.coords, slc_v)
+    if x is None:
         return None
-    # the column vectors of the slice rows: x-columns times w-columns
-    # gives every dot product at once
-    xcols = dec.matrices(slc_v)[:, : 2 * n - 1, 2 * n - 1].real
-    wcols = dec.matrices(slc_w)[:, : 2 * n - 1, 2 * n].real
-    for cx, dots in zip(slc_v, xcols @ wcols.T):
-        null = scipy.linalg.null_space(dots[None, :])
-        if null.shape[1] == 0:
-            continue
-        return dec.from_coords(cx), dec.from_coords(slc_w.T @ null[:, 0])
-    return None
+    # the dot products of X's column with the columns of the w-slice rows
+    mats = dec.matrices(np.vstack([x, slc_w]))
+    dots = mats[1:, : 2 * n - 1, 2 * n].real @ mats[0, : 2 * n - 1, 2 * n - 1].real
+    y = _reference_in_slice(sub_w.coords, slc_w, dots)
+    return None if y is None else (dec.from_coords(x), dec.from_coords(y))
 
 
 def run_example4(seed=0, ns=(2, 3), n_points=50, n_metrics=5, flat_tol=1e-8):

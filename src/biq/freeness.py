@@ -15,9 +15,18 @@ The symmetries are walked depth first, one row of D_sigma at a time, in
 the order of conjugacy_symmetries.  Each row prefix keeps an echelon basis
 of the lattice its rows span (one extended-gcd insertion per row, shared
 by every symmetry with that prefix); a prefix whose rows already span Z^k
-is pruned with all its completions.  Only a symmetry that survives to a
-leaf gets a Smith form, one, which gives the invariant factors and the
-kernel generators that the mod-center rule below inspects.
+is pruned with all its completions.  A prefix whose state (used right
+rows, sign parity on SO(2n), Hermite form of the basis) an earlier prefix
+already had is skipped, as in the dynamic program over subsets of Held
+and Karp (J. SIAM 10, 1962).  This is exact: the completions, whether they
+prune and the row lattice Lambda of every leaf, depend on the state alone,
+and states are reached in (perm, signs) order, so a skipped symmetry has
+an earlier one with the same Lambda.  A leaf's verdict depends on Lambda
+alone: its kernel is Lambda*/Z^k, strict mode fails iff Lambda != Z^k,
+and the central pairs form a subgroup, which any generating set of the
+kernel tests.  So the first failing symmetry, and its witness, never move.
+Only a symmetry that survives to a new leaf lattice gets a Smith form,
+one, for the invariant factors and the kernel generators alike.
 
 "free modulo the center" additionally accepts kernel elements t whose
 images satisfy u_L(t) = u_R(t) = a central scalar of G.  All arithmetic is
@@ -46,7 +55,8 @@ from itertools import combinations, permutations, product
 from math import factorial, gcd, prod
 
 from .algebra import AlgebraError, GroupFamily
-from .intlattice import echelon_insert, echelon_spans_all, invariant_factors, smith_kernel
+from .intlattice import (echelon_hermite, echelon_insert, echelon_spans_all,
+                         invariant_factors, smith_kernel)
 
 STRICT = "strict"
 MOD_CENTER = "mod-center"
@@ -232,73 +242,83 @@ class _Replay:
             i += 1
 
     def empty(self) -> bool:
-        if self._items:
-            return False
-        item = next(self._source, None)
-        if item is None:
-            return True
-        self._items.append(item)
-        return False
+        return next(iter(self), None) is None
 
 
-def _unpruned_symmetries(w: TorusActionWeights, stats: dict):
-    """Depth-first walk over the rows of D_sigma = W_L - sigma . W_R, whose
-    row i is W_L[i] - s_i W_R[perm[i]].
+class _Walk:
+    """One _unpruned_symmetries walk.  Its state lives on an instance, not
+    in a recursive closure, whose cycle would outlive every call."""
 
-    Yields (perm, signs, D_sigma) for every symmetry whose rows do not span
-    Z^k, in conjugacy_symmetries order.  A node is a permutation prefix
-    with the live sign prefixes under it, each with the echelon basis of
-    the rows assigned so far; a sign prefix whose rows already span Z^k is
-    pruned, since every completion then has all invariant factors 1, and a
-    permutation prefix with no live sign prefix is skipped whole.  Sign
-    prefixes are extended lazily and in lexicographic order (+1 first),
-    and replayed for every permutation sharing the prefix, so reaching the
-    first symmetry costs one insertion per row.  On SO(2n) the last sign
-    is fixed by the parity of the others, so only the even-signed
-    symmetries of the Weyl group are walked (see the module docstring).
-    Sets stats["symmetries"] to |W| and counts in stats["leaves_examined"]
-    the symmetries whose every row was inserted.
-    """
-    rows, k = w.n_rows, w.k
-    choices = (1,) if w.group.name in ("SU", "U") else (1, -1)
-    so_even = w.group.kind == "SO-even"
-    stats["symmetries"] = factorial(rows) * len(choices) ** (rows - so_even)
-    w_left, w_right = w.w_left, w.w_right
-    # row_of[j, p, s] is row j of D_sigma for perm[j] = p and s_j = s; built
-    # on first demand, so an early exit builds only the rows it inserts
-    row_of = {}
+    def __init__(self, w: TorusActionWeights, stats: dict, leaves: bool):
+        self.w, self.stats, self.rows, self.leaves = w, stats, w.n_rows, leaves
+        self.choices = (1,) if w.group.name in ("SU", "U") else (1, -1)
+        self.so_even = w.group.kind == "SO-even"
+        stats["symmetries"] = factorial(self.rows) * len(self.choices) ** (
+            self.rows - self.so_even)
+        # row_of[j, p, s]: row j of D_sigma for perm[j] = p, s_j = s; seen: state keys
+        self.row_of, self.seen = {}, set()
 
-    def extend(live, j, p):
-        last = j + 1 == rows
+    def extend(self, live, j, p, mask):
+        stats, so_even, row_of, seen = self.stats, self.so_even, self.row_of, self.seen
+        last = j + 1 == self.rows
+        # key where a skip saves work: >= 2 rows left (on SU/U a one-row
+        # mask is reached once), or a leaf if asked (a Smith form)
+        keyed = self.leaves if last else (j > 0 or self.choices != (1,)) and j + 3 <= self.rows
         for prefix, basis in live:
-            for s in (prod(prefix),) if so_even and last else choices:
+            for s in (prod(prefix),) if so_even and last else self.choices:
                 row = row_of.get((j, p, s))
                 if row is None:
                     row = row_of[j, p, s] = tuple(
-                        [x - s * y for x, y in zip(w_left[j], w_right[p])])
+                        [x - s * y for x, y in zip(self.w.w_left[j], self.w.w_right[p])])
                 child = echelon_insert(basis, row)
                 if last:
                     stats["leaves_examined"] += 1
-                if not echelon_spans_all(child):
-                    yield prefix + (s,), child
+                if echelon_spans_all(child):
+                    continue
+                if keyed:
+                    child = echelon_hermite(child)
+                    size = len(seen)
+                    seen.add((mask, so_even and s * prod(prefix), child))
+                    if len(seen) == size:
+                        stats["merged"] += 1
+                        continue
+                yield prefix + (s,), child
 
-    def walk(perm, live):
+    def walk(self, perm, mask, live):
         j = len(perm)
-        if j == rows:
+        if j == self.rows:
             for signs, _ in live:
-                yield perm, signs, [
-                    [x - s * y for x, y in zip(w_left[i], w_right[perm[i]])]
-                    for i, s in enumerate(signs)
-                ]
+                yield perm, signs, [list(self.row_of[i, p, s])
+                                    for i, (p, s) in enumerate(zip(perm, signs))]
             return
-        for p in range(rows):
-            if p in perm:
-                continue
-            child = _Replay(extend(live, j, p))
-            if not child.empty():
-                yield from walk(perm + (p,), child)
+        for p in range(self.rows):
+            if not mask >> p & 1:
+                child = _Replay(self.extend(live, j, p, mask | 1 << p))
+                if not child.empty():
+                    yield from self.walk(perm + (p,), mask | 1 << p, child)
 
-    yield from walk((), [((), (None,) * k)])
+
+def _unpruned_symmetries(w: TorusActionWeights, stats: dict, merge_leaves: bool):
+    """Depth-first walk over the rows of D_sigma = W_L - sigma . W_R, whose
+    row i is W_L[i] - s_i W_R[perm[i]].
+
+    Yields (perm, signs, D_sigma), in conjugacy_symmetries order, for the
+    symmetries whose rows do not span Z^k, except those under a prefix
+    state equal to an earlier one: they repeat that state's leaf lattices
+    at later symmetries, so the first failing symmetry is never skipped
+    (see the module docstring).  A node is a permutation prefix with the
+    live sign prefixes under it, each with the echelon basis of its rows;
+    a sign prefix whose rows span Z^k is pruned, and so is a permutation
+    prefix with no live sign prefix.  Sign prefixes are extended lazily in
+    lexicographic order (+1 first) and replayed for every permutation
+    sharing the prefix, so the first symmetry costs one insertion per row.
+    On SO(2n) the last sign is fixed by the parity of the others.
+    Leaf states are keyed only with merge_leaves (mod-center mode, where a
+    passing leaf lattice can recur).  Sets stats["symmetries"] to |W| and
+    counts in stats["leaves_examined"] the symmetries whose every row was
+    inserted, in stats["merged"] the prefix states skipped.
+    """
+    return _Walk(w, stats, merge_leaves).walk((), 0, [((), (None,) * w.k)])
 
 
 def is_free_exact(w: TorusActionWeights, mode: str | None = None) -> FreenessVerdict:
@@ -307,20 +327,18 @@ def is_free_exact(w: TorusActionWeights, mode: str | None = None) -> FreenessVer
     strict mode demands a trivial kernel for every symmetry image (all
     Smith invariant factors equal to 1); mod-center mode accepts kernels
     acting by central scalars.  All factors are 1 exactly when the rows of
-    D_sigma span Z^k, which the pruned walk of _unpruned_symmetries decides
-    with one echelon insertion per row prefix; a symmetry that survives it
-    gets one Smith form, which gives both the invariant factors and the
-    kernel generators.  The reported witness belongs to the first failing
-    symmetry in the iteration order; on SO(2n) the walk visits the
-    even-signed symmetries only, since an odd-signed one adds no violation
-    (see the module docstring).
-    The verdict's stats count the symmetries (|W|), the leaves examined and
-    the Smith forms.
+    D_sigma span Z^k, which the walk of _unpruned_symmetries decides with
+    echelon insertions; a symmetry that survives it with a new leaf lattice
+    gets one Smith form, for both the invariant factors and the kernel
+    generators.  The reported witness belongs to the first failing
+    symmetry in the iteration order, an even-signed one on SO(2n) (see the
+    module docstring).  The verdict's stats count the symmetries (|W|), the
+    leaves examined, the Smith forms and the prefix states merged.
     """
     mode = _normalize_mode(mode or w.mode)
-    stats = {"symmetries": 0, "leaves_examined": 0, "smith_forms": 0}
+    stats = {"symmetries": 0, "leaves_examined": 0, "smith_forms": 0, "merged": 0}
 
-    for perm, signs, d_matrix in _unpruned_symmetries(w, stats):
+    for perm, signs, d_matrix in _unpruned_symmetries(w, stats, mode == MOD_CENTER):
         stats["smith_forms"] += 1
         factors, torsion, circles = smith_kernel(d_matrix)
         offender = None

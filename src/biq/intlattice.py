@@ -269,6 +269,18 @@ def echelon_insert(basis, row):
     return tuple(basis)
 
 
+def echelon_hermite(basis):
+    """Hermite form of an echelon_insert basis: every entry above a pivot
+    reduced into [0, pivot).  It is unique per lattice, and without its
+    None slots it equals hnf_columns of the rows."""
+    rows = list(basis)
+    for c, p in enumerate(rows):
+        for i, r in enumerate(rows[:c] if p else ()):
+            if r is not None and not 0 <= r[c] < p[c]:
+                rows[i] = tuple([a - r[c] // p[c] * b for a, b in zip(r, p)])
+    return tuple(rows)
+
+
 def echelon_spans_all(basis) -> bool:
     """Do the rows of an echelon_insert basis span all of Z^k?  Exactly
     when every column has a pivot and every pivot is 1: the basis is

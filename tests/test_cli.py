@@ -51,8 +51,9 @@ class TestFree:
         assert cli.main(["free", thm2_file, "-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         report = json.loads(out1.read_text())
-        assert report["config"]["schema_version"] == "6"
-        assert report["stats"] == {"symmetries": 6, "leaves_examined": 0, "smith_forms": 0}
+        assert report["config"]["schema_version"] == "7"
+        assert report["stats"] == {"symmetries": 6, "leaves_examined": 0, "smith_forms": 0,
+                                   "merged": 0}
 
     def test_nonfree_action_exits_one_with_witness(self, nonfree_file, tmp_path):
         out = tmp_path / "report.json"
@@ -108,7 +109,7 @@ class TestScan:
         assert len(report["points"]) == 2
         # a flat plane exists at every point of any circle quotient here
         assert report["flat_planes_found"] == 2
-        assert report["config"]["schema_version"] == "6"
+        assert report["config"]["schema_version"] == "7"
         for row in report["points"]:
             assert row["flat_certificate"] == "N2"
             assert row["flat_certificate_abs_sec"] < 1e-8

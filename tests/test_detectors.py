@@ -78,6 +78,25 @@ class TestCheckN1:
                 assert cert is not None
                 assert_certificate_flat(act, g, P, cert)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_flow_pair_ignores_last_digit_changes_of_the_point(self, n):
+        # the horizontal slices have dimension > 1, so a pair read off their
+        # SVD bases would move with roundoff; the plane must not
+        rng = np.random.default_rng(0)
+        act = bi.unit_tangent_flow_action(n)
+        dec = al.root_decomposition(act.group)
+
+        def plane(g):
+            rows = np.array([dec.to_coords(v) for v in de.example4_abelian_pair(n, P, act, g)])
+            q, _ = np.linalg.qr(rows.T)
+            return q @ q.T
+
+        P = de.random_unit_tangent_metric(n, dec, rng)
+        for _ in range(8):
+            g = al.random_group_element(act.group, rng)
+            nudged = g.mat * (1 + 4e-16 * rng.standard_normal(g.mat.shape))
+            assert np.abs(plane(al.GroupElement(act.group, nudged)) - plane(g)).max() < 1e-10
+
 
 class TestCheckN2:
     def test_sp2_circle_long_roots(self, rng):

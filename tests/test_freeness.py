@@ -1,3 +1,4 @@
+import gc
 import itertools
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from biq import algebra as al
 from biq import catalog as ca
 from biq import freeness as fr
 from biq.intlattice import (
+    echelon_hermite,
     echelon_insert,
     echelon_spans_all,
     hnf_columns,
@@ -166,6 +168,31 @@ def test_smith_form_identities(mat):
 
 
 @_PROPERTY
+@given(mat=_int_matrices(max_rows=7), data=st.data())
+def test_hermite_key_is_a_lattice_invariant(mat, data):
+    # the same for every insertion order and every unimodular recombination
+    # of the rows, and equal to hnf_columns' basis
+    def key(rows):
+        basis = (None,) * len(mat[0])
+        for row in rows:
+            basis = echelon_insert(basis, row)
+        return echelon_hermite(basis)
+
+    reference = key(mat)
+    assert tuple(r for r in reference if r is not None) == hnf_columns(mat)
+    assert key(data.draw(st.permutations(mat))) == reference
+    rows = [list(r) for r in mat]
+    for _ in range(data.draw(st.integers(0, 6))):
+        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.integers(-3, 3))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    assert key(rows) == reference
+
+
+@_PROPERTY
 @given(mat=_int_matrices(max_rows=7))
 def test_echelon_rows_span_the_lattice_of_the_matrix(mat):
     basis = (None,) * len(mat[0])
@@ -280,9 +307,10 @@ def test_verdict_invariant_under_side_swap(w):
     ca.su_tori(4, 2, 1).weights,
 ], ids=["sp3-even-circle", "so8-2-torus", "spin6-extra", "su4-normal-form"])
 def test_walk_replays_signs_in_symmetry_order(w):
-    """The walk yields exactly the symmetries whose D_sigma has a factor
-    other than 1, in conjugacy_symmetries order, with their D_sigma; on
-    SO(2n) only the even-signed ones."""
+    """The walk yields a subsequence, in conjugacy_symmetries order, of the
+    symmetries whose D_sigma has a factor other than 1, with their D_sigma
+    (on SO(2n) only the even-signed ones): the first of them, and one for
+    every leaf lattice among them."""
     expected = []
     for perm, signs in fr.conjugacy_symmetries(w.group, w.n_rows):
         if w.group.kind == "SO-even" and np.prod(signs) < 0:
@@ -291,7 +319,13 @@ def test_walk_replays_signs_in_symmetry_order(w):
              for i, s in enumerate(signs)]
         if any(f != 1 for f in invariant_factors(d, count=w.k)):
             expected.append((perm, signs, d))
-    assert list(fr._unpruned_symmetries(w, {"leaves_examined": 0})) == expected
+    stats = {"leaves_examined": 0, "merged": 0}
+    walked = list(fr._unpruned_symmetries(w, stats, True))
+    rest = iter(expected)
+    assert all(leaf in rest for leaf in walked)  # an ordered subsequence
+    assert walked[:1] == expected[:1]
+    assert {hnf_columns(d) for *_, d in walked} == {hnf_columns(d) for *_, d in expected}
+    assert stats["merged"] > 0
 
 
 class TestIsFreeExact:
@@ -350,13 +384,35 @@ class TestIsFreeExact:
     def test_early_exit_takes_one_leaf_and_one_smith_form(self):
         v = fr.is_free_exact(circle(al.su(3), (1, 1, 1), (1, 1, 1)))
         assert not v.free
-        assert v.stats == {"symmetries": 6, "leaves_examined": 1, "smith_forms": 1}
+        assert v.stats == {"symmetries": 6, "leaves_examined": 1, "smith_forms": 1,
+                           "merged": 0}
 
     def test_so_even_walk_builds_no_odd_signed_leaf(self):
         # SO(6): 3! * 2^2 even-signed symmetries; every row of this torus
-        # survives, so each of them is a leaf with one Smith form
+        # survives, so each of them is a leaf, but all 24 leaves span one
+        # lattice: one Smith form, 23 leaves merged
         v = fr.is_free_exact(ca.spin6_extra().weights, "mod-center")
-        assert v.stats == {"symmetries": 24, "leaves_examined": 24, "smith_forms": 24}
+        assert v.stats == {"symmetries": 24, "leaves_examined": 24, "smith_forms": 1,
+                           "merged": 23}
+
+    def test_equal_prefix_states_are_walked_once(self):
+        sp5 = fr.is_free_exact(ca.sp_tori(5, 1).weights)
+        assert sp5.free and sp5.stats["leaves_examined"] < 1000  # of 3 840
+        su7 = fr.is_free_exact(ca.su_tori(7, 1, 1).weights)
+        assert su7.free and su7.stats["merged"] > 0
+
+    @pytest.mark.parametrize("w", [
+        ca.su_tori(7, 1, 1).weights,
+        circle(al.su(3), (1, 1, 1), (1, 1, 1)),
+    ], ids=["su7-normal-form", "su3-equal-circle"])
+    def test_verdict_leaves_no_cyclic_garbage(self, w):
+        gc.collect()
+        gc.disable()
+        try:
+            fr.is_free_exact(w)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_mod_center_accepts_central_kernel(self):
         # a doubled one-sided circle: the parametrization half turn acts
@@ -415,6 +471,26 @@ class TestIsFreeExact:
                 count += 1
                 if fr.is_free_exact(w).free:
                     assert fr.is_free_bruteforce(w, 12).free, (fam, wl, wr)
+
+
+def _catalog_normal_forms():
+    """Every catalog normal form through SU(6), Sp(4) and SO(8), and the
+    extra Spin(6) torus: free modulo the center, with zero rows, so many
+    prefix states of their walks are equal."""
+    forms = [ca.su_tori(n, l, v).weights
+             for n in range(3, 7) for l in range(1, n // 2 + 1) for v in (1, 2)]
+    forms += [ca.sp_tori(n, v).weights for n in range(2, 5) for v in (1, 2)]
+    forms += [ca.p_torus_weights(n, v, al.so(2 * n)) for n in range(3, 5) for v in (1, 2)]
+    return forms + [ca.spin6_extra().weights]
+
+
+@pytest.mark.parametrize("mode", [fr.STRICT, fr.MOD_CENTER])
+def test_merged_walk_equals_leafwise_reference_on_normal_forms(mode):
+    # plus an SO(6) circle whose row-0 prefixes (0, +1) and (0, -1) span one
+    # lattice, with opposite sign parities: their completions differ
+    so6 = circle(al.so(6), (0, 1, 1), (0, 1, 2))
+    for w in _catalog_normal_forms() + [so6]:
+        assert fr.is_free_exact(w, mode) == leafwise_is_free_exact(w, mode), (w, mode)
 
 
 class TestRankScaling:
