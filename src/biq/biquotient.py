@@ -386,7 +386,6 @@ def quotient_sectional(
     a: AlgebraElement,
     b: AlgebraElement,
     frame: PointFrame | None = None,
-    certificate: str = "none",
 ) -> PlaneReport:
     """Quotient sectional curvature of the horizontal plane span{a, b} at g.
 
@@ -420,5 +419,5 @@ def quotient_sectional(
     sec_g, oneill = float(sec_g[0]), float(oneill[0])
     return PlaneReport(
         point=g, x=dec.from_coords(cx), y=dec.from_coords(cy), sec_g=sec_g,
-        oneill_term=oneill, sec_quotient=sec_g + oneill, certificate=certificate,
+        oneill_term=oneill, sec_quotient=sec_g + oneill,
     )

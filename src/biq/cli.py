@@ -331,10 +331,13 @@ def _config(args) -> RunConfig:
     )
 
 
-def _add_common(p, budgets=False):
+def _add_common(p, budgets=False, rows=True):
+    """Options every subcommand takes; csv and jsonl are offered only to
+    the subcommands whose report has rows to write."""
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", default=None)
-    p.add_argument("--format", choices=("json", "csv", "jsonl"), default="json")
+    p.add_argument("--format", choices=("json", "csv", "jsonl") if rows else ("json",),
+                   default="json")
     if budgets:
         p.add_argument("--points", type=int, default=5)
         p.add_argument("--planes", type=int, default=2000)
@@ -355,7 +358,7 @@ def build_parser():
                    help="freeness notion (default: the file's mode)")
     p.add_argument("--oracle", type=int, default=0, metavar="MAX_ORDER",
                    help="cross-check with the brute-force falsifier")
-    _add_common(p)
+    _add_common(p, rows=False)
     p.set_defaults(func=cmd_free)
 
     p = sub.add_parser("scan", help="curvature scan over points and planes")
@@ -366,7 +369,7 @@ def build_parser():
 
     p = sub.add_parser("fixtures", help="run a worked-example fixture")
     p.add_argument("name", help="example1 | example2 | example3 | example4")
-    _add_common(p)
+    _add_common(p, rows=False)
     p.set_defaults(func=cmd_fixtures)
 
     p = sub.add_parser("catalog", help="enumerations and table verification")

@@ -55,8 +55,7 @@ from itertools import combinations, permutations, product
 from math import factorial, gcd, prod
 
 from .algebra import AlgebraError, GroupFamily
-from .intlattice import (echelon_hermite, echelon_insert, echelon_spans_all,
-                         invariant_factors, smith_kernel)
+from .intlattice import echelon_hermite, echelon_insert, echelon_spans_all, smith_kernel
 
 STRICT = "strict"
 MOD_CENTER = "mod-center"
@@ -104,10 +103,12 @@ class TorusActionWeights:
                         "SU weights need equal column sums (equal determinants); "
                         f"column {j} has {sl} vs {sr}"
                     )
-        stacked = [list(a) + list(b) for a, b in zip(_cols(self.w_left), _cols(self.w_right))]
-        # stacked is k x 2n; the k columns of (W_L; W_R) must be independent
-        d = invariant_factors([list(c) for c in zip(*stacked)], count=self.k)
-        if sum(1 for x in d if x != 0) < self.k:
+        # the k columns of (W_L; W_R) are independent iff its rows span a
+        # rank-k lattice, i.e. their echelon basis fills every slot
+        basis = (None,) * self.k
+        for row in self.w_left + self.w_right:
+            basis = echelon_insert(basis, row)
+        if None in basis:
             raise AlgebraError("weight columns do not define a k-torus")
 
     @property
@@ -124,10 +125,6 @@ class TorusActionWeights:
 
 def _as_int_rows(w):
     return tuple(tuple(int(x) for x in row) for row in w)
-
-
-def _cols(rows):
-    return list(zip(*rows)) if rows else []
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ floats.  Matrices are lists of lists, row-major.  These routines back the
 freeness checker (kernel structure of character maps, and the echelon row
 insertions that decide whether rows span Z^k) and the catalog's
 lattice-equivalence tests, where floating point cannot certify gcd = 1.
+Every Hermite form and integer rank comes from one kernel, echelon_insert
+(an extended-gcd row insertion) followed by echelon_hermite; the Smith
+form is kept for invariant factors, kernels and saturation.
 """
 
 from __future__ import annotations
@@ -182,40 +185,14 @@ def hnf_columns(vectors):
     pivots in increasing pivot rows, zeros to the right of each pivot,
     and earlier columns reduced modulo the pivot in each pivot row.
     Two generator sets span the same lattice iff their forms are equal.
+    It is the echelon_hermite form of the vectors inserted one by one,
+    read without its empty slots.
     """
-    cols = [list(v) for v in vectors if any(v)]
-    if not cols:
-        return ()
-    m = len(cols[0])
-    basis = []
-    for r in range(m):
-        if not cols:
-            break
-        # clear row r across the active columns down to a single pivot
-        while True:
-            nz = [j for j, c in enumerate(cols) if c[r] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda j: abs(cols[j][r]))
-            j0 = nz[0]
-            for j in nz[1:]:
-                q = cols[j][r] // cols[j0][r]
-                cols[j] = [x - q * y for x, y in zip(cols[j], cols[j0])]
-        nz = [j for j, c in enumerate(cols) if c[r] != 0]
-        if not nz:
-            continue
-        piv = cols.pop(nz[0])
-        if piv[r] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-    # reduce earlier basis columns modulo later pivots
-    for i, col in enumerate(basis):
-        r = next(t for t, x in enumerate(col) if x != 0)
-        for j in range(i):
-            q = basis[j][r] // col[r]
-            if q:
-                basis[j] = [x - q * y for x, y in zip(basis[j], col)]
-    return tuple(tuple(c) for c in basis)
+    basis = ()
+    for v in vectors:
+        v = [int(x) for x in v]
+        basis = echelon_insert(basis or (None,) * len(v), v)
+    return tuple(r for r in echelon_hermite(basis) if r is not None)
 
 
 def saturate_columns(vectors):
@@ -271,8 +248,7 @@ def echelon_insert(basis, row):
 
 def echelon_hermite(basis):
     """Hermite form of an echelon_insert basis: every entry above a pivot
-    reduced into [0, pivot).  It is unique per lattice, and without its
-    None slots it equals hnf_columns of the rows."""
+    reduced into [0, pivot).  It is unique per lattice."""
     rows = list(basis)
     for c, p in enumerate(rows):
         for i, r in enumerate(rows[:c] if p else ()):

@@ -7,8 +7,9 @@ The matrix oracles evaluate the production formulas with matrix-model
 brackets instead of the structure-constant kernel.  The exact oracles are
 the earlier forms of the freeness checker (one full Smith form per
 symmetry, no pruning), of the saturation (the kernel of the kernel), of
-the numeric flat-plane search (random phase plus Nelder-Mead descents) and
-of the flat-plane criteria N1/N2/N3 (matrix brackets per candidate).
+the Hermite form (sort-and-subtract column reduction), of the numeric
+flat-plane search (random phase plus Nelder-Mead descents) and of the
+flat-plane criteria N1/N2/N3 (matrix brackets per candidate).
 """
 
 import math
@@ -302,6 +303,44 @@ def saturate_columns_two_kernels(vectors):
     if not complement:
         return tuple(tuple(1 if i == j else 0 for i in range(m)) for j in range(m))
     return kernel_generators([list(c) for c in complement])[1]
+
+
+def sort_subtract_hnf_columns(vectors):
+    """Column Hermite normal form by the earlier sort-and-subtract loop:
+    row by row, the active columns are reduced by the one of least
+    nonzero magnitude until a single pivot is left; at the end, earlier
+    columns are reduced modulo later pivots."""
+    cols = [[int(x) for x in v] for v in vectors if any(v)]
+    if not cols:
+        return ()
+    m = len(cols[0])
+    basis = []
+    for r in range(m):
+        if not cols:
+            break
+        while True:
+            nz = [j for j, c in enumerate(cols) if c[r] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda j: abs(cols[j][r]))
+            j0 = nz[0]
+            for j in nz[1:]:
+                q = cols[j][r] // cols[j0][r]
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[j0])]
+        nz = [j for j, c in enumerate(cols) if c[r] != 0]
+        if not nz:
+            continue
+        piv = cols.pop(nz[0])
+        if piv[r] < 0:
+            piv = [-x for x in piv]
+        basis.append(piv)
+    for i, col in enumerate(basis):
+        r = next(t for t, x in enumerate(col) if x != 0)
+        for j in range(i):
+            q = basis[j][r] // col[r]
+            if q:
+                basis[j] = [x - q * y for x, y in zip(basis[j], col)]
+    return tuple(tuple(c) for c in basis)
 
 
 def nelder_mead_flat_search(act, g, P, budget=10_000, rng=None, local_restarts=4,

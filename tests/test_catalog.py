@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from biq import algebra as al
 from biq import catalog as ca
 from biq import freeness as fr
+from biq.intlattice import hnf_columns, saturate_columns
 
 
 class TestSuTori:
@@ -254,6 +255,25 @@ class TestScans:
         assert checked == two_tori
         assert set(ca._strict_free_pairs(vecs, fam)) == exact
         assert len(exact) == free
+
+    @pytest.mark.parametrize("fam,bound,free", [
+        (al.su(3), 2, 4608),
+        (al.sp(2), 3, 1160),
+    ])
+    def test_free_pairs_span_saturated_lattices(self, fam, bound, free):
+        # the scan hashes each free pair as it stands, with the scalar
+        # circle on SU, instead of its primitive closure: exact only if
+        # every such lattice is already saturated, of rank 2 (3 on SU)
+        vecs = ca._weight_grid(fam, bound)
+        rows = [tuple(v) for v in vecs.tolist()]
+        scalar = [(1,) * vecs.shape[1]] if fam.name == "SU" else []
+        pairs = ca._strict_free_pairs(vecs, fam)
+        assert len(pairs) == free
+        for i, j in pairs:
+            cols = [rows[i], rows[j], *scalar]
+            hnf = hnf_columns(cols)
+            assert len(hnf) == 2 + len(scalar)
+            assert hnf == hnf_columns(saturate_columns(cols)), (rows[i], rows[j])
 
     @pytest.mark.parametrize("scan,bound", [
         (ca.scan_two_torus_su3, 0),

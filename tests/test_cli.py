@@ -73,6 +73,12 @@ class TestFree:
         assert code == 2
         assert "W_L" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_row_formats_are_usage_errors(self, thm2_file, fmt, capsys):
+        # a verdict has no rows: csv or jsonl would write an empty report
+        assert cli.main(["free", thm2_file, "--format", fmt]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_exits_two(self):
         assert cli.main(["free", "/nonexistent/weights.json"]) == 2
 
@@ -244,6 +250,12 @@ class TestFixtures:
         report = json.loads(out.read_text())
         assert report["passed"] is True
         assert report["summary"]["min_at_identity"] > 0.01
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_row_formats_are_usage_errors(self, fmt, capsys):
+        # a fixture summary has no rows: csv or jsonl would write nothing
+        assert cli.main(["fixtures", "example2", "--format", fmt]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_unknown_fixture_is_usage_error(self):
         assert cli.main(["fixtures", "example9"]) == 2

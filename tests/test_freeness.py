@@ -19,7 +19,12 @@ from biq.intlattice import (
     saturate_columns,
     smith_normal_form,
 )
-from oracles import leafwise_is_free_exact, saturate_columns_two_kernels, witness_conjugate
+from oracles import (
+    leafwise_is_free_exact,
+    saturate_columns_two_kernels,
+    sort_subtract_hnf_columns,
+    witness_conjugate,
+)
 
 
 def circle(fam, p, q, **kw):
@@ -50,9 +55,22 @@ class TestIntLattice:
             if np.linalg.matrix_rank(vecs) < 2:
                 continue
             key = hnf_columns([tuple(v) for v in vecs])
+            assert key == sort_subtract_hnf_columns(vecs)
             u = np.array([[1, 0], [3, 1]])  # unimodular recombination
             mixed = u @ vecs
             assert hnf_columns([tuple(v) for v in mixed]) == key
+
+    @pytest.mark.parametrize("vecs,expected", [
+        ([], ()),
+        ([(0, 0, 0)], ()),
+        ([(0, 0), (0, 0)], ()),
+        ([(2, 4, -6), (2, 4, -6)], ((2, 4, -6),)),
+        ([(0, -3, 1), (0, 0, 0), (0, -3, 1), (1, 1, 1)], ((1, 1, 1), (0, 3, -1))),
+        ([(-2, 0), (0, 0), (4, 1), (-2, 0)], ((2, 0), (0, 1))),
+    ])
+    def test_hnf_of_empty_zero_and_duplicate_generators(self, vecs, expected):
+        assert hnf_columns(vecs) == sort_subtract_hnf_columns(vecs) == expected
+        assert hnf_columns(vecs + vecs) == expected
 
 
 @st.composite
@@ -98,11 +116,13 @@ def test_hnf_invariant_under_change_of_generators(data):
     # is sound only if the HNF sees the lattice, not its generators
     vecs = data.draw(_generators())
     key = hnf_columns(vecs)
+    assert key == sort_subtract_hnf_columns(vecs)
     assert hnf_columns(_apply_steps(vecs, data.draw(_unimodular_steps(len(vecs))))) == key
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(vecs), max_size=len(vecs)))
     combo = tuple(sum(c * v[r] for c, v in zip(coeffs, vecs)) for r in range(len(vecs[0])))
     assert hnf_columns(vecs + [combo]) == key
     assert hnf_columns(vecs + [(0,) * len(vecs[0])]) == key
+    assert hnf_columns(vecs + [vecs[-1]]) == key
 
 
 @_PROPERTY
@@ -171,7 +191,7 @@ def test_smith_form_identities(mat):
 @given(mat=_int_matrices(max_rows=7), data=st.data())
 def test_hermite_key_is_a_lattice_invariant(mat, data):
     # the same for every insertion order and every unimodular recombination
-    # of the rows, and equal to hnf_columns' basis
+    # of the rows, and equal to the sort-and-subtract reference's basis
     def key(rows):
         basis = (None,) * len(mat[0])
         for row in rows:
@@ -179,7 +199,7 @@ def test_hermite_key_is_a_lattice_invariant(mat, data):
         return echelon_hermite(basis)
 
     reference = key(mat)
-    assert tuple(r for r in reference if r is not None) == hnf_columns(mat)
+    assert tuple(r for r in reference if r is not None) == sort_subtract_hnf_columns(mat)
     assert key(data.draw(st.permutations(mat))) == reference
     rows = [list(r) for r in mat]
     for _ in range(data.draw(st.integers(0, 6))):
@@ -198,10 +218,50 @@ def test_echelon_rows_span_the_lattice_of_the_matrix(mat):
     basis = (None,) * len(mat[0])
     for row in mat:
         basis = echelon_insert(basis, row)
-    assert hnf_columns([r for r in basis if r is not None]) == hnf_columns(mat)
+    assert (sort_subtract_hnf_columns([r for r in basis if r is not None])
+            == sort_subtract_hnf_columns(mat))
     unimodular = len(mat) >= len(mat[0]) and all(
         f == 1 for f in invariant_factors(mat, count=len(mat[0])))
     assert echelon_spans_all(basis) == unimodular
+
+
+@st.composite
+def _stacked_weights(draw):
+    """Weights (fam, k, W_L, W_R) with entries in [-2, 2], SU column sums
+    balanced, and in half the draws one column made zero or a multiple of
+    another."""
+    fam = draw(st.sampled_from((al.su(3), al.su(4), al.u(3), al.sp(3), al.so(6),
+                                al.so(7))))
+    rows = fam.rank if fam.name == "SO" else fam.n
+    k = draw(st.integers(1, fam.n if fam.name == "U" else fam.rank))
+    entry = st.integers(-2, 2)
+    wl = [[draw(entry) for _ in range(k)] for _ in range(rows)]
+    wr = [[draw(entry) for _ in range(k)] for _ in range(rows)]
+    if fam.name == "SU":
+        for j in range(k):
+            wr[-1][j] += sum(r[j] for r in wl) - sum(r[j] for r in wr)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        c = 0 if i == j else draw(st.integers(-2, 2))
+        for r in wl + wr:
+            r[j] = c * r[i]
+    return fam, k, wl, wr
+
+
+@_PROPERTY
+@given(w=_stacked_weights())
+def test_weights_rejected_exactly_when_an_invariant_factor_vanishes(w):
+    # the echelon rank check in TorusActionWeights against the Smith form
+    # of the stacked 2n x k matrix (W_L; W_R)
+    fam, k, wl, wr = w
+    dependent = 0 in invariant_factors(wl + wr, count=k)
+    try:
+        fr.TorusActionWeights(fam, k, wl, wr)
+    except al.AlgebraError as exc:
+        assert dependent, exc
+        assert "k-torus" in str(exc)
+    else:
+        assert not dependent
 
 
 #: every family the checker knows, odd and even SO included
