@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import freeness
 from .algebra import (
@@ -283,8 +282,12 @@ class PointFrame:
         dec = self.act.dec()
         if self.vert_coords.size == 0:
             return Subspace(dec, np.eye(dec.dim), label="horizontal")
-        basis = scipy.linalg.null_space(self.vert_coords @ self.P.mat).T
-        return Subspace(dec, basis, label="horizontal")
+        # the null space of the pairings: right singular vectors past the
+        # numerical rank, cut at the largest singular value * max(shape) * eps
+        pairings = self.vert_coords @ self.P.mat
+        _, s, vh = np.linalg.svd(pairings)
+        rank = np.count_nonzero(s > s.max() * max(pairings.shape) * np.finfo(float).eps)
+        return Subspace(dec, vh[rank:], label="horizontal")
 
     def horizontal_residual(self, coords) -> float:
         if self.vert_coords.size == 0:

@@ -23,7 +23,6 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import catalog, detectors
@@ -70,8 +69,9 @@ def _load_json(path, schema_name):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    schema = _load_schema(schema_name)
-    validator = jsonschema.Draft7Validator(schema)
+    import jsonschema  # slow to import, and only input files need it
+
+    validator = jsonschema.Draft7Validator(_load_schema(schema_name))
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         lines = [
@@ -196,13 +196,12 @@ def cmd_scan(args) -> int:
     weights = load_weights(args.action)
     verdict = is_free_exact(weights)
     if not verdict.free:
-        report = {
-            "config": cfg.header(),
-            "command": "scan",
+        refusal = {
             "error": "action is not free; refusing to scan",
             "witness": _witness_dict(verdict.witness),
         }
-        _emit(report, cfg)
+        _emit({"config": cfg.header(), "command": "scan", **refusal}, cfg,
+              csv_rows=[refusal])
         return 1
     act = from_torus_weights(weights)
     dec = root_decomposition(weights.group)

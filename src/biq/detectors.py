@@ -30,8 +30,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from . import freeness
 from .algebra import (
@@ -477,6 +475,8 @@ def _polish(frame, H, a, b, max_evals):
         ]) / area
         return f, grad
 
+    import scipy.optimize  # the only scipy use; kept off the import path
+
     try:
         scipy.optimize.minimize(
             fun, theta0, jac=True, method="L-BFGS-B",
@@ -575,7 +575,7 @@ def numeric_flat_search(
     if n_starts:
         # P-orthonormal rows spanning the horizontal space
         chol = np.linalg.cholesky(hor.coords @ pm @ hor.coords.T)
-        H = scipy.linalg.solve_triangular(chol, hor.coords, lower=True)
+        H = np.linalg.solve(chol, hor.coords)
         a, b = c1[live] @ pm @ H.T, c2[live] @ pm @ H.T
         val = sampled[order][live]
         stats["descent_starts"] = n_starts

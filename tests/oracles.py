@@ -9,12 +9,15 @@ the earlier forms of the freeness checker (one full Smith form per
 symmetry, no pruning), of the saturation (the kernel of the kernel), of
 the Hermite form (sort-and-subtract column reduction), of the numeric
 flat-plane search (random phase plus Nelder-Mead descents) and of the
-flat-plane criteria N1/N2/N3 (matrix brackets per candidate).
+flat-plane criteria N1/N2/N3 (matrix brackets per candidate).  The scipy
+oracles are the earlier forms of the exponential (Pade scaling and
+squaring), of the orthonormal span and of the horizontal null space.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from biq.algebra import GroupElement, Subspace, adjoint, bracket, inner_q
@@ -597,3 +600,20 @@ def matrix_check_N3(
             return FlatCertificate("N3", g, x, y, conds)
     _record(diagnostics, "search", "no pair with [P(X), Y] = 0 found")
     return None
+
+
+def scipy_exp_map(a):
+    """exp(a) by scipy's Pade scaling and squaring."""
+    return scipy.linalg.expm(np.asarray(a.mat))
+
+
+def scipy_span_coords(dec, elements, tol=1e-12):
+    """Orthonormal coordinate rows spanning `elements`, by scipy's orth."""
+    rows = np.asarray([dec.to_coords(e) for e in elements])
+    return scipy.linalg.orth(rows.T, rcond=tol).T
+
+
+def scipy_horizontal_coords(frame):
+    """Coordinate rows spanning the metric-orthogonal complement of the
+    vertical space at a frame, by scipy's null_space."""
+    return scipy.linalg.null_space(frame.vert_coords @ frame.P.mat).T

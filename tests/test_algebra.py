@@ -3,6 +3,7 @@ import pytest
 
 from biq import algebra as al
 from conftest import semisimple_families
+from oracles import scipy_exp_map, scipy_span_coords
 
 
 class TestBracket:
@@ -99,6 +100,17 @@ class TestExpMap:
         for fam in semisimple_families():
             g = al.exp_map(al.random_algebra_element(fam, rng))
             al.check_group_element(g, tol=1e-10)
+
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    def test_matches_scipy_expm(self, rng, scale):
+        for fam in semisimple_families():
+            for _ in range(10):
+                a = al.random_algebra_element(fam, rng, scale)
+                assert np.abs(al.exp_map(a).mat - scipy_exp_map(a)).max() < 1e-13
+
+    def test_real_element_has_a_real_exponential(self, rng):
+        g = al.exp_map(al.random_algebra_element(al.so(5), rng))
+        assert not g.mat.imag.any()
 
 
 class TestRootDecomposition:
@@ -206,3 +218,31 @@ class TestSubspace:
         x = al.random_algebra_element(al.su(3), rng)
         p = sub.project(x)
         assert sub.contains(p, tol=1e-9) or np.abs(p.mat).max() < 1e-12
+
+    def test_from_elements_spans_what_scipy_orth_spans(self, rng):
+        for fam in semisimple_families():
+            dec = al.root_decomposition(fam)
+            xs = [al.random_algebra_element(fam, rng) for _ in range(3)]
+            sub = al.Subspace.from_elements(dec, xs)
+            ref = scipy_span_coords(dec, xs)
+            assert sub.dim == ref.shape[0] == 3
+            assert np.abs(_projector(sub.coords) - _projector(ref)).max() < 1e-12
+
+    @pytest.mark.parametrize("small, dim", [(1e-13, 2), (1e-10, 3)])
+    def test_from_elements_cuts_rank_at_tol_times_the_largest_singular_value(
+            self, rng, small, dim):
+        # x + y and 2x add nothing; z enters at `small` relative to the
+        # rest, below or above the default tol = 1e-12; the inputs are
+        # scaled so that an absolute or an eps-based cut would keep it both times
+        dec = al.root_decomposition(al.su(3))
+        x, y, z = (1e3 * al.random_algebra_element(al.su(3), rng) for _ in range(3))
+        xs = [x, y, x + y, 2.0 * x, x + small * z]
+        sub = al.Subspace.from_elements(dec, xs)
+        ref = scipy_span_coords(dec, xs)
+        assert sub.dim == ref.shape[0] == dim
+        # the z direction is fixed only to about eps / small
+        assert np.abs(_projector(sub.coords) - _projector(ref)).max() < 1e-5
+
+
+def _projector(rows):
+    return rows.T @ rows

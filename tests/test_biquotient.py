@@ -10,7 +10,7 @@ from biq import curvature as cu
 from biq import detectors as de
 from biq import metric as me
 from biq import freeness as fr
-from oracles import matrix_quotient_sectional, matrix_z_squared
+from oracles import matrix_quotient_sectional, matrix_z_squared, scipy_horizontal_coords
 
 
 def quat_diag(top, bot):
@@ -103,6 +103,31 @@ class TestHorizontalSpace:
             v = bi.vertical_space(act, g)
             h = bi.horizontal_space(act, g, P)
             assert v.dim + h.dim == al.sp(2).dim
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", ["gromoll-meyer", "sp2-circle", "su3-two-torus",
+                                      "su5-circle", "so5-circle"])
+    def test_frame_spans_what_scipy_null_space_spans(self, name, seed):
+        rng = np.random.default_rng(seed)
+        act, P = _case(name, rng)
+        frame = bi.PointFrame.at(act, al.random_group_element(act.group, rng), P)
+        hor, ref = frame.horizontal().coords, scipy_horizontal_coords(frame)
+        assert hor.shape == ref.shape
+        assert np.abs(hor.T @ hor - ref.T @ ref).max() < 1e-12
+
+    @pytest.mark.parametrize("w_right, dim", [
+        (((1, 0), (-1, 1), (0, -1)), 8),  # both generators vanish at the identity
+        (((1, 0), (-1, 0), (0, 0)), 7),  # the second one does not
+    ])
+    def test_frame_at_a_non_free_point_spans_what_scipy_null_space_spans(
+            self, w_right, dim):
+        fam = al.su(3)
+        w = fr.TorusActionWeights(fam, 2, ((1, 0), (-1, 1), (0, -1)), w_right)
+        act = bi.from_torus_weights(w)
+        frame = bi.PointFrame.at(act, al.identity(fam), me.build_metric(act.dec()))
+        hor, ref = frame.horizontal().coords, scipy_horizontal_coords(frame)
+        assert hor.shape == ref.shape == (dim, fam.dim)
+        assert np.abs(hor.T @ hor - ref.T @ ref).max() < 1e-12
 
 
 class TestActionGram:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +193,25 @@ class TestScan:
         assert "refusing" in json.loads(out.read_text())["error"]
         assert json.loads(out.read_text())["witness"] is not None
 
+    def test_refusal_is_the_one_csv_row(self, nonfree_file, tmp_path):
+        out = tmp_path / "scan.csv"
+        code = cli.main(["scan", "--action", nonfree_file, "--format", "csv", "-o", str(out)])
+        assert code == 1
+        header, row, *rest = out.read_text().splitlines()
+        assert not rest
+        assert "error" in header.split(",")
+        assert "witness.element_denominator" in header.split(",")
+        assert "refusing" in row
+
+    def test_refusal_is_the_one_jsonl_row(self, nonfree_file, tmp_path):
+        out = tmp_path / "scan.jsonl"
+        code = cli.main(["scan", "--action", nonfree_file, "--format", "jsonl", "-o", str(out)])
+        assert code == 1
+        (line,) = out.read_text().splitlines()
+        row = json.loads(line)
+        assert "refusing" in row["error"]
+        assert row["witness"]["element_denominator"] >= 2
+
     def test_zero_plane_budget_is_input_error(self, gm_circle_file):
         assert cli.main(["scan", "--action", gm_circle_file, "--planes", "0"]) == 2
 
@@ -332,3 +355,17 @@ class TestDeterminism:
         out = tmp_path / "out.json"
         assert cli.main(["free", str(bad), "-o", str(out)]) == 2
         assert not out.exists()
+
+
+def test_import_path_is_numpy_only():
+    # scipy.linalg, scipy.optimize and jsonschema take most of a cold
+    # start; only the flat-search polish and input validation import them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, biq, biq.cli; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'jsonschema'"
+             " or m.startswith(('scipy.linalg', 'scipy.optimize'))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
