@@ -32,10 +32,9 @@ from .biquotient import (
     horizontal_space,
     quotient_sectional,
     unit_tangent_flow_action,
-    vertical_space,
     z_term,
 )
-from .curvature import CurvatureValue, B_tensor, puttmann_numerator, sectional
+from .curvature import puttmann_numerator
 from .detectors import (
     FlatCertificate,
     check_N1,
@@ -56,12 +55,9 @@ from .freeness import (
 from .metric import (
     MetricOperator,
     L_tensor,
-    ad_star,
     apply_P,
-    apply_P_inverse,
     build_metric,
     build_metric_from_subspaces,
-    metric_inner,
 )
 
 __version__ = "0.1.0"

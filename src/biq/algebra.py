@@ -239,10 +239,6 @@ def inner_q(a: AlgebraElement, b: AlgebraElement) -> float:
     return -0.5 * float(np.trace(a.mat @ b.mat).real)
 
 
-def norm_q(a: AlgebraElement) -> float:
-    return float(np.sqrt(max(inner_q(a, a), 0.0)))
-
-
 def exp_map(a: AlgebraElement) -> GroupElement:
     """Matrix exponential into the group, by eigenvectors.
 
@@ -266,11 +262,6 @@ def adjoint(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
     if g.family != x.family:
         raise AlgebraError(f"family mismatch: {g.family} vs {x.family}")
     return AlgebraElement(x.family, g.mat @ x.mat @ g.mat.conj().T)
-
-
-def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
-    _require_same(g, h)
-    return GroupElement(g.family, g.mat @ h.mat)
 
 
 def torus_element(family: GroupFamily, a) -> AlgebraElement:
@@ -320,21 +311,6 @@ def quaternion_block(b, c) -> np.ndarray:
     if b.shape != c.shape or b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise AlgebraError("B and C must be square matrices of equal size")
     return np.block([[b, -c.conj()], [c, b.conj()]])
-
-
-def embed_sp_in_su(b, c, kind: str = "algebra", tol: float = DEFAULT_TOL):
-    """Embed the quaternionic matrix B + jC as a complex 2n x 2n element.
-
-    kind selects validation: "algebra" checks the sp(n) algebra invariants,
-    "group" checks unitarity plus the symplectic relation.
-    """
-    m = quaternion_block(b, c)
-    fam = sp(np.asarray(b).shape[0])
-    if kind == "algebra":
-        return element(fam, m, tol)
-    g = GroupElement(fam, m)
-    check_group_element(g, tol)
-    return g
 
 
 def realify(mat) -> np.ndarray:
@@ -702,12 +678,3 @@ def random_algebra_element(family: GroupFamily, rng, scale: float = 1.0) -> Alge
 
 def random_group_element(family: GroupFamily, rng) -> GroupElement:
     return exp_map(random_algebra_element(family, rng))
-
-
-def random_torus_group_element(family: GroupFamily, rng) -> GroupElement:
-    a = rng.uniform(-np.pi, np.pi, size=family.rank)
-    if family.name in ("SU", "U"):
-        a = np.append(a, 0.0)
-        if family.name == "SU":
-            a[-1] = -a[:-1].sum()
-    return exp_map(torus_element(family, a))

@@ -26,7 +26,9 @@ also gives sec_G, so one kernel call evaluates the quotient curvature of
 a whole batch of planes (`PointFrame.curvature_rows`).  Since c is
 linear in each argument, the quotient numerator is a quadratic form in y
 for fixed x as well (`PointFrame.quotient_forms`).
-`quotient_sectional` is the checked single-plane entry point.
+`quotient_sectional` is the checked single-plane entry point;
+`horizontal_space` and `z_term` are one-call forms of a frame's
+`horizontal` and `z_squared`.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ from .algebra import (
     GroupFamily,
     RootDecomposition,
     Subspace,
-    adjoint,
     quaternion_block,
     root_decomposition,
     torus_element,
+    zero,
 )
 from .curvature import DegeneratePlaneError, PlaneTerms, numerator_forms, plane_terms
 from .metric import MetricOperator
@@ -130,8 +132,6 @@ def trivial_action(fam: GroupFamily) -> BiquotientAction:
 
 def one_sided_action(fam, generators, side: str = "right", label: str = "") -> BiquotientAction:
     """U acting by left translations only or right translations only."""
-    from .algebra import zero
-
     z = zero(fam)
     if side == "right":
         pairs = tuple((z, x) for x in generators)
@@ -173,15 +173,14 @@ def unit_tangent_flow_action(n: int) -> BiquotientAction:
     n-sphere by its geodesic flow."""
     fam = GroupFamily("SO", 2 * n + 1)
     size = fam.matrix_size
-    dec = root_decomposition(fam)
     z_delta = torus_element(fam, np.ones(n))
-    pairs = [(z_delta, _zero(fam))]
+    pairs = [(z_delta, zero(fam))]
     for i in range(2 * n - 1):
         for j in range(i + 1, 2 * n - 1):
             m = np.zeros((size, size), dtype=complex)
             m[i, j] = 1.0
             m[j, i] = -1.0
-            pairs.append((_zero(fam), AlgebraElement(fam, m)))
+            pairs.append((zero(fam), AlgebraElement(fam, m)))
     w = freeness.TorusActionWeights(
         group=fam,
         k=n,
@@ -197,41 +196,13 @@ def unit_tangent_flow_action(n: int) -> BiquotientAction:
     )
 
 
-def _zero(fam):
-    from .algebra import zero
-
-    return zero(fam)
-
-
 # ---------------------------------------------------------------------------
 # vertical / horizontal geometry at a point
 # ---------------------------------------------------------------------------
 
-def vertical_vectors(act: BiquotientAction, g: GroupElement):
-    """Left-translated action-field values Ad_{g^{-1}} X_L - X_R per generator."""
-    ginv = g.inverse()
-    return [adjoint(ginv, xl) - xr for xl, xr in act.u_basis]
-
-
-def vertical_space(act: BiquotientAction, g: GroupElement) -> Subspace:
-    """Span of the vertical generators at g (dimension < dim U flags a
-    non-free point; no error is raised here)."""
-    dec = act.dec()
-    vecs = vertical_vectors(act, g)
-    if not vecs:
-        return Subspace(dec, np.zeros((0, dec.dim)), label="vertical")
-    return Subspace.from_elements(dec, vecs, label="vertical")
-
-
 def horizontal_space(act: BiquotientAction, g: GroupElement, P: MetricOperator) -> Subspace:
     """Metric-orthogonal complement of the vertical space at g."""
     return PointFrame.at(act, g, P).horizontal()
-
-
-def action_gram(act: BiquotientAction, g: GroupElement, P: MetricOperator) -> np.ndarray:
-    """Gram matrix N_jk = <v_j, v_k> of the vertical generators; positive
-    definite exactly when the action is free at g."""
-    return PointFrame.at(act, g, P).gram
 
 
 @dataclass(frozen=True)
@@ -239,7 +210,9 @@ class PointFrame:
     """Cached vertical data for one (action, point, metric) triple.
 
     ad_left and right hold the coordinate rows of Ad_{g^{-1}} X_L and X_R
-    per generator pair; their difference spans the vertical space.
+    per generator pair; their difference spans the vertical space, and
+    its metric Gram matrix is positive definite exactly when the action is
+    free at g.
     """
 
     act: BiquotientAction

@@ -26,7 +26,13 @@ from importlib import resources
 import numpy as np
 
 from . import catalog, detectors
-from .algebra import AlgebraError, GroupFamily, random_group_element, root_decomposition
+from .algebra import (
+    AlgebraError,
+    GroupFamily,
+    identity,
+    random_group_element,
+    root_decomposition,
+)
 from .biquotient import from_torus_weights
 from .freeness import TorusActionWeights, is_free_bruteforce, is_free_exact
 from .metric import build_metric
@@ -107,9 +113,18 @@ def load_metric(path, dec):
 
 def _write_report(text: str, output: str | None):
     if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left early (`biq free FILE | head`); the verdict
+            # still decides the exit code, and stdout goes to devnull so
+            # the flush at shutdown cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     directory = os.path.dirname(os.path.abspath(output))
     tmp = os.path.join(directory, f".{os.path.basename(output)}.tmp")
@@ -208,14 +223,11 @@ def cmd_scan(args) -> int:
     P = load_metric(args.metric, dec) if args.metric else build_metric(dec)
     rng = np.random.default_rng(cfg.seed)
 
-    points = [("identity", None)]
-    points += [(f"random[{i}]", None) for i in range(cfg.points - 1)]
+    points = ["identity"] + [f"random[{i}]" for i in range(cfg.points - 1)]
     rows = []
     global_min = None
-    from .algebra import identity as group_identity
-
-    for name, _ in points:
-        g = group_identity(weights.group) if name == "identity" else \
+    for name in points:
+        g = identity(weights.group) if name == "identity" else \
             random_group_element(weights.group, rng)
         stats = {}
         best = detectors.numeric_flat_search(
@@ -277,14 +289,12 @@ def cmd_fixtures(args) -> int:
 
 def cmd_catalog(args) -> int:
     cfg = _config(args)
-    if args.what == "enumerate-eschenburg":
-        records = [r.to_dict() for r in catalog.enumerate_eschenburg(args.bound)]
-        report = {"config": cfg.header(), "command": "catalog",
-                  "records": records, "count": len(records)}
-        _emit(report, cfg, csv_rows=_flatten_records(records))
-        return 0
-    if args.what == "enumerate-bazaikin":
-        records = [r.to_dict() for r in catalog.enumerate_bazaikin(args.bound)]
+    enumerate_family = {
+        "enumerate-eschenburg": catalog.enumerate_eschenburg,
+        "enumerate-bazaikin": catalog.enumerate_bazaikin,
+    }.get(args.what)
+    if enumerate_family is not None:
+        records = [r.to_dict() for r in enumerate_family(args.bound)]
         report = {"config": cfg.header(), "command": "catalog",
                   "records": records, "count": len(records)}
         _emit(report, cfg, csv_rows=_flatten_records(records))

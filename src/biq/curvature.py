@@ -17,8 +17,10 @@ P^{-1} are plain matrix products, so no matrix-model element is built and
 no linear solve occurs.  It takes N planes at once as (N, d) arrays and
 holds two (N, d, d) operator arrays, so callers with many planes pass
 them in chunks (the flat-plane search uses at most 256 planes per call).
-`puttmann_numerator` and `sectional` are the single-plane entry points on
-algebra elements.
+`puttmann_numerator` evaluates one plane of algebra elements; the
+normalized curvature is the numerator over the area
+<X,X><Y,Y> - <X,Y>^2, and the quotient's single-plane entry point is
+`biquotient.quotient_sectional`.
 
 The numerator is biquadratic: for fixed X it is a quadratic form Y^T M Y,
 which `numerator_forms` builds in closed form from the same structure
@@ -28,16 +30,12 @@ solve of such a form instead of one kernel call per plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, bracket
-from .metric import MetricOperator, apply_P
-
-# Planes whose unit-scale Gram determinant falls below this are rejected.
-DEGENERATE_AREA_RTOL = 1e-12
+from .algebra import AlgebraElement
+from .metric import MetricOperator
 
 # |sectional| below this counts as a flat plane on a unit-area frame.
 FLAT_THRESHOLD = 1e-8
@@ -47,29 +45,12 @@ class DegeneratePlaneError(ValueError):
     """The two vectors do not span a 2-plane (relative area too small)."""
 
 
-@dataclass(frozen=True)
-class CurvatureValue:
-    """Unnormalized and normalized curvature of one tangent 2-plane."""
-
-    numerator: float
-    area: float
-    sectional: float
-
-    def is_flat(self, threshold: float = FLAT_THRESHOLD) -> bool:
-        return abs(self.sectional) < threshold
-
-
 class PlaneTerms(NamedTuple):
     """Per-plane outputs of the kernel, one entry or row per plane."""
 
     numerator: np.ndarray  # (N,) <R(X,Y)Y, X>
     p_bracket: np.ndarray  # (N, d) coordinates of P[X, Y]
     p_fusing: np.ndarray  # (N, d) coordinates of P L(X, Y), see metric.L_tensor
-
-
-def B_tensor(P: MetricOperator, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """B(X,Y) = 1/2 ([X, PY] - [PX, Y]); symmetric in X, Y and zero for P = id."""
-    return 0.5 * (bracket(x, apply_P(P, y)) - bracket(apply_P(P, x), y))
 
 
 def plane_terms(P: MetricOperator, X, Y) -> PlaneTerms:
@@ -157,16 +138,3 @@ def puttmann_numerator(P: MetricOperator, x: AlgebraElement, y: AlgebraElement) 
     dec = P.dec
     terms = plane_terms(P, dec.to_coords(x)[None], dec.to_coords(y)[None])
     return float(terms.numerator[0])
-
-
-def sectional(P: MetricOperator, x: AlgebraElement, y: AlgebraElement) -> CurvatureValue:
-    """Sectional curvature of span{x, y}; rejects degenerate planes."""
-    cx, cy = P.dec.to_coords(x), P.dec.to_coords(y)
-    xx = P.inner_coords(cx, cx)
-    yy = P.inner_coords(cy, cy)
-    xy = P.inner_coords(cx, cy)
-    area = xx * yy - xy * xy
-    if area <= DEGENERATE_AREA_RTOL * max(xx * yy, 1e-300):
-        raise DegeneratePlaneError("x and y do not span a 2-plane")
-    num = float(plane_terms(P, cx[None], cy[None]).numerator[0])
-    return CurvatureValue(numerator=num, area=area, sectional=num / area)

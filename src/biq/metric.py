@@ -21,7 +21,6 @@ from .algebra import (
     AlgebraElement,
     AlgebraError,
     RootDecomposition,
-    Subspace,
     bracket,
 )
 
@@ -31,9 +30,6 @@ __all__ = [
     "build_metric_from_subspaces",
     "bi_invariant_metric",
     "apply_P",
-    "apply_P_inverse",
-    "metric_inner",
-    "ad_star",
     "L_tensor",
 ]
 
@@ -58,10 +54,6 @@ class MetricOperator:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.abs(self.mat - np.eye(self.dec.dim)).max() < 1e-14)
 
     def apply_coords(self, c) -> np.ndarray:
         return self.mat @ np.asarray(c)
@@ -151,30 +143,9 @@ def apply_P(P: MetricOperator, x: AlgebraElement) -> AlgebraElement:
     return P.dec.from_coords(P.apply_coords(P.dec.to_coords(x)))
 
 
-def apply_P_inverse(P: MetricOperator, x: AlgebraElement) -> AlgebraElement:
-    return P.dec.from_coords(P.apply_inv_coords(P.dec.to_coords(x)))
-
-
-def metric_inner(P: MetricOperator, x: AlgebraElement, y: AlgebraElement) -> float:
-    """<x, y> = Q(x, P(y))."""
-    return P.inner_coords(P.dec.to_coords(x), P.dec.to_coords(y))
-
-
-def ad_star(P: MetricOperator, a: AlgebraElement):
-    """Metric adjoint of ad_a: the operator -P^{-1} o ad_a o P.
-
-    Returns a callable Y -> (ad_a)*(Y) satisfying
-    <[a, X], Y> = <X, (ad_a)*(Y)> for all X, Y.
-    """
-
-    def apply(y: AlgebraElement) -> AlgebraElement:
-        return -1.0 * apply_P_inverse(P, bracket(a, apply_P(P, y)))
-
-    return apply
-
-
 def L_tensor(P: MetricOperator, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Fusing tensor (ad_a)*(b) - (ad_b)*(a) + [a, b].
+    """Fusing tensor (ad_a)*(b) - (ad_b)*(a) + [a, b], where
+    (ad_a)* = -P^{-1} o ad_a o P is the metric adjoint of ad_a.
 
     This is the quantity whose pairing with the vertical generators gives
     the vertical part of the bracket of horizontal extensions; for P = id
@@ -182,4 +153,4 @@ def L_tensor(P: MetricOperator, a: AlgebraElement, b: AlgebraElement) -> Algebra
     """
     ab = bracket(a, b)
     term = bracket(a, apply_P(P, b)) - bracket(b, apply_P(P, a))
-    return ab - apply_P_inverse(P, term)
+    return ab - P.dec.from_coords(P.apply_inv_coords(P.dec.to_coords(term)))

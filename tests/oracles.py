@@ -90,6 +90,12 @@ def koszul_numerator(P, x, y):
     return float(r @ pm @ cx)
 
 
+def matrix_b_tensor(P, x, y):
+    """B(X,Y) = 1/2 ([X, PY] - [PX, Y]) on matrices; symmetric in X, Y
+    and zero for P = id."""
+    return 0.5 * (bracket(x, apply_P(P, y)) - bracket(apply_P(P, x), y))
+
+
 def matrix_numerator(P, x, y):
     """The four-term numerator with every bracket taken on matrices."""
     px = apply_P(P, x)
@@ -103,9 +109,8 @@ def matrix_numerator(P, x, y):
     term1 = 0.5 * float(c_mixed @ c_xy)
     term2 = -0.75 * float(P.apply_coords(c_xy) @ c_xy)
 
-    b_xy = 0.5 * (dec.to_coords(bracket(x, py)) - dec.to_coords(bracket(px, y)))
-    b_xx = dec.to_coords(bracket(x, px))
-    b_yy = dec.to_coords(bracket(y, py))
+    b_xy, b_xx, b_yy = (dec.to_coords(matrix_b_tensor(P, u, v))
+                        for u, v in ((x, y), (x, x), (y, y)))
     term3 = float(b_xy @ P.apply_inv_coords(b_xy))
     term4 = -float(b_xx @ P.apply_inv_coords(b_yy))
     return term1 + term2 + term3 + term4

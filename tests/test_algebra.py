@@ -163,11 +163,13 @@ class TestRootDecomposition:
 
 class TestEmbeddings:
     def test_sp_identity(self):
-        g = al.embed_sp_in_su(np.eye(2), np.zeros((2, 2)), kind="group")
+        g = al.GroupElement(al.sp(2), al.quaternion_block(np.eye(2), np.zeros((2, 2))))
+        al.check_group_element(g)
         assert np.abs(g.mat - np.eye(4)).max() < 1e-14
 
     def test_pure_j_unit(self):
-        x = al.embed_sp_in_su(np.zeros((1, 1)), np.eye(1), kind="algebra")
+        x = al.AlgebraElement(al.sp(1), al.quaternion_block(np.zeros((1, 1)), np.eye(1)))
+        al.check_algebra_element(x)
         assert np.abs(x.mat - np.array([[0, -1], [1, 0]])).max() < 1e-14
 
     def test_bracket_homomorphism(self, rng):
@@ -180,7 +182,10 @@ class TestEmbeddings:
                 c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 c = (c + c.T) / 2
                 elems.append((b, c))
-            imgs = [al.embed_sp_in_su(b, c) for b, c in elems]
+            imgs = [al.AlgebraElement(al.sp(n), al.quaternion_block(b, c))
+                    for b, c in elems]
+            for img in imgs:
+                al.check_algebra_element(img)
             # quaternionic commutator computed through the embedding itself
             # must agree with the matrix commutator of the images
             br = al.bracket(imgs[0], imgs[1])

@@ -27,6 +27,13 @@ QJ = (0, 0, 1, 0)
 QK = (0, 0, 0, 1)
 
 
+def vertical_span(act, g):
+    """Span of the point frame's vertical rows Ad_{g^{-1}} X_L - X_R."""
+    dec = act.dec()
+    frame = bi.PointFrame.at(act, g, me.build_metric(dec))
+    return al.Subspace.from_elements(dec, [dec.from_coords(r) for r in frame.vert_coords])
+
+
 def turned_point():
     gmat = al.quaternion_block(np.array([[1, 1j], [1j, 1]]) / np.sqrt(2),
                                np.zeros((2, 2)))
@@ -36,7 +43,7 @@ def turned_point():
 class TestVerticalSpace:
     def test_gromoll_meyer_at_identity(self):
         act = bi.gromoll_meyer_action()
-        v = bi.vertical_space(act, al.identity(al.sp(2)))
+        v = vertical_span(act, al.identity(al.sp(2)))
         assert v.dim == 3
         for unit in (QI, QJ, QK):
             assert v.contains(quat_diag(O, unit))
@@ -45,7 +52,7 @@ class TestVerticalSpace:
         fam = al.su(3)
         gens = [al.random_algebra_element(fam, rng) for _ in range(2)]
         act = bi.one_sided_action(fam, gens, side="left")
-        v = bi.vertical_space(act, al.identity(fam))
+        v = vertical_span(act, al.identity(fam))
         assert v.dim == 2
         for x in gens:
             assert v.contains(x)
@@ -55,7 +62,7 @@ class TestVerticalSpace:
         # turn (with the group-normalized entries 1/sqrt(2))
         act = bi.gromoll_meyer_action()
         g = turned_point()
-        v = bi.vertical_space(act, g)
+        v = vertical_span(act, g)
         assert v.dim == 3
 
         def quat_full(entries):
@@ -100,7 +107,7 @@ class TestHorizontalSpace:
         P = me.build_metric(act.dec())
         for _ in range(5):
             g = al.random_group_element(al.sp(2), rng)
-            v = bi.vertical_space(act, g)
+            v = vertical_span(act, g)
             h = bi.horizontal_space(act, g, P)
             assert v.dim + h.dim == al.sp(2).dim
 
@@ -136,25 +143,25 @@ class TestActionGram:
         P = me.build_metric(act.dec())
         for _ in range(5):
             g = al.random_group_element(al.sp(2), rng)
-            n = bi.action_gram(act, g, P)
+            n = bi.PointFrame.at(act, g, P).gram
             assert np.linalg.eigvalsh(n).min() > 1e-6
 
     def test_non_free_toy_action_singular_at_identity(self):
         fam = al.su(3)
         w = fr.TorusActionWeights(fam, 1, ((1,), (0,), (-1,)), ((1,), (0,), (-1,)))
         act = bi.from_torus_weights(w)
-        n = bi.action_gram(act, al.identity(fam), me.build_metric(act.dec()))
+        n = bi.PointFrame.at(act, al.identity(fam), me.build_metric(act.dec())).gram
         assert abs(n[0, 0]) < 1e-14
 
     def test_continuity_under_perturbation(self, rng):
         act = bi.gromoll_meyer_action()
         P = me.build_metric(act.dec())
         g = al.random_group_element(al.sp(2), rng)
-        n0 = bi.action_gram(act, g, P)
+        n0 = bi.PointFrame.at(act, g, P).gram
         eps = 1e-6
         step = al.exp_map(eps * al.random_algebra_element(al.sp(2), rng))
-        g2 = al.multiply(g, step)
-        n1 = bi.action_gram(act, g2, P)
+        g2 = al.GroupElement(g.family, g.mat @ step.mat)
+        n1 = bi.PointFrame.at(act, g2, P).gram
         assert np.abs(n1 - n0).max() < 100 * eps
 
 
@@ -186,7 +193,7 @@ class TestZTerm:
             a = dec.from_coords(hor.coords.T @ c[0])
             b = dec.from_coords(hor.coords.T @ c[1])
             z = bi.z_term(act, g, P, a, b, frame=frame)
-            vert = bi.vertical_space(act, g)
+            vert = vertical_span(act, g)
             proj = vert.project_coords(dec.to_coords(al.bracket(a, b)))
             assert abs(z - np.linalg.norm(proj)) < 1e-9
 
@@ -234,7 +241,9 @@ class TestQuotientSectional:
         y = al.random_algebra_element(fam, rng)
         rep = bi.quotient_sectional(act, al.identity(fam), P, x, y)
         assert abs(rep.oneill_term) < 1e-12
-        assert abs(rep.sec_quotient - cu.sectional(P, x, y).sectional) < 1e-9
+        cx, cy = dec.to_coords(x), dec.to_coords(y)
+        area = P.inner_coords(cx, cx) * P.inner_coords(cy, cy) - P.inner_coords(cx, cy) ** 2
+        assert abs(rep.sec_quotient - cu.puttmann_numerator(P, x, y) / area) < 1e-9
 
     def test_oneill_monotonicity(self, rng):
         act = bi.gromoll_meyer_action()
@@ -270,7 +279,7 @@ class TestQuotientSectional:
                 b = dec.from_coords(hor.coords.T @ c[1])
                 rep = bi.quotient_sectional(act, g, P, a, b, frame=frame)
                 cab = dec.to_coords(al.bracket(rep.x, rep.y))
-                vpart = bi.vertical_space(act, g).project_coords(cab)
+                vpart = vertical_span(act, g).project_coords(cab)
                 hpart = cab - vpart
                 expected = 0.25 * float(hpart @ hpart) + float(vpart @ vpart)
                 assert abs(rep.sec_quotient - expected) < 1e-9

@@ -357,15 +357,34 @@ class TestDeterminism:
         assert not out.exists()
 
 
+def _src_env():
+    """The environment with this checkout's biq first on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_import_path_is_numpy_only():
     # scipy.linalg, scipy.optimize and jsonschema take most of a cold
     # start; only the flat-search polish and input validation import them
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     probe = ("import sys, biq, biq.cli; print(sorted(m for m in sys.modules"
              " if m.split('.')[0] == 'jsonschema'"
              " or m.startswith(('scipy.linalg', 'scipy.optimize'))))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_closed_stdout_keeps_the_verdict_exit_code(gm_circle_file):
+    # `biq free FILE | head -0`: the reader is gone before the report is
+    # written, and exit code 1 would read as "not free"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "biq.cli", "free", gm_circle_file],
+                              env=_src_env(), stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
