@@ -385,9 +385,11 @@ def quotient_sectional(
     if na <= 0:
         raise DegeneratePlaneError("zero vector")
     cx = ca / na
+    bb = cb @ pm @ cb
     cb = cb - (cb @ pm @ cx) * cx
     nb = np.sqrt(cb @ pm @ cb)
-    if nb * nb <= 1e-12:
+    # relative to b's own norm, so the test does not depend on b's scale
+    if nb * nb <= 1e-12 * bb:
         raise DegeneratePlaneError("a and b do not span a 2-plane")
     cy = cb / nb
 

@@ -26,6 +26,7 @@ not fire proves nothing).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -422,6 +423,16 @@ MIN_DESCENT_SHARE = 50
 ALTERNATIONS = 20
 ALTERNATION_RTOL = 1e-12
 
+# the polish's L-BFGS memory, its stops (a relative decrease of at most
+# FTOL, max |grad| <= GTOL), its strong-Wolfe constants, the most
+# evaluations per line search and the least share of the bracket between
+# a cubic step and the bracket's ends
+LBFGS_MEMORY = 10
+FTOL, GTOL = 1e-15, 1e-13
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
+LINE_SEARCH_EVALS = 20
+CUBIC_MARGIN = 0.01
+
 
 class _BudgetSpent(Exception):
     """The polish used up its evaluations."""
@@ -445,44 +456,162 @@ def _alternation_step(frame, H, a):
     return w[:, 0], b / np.linalg.norm(b, axis=1)[:, None]
 
 
-def _polish(frame, H, a, b, max_evals):
-    """L-BFGS-B on kappa / area over pairs (a, b), with the closed-form
-    gradients 2 Q_b a and 2 Q_a b; returns (value, a, b, evaluations) of
-    the best pair evaluated, at most max_evals of them."""
+def _pair_value(frame, H, theta):
+    """kappa / area of the pair theta = (a, b) of coordinates in the rows
+    of H, and its gradient from the closed forms 2 Q_b a and 2 Q_a b;
+    (inf, 0) when a and b are nearly parallel."""
     h = H.shape[0]
-    theta0 = np.concatenate([a, b])
-    best = [np.inf, theta0]
+    a, b = theta[:h], theta[h:]
+    Fa, Fb = H @ frame.quotient_forms(np.stack([a, b]) @ H) @ H.T
+    ga, gb = 2.0 * Fb @ a, 2.0 * Fa @ b
+    kappa = 0.5 * float(b @ gb)
+    aa, bb, ab = a @ a, b @ b, a @ b
+    area = aa * bb - ab * ab
+    if area <= 1e-12 * aa * bb:
+        return np.inf, np.zeros_like(theta)
+    f = kappa / area
+    grad = np.concatenate([
+        ga - f * 2.0 * (bb * a - ab * b),
+        gb - f * 2.0 * (aa * b - ab * a),
+    ]) / area
+    return f, grad
+
+
+def _lbfgs_direction(g, memory):
+    """-M g for the L-BFGS inverse Hessian M of the pairs (s, y, 1 / s.y)
+    in memory: the two-loop recursion from M_0 = (s.y / y.y) I of the
+    newest pair (Nocedal and Wright, Alg. 7.4)."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        alpha = rho * (s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if memory:
+        s, y, _ = memory[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho), alpha in zip(memory, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return -q
+
+
+def _cubic_step(lo, hi):
+    """The minimizer of the cubic through the values and slopes of the
+    trial steps lo and hi (Nocedal and Wright, eq. 3.59), kept CUBIC_MARGIN
+    of the bracket away from its ends; their midpoint when it is undefined."""
+    (a0, f0, _, d0), (a1, f1, _, d1) = lo, hi
+    left, right = min(a0, a1), max(a0, a1)
+    mid = 0.5 * (left + right)
+    if not (np.isfinite(f0) and np.isfinite(f1)):
+        return mid
+    e1 = d0 + d1 - 3.0 * (f0 - f1) / (a0 - a1)
+    disc = e1 * e1 - d0 * d1
+    if disc < 0:
+        return mid
+    e2 = np.copysign(np.sqrt(disc), a1 - a0)
+    den = d1 - d0 + 2.0 * e2
+    if den == 0:
+        return mid
+    a = a1 - (a1 - a0) * (d1 + e2 - e1) / den
+    if not np.isfinite(a):
+        return mid
+    margin = CUBIC_MARGIN * (right - left)
+    return min(max(a, left + margin), right - margin)
+
+
+def _wolfe_step(fun, x, f0, g0, p, alpha):
+    """A step along the descent direction p from x that meets the strong
+    Wolfe conditions with WOLFE_C1 and WOLFE_C2 (Nocedal and Wright,
+    Alg. 3.5 and 3.6): trial steps double from alpha until they bracket
+    one, then a zoom by safeguarded cubic interpolation.
+
+    Returns the trial (step, f, g, slope) that meets them; after
+    LINE_SEARCH_EVALS trials without one, the lowest trial with
+    sufficient decrease, or None when there is none."""
+    d0 = g0 @ p
+    lo, hi = (0.0, f0, g0, d0), None
+    for _ in range(LINE_SEARCH_EVALS):
+        # a bracket this short holds no step that passes the polish's
+        # relative-decrease test, to first order
+        if hi is not None and abs(hi[0] - lo[0]) * -d0 <= FTOL * max(abs(f0), 1.0):
+            break
+        step = alpha if hi is None else _cubic_step(lo, hi)
+        f, g = fun(x + step * p)
+        slope = g @ p
+        t = step, f, g, slope
+        if f > f0 + WOLFE_C1 * step * d0 or f >= lo[1]:
+            hi = t
+            continue
+        if abs(slope) <= -WOLFE_C2 * d0:
+            return t
+        if slope * (1.0 if hi is None else hi[0] - lo[0]) >= 0:
+            hi = lo
+        lo = t
+        alpha = 2.0 * step
+    return lo if lo[0] > 0 else None
+
+
+def _polish(frame, H, a, b, max_evals):
+    """L-BFGS on kappa / area over pairs (a, b), with the closed-form
+    gradients 2 Q_b a and 2 Q_a b: memory LBFGS_MEMORY, the two-loop
+    recursion and a strong-Wolfe line search (Nocedal and Wright,
+    Numerical Optimization, 2nd ed., 2006, Alg. 7.4, 3.5 and 3.6).
+
+    The value does not change when a or b is scaled, so each step ends by
+    scaling a and b back to unit length, and the stored pairs with them.
+    Left to drift, |a| grows without bound on ill-conditioned points and
+    the gradient stop fires far from the minimum.
+
+    It stops when a step lowers the value by at most FTOL relative (or the
+    first trial step would, to first order), when max |grad| <= GTOL, when
+    a line search along the steepest descent finds no decrease, or at
+    max_evals evaluations (_BudgetSpent).  Returns (value, a, b,
+    evaluations) of the best pair evaluated, with a and b scaled to unit
+    length."""
+    h = H.shape[0]
+    x = np.concatenate([a, b])
+    best = [np.inf, x]
     count = [0]
 
     def fun(theta):
         if count[0] == max_evals:
             raise _BudgetSpent
         count[0] += 1
-        a, b = theta[:h], theta[h:]
-        Fa, Fb = H @ frame.quotient_forms(np.stack([a, b]) @ H) @ H.T
-        ga, gb = 2.0 * Fb @ a, 2.0 * Fa @ b
-        kappa = 0.5 * float(b @ gb)
-        aa, bb, ab = a @ a, b @ b, a @ b
-        area = aa * bb - ab * ab
-        if area <= 1e-12 * aa * bb:
-            return np.inf, np.zeros_like(theta)
-        f = kappa / area
+        f, grad = _pair_value(frame, H, theta)
         if f < best[0]:
-            best[:] = f, theta.copy()
-        grad = np.concatenate([
-            ga - f * 2.0 * (bb * a - ab * b),
-            gb - f * 2.0 * (aa * b - ab * a),
-        ]) / area
+            best[:] = f, theta
         return f, grad
 
-    import scipy.optimize  # the only scipy use; kept off the import path
-
     try:
-        scipy.optimize.minimize(
-            fun, theta0, jac=True, method="L-BFGS-B",
-            options={"maxfun": max_evals, "maxiter": max_evals,
-                     "ftol": 1e-15, "gtol": 1e-13},
-        )
+        f, g = fun(x)
+        memory = deque(maxlen=LBFGS_MEMORY)
+        while np.abs(g).max() > GTOL:
+            p = _lbfgs_direction(g, memory)
+            alpha = 1.0 if memory else 1.0 / np.linalg.norm(p)
+            # the relative-decrease stop, on the first trial step's
+            # first-order decrease
+            if -alpha * (g @ p) <= FTOL * max(abs(f), 1.0):
+                break
+            t = _wolfe_step(fun, x, f, g, p, alpha)
+            if t is None:
+                if not memory:
+                    break
+                memory.clear()
+                continue
+            step, f_new, g_new, _ = t
+            if f - f_new <= FTOL * max(abs(f), abs(f_new), 1.0):
+                break
+            s, y = step * p, g_new - g
+            sy = s @ y
+            if sy > np.finfo(float).eps * (y @ y):
+                memory.append((s, y, 1.0 / sy))
+            # back to unit a and b; the gradient and the stored pairs follow
+            # the change of scale D (s -> D s, y -> y / D)
+            x = x + s
+            d = np.repeat(1.0 / np.linalg.norm(x.reshape(2, h), axis=1), h)
+            x, f, g = x * d, f_new, g_new / d
+            memory = deque(((s * d, y / d, rho) for s, y, rho in memory),
+                           maxlen=LBFGS_MEMORY)
     except _BudgetSpent:
         pass
     f, theta = best
@@ -512,12 +641,13 @@ def numeric_flat_search(
     x <- that minimizer never raises kappa (the alternating method for
     biquadratic forms on two spheres).  All starts alternate together for
     up to ALTERNATIONS rounds, one batched eigen solve per round, and
-    L-BFGS-B then polishes the best pair on kappa / area with the
-    closed-form gradients.  An alternation step at one start and a polish
-    evaluation each count as one evaluation of the budget; the descent
-    keeps only as many starts as give each a share of at least
-    MIN_DESCENT_SHARE evaluations, and none when even one start would get
-    less.
+    L-BFGS with a strong-Wolfe line search (_polish; Nocedal and Wright,
+    Numerical Optimization, 2nd ed., 2006, Alg. 7.4, 3.5 and 3.6) then
+    polishes the best pair on kappa / area with the closed-form gradients.
+    An alternation step at one start and a polish evaluation each count
+    as one evaluation of the budget; the descent keeps only as many starts
+    as give each a share of at least MIN_DESCENT_SHARE evaluations, and
+    none when even one start would get less.
 
     Returns the best plane found, re-evaluated by quotient_sectional; its
     certificate field is "numeric" when the value is below the flat

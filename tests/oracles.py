@@ -11,7 +11,8 @@ the Hermite form (sort-and-subtract column reduction), of the numeric
 flat-plane search (random phase plus Nelder-Mead descents) and of the
 flat-plane criteria N1/N2/N3 (matrix brackets per candidate).  The scipy
 oracles are the earlier forms of the exponential (Pade scaling and
-squaring), of the orthonormal span and of the horizontal null space.
+squaring), of the orthonormal span, of the horizontal null space and of
+the flat-search polish (L-BFGS-B).
 """
 
 import math
@@ -27,7 +28,9 @@ from biq.detectors import (
     RESIDUAL_TOL,
     FlatCertificate,
     HypothesisError,
+    _BudgetSpent,
     _metric_normal_slice,
+    _pair_value,
     _record,
     _subspace_p_invariance,
 )
@@ -416,6 +419,37 @@ def nelder_mead_flat_search(act, g, P, budget=10_000, rng=None, local_restarts=4
         oneill_term=rep.oneill_term, sec_quotient=rep.sec_quotient,
         certificate=cert,
     )
+
+
+def scipy_lbfgsb_polish(frame, H, a, b, max_evals):
+    """The flat-search polish before the numpy L-BFGS: scipy's L-BFGS-B on
+    the same kappa / area and gradient, with the same stopping rules and
+    budget; returns (value, a, b, evaluations) of the best pair evaluated."""
+    h = H.shape[0]
+    theta0 = np.concatenate([a, b])
+    best = [np.inf, theta0]
+    count = [0]
+
+    def fun(theta):
+        if count[0] == max_evals:
+            raise _BudgetSpent
+        count[0] += 1
+        f, grad = _pair_value(frame, H, theta)
+        if f < best[0]:
+            best[:] = f, theta.copy()
+        return f, grad
+
+    try:
+        scipy.optimize.minimize(
+            fun, theta0, jac=True, method="L-BFGS-B",
+            options={"maxfun": max_evals, "maxiter": max_evals,
+                     "ftol": 1e-15, "gtol": 1e-13},
+        )
+    except _BudgetSpent:
+        pass
+    f, theta = best
+    a, b = theta[:h], theta[h:]
+    return f, a / np.linalg.norm(a), b / np.linalg.norm(b), count[0]
 
 
 # The flat-plane criteria with matrix-model brackets: every hypothesis

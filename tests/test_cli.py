@@ -366,13 +366,30 @@ def _src_env():
 
 def test_import_path_is_numpy_only():
     # scipy.linalg, scipy.optimize and jsonschema take most of a cold
-    # start; only the flat-search polish and input validation import them
+    # start; biq never imports scipy, and only input validation imports
+    # jsonschema
     probe = ("import sys, biq, biq.cli; print(sorted(m for m in sys.modules"
              " if m.split('.')[0] == 'jsonschema'"
              " or m.startswith(('scipy.linalg', 'scipy.optimize'))))")
     out = subprocess.run([sys.executable, "-c", probe], env=_src_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_scan_runs_without_scipy(gm_circle_file, tmp_path):
+    # scipy is a test dependency only: with it unimportable, a scan whose
+    # budget affords descent starts still runs its polish
+    out = tmp_path / "scan.json"
+    argv = ["scan", "--action", gm_circle_file, "--points", "2", "--planes", "600",
+            "--restarts", "2", "-o", str(out)]
+    probe = ("import sys; sys.modules['scipy'] = None; from biq.cli import main; "
+             f"sys.exit(main({argv!r}))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(out.read_text())["points"]
+    assert len(rows) == 2
+    assert all(row["stats"]["polish_evaluations"] > 0 for row in rows)
 
 
 def test_closed_stdout_keeps_the_verdict_exit_code(gm_circle_file):

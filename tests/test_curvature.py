@@ -197,6 +197,21 @@ class TestSectional:
         with pytest.raises(cu.DegeneratePlaneError):
             bi.quotient_sectional(bi.trivial_action(fam), al.identity(fam), P, x, 2.0 * x)
 
+    @pytest.mark.parametrize("j, expected", [(3, 1.0), (4, 0.25)])
+    def test_degeneracy_is_scale_free(self, j, expected):
+        # two root coordinates of SU(3), one of them scaled by 1e-7: the
+        # plane is the same whichever vector carries the small scale
+        fam = al.su(3)
+        dec = al.root_decomposition(fam)
+        P = me.build_metric(dec)
+        act, g = bi.trivial_action(fam), al.identity(fam)
+        x, y = (dec.from_coords(row) for row in np.eye(dec.dim)[[2, j]])
+        for a, b in ((1e-7 * x, y), (x, 1e-7 * y)):
+            rep = bi.quotient_sectional(act, g, P, a, b)
+            assert abs(rep.sec_quotient - expected) < 1e-12
+        with pytest.raises(cu.DegeneratePlaneError):
+            bi.quotient_sectional(act, g, P, 1e-7 * x, 2e-7 * x)
+
     def test_gl2_invariance(self, rng):
         dec = al.root_decomposition(al.sp(2))
         P = random_invariant_metric(dec, rng)

@@ -18,6 +18,7 @@ from oracles import (
     matrix_check_N3,
     matrix_quotient_sectional,
     nelder_mead_flat_search,
+    scipy_lbfgsb_polish,
 )
 
 
@@ -417,6 +418,36 @@ class TestNumericFlatSearch:
         assert new.sec_quotient <= ref.sec_quotient + 1e-12 * max(1.0, abs(ref.sec_quotient))
         # every budget and seed tried converges to this minimum (16/157 to rounding)
         assert abs(new.sec_quotient - 16 / 157) < 1e-12
+
+    @staticmethod
+    def _polish_start(name, seed):
+        """The frame, horizontal rows and alternation result at a random
+        point and metric: the polish's start in numeric_flat_search."""
+        rng = np.random.default_rng(seed)
+        act = _circle_action(name)
+        P = de.random_torus_invariant_metric(act.dec(), rng)
+        g = al.random_group_element(act.group, rng)
+        frame = bi.PointFrame.at(act, g, P)
+        hor = frame.horizontal()
+        H = np.linalg.solve(np.linalg.cholesky(hor.coords @ P.mat @ hor.coords.T),
+                            hor.coords)
+        q, _ = np.linalg.qr(rng.standard_normal((hor.dim, 2)))
+        b = q.T[None, 1]
+        for _ in range(de.ALTERNATIONS):
+            _, nxt = de._alternation_step(frame, H, b)
+            a, b = b, nxt
+        return frame, H, a[0], b[0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["Sp(2)", "SU(3)", "two-torus", "SU(5)"])
+    def test_polish_not_above_the_lbfgsb_reference(self, name, seed):
+        frame, H, a, b = self._polish_start(name, seed)
+        ref = scipy_lbfgsb_polish(frame, H, a, b, 1000)[0]
+        for max_evals in (1, 2, 1000):
+            f, pa, pb, n = de._polish(frame, H, a, b, max_evals)
+            assert 1 <= n <= max_evals
+            assert abs(pa @ pa - 1) < 1e-12 and abs(pb @ pb - 1) < 1e-12
+        assert f <= ref + 1e-12 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("chunk", [7, 256])
     def test_random_phase_matches_sequential_matrix_loop(self, chunk, monkeypatch):
