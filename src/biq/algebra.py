@@ -165,13 +165,6 @@ def _require_same(a, b):
         raise AlgebraError(f"family mismatch: {a.family} vs {b.family}")
 
 
-def element(family: GroupFamily, mat, tol: float = DEFAULT_TOL) -> AlgebraElement:
-    """Wrap and validate a matrix as an algebra element."""
-    x = AlgebraElement(family, mat)
-    check_algebra_element(x, tol)
-    return x
-
-
 def check_algebra_element(x: AlgebraElement, tol: float = DEFAULT_TOL):
     m = x.mat
     size = x.family.matrix_size
@@ -311,32 +304,6 @@ def quaternion_block(b, c) -> np.ndarray:
     if b.shape != c.shape or b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise AlgebraError("B and C must be square matrices of equal size")
     return np.block([[b, -c.conj()], [c, b.conj()]])
-
-
-def realify(mat) -> np.ndarray:
-    """Replace each complex entry x + iy by the 2x2 block [[x, -y], [y, x]]."""
-    mat = np.asarray(mat, dtype=complex)
-    n = mat.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[0::2, 0::2] = mat.real
-    out[1::2, 1::2] = mat.real
-    out[0::2, 1::2] = -mat.imag
-    out[1::2, 0::2] = mat.imag
-    return out
-
-
-def embed_u_in_so(mat, kind: str = "group", tol: float = DEFAULT_TOL):
-    """Embed a unitary n x n matrix (or u(n) element) into SO(2n) (or so(2n))."""
-    mat = np.asarray(mat, dtype=complex)
-    n = mat.shape[0]
-    out = realify(mat)
-    if kind == "algebra":
-        return element(so(2 * n), out, tol)
-    if np.abs(mat @ mat.conj().T - np.eye(n)).max() > tol:
-        raise AlgebraError("input to embed_u_in_so must be unitary")
-    g = GroupElement(so(2 * n), out)
-    check_group_element(g, tol)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +573,12 @@ class Subspace:
         object.__setattr__(self, "coords", _frozen_real(self.coords))
 
     @classmethod
-    def from_elements(cls, dec, elements, label: str = "", tol: float = 1e-12):
+    def from_elements(cls, dec, elements, label: str = ""):
         rows = np.asarray([dec.to_coords(e) for e in elements])
         # orthonormal basis of the span: left singular vectors whose
-        # singular value exceeds tol times the largest
+        # singular value exceeds 1e-12 times the largest
         u, s, _ = np.linalg.svd(rows.T, full_matrices=False)
-        q = u[:, s > tol * s.max()].T
+        q = u[:, s > 1e-12 * s.max()].T
         return cls(dec, q, label)
 
     @property
@@ -657,23 +624,23 @@ def root_subspace(dec: RootDecomposition, i: int, label: str = "") -> Subspace:
 # random sampling (explicit generators everywhere, for reproducibility)
 # ---------------------------------------------------------------------------
 
-def random_algebra_element(family: GroupFamily, rng, scale: float = 1.0) -> AlgebraElement:
+def random_algebra_element(family: GroupFamily, rng) -> AlgebraElement:
     size = family.matrix_size
     if family.name == "SO":
         m = rng.standard_normal((size, size))
-        return AlgebraElement(family, scale * (m - m.T) / 2)
+        return AlgebraElement(family, (m - m.T) / 2)
     if family.name == "Sp":
         n = family.n
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         b = (b - b.conj().T) / 2
         c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         c = (c + c.T) / 2
-        return AlgebraElement(family, scale * quaternion_block(b, c))
+        return AlgebraElement(family, quaternion_block(b, c))
     m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     m = (m - m.conj().T) / 2
     if family.name == "SU":
         m = m - np.trace(m) / size * np.eye(size)
-    return AlgebraElement(family, scale * m)
+    return AlgebraElement(family, m)
 
 
 def random_group_element(family: GroupFamily, rng) -> GroupElement:

@@ -213,6 +213,10 @@ class PointFrame:
     per generator pair; their difference spans the vertical space, and
     its metric Gram matrix is positive definite exactly when the action is
     free at g.
+
+    U = {e} needs no branch: its rows are (0, dim) arrays, its Gram matrix
+    and inverse are (0, 0), so the horizontal space is all of g and the
+    O'Neill term is 0.
     """
 
     act: BiquotientAction
@@ -239,40 +243,32 @@ class PointFrame:
         vc = ad_left - right
         gram = vc @ P.mat @ vc.T
         gram_inv = None
-        if gram.shape[0]:
-            eigs = np.linalg.eigvalsh(gram)
-            if eigs.min() > 1e-12 * max(eigs.max(), 1.0):
-                gram_inv = np.linalg.inv(gram)
+        eigs = np.linalg.eigvalsh(gram)
+        if eigs.min(initial=np.inf) > 1e-12 * max(eigs.max(initial=0.0), 1.0):
+            gram_inv = np.linalg.inv(gram)
         return cls(act=act, g=g, P=P, ad_left=ad_left, right=right,
                    vert_coords=vc, gram=gram, gram_inv=gram_inv)
 
     @property
     def is_free_point(self) -> bool:
-        return self.gram.shape[0] == 0 or self.gram_inv is not None
+        return self.gram_inv is not None
 
     def horizontal(self) -> Subspace:
         """Metric-orthogonal complement of the vertical space."""
-        dec = self.act.dec()
-        if self.vert_coords.size == 0:
-            return Subspace(dec, np.eye(dec.dim), label="horizontal")
         # the null space of the pairings: right singular vectors past the
         # numerical rank, cut at the largest singular value * max(shape) * eps
         pairings = self.vert_coords @ self.P.mat
         _, s, vh = np.linalg.svd(pairings)
-        rank = np.count_nonzero(s > s.max() * max(pairings.shape) * np.finfo(float).eps)
-        return Subspace(dec, vh[rank:], label="horizontal")
+        rank = np.count_nonzero(s > s.max(initial=0.0) * max(pairings.shape) * np.finfo(float).eps)
+        return Subspace(self.act.dec(), vh[rank:], label="horizontal")
 
     def horizontal_residual(self, coords) -> float:
-        if self.vert_coords.size == 0:
-            return 0.0
         pairings = self.vert_coords @ (self.P.mat @ np.asarray(coords))
         return float(np.linalg.norm(pairings))
 
     def project_horizontal(self, coords) -> np.ndarray:
         """Metric-orthogonal projection onto the horizontal space."""
         c = np.asarray(coords, dtype=float)
-        if self.vert_coords.size == 0:
-            return c
         if self.gram_inv is None:
             raise NonFreePointError("action is not free at this point")
         pairings = self.vert_coords @ (self.P.mat @ c)
@@ -281,8 +277,6 @@ class PointFrame:
     def z_squared(self, terms: PlaneTerms) -> np.ndarray:
         """z^2 = c G^{-1} c per plane, with the pairings
         c = <Ad_{g^{-1}} X_L, L(x, y)> - <X_R, [x, y]> over the generators."""
-        if self.vert_coords.size == 0:
-            return np.zeros(len(terms.numerator))
         if self.gram_inv is None:
             raise NonFreePointError("action is not free at this point")
         c = terms.p_fusing @ self.ad_left.T - terms.p_bracket @ self.right.T
@@ -294,8 +288,6 @@ class PointFrame:
         3/4 K^T G^{-1} K, symmetrized, where K Y holds the pairings c of
         z_squared."""
         terms = numerator_forms(self.P, X)
-        if self.vert_coords.size == 0:
-            return terms.forms
         if self.gram_inv is None:
             raise NonFreePointError("action is not free at this point")
         K = self.ad_left @ terms.p_fusing - self.right @ terms.p_bracket
@@ -320,8 +312,6 @@ def z_term(
     """Norm of the vertical part of the bracket of horizontal extensions of
     a, b at g; requires a, b horizontal and the action free at g."""
     frame = frame or PointFrame.at(act, g, P)
-    if frame.vert_coords.size == 0:
-        return 0.0
     if frame.gram_inv is None:
         raise NonFreePointError("action is not free at this point")
     dec = act.dec()

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraError, GroupFamily, bracket, so, sp, su
+from .algebra import AlgebraElement, AlgebraError, GroupFamily, bracket, so, sp, su
 from .freeness import (
     MOD_CENTER,
     STRICT,
@@ -283,7 +283,6 @@ class UFactor:
     description: str
     dim: int
     rank: int
-    side: str  # "left" | "right" | "both"
 
 
 @dataclass(frozen=True)
@@ -301,7 +300,7 @@ class ClassificationEntry:
     smallest: tuple = ()
 
     def instantiate(self, n=None):
-        return _ROW_BUILDERS[self.row](self, n)
+        return _ROW_BUILDERS[self.row](n)
 
 
 def _factors_dim(factors):
@@ -326,7 +325,6 @@ def _sp_dim(m):
 
 @dataclass(frozen=True)
 class RowInstance:
-    entry: ClassificationEntry
     group: GroupFamily
     torus: TorusActionWeights
     factors: tuple
@@ -335,174 +333,174 @@ class RowInstance:
 
 
 def _row_builders():
-    builders = {}
-
-    def build_row1(entry, n):
+    def build_row1(n):
         n = n or 5
         l = 2
         tor = su_tori(n, l, 1).weights
         factors = (
-            UFactor("S^1 (both sides)", 1, 1, "both"),
-            UFactor(f"SU({n-1}) block rows 1..{n-1}", _su_dim(n - 1), n - 2, "right"),
+            UFactor("S^1 (both sides)", 1, 1),
+            UFactor(f"SU({n-1}) block rows 1..{n-1}", _su_dim(n - 1), n - 2),
         )
         # the circle's right weights, from the printed display:
         # diag(z, z^2, ..., z^2, 1, ..., 1, z) with l-1 copies of z^2
         right_row = [1] + [2] * (l - 1) + [0] * (n - l - 1) + [1]
-        return RowInstance(entry, su(n), tor, factors, 2 * (n - 1),
+        return RowInstance(su(n), tor, factors, 2 * (n - 1),
                            normalizing_circle=(tuple(right_row), tuple(range(n - 1))))
 
-    def build_row2(entry, n):
+    def build_row2(n):
         n = n or 2
         tor = su_tori(2 * n, n, 1).weights
         factors = (
-            UFactor("diagonal SU(2)", 3, 1, "left"),
-            UFactor(f"SU({2*n-1}) block", _su_dim(2 * n - 1), 2 * n - 2, "right"),
+            UFactor("diagonal SU(2)", 3, 1),
+            UFactor(f"SU({2*n-1}) block", _su_dim(2 * n - 1), 2 * n - 2),
         )
-        return RowInstance(entry, su(2 * n), tor, factors, 4 * (n - 1))
+        return RowInstance(su(2 * n), tor, factors, 4 * (n - 1))
 
-    def build_row3(entry, n):
+    def build_row3(n):
         tor = p_torus_weights(3, 1, so(7))
         factors = (
-            UFactor("Spin(3)", 3, 1, "left"),
-            UFactor("G2 (standard embedding, lifted)", 14, 2, "right"),
+            UFactor("Spin(3)", 3, 1),
+            UFactor("G2 (standard embedding, lifted)", 14, 2),
         )
-        return RowInstance(entry, so(7), tor, factors, 4)
+        return RowInstance(so(7), tor, factors, 4)
 
-    def build_row4(entry, n):
+    def build_row4(n):
         tor = p_torus_weights(4, 1, so(8))
         factors = (
-            UFactor("Spin(3)", 3, 1, "left"),
-            UFactor("Spin(7)' (spin embedding)", 21, 3, "right"),
+            UFactor("Spin(3)", 3, 1),
+            UFactor("Spin(7)' (spin embedding)", 21, 3),
         )
-        return RowInstance(entry, so(8), tor, factors, 4)
+        return RowInstance(so(8), tor, factors, 4)
 
-    def build_row5(entry, n):
+    def build_row5(n):
         tor = p_torus_weights(4, 1, so(9))
         factors = (
-            UFactor("Spin(3)", 3, 1, "left"),
-            UFactor("Spin(7)' (spin embedding)", 21, 3, "right"),
+            UFactor("Spin(3)", 3, 1),
+            UFactor("Spin(7)' (spin embedding)", 21, 3),
         )
-        return RowInstance(entry, so(9), tor, factors, 12)
+        return RowInstance(so(9), tor, factors, 12)
 
-    def build_row6(entry, n):
+    def build_row6(n):
         n = n or 3
         tor = p_torus_weights(n, 2, so(2 * n))
         factors = (
-            UFactor("diagonal SO(2)", 1, 1, "left"),
-            UFactor(f"SO({2*n-1}) block", _so_dim(2 * n - 1), n - 1, "right"),
+            UFactor("diagonal SO(2)", 1, 1),
+            UFactor(f"SO({2*n-1}) block", _so_dim(2 * n - 1), n - 1),
         )
-        return RowInstance(entry, so(2 * n), tor, factors, 2 * (n - 1))
+        return RowInstance(so(2 * n), tor, factors, 2 * (n - 1))
 
-    def build_row7(entry, n):
+    def build_row7(n):
         n = n or 2
         tor = p_torus_weights(2 * n, 2, so(4 * n))
         factors = (
-            UFactor("diagonal SU(2)", 3, 1, "left"),
-            UFactor(f"SO({4*n-1}) block", _so_dim(4 * n - 1), 2 * n - 1, "right"),
+            UFactor("diagonal SU(2)", 3, 1),
+            UFactor(f"SO({4*n-1}) block", _so_dim(4 * n - 1), 2 * n - 1),
         )
-        return RowInstance(entry, so(4 * n), tor, factors, 4 * (n - 1))
+        return RowInstance(so(4 * n), tor, factors, 4 * (n - 1))
 
-    def build_row8(entry, n):
+    def build_row8(n):
         n = n or 2
         tor = p_torus_weights(n, 2, sp(n))
         factors = (
-            UFactor("diagonal Sp(1)", 3, 1, "left"),
-            UFactor(f"Sp({n-1}) block", _sp_dim(n - 1), n - 1, "right"),
+            UFactor("diagonal Sp(1)", 3, 1),
+            UFactor(f"Sp({n-1}) block", _sp_dim(n - 1), n - 1),
         )
-        return RowInstance(entry, sp(n), tor, factors, 4 * (n - 1))
+        return RowInstance(sp(n), tor, factors, 4 * (n - 1))
 
-    def build_row9(entry, n):
+    def build_row9(n):
         n = n or 5
         l = 2
         tor = su_tori(n, l, 2).weights
         factors = (
-            UFactor("S^1 (both sides)", 1, 1, "both"),
-            UFactor(f"SU({l})SU({n-l}) blocks", _su_dim(l) + _su_dim(n - l),
-                    n - 2, "right"),
+            UFactor("S^1 (both sides)", 1, 1),
+            UFactor(f"SU({l})SU({n-l}) blocks", _su_dim(l) + _su_dim(n - l), n - 2),
         )
         right_row = [1] + [0] * (n - 2) + [1]  # diag(z, 1, ..., 1, z)
-        return RowInstance(entry, su(n), tor, factors, None,
+        return RowInstance(su(n), tor, factors, None,
                            normalizing_circle=(tuple(right_row),
                                                tuple(range(1, n - 1))))
 
-    def build_row10(entry, n):
+    def build_row10(n):
         n = n or 2
         tor = su_tori(2 * n, n, 2).weights
         factors = (
-            UFactor("S^1 (left only)", 1, 1, "left"),
-            UFactor(f"SU({n})SU({n}) blocks", 2 * _su_dim(n), 2 * (n - 1), "right"),
+            UFactor("S^1 (left only)", 1, 1),
+            UFactor(f"SU({n})SU({n}) blocks", 2 * _su_dim(n), 2 * (n - 1)),
         )
-        return RowInstance(entry, su(2 * n), tor, factors, None)
+        return RowInstance(su(2 * n), tor, factors, None)
 
-    def build_row11(entry, n):
+    def build_row11(n):
         n = n or 5
         tor = p_torus_weights(n, 1, so(2 * n))
         factors = (
-            UFactor("SO(3) block", 3, 1, "left"),
-            UFactor(f"SU({n}) (unitary block embedding)", _su_dim(n), n - 1, "right"),
+            UFactor("SO(3) block", 3, 1),
+            UFactor(f"SU({n}) (unitary block embedding)", _su_dim(n), n - 1),
         )
-        return RowInstance(entry, so(2 * n), tor, factors, None)
+        return RowInstance(so(2 * n), tor, factors, None)
 
-    def build_row12(entry, n):
+    def build_row12(n):
         n = n or 5
         tor = p_torus_weights(n, 1, so(2 * n + 1))
         factors = (
-            UFactor("SO(3) block", 3, 1, "left"),
-            UFactor(f"SU({n}) (unitary block embedding)", _su_dim(n), n - 1, "right"),
+            UFactor("SO(3) block", 3, 1),
+            UFactor(f"SU({n}) (unitary block embedding)", _su_dim(n), n - 1),
         )
-        return RowInstance(entry, so(2 * n + 1), tor, factors, None)
+        return RowInstance(so(2 * n + 1), tor, factors, None)
 
-    def build_row13(entry, n):
+    def build_row13(n):
         n = n or 3
         tor = p_torus_weights(n, 2, so(2 * n + 1))
         factors = (
-            UFactor("diagonal SO(2)", 1, 1, "left"),
-            UFactor(f"SO({2*n-1}) block", _so_dim(2 * n - 1), n - 1, "right"),
+            UFactor("diagonal SO(2)", 1, 1),
+            UFactor(f"SO({2*n-1}) block", _so_dim(2 * n - 1), n - 1),
         )
-        return RowInstance(entry, so(2 * n + 1), tor, factors, None)
+        return RowInstance(so(2 * n + 1), tor, factors, None)
 
-    def build_row14(entry, pq):
+    def build_row14(pq):
         p, q = pq or (3, 3)
         if p % 2 == 0 or q % 2 == 0:
             raise ValueError("both block sizes must be odd")
         n = (p + q) // 2
         tor = p_torus_weights(n, 2, so(2 * n))
         factors = (
-            UFactor("diagonal SO(2)", 1, 1, "left"),
+            UFactor("diagonal SO(2)", 1, 1),
             UFactor(f"SO({p})SO({q}) blocks", _so_dim(p) + _so_dim(q),
-                    (p - 1) // 2 + (q - 1) // 2, "right"),
+                    (p - 1) // 2 + (q - 1) // 2),
         )
-        return RowInstance(entry, so(2 * n), tor, factors, None)
+        return RowInstance(so(2 * n), tor, factors, None)
 
-    def build_row15(entry, n):
+    def build_row15(n):
         n = n or 2
         tor = p_torus_weights(2 * n, 2, so(4 * n + 1))
         factors = (
-            UFactor("diagonal SU(2)", 3, 1, "left"),
-            UFactor(f"SO({4*n-1}) block", _so_dim(4 * n - 1), 2 * n - 1, "right"),
+            UFactor("diagonal SU(2)", 3, 1),
+            UFactor(f"SO({4*n-1}) block", _so_dim(4 * n - 1), 2 * n - 1),
         )
-        return RowInstance(entry, so(4 * n + 1), tor, factors, None)
+        return RowInstance(so(4 * n + 1), tor, factors, None)
 
-    def build_row16(entry, n):
+    def build_row16(n):
         n = n or 3
         tor = p_torus_weights(n, 1, sp(n))
         factors = (
-            UFactor("Sp(1) block", 3, 1, "left"),
-            UFactor(f"SU({n}) (unitary block embedding)", _su_dim(n), n - 1, "right"),
+            UFactor("Sp(1) block", 3, 1),
+            UFactor(f"SU({n}) (unitary block embedding)", _su_dim(n), n - 1),
         )
-        return RowInstance(entry, sp(n), tor, factors, None)
+        return RowInstance(sp(n), tor, factors, None)
 
-    def build_row17(entry, n):
+    def build_row17(n):
         tor = p_torus_weights(4, 1, sp(4))
         factors = (
-            UFactor("Sp(1) block", 3, 1, "left"),
-            UFactor("SU(2)^3 (triple tensor product embedding)", 9, 3, "right"),
+            UFactor("Sp(1) block", 3, 1),
+            UFactor("SU(2)^3 (triple tensor product embedding)", 9, 3),
         )
-        return RowInstance(entry, sp(4), tor, factors, None)
+        return RowInstance(sp(4), tor, factors, None)
 
-    for i in range(1, 18):
-        builders[i] = locals()[f"build_row{i}"]
-    return builders
+    return {
+        1: build_row1, 2: build_row2, 3: build_row3, 4: build_row4, 5: build_row5,
+        6: build_row6, 7: build_row7, 8: build_row8, 9: build_row9, 10: build_row10,
+        11: build_row11, 12: build_row12, 13: build_row13, 14: build_row14,
+        15: build_row15, 16: build_row16, 17: build_row17,
+    }
 
 
 _TABLE_A = [
@@ -577,8 +575,6 @@ def _normalization_check(inst: RowInstance) -> float:
     right_row, block_rows = inst.normalizing_circle
     fam = inst.group
     n = fam.n
-    from .algebra import AlgebraElement
-
     circle = np.diag(1j * np.asarray(right_row, dtype=float))
     circle = circle - np.trace(circle) / n * np.eye(n)
     gen = AlgebraElement(fam, circle)
@@ -619,7 +615,7 @@ def verify_entry(entry: ClassificationEntry, n=None) -> dict:
     verdict = is_free_exact(inst.torus, MOD_CENTER)
     checks.append(("torus_free", verdict.free, f"mode={verdict.mode}"))
 
-    rank_u = _factors_rank(inst.factors) + 0
+    rank_u = _factors_rank(inst.factors)
     rank_g = inst.group.rank
     checks.append(("rank_equal", rank_u == rank_g, f"rank U={rank_u}, rank G={rank_g}"))
     checks.append(

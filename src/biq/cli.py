@@ -151,11 +151,14 @@ def _emit(report, cfg: RunConfig, csv_rows=None):
 
 
 def _flat_row(row):
-    """A CSV row: a nested dict becomes one "key.subkey" column per entry."""
+    """A CSV row: a nested dict becomes one "key.subkey" column per entry,
+    and a list one column of its space-joined items."""
     flat = {}
     for k, v in row.items():
         if isinstance(v, dict):
             flat.update({f"{k}.{kk}": vv for kk, vv in v.items()})
+        elif isinstance(v, list):
+            flat[k] = " ".join(map(str, v))
         else:
             flat[k] = v
     return flat
@@ -297,7 +300,7 @@ def cmd_catalog(args) -> int:
         records = [r.to_dict() for r in enumerate_family(args.bound)]
         report = {"config": cfg.header(), "command": "catalog",
                   "records": records, "count": len(records)}
-        _emit(report, cfg, csv_rows=_flatten_records(records))
+        _emit(report, cfg, csv_rows=records)
         return 0
     # verify-tables
     rows = []
@@ -319,22 +322,12 @@ def cmd_catalog(args) -> int:
     return 0 if ok else 1
 
 
-def _flatten_records(records):
-    out = []
-    for r in records:
-        flat = {}
-        for k, v in r.items():
-            flat[k] = " ".join(map(str, v)) if isinstance(v, list) else v
-        out.append(flat)
-    return out
-
-
 def _config(args) -> RunConfig:
     return RunConfig(
         seed=args.seed,
-        points=getattr(args, "points", 5),
-        planes=getattr(args, "planes", 2000),
-        restarts=getattr(args, "restarts", 4),
+        points=getattr(args, "points", RunConfig.points),
+        planes=getattr(args, "planes", RunConfig.planes),
+        restarts=getattr(args, "restarts", RunConfig.restarts),
         output=args.output,
         fmt=args.format,
     )
@@ -348,9 +341,9 @@ def _add_common(p, budgets=False, rows=True):
     p.add_argument("--format", choices=("json", "csv", "jsonl") if rows else ("json",),
                    default="json")
     if budgets:
-        p.add_argument("--points", type=int, default=5)
-        p.add_argument("--planes", type=int, default=2000)
-        p.add_argument("--restarts", type=int, default=4)
+        p.add_argument("--points", type=int, default=RunConfig.points)
+        p.add_argument("--planes", type=int, default=RunConfig.planes)
+        p.add_argument("--restarts", type=int, default=RunConfig.restarts)
 
 
 def build_parser():

@@ -503,15 +503,14 @@ def matrix_check_N2(
     w2: Subspace,
     act: BiquotientAction,
     g: GroupElement,
-    candidates=None,
     rng=None,
     diagnostics: dict | None = None,
 ) -> FlatCertificate | None:
     """Flat plane from commuting P-invariant subspaces.
 
-    Searches Y over candidates in W2 intersected with the horizontal space
-    (defaults: an orthonormal basis of the intersection plus 20 random unit
-    combinations) for [Y, P(Y)] in W2, and takes any horizontal X in W1.
+    Searches Y in W2 intersected with the horizontal space, over an
+    orthonormal basis of the intersection plus 20 random unit combinations,
+    for [Y, P(Y)] in W2, and takes any horizontal X in W1.
     """
     dec = P.dec
     p1 = _subspace_p_invariance(P, w1)
@@ -535,19 +534,11 @@ def matrix_check_N2(
     x = dec.from_coords(x_coords)
 
     cand_coords = list(slc2)
-    if candidates is not None:
-        for c in candidates:
-            cc = dec.to_coords(c)
-            cc = (slc2.T @ (slc2 @ cc))  # restrict to the horizontal slice
-            nrm = np.linalg.norm(cc)
-            if nrm > 1e-12:
-                cand_coords.append(cc / nrm)
-    else:
-        rng = rng or np.random.default_rng(0)
-        for _ in range(20):
-            mix = rng.standard_normal(slc2.shape[0])
-            cc = slc2.T @ mix
-            cand_coords.append(cc / np.linalg.norm(cc))
+    rng = rng or np.random.default_rng(0)
+    for _ in range(20):
+        mix = rng.standard_normal(slc2.shape[0])
+        cc = slc2.T @ mix
+        cand_coords.append(cc / np.linalg.norm(cc))
 
     for cy in cand_coords:
         y = dec.from_coords(cy)

@@ -168,9 +168,7 @@ def test_criterion_05_puttmann_bi_invariant_reduction():
 
 def test_criterion_06_sp2_circles_flat_everywhere():
     started = time.time()
-    result = de.run_example1(
-        seed=SEED, n_weights=20, n_metrics=20, n_points=20, flat_tol=1e-8
-    )
+    result = de.run_example1(seed=SEED, n_weights=20, n_metrics=20, n_points=20)
     elapsed = time.time() - started
     CERTIFICATE_POOL.extend(result.get("certificates", []))
     _report(
@@ -182,9 +180,7 @@ def test_criterion_06_sp2_circles_flat_everywhere():
 
 
 def test_criterion_07_exotic_sphere_positivity_and_flatness():
-    result = de.run_example3(
-        seed=SEED, n_metrics=20, budget=10_000, min_positive=0.01, flat_tol=1e-9
-    )
+    result = de.run_example3(seed=SEED, n_metrics=20, budget=10_000)
     CERTIFICATE_POOL.extend(result.get("certificates", []))
     _report(
         7, "positive curvature at the identity (sampling bound) and flat "
@@ -196,8 +192,7 @@ def test_criterion_07_exotic_sphere_positivity_and_flatness():
 
 
 def test_criterion_08_interior_parameters_flat_plane():
-    result = de.run_example2(seed=SEED, n_cases=10, flat_tol=1e-8,
-                             residual_tol=1e-10)
+    result = de.run_example2(seed=SEED, n_cases=10)
     CERTIFICATE_POOL.extend(result.get("certificates", []))
     worst_balance = max(
         (r["balance_residual"] for r in result.get("results", [])), default=1.0
@@ -214,8 +209,7 @@ def test_criterion_08_interior_parameters_flat_plane():
 
 
 def test_criterion_09_flow_quotients_flat_everywhere():
-    result = de.run_example4(seed=SEED, ns=(2, 3), n_points=50, n_metrics=5,
-                             flat_tol=1e-8)
+    result = de.run_example4(seed=SEED, ns=(2, 3), n_points=50, n_metrics=5)
     CERTIFICATE_POOL.extend(result.get("certificates", []))
     _report(
         9, "flow quotients carry certified flat planes at every sampled point",

@@ -95,12 +95,25 @@ class TestHorizontalSpace:
         )
         assert h.contains(off)
 
-    def test_trivial_action_gives_everything(self):
+    def test_trivial_action_gives_everything(self, rng):
+        # U = {e} takes no branch: the (0, dim) vertical rows reproduce the
+        # group's own values exactly
         fam = al.su(3)
+        dec = al.root_decomposition(fam)
         act = bi.trivial_action(fam)
-        P = me.build_metric(al.root_decomposition(fam))
-        h = bi.horizontal_space(act, al.identity(fam), P)
-        assert h.dim == fam.dim
+        P = de.random_torus_invariant_metric(dec, rng)
+        g = al.random_group_element(fam, rng)
+        frame = bi.PointFrame.at(act, g, P)
+        assert frame.is_free_point
+        assert np.array_equal(bi.horizontal_space(act, g, P).coords, np.eye(dec.dim))
+        c = rng.standard_normal((2, dec.dim))
+        assert np.array_equal(frame.project_horizontal(c[0]), c[0])
+        assert np.array_equal(frame.z_squared(cu.plane_terms(P, c[:1], c[1:])), [0.0])
+        a, b = dec.from_coords(c[0]), dec.from_coords(c[1])
+        assert bi.z_term(act, g, P, a, b, frame=frame) == 0.0
+        assert np.array_equal(frame.quotient_forms(c), cu.numerator_forms(P, c).forms)
+        sub = al.root_subspace(dec, 0)
+        assert np.array_equal(de._metric_normal_slice(sub, frame), sub.coords)
 
     def test_dimensions_sum(self, rng):
         act = bi.gromoll_meyer_action()

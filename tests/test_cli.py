@@ -164,7 +164,7 @@ class TestScan:
     def test_certificate_that_does_not_evaluate_flat_is_dropped(
         self, gm_circle_file, tmp_path, monkeypatch
     ):
-        def non_flat_n2(P, w1, w2, act, g, candidates=None, rng=None, diagnostics=None):
+        def non_flat_n2(P, w1, w2, act, g, rng=None, diagnostics=None):
             # a horizontal plane with clearly nonzero quotient curvature
             frame = biquotient.PointFrame.at(act, g, P)
             hor = frame.horizontal().basis_elements()
@@ -325,6 +325,17 @@ class TestCatalog:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("family")
         assert len(lines) >= 2
+
+    def test_jsonl_rows_keep_lists_as_arrays(self, tmp_path):
+        # a jsonl row is the json report's record; only csv joins lists
+        out = tmp_path / "records.jsonl"
+        assert cli.main(["catalog", "enumerate-eschenburg", "--bound", "1",
+                         "--format", "jsonl", "-o", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert rows
+        for row in rows:
+            assert isinstance(row["p"], list) and isinstance(row["q"], list)
+            assert all(isinstance(x, int) for x in row["p"] + row["q"])
 
 
 class TestDeterminism:
