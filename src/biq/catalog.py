@@ -7,7 +7,10 @@ Contents:
   coming from its coincidence with SU(4);
 - the two classification tables of maximal equal-rank extensions, with a
   per-row verifier (torus freeness, rank and dimension arithmetic, and
-  the normalization property of the circles that act on both sides);
+  the normalization property of the circles that act on both sides).
+  Each row is defined once: its printed text and the builder that turns
+  its parameter into a group, a torus and the factors of U, whose
+  dimensions and ranks come from GroupFamily (only G2 is given by size);
 - enumerators for the 7-dimensional circle-quotient family on SU(3) and
   the 13-dimensional family on SU(5), with canonical deduplication;
 - lattice-equivalence tests for weight matrices (Hermite-form comparison
@@ -31,7 +34,9 @@ with full textual fidelity but verified only at the torus level.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -66,7 +71,6 @@ EXCEPTIONAL_GROUPS = {
 class TorusNormalForm:
     name: str  # "S1l" | "S2l" | "P1" | "P2" | "P3"
     group: GroupFamily
-    params: tuple
     weights: TorusActionWeights
 
 
@@ -110,7 +114,7 @@ def su_tori(n: int, l: int, variant: int) -> TorusNormalForm:
         raise ValueError("variant must be 1 or 2")
     w = TorusActionWeights(su(n), k, tuple(map(tuple, wl)), tuple(map(tuple, wr)),
                            mode=MOD_CENTER)
-    return TorusNormalForm(f"S{variant}l", su(n), (n, l), w)
+    return TorusNormalForm(f"S{variant}l", su(n), w)
 
 
 def su_tori_rewritten(n: int, variant: int) -> TorusNormalForm:
@@ -154,7 +158,7 @@ def su_tori_rewritten(n: int, variant: int) -> TorusNormalForm:
         raise ValueError("variant must be 1 or 2")
     w = TorusActionWeights(su(n), k, tuple(map(tuple, wl)), tuple(map(tuple, wr)),
                            mode=MOD_CENTER)
-    return TorusNormalForm(f"S{variant}l-rewritten", su(n), (n, m), w)
+    return TorusNormalForm(f"S{variant}l-rewritten", su(n), w)
 
 
 def p_torus_weights(n: int, variant: int, family: GroupFamily) -> TorusActionWeights:
@@ -184,9 +188,7 @@ def p_torus_weights(n: int, variant: int, family: GroupFamily) -> TorusActionWei
 
 def sp_tori(n: int, variant: int) -> TorusNormalForm:
     """The two free n-torus normal forms on Sp(n)."""
-    return TorusNormalForm(
-        f"P{variant}", sp(n), (n,), p_torus_weights(n, variant, sp(n))
-    )
+    return TorusNormalForm(f"P{variant}", sp(n), p_torus_weights(n, variant, sp(n)))
 
 
 def spin6_extra() -> TorusNormalForm:
@@ -199,7 +201,7 @@ def spin6_extra() -> TorusNormalForm:
     wl = ((1, 0, 0), (1, 0, 0), (1, 0, 0))
     wr = ((1, 1, 0), (0, 0, 1), (0, -1, -1))
     w = TorusActionWeights(so(6), 3, wl, wr, mode=MOD_CENTER)
-    return TorusNormalForm("P3", so(6), (3,), w)
+    return TorusNormalForm("P3", so(6), w)
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +278,23 @@ def lattice_equal(w1: TorusActionWeights, w2: TorusActionWeights) -> bool:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UFactor:
-    """One factor of the extension U = U1 x U2, with enough structure for
-    rank/dimension arithmetic."""
+class RowInstance:
+    """A table row at one parameter.  Each factor of U = U1 x U2 gives
+    its .dim and .rank; a circle that acts on both sides records its right
+    weights row and the rows of the right block it must normalize."""
 
-    description: str
-    dim: int
-    rank: int
+    group: GroupFamily
+    torus: TorusActionWeights
+    factors: tuple
+    quotient_dim: int | None
+    normalizing_circle: tuple | None  # (right weights row, block rows)
 
 
 @dataclass(frozen=True)
 class ClassificationEntry:
+    """A table row as printed; `build` maps its parameter (None on a row
+    with a fixed group) to the RowInstance that verify_entry checks."""
+
     row: int
     table: str  # "A" | "B"
     group_name: str
@@ -297,267 +305,123 @@ class ClassificationEntry:
     quotient: str | None
     verified: str  # "full" | "torus-only" | "recorded"
     note: str = ""
-    smallest: tuple = ()
+    smallest: object = None  # the smallest legal parameter, None if fixed
+    build: Callable = field(kw_only=True, repr=False, compare=False)
 
     def instantiate(self, n=None):
-        return _ROW_BUILDERS[self.row](n)
+        """The row at parameter n, by default its smallest legal one."""
+        return self.build(self.smallest if n is None else n)
 
 
-def _factors_dim(factors):
-    return sum(f.dim for f in factors)
+#: G2 is not a classical family; the rows need only its size.
+_G2 = SimpleNamespace(dim=14, rank=2)
 
 
-def _factors_rank(factors):
-    return sum(f.rank for f in factors)
+def _s_row(n, l, variant, factors, quotient_dim, circle=None):
+    """A row on the torus S_{variant,l} of SU(n)."""
+    return RowInstance(su(n), su_tori(n, l, variant).weights, factors,
+                       quotient_dim, circle)
 
 
-def _su_dim(m):
-    return m * m - 1
+def _p_row(group, variant, factors, quotient_dim):
+    """A row on the torus P_variant of a rank-n group: Sp(n), SO(2n) or
+    SO(2n+1)."""
+    return RowInstance(group, p_torus_weights(group.rank, variant, group),
+                       factors, quotient_dim, None)
 
 
-def _so_dim(m):
-    return m * (m - 1) // 2
-
-
-def _sp_dim(m):
-    return m * (2 * m + 1)
-
-
-@dataclass(frozen=True)
-class RowInstance:
-    group: GroupFamily
-    torus: TorusActionWeights
-    factors: tuple
-    quotient_dim: int | None
-    normalizing_circle: tuple | None = None  # (right weights row, block rows)
-
-
-def _row_builders():
-    def build_row1(n):
-        n = n or 5
-        l = 2
-        tor = su_tori(n, l, 1).weights
-        factors = (
-            UFactor("S^1 (both sides)", 1, 1),
-            UFactor(f"SU({n-1}) block rows 1..{n-1}", _su_dim(n - 1), n - 2),
-        )
-        # the circle's right weights, from the printed display:
-        # diag(z, z^2, ..., z^2, 1, ..., 1, z) with l-1 copies of z^2
-        right_row = [1] + [2] * (l - 1) + [0] * (n - l - 1) + [1]
-        return RowInstance(su(n), tor, factors, 2 * (n - 1),
-                           normalizing_circle=(tuple(right_row), tuple(range(n - 1))))
-
-    def build_row2(n):
-        n = n or 2
-        tor = su_tori(2 * n, n, 1).weights
-        factors = (
-            UFactor("diagonal SU(2)", 3, 1),
-            UFactor(f"SU({2*n-1}) block", _su_dim(2 * n - 1), 2 * n - 2),
-        )
-        return RowInstance(su(2 * n), tor, factors, 4 * (n - 1))
-
-    def build_row3(n):
-        tor = p_torus_weights(3, 1, so(7))
-        factors = (
-            UFactor("Spin(3)", 3, 1),
-            UFactor("G2 (standard embedding, lifted)", 14, 2),
-        )
-        return RowInstance(so(7), tor, factors, 4)
-
-    def build_row4(n):
-        tor = p_torus_weights(4, 1, so(8))
-        factors = (
-            UFactor("Spin(3)", 3, 1),
-            UFactor("Spin(7)' (spin embedding)", 21, 3),
-        )
-        return RowInstance(so(8), tor, factors, 4)
-
-    def build_row5(n):
-        tor = p_torus_weights(4, 1, so(9))
-        factors = (
-            UFactor("Spin(3)", 3, 1),
-            UFactor("Spin(7)' (spin embedding)", 21, 3),
-        )
-        return RowInstance(so(9), tor, factors, 12)
-
-    def build_row6(n):
-        n = n or 3
-        tor = p_torus_weights(n, 2, so(2 * n))
-        factors = (
-            UFactor("diagonal SO(2)", 1, 1),
-            UFactor(f"SO({2*n-1}) block", _so_dim(2 * n - 1), n - 1),
-        )
-        return RowInstance(so(2 * n), tor, factors, 2 * (n - 1))
-
-    def build_row7(n):
-        n = n or 2
-        tor = p_torus_weights(2 * n, 2, so(4 * n))
-        factors = (
-            UFactor("diagonal SU(2)", 3, 1),
-            UFactor(f"SO({4*n-1}) block", _so_dim(4 * n - 1), 2 * n - 1),
-        )
-        return RowInstance(so(4 * n), tor, factors, 4 * (n - 1))
-
-    def build_row8(n):
-        n = n or 2
-        tor = p_torus_weights(n, 2, sp(n))
-        factors = (
-            UFactor("diagonal Sp(1)", 3, 1),
-            UFactor(f"Sp({n-1}) block", _sp_dim(n - 1), n - 1),
-        )
-        return RowInstance(sp(n), tor, factors, 4 * (n - 1))
-
-    def build_row9(n):
-        n = n or 5
-        l = 2
-        tor = su_tori(n, l, 2).weights
-        factors = (
-            UFactor("S^1 (both sides)", 1, 1),
-            UFactor(f"SU({l})SU({n-l}) blocks", _su_dim(l) + _su_dim(n - l), n - 2),
-        )
-        right_row = [1] + [0] * (n - 2) + [1]  # diag(z, 1, ..., 1, z)
-        return RowInstance(su(n), tor, factors, None,
-                           normalizing_circle=(tuple(right_row),
-                                               tuple(range(1, n - 1))))
-
-    def build_row10(n):
-        n = n or 2
-        tor = su_tori(2 * n, n, 2).weights
-        factors = (
-            UFactor("S^1 (left only)", 1, 1),
-            UFactor(f"SU({n})SU({n}) blocks", 2 * _su_dim(n), 2 * (n - 1)),
-        )
-        return RowInstance(su(2 * n), tor, factors, None)
-
-    def build_row11(n):
-        n = n or 5
-        tor = p_torus_weights(n, 1, so(2 * n))
-        factors = (
-            UFactor("SO(3) block", 3, 1),
-            UFactor(f"SU({n}) (unitary block embedding)", _su_dim(n), n - 1),
-        )
-        return RowInstance(so(2 * n), tor, factors, None)
-
-    def build_row12(n):
-        n = n or 5
-        tor = p_torus_weights(n, 1, so(2 * n + 1))
-        factors = (
-            UFactor("SO(3) block", 3, 1),
-            UFactor(f"SU({n}) (unitary block embedding)", _su_dim(n), n - 1),
-        )
-        return RowInstance(so(2 * n + 1), tor, factors, None)
-
-    def build_row13(n):
-        n = n or 3
-        tor = p_torus_weights(n, 2, so(2 * n + 1))
-        factors = (
-            UFactor("diagonal SO(2)", 1, 1),
-            UFactor(f"SO({2*n-1}) block", _so_dim(2 * n - 1), n - 1),
-        )
-        return RowInstance(so(2 * n + 1), tor, factors, None)
-
-    def build_row14(pq):
-        p, q = pq or (3, 3)
-        if p % 2 == 0 or q % 2 == 0:
-            raise ValueError("both block sizes must be odd")
-        n = (p + q) // 2
-        tor = p_torus_weights(n, 2, so(2 * n))
-        factors = (
-            UFactor("diagonal SO(2)", 1, 1),
-            UFactor(f"SO({p})SO({q}) blocks", _so_dim(p) + _so_dim(q),
-                    (p - 1) // 2 + (q - 1) // 2),
-        )
-        return RowInstance(so(2 * n), tor, factors, None)
-
-    def build_row15(n):
-        n = n or 2
-        tor = p_torus_weights(2 * n, 2, so(4 * n + 1))
-        factors = (
-            UFactor("diagonal SU(2)", 3, 1),
-            UFactor(f"SO({4*n-1}) block", _so_dim(4 * n - 1), 2 * n - 1),
-        )
-        return RowInstance(so(4 * n + 1), tor, factors, None)
-
-    def build_row16(n):
-        n = n or 3
-        tor = p_torus_weights(n, 1, sp(n))
-        factors = (
-            UFactor("Sp(1) block", 3, 1),
-            UFactor(f"SU({n}) (unitary block embedding)", _su_dim(n), n - 1),
-        )
-        return RowInstance(sp(n), tor, factors, None)
-
-    def build_row17(n):
-        tor = p_torus_weights(4, 1, sp(4))
-        factors = (
-            UFactor("Sp(1) block", 3, 1),
-            UFactor("SU(2)^3 (triple tensor product embedding)", 9, 3),
-        )
-        return RowInstance(sp(4), tor, factors, None)
-
-    return {
-        1: build_row1, 2: build_row2, 3: build_row3, 4: build_row4, 5: build_row5,
-        6: build_row6, 7: build_row7, 8: build_row8, 9: build_row9, 10: build_row10,
-        11: build_row11, 12: build_row12, 13: build_row13, 14: build_row14,
-        15: build_row15, 16: build_row16, 17: build_row17,
-    }
+def _row14(pq):
+    """Row 14 at odd block sizes (p, q): P_2 on SO(p + q)."""
+    p, q = pq
+    if p % 2 == 0 or q % 2 == 0:
+        raise ValueError("both block sizes must be odd")
+    return _p_row(so(p + q), 2, (so(2), so(p), so(q)), None)
 
 
 _TABLE_A = [
     ClassificationEntry(1, "A", "SU(n)", "n >= 5", "S_{1,l}, 2 <= l < n/2",
                         "S^1 (semidirect, both sides)", "SU(n-1)", "CP^{n-1}",
-                        "full", smallest=(5,)),
+                        "full", smallest=5,
+                        # l = 2; the circle's right weights, from the printed
+                        # display diag(z, z^2, ..., z^2, 1, ..., 1, z) with
+                        # l - 1 copies of z^2
+                        build=lambda n: _s_row(
+                            n, 2, 1, (so(2), su(n - 1)), 2 * (n - 1),
+                            ((1, 2) + (0,) * (n - 3) + (1,), tuple(range(n - 1))))),
     ClassificationEntry(2, "A", "SU(2n)", "n >= 2", "S_{1,n}",
                         "diagonal SU(2)", "SU(2n-1)", "HP^{n-1}", "full",
-                        smallest=(2,)),
+                        smallest=2,
+                        build=lambda n: _s_row(2 * n, n, 1, (su(2), su(2 * n - 1)),
+                                               4 * (n - 1))),
     ClassificationEntry(3, "A", "Spin(7)", "", "P_1^3", "Spin(3)",
                         "G_2", "S^4", "torus-only",
-                        note="nonabelian factor needs the exceptional embedding"),
+                        note="nonabelian factor needs the exceptional embedding",
+                        build=lambda _: _p_row(so(7), 1, (so(3), _G2), 4)),
     ClassificationEntry(4, "A", "Spin(8)", "", "P_1^4", "Spin(3)",
                         "Spin(7)'", "S^4", "torus-only",
-                        note="nonabelian factor needs the spin embedding"),
+                        note="nonabelian factor needs the spin embedding",
+                        build=lambda _: _p_row(so(8), 1, (so(3), so(7)), 4)),
     ClassificationEntry(5, "A", "Spin(9)", "", "P_1^4", "Spin(3)",
                         "Spin(7)'", "HP^3", "torus-only",
-                        note="nonabelian factor needs the spin embedding"),
+                        note="nonabelian factor needs the spin embedding",
+                        build=lambda _: _p_row(so(9), 1, (so(3), so(7)), 12)),
     ClassificationEntry(6, "A", "SO(2n)", "n >= 3", "P_2^n", "diagonal SO(2)",
-                        "SO(2n-1)", "CP^{n-1}", "full", smallest=(3,)),
+                        "SO(2n-1)", "CP^{n-1}", "full", smallest=3,
+                        build=lambda n: _p_row(so(2 * n), 2, (so(2), so(2 * n - 1)),
+                                               2 * (n - 1))),
     ClassificationEntry(7, "A", "SO(4n)", "n >= 2", "P_2^{2n}", "diagonal SU(2)",
-                        "SO(4n-1)", "HP^{n-1}", "full", smallest=(2,)),
+                        "SO(4n-1)", "HP^{n-1}", "full", smallest=2,
+                        build=lambda n: _p_row(so(4 * n), 2, (su(2), so(4 * n - 1)),
+                                               4 * (n - 1))),
     ClassificationEntry(8, "A", "Sp(n)", "n >= 2", "P_2^n", "diagonal Sp(1)",
-                        "Sp(n-1)", "HP^{n-1}", "full", smallest=(2,)),
+                        "Sp(n-1)", "HP^{n-1}", "full", smallest=2,
+                        build=lambda n: _p_row(sp(n), 2, (sp(1), sp(n - 1)),
+                                               4 * (n - 1))),
 ]
 
 _TABLE_B = [
     ClassificationEntry(9, "B", "SU(n)", "n >= 5", "S_{2,l}, 2 <= l < n/2",
                         "S^1 (semidirect, both sides)", "SU(l)SU(n-l)", None,
-                        "full", smallest=(5,)),
+                        "full", smallest=5,
+                        # l = 2; the circle's right weights: diag(z, 1, ..., 1, z)
+                        build=lambda n: _s_row(
+                            n, 2, 2, (so(2), su(2), su(n - 2)), None,
+                            ((1,) + (0,) * (n - 2) + (1,), tuple(range(1, n - 1))))),
     ClassificationEntry(10, "B", "SU(2n)", "n >= 2", "S_{2,n}",
                         "S^1 (left only)", "SU(n)SU(n)", None, "full",
-                        smallest=(2,)),
+                        smallest=2,
+                        build=lambda n: _s_row(2 * n, n, 2, (so(2), su(n), su(n)), None)),
     ClassificationEntry(11, "B", "SO(2n)", "n >= 5", "P_1^n", "SO(3)",
-                        "SU(n)", None, "full", smallest=(5,)),
+                        "SU(n)", None, "full", smallest=5,
+                        build=lambda n: _p_row(so(2 * n), 1, (so(3), su(n)), None)),
     ClassificationEntry(12, "B", "SO(2n+1)", "n >= 5", "P_1^n", "SO(3)",
-                        "SU(n)", None, "full", smallest=(5,)),
+                        "SU(n)", None, "full", smallest=5,
+                        build=lambda n: _p_row(so(2 * n + 1), 1, (so(3), su(n)), None)),
     ClassificationEntry(13, "B", "SO(2n+1)", "n >= 3", "P_2^n", "diagonal SO(2)",
-                        "SO(2n-1)", None, "full", smallest=(3,)),
+                        "SO(2n-1)", None, "full", smallest=3,
+                        build=lambda n: _p_row(so(2 * n + 1), 2, (so(2), so(2 * n - 1)),
+                                               None)),
     ClassificationEntry(14, "B", "SO(2n)", "2n = p + q, p, q odd", "P_2^n",
                         "diagonal SO(2)", "SO(p)SO(q)", None, "full",
                         note=("this entry was missing in full generality in the "
                               "original classification, so completeness carries "
                               "a caveat; implemented as printed"),
-                        smallest=((3, 3),)),
+                        smallest=(3, 3), build=_row14),
     ClassificationEntry(15, "B", "SO(4n+1)", "n >= 2", "P_2^{2n}",
                         "diagonal SU(2)", "SO(4n-1)", None, "full",
-                        smallest=(2,)),
+                        smallest=2,
+                        build=lambda n: _p_row(so(4 * n + 1), 2, (su(2), so(4 * n - 1)),
+                                               None)),
     ClassificationEntry(16, "B", "Sp(n)", "n >= 3", "P_1^n", "Sp(1)",
-                        "SU(n)", None, "full", smallest=(3,)),
+                        "SU(n)", None, "full", smallest=3,
+                        build=lambda n: _p_row(sp(n), 1, (sp(1), su(n)), None)),
     ClassificationEntry(17, "B", "Sp(4)", "", "P_1^4", "Sp(1)",
                         "SU(2)^3", None, "torus-only",
                         note="the tensor-product embedding of the right factor "
-                             "is out of scope"),
+                             "is out of scope",
+                        build=lambda _: _p_row(sp(4), 1, (sp(1), su(2), su(2), su(2)),
+                                               None)),
 ]
-
-_ROW_BUILDERS = _row_builders()
 
 
 def table_entries(table: str):
@@ -607,15 +471,15 @@ def verify_entry(entry: ClassificationEntry, n=None) -> dict:
     right factor.  Rows needing spin or exceptional embeddings only get
     the torus check and report "torus-only".
     """
-    if n is None and entry.smallest:
-        n = entry.smallest[0]
+    if n is None:
+        n = entry.smallest
     inst = entry.instantiate(n)
     checks = []
 
     verdict = is_free_exact(inst.torus, MOD_CENTER)
     checks.append(("torus_free", verdict.free, f"mode={verdict.mode}"))
 
-    rank_u = _factors_rank(inst.factors)
+    rank_u = sum(f.rank for f in inst.factors)
     rank_g = inst.group.rank
     checks.append(("rank_equal", rank_u == rank_g, f"rank U={rank_u}, rank G={rank_g}"))
     checks.append(
@@ -623,7 +487,7 @@ def verify_entry(entry: ClassificationEntry, n=None) -> dict:
          f"torus rank {inst.torus.k}")
     )
 
-    dim_u = _factors_dim(inst.factors)
+    dim_u = sum(f.dim for f in inst.factors)
     dim_g = inst.group.dim
     if inst.quotient_dim is not None:
         ok = dim_g - dim_u == inst.quotient_dim
@@ -664,7 +528,6 @@ class EschenburgRecord:
     q: tuple
     free: bool
     positive_flag: bool
-    canonical: bool = True
 
     @property
     def quotient_dim(self) -> int:
@@ -680,7 +543,6 @@ class EschenburgRecord:
 class BazaikinRecord:
     p: tuple
     free: bool
-    canonical: bool = True
 
     @property
     def quotient_dim(self) -> int:

@@ -152,11 +152,11 @@ def _emit(report, cfg: RunConfig, csv_rows=None):
 
 def _flat_row(row):
     """A CSV row: a nested dict becomes one "key.subkey" column per entry,
-    and a list one column of its space-joined items."""
+    and a list, nested or not, one column of its space-joined items."""
     flat = {}
     for k, v in row.items():
         if isinstance(v, dict):
-            flat.update({f"{k}.{kk}": vv for kk, vv in v.items()})
+            flat.update(_flat_row({f"{k}.{kk}": vv for kk, vv in v.items()}))
         elif isinstance(v, list):
             flat[k] = " ".join(map(str, v))
         else:

@@ -35,6 +35,7 @@ import numpy as np
 from . import freeness
 from .algebra import (
     AlgebraElement,
+    AlgebraError,
     GroupElement,
     GroupFamily,
     Subspace,
@@ -848,7 +849,7 @@ def run_example1(seed=0, n_weights=20, n_metrics=20, n_points=20):
         wr = tuple((int(x),) for x in rng.integers(-4, 5, size=2))
         try:
             w = freeness.TorusActionWeights(fam, 1, wl, wr)
-        except Exception:
+        except AlgebraError:  # a zero circle spans no 1-torus
             continue
         if freeness.is_free_exact(w).free:
             weights.append(w)
@@ -889,12 +890,8 @@ def sample_balanced_eschenburg(rng, count, bound=4):
             continue
         if not (min(p) <= q[2] <= max(p)):
             continue
-        try:
-            if not freeness.eschenburg_free(p, q):
-                continue
-        except ValueError:
-            continue
-        out.append((p, q))
+        if freeness.eschenburg_free(p, q):
+            out.append((p, q))
     return out
 
 

@@ -39,15 +39,12 @@ class MetricOperator:
     """The operator P with <X, Y> = Q(X, P(Y)).
 
     mat / mat_inv are the matrices of P and P^{-1} in the decomposition's
-    Q-orthonormal frame.  t_block and alphas are kept when the metric was
-    built torus-invariantly (None for subspace-built operators).
+    Q-orthonormal frame.
     """
 
     dec: RootDecomposition
     mat: np.ndarray
     mat_inv: np.ndarray
-    t_block: np.ndarray | None = None
-    alphas: tuple | None = None
 
     def __post_init__(self):
         for name in ("mat", "mat_inv"):
@@ -102,7 +99,7 @@ def build_metric(dec: RootDecomposition, t_block=None, alphas=None) -> MetricOpe
         s = dec.root_block_slice(i)
         mat[s, s] = a * np.eye(2)
         inv[s, s] = (1.0 / a) * np.eye(2)
-    return MetricOperator(dec, mat, inv, t_block=t_block, alphas=tuple(alphas))
+    return MetricOperator(dec, mat, inv)
 
 
 def bi_invariant_metric(dec: RootDecomposition) -> MetricOperator:

@@ -117,7 +117,47 @@ class TestTables:
         assert "G2" in ca.EXCEPTIONAL_GROUPS["groups"]
 
 
+# (row, parameter, dim G - dim U, rank U, quotient_dim) at each row's two
+# smallest legal parameters; a row with a fixed group has one, None
+_ROW_SIZES = [
+    (1, 5, 8, 4, 8), (1, 6, 10, 5, 10),
+    (2, 2, 4, 3, 4), (2, 3, 8, 5, 8),
+    (3, None, 4, 3, 4),
+    (4, None, 4, 4, 4),
+    (5, None, 12, 4, 12),
+    (6, 3, 4, 3, 4), (6, 4, 6, 4, 6),
+    (7, 2, 4, 4, 4), (7, 3, 8, 6, 8),
+    (8, 2, 4, 2, 4), (8, 3, 8, 3, 8),
+    (9, 5, 12, 4, None), (9, 6, 16, 5, None),
+    (10, 2, 8, 3, None), (10, 3, 18, 5, None),
+    (11, 5, 18, 5, None), (11, 6, 28, 6, None),
+    (12, 5, 28, 5, None), (12, 6, 40, 6, None),
+    (13, 3, 10, 3, None), (13, 4, 14, 4, None),
+    (14, (3, 3), 8, 3, None), (14, (3, 5), 14, 4, None),
+    (15, 2, 12, 4, None), (15, 3, 20, 6, None),
+    (16, 3, 10, 3, None), (16, 4, 18, 4, None),
+    (17, None, 24, 4, None),
+]
+
+
 class TestVerifyEntry:
+    @pytest.mark.parametrize("row,n,codim,rank_u,quotient_dim", _ROW_SIZES)
+    def test_row_sizes_at_two_smallest_parameters(self, row, n, codim, rank_u,
+                                                 quotient_dim):
+        # a wrong factor in a row's builder moves dim U or rank U
+        entry = next(e for t in "AB" for e in ca.table_entries(t) if e.row == row)
+        inst = entry.instantiate(n)
+        assert inst.group.dim - sum(f.dim for f in inst.factors) == codim
+        assert sum(f.rank for f in inst.factors) == rank_u
+        assert inst.quotient_dim == quotient_dim
+        rep = ca.verify_entry(entry, n)
+        assert rep["passed"], rep["checks"]
+        assert rep["parameter"] == n
+        details = [d for _, _, d in rep["checks"]]
+        assert f"rank U={rank_u}, rank G={rank_u}" in details
+        expected = "" if quotient_dim is None else f", expected {quotient_dim}"
+        assert f"dim G - dim U = {codim}{expected}" in details
+
     def test_row1_dimension_arithmetic(self):
         row = next(e for e in ca.table_entries("A") if e.row == 1)
         rep = ca.verify_entry(row, 5)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -202,6 +204,23 @@ class TestScan:
         assert "error" in header.split(",")
         assert "witness.element_denominator" in header.split(",")
         assert "refusing" in row
+
+    def test_refusal_csv_joins_witness_lists_as_catalog_rows_do(self, tmp_path):
+        # the SU(3) 2-torus (z, w, 1) against (1, 1, zw) is not free; the
+        # witness lists inside its nested dict are space-joined like p and q
+        action = tmp_path / "action.json"
+        action.write_text(json.dumps({
+            "group": "SU", "n": 3, "k": 2,
+            "W_L": [[1, 0], [0, 1], [0, 0]], "W_R": [[0, 0], [0, 0], [1, 1]],
+        }))
+        out = tmp_path / "scan.csv"
+        code = cli.main(["scan", "--action", str(action), "--format", "csv",
+                         "-o", str(out)])
+        assert code == 1
+        (row,) = csv.DictReader(io.StringIO(out.read_text()))
+        assert row["witness.perm"] == "0 2 1"
+        assert row["witness.signs"] == "1 1 1"
+        assert row["witness.element_numerators"] == "0 1"
 
     def test_refusal_is_the_one_jsonl_row(self, nonfree_file, tmp_path):
         out = tmp_path / "scan.jsonl"
