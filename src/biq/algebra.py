@@ -108,13 +108,6 @@ def _frozen(mat) -> np.ndarray:
     return arr
 
 
-def _symplectic_j(n: int) -> np.ndarray:
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = -np.eye(n)
-    j[n:, :n] = np.eye(n)
-    return j
-
-
 # ---------------------------------------------------------------------------
 # algebra and group elements
 # ---------------------------------------------------------------------------
@@ -163,48 +156,6 @@ class GroupElement:
 def _require_same(a, b):
     if a.family != b.family:
         raise AlgebraError(f"family mismatch: {a.family} vs {b.family}")
-
-
-def check_algebra_element(x: AlgebraElement, tol: float = DEFAULT_TOL):
-    m = x.mat
-    size = x.family.matrix_size
-    if m.shape != (size, size):
-        raise AlgebraError(f"expected {size}x{size} matrix for {x.family}")
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if x.family.name == "SO":
-        if np.abs(m.imag).max(initial=0.0) > tol * scale:
-            raise AlgebraError("so(m) elements must be real")
-        if np.abs(m + m.T).max() > tol * scale:
-            raise AlgebraError("so(m) elements must be skew-symmetric")
-        return
-    if np.abs(m + m.conj().T).max() > tol * scale:
-        raise AlgebraError("element must be skew-hermitian")
-    if x.family.name == "SU" and abs(np.trace(m)) > tol * scale * size:
-        raise AlgebraError("su(n) elements must be traceless")
-    if x.family.name == "Sp":
-        j = _symplectic_j(x.family.n)
-        if np.abs(j @ m.conj() - m @ j).max() > tol * scale:
-            raise AlgebraError("sp(n) element violates the quaternionic structure")
-
-
-def check_group_element(g: GroupElement, tol: float = DEFAULT_TOL):
-    m = g.mat
-    size = g.family.matrix_size
-    if m.shape != (size, size):
-        raise AlgebraError(f"expected {size}x{size} matrix for {g.family}")
-    if np.abs(m @ m.conj().T - np.eye(size)).max() > tol:
-        raise AlgebraError("group element is not unitary")
-    if g.family.name == "SO":
-        if np.abs(m.imag).max() > tol:
-            raise AlgebraError("SO(m) elements must be real")
-        if abs(np.linalg.det(m.real) - 1) > tol * size:
-            raise AlgebraError("SO(m) elements must have determinant 1")
-    if g.family.name == "SU" and abs(np.linalg.det(m) - 1) > tol * size:
-        raise AlgebraError("SU(n) elements must have determinant 1")
-    if g.family.name == "Sp":
-        j = _symplectic_j(g.family.n)
-        if np.abs(j @ m.conj() - m @ j).max() > tol:
-            raise AlgebraError("Sp(n) element violates the quaternionic structure")
 
 
 def zero(family: GroupFamily) -> AlgebraElement:

@@ -18,13 +18,14 @@ Contents:
   families, under the family's symmetries and the side swap), and one
   desk-scale exhaustive two-torus scan, run on SU(3) and on Sp(2),
   backing the uniqueness statements for the rank-2 groups.  The scan
-  decides strict freeness of each weight pair by the gcd of the 2 x 2
-  minors of every symmetry image, which is the product of the Smith
-  invariant factors; a pair that passes spans a saturated lattice
-  already, so it is not saturated again, and each two-sided pair is
-  classed by whether its one Hermite form lies in the normal form's
-  symmetry orbit.  Every symmetry comes from
-  freeness.conjugacy_symmetries, every Hermite form from
+  decides strict freeness of all weight pairs in integer array passes,
+  by the gcd of the 2 x 2 minors of every symmetry image, which is the
+  product of the Smith invariant factors.  A pair that passes spans a
+  saturated lattice already, so it is classed as it stands: one-sided by
+  the trivial blocks of its vectors, and in the normal form's symmetry
+  orbit when one symmetry carries both vectors into the kernel of one
+  integer annihilator of the normal form's lattice.  Every symmetry
+  comes from freeness.conjugacy_symmetries, every Hermite form from
   intlattice.hnf_columns.
 
 Rows whose right factor needs a spin or exceptional embedding are stored
@@ -33,14 +34,16 @@ with full textual fidelity but verified only at the torus level.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import itemgetter, mul
 from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraError, GroupFamily, bracket, so, sp, su
+from .algebra import AlgebraElement, GroupFamily, bracket, so, sp, su
 from .freeness import (
     MOD_CENTER,
     STRICT,
@@ -51,7 +54,7 @@ from .freeness import (
     eschenburg_positive_flag,
     is_free_exact,
 )
-from .intlattice import hnf_columns, saturate_columns
+from .intlattice import hnf_columns, saturate_columns, smith_kernel
 
 #: Recorded metadata only: the exceptional groups admit no free two-sided
 #: torus actions of maximal rank.  No computation here claims to verify
@@ -223,23 +226,22 @@ def _lattice_columns(w: TorusActionWeights):
     return saturate_columns(cols + _scalar_circle(w.group, len(cols[0])))
 
 
-def _symmetry_images(cols, fam: GroupFamily):
-    """Orbit of a stacked-column set under per-side eigenvalue symmetries
-    and the side swap."""
-    n = len(cols[0]) // 2
+def _symmetry_transforms(fam: GroupFamily, n: int):
+    """The family's symmetries of stacked (left, right) vectors of length
+    2n: the per-side eigenvalue symmetries and the side swap, 2 |W|^2 maps,
+    each as (index, sign) with image[c] = sign[c] * v[index[c]]."""
     sym = list(conjugacy_symmetries(fam, n))
+    for (lp, ls), (rp, rs) in itertools.product(sym, repeat=2):
+        rp = tuple(n + i for i in rp)
+        yield lp + rp, ls + rs
+        yield rp + lp, rs + ls
 
-    def apply(col, left_sym, right_sym, swap):
-        lp, ls = left_sym
-        rp, rs = right_sym
-        left = [ls[i] * col[lp[i]] for i in range(n)]
-        right = [rs[i] * col[n + rp[i]] for i in range(n)]
-        return tuple(right + left) if swap else tuple(left + right)
 
-    for left_sym in sym:
-        for right_sym in sym:
-            for swap in (False, True):
-                yield [apply(c, left_sym, right_sym, swap) for c in cols]
+def _symmetry_images(cols, fam: GroupFamily):
+    """Orbit of a stacked-column set under _symmetry_transforms."""
+    for index, sign in _symmetry_transforms(fam, len(cols[0]) // 2):
+        get = itemgetter(*index)
+        yield [tuple(map(mul, sign, get(c))) for c in cols]
 
 
 def lattice_canonical_key(w: TorusActionWeights):
@@ -666,65 +668,99 @@ def _weight_grid(fam: GroupFamily, bound: int) -> np.ndarray:
     [-bound, bound], in lexicographic order; on SU the two sides need
     equal sums (equal determinants)."""
     n = fam.n
-    vecs = np.array(list(itertools.product(range(-bound, bound + 1), repeat=2 * n)))
+    vecs = np.indices((2 * bound + 1,) * (2 * n)).reshape(2 * n, -1).T - bound
     if fam.name == "SU":
         vecs = vecs[vecs[:, :n].sum(axis=1) == vecs[:, n:].sum(axis=1)]
     return vecs[np.any(vecs != 0, axis=1)]
 
 
-def _strict_free_pairs(vecs: np.ndarray, fam: GroupFamily):
-    """Index pairs i < j into `vecs` whose 2-torus acts strictly freely.
+# rows of the circle-free grid per pass of the pair search: bounds its
+# (rows, later vectors) minor arrays
+PAIR_BLOCK = 128
+
+
+def _strict_free_pairs(vecs: np.ndarray, fam: GroupFamily) -> np.ndarray:
+    """Index pairs i < j into `vecs` whose 2-torus acts strictly freely,
+    as a (pairs, 2) array in lexicographic order.
 
     The pair is free iff for every symmetry sigma the n x 2 character
     matrix D_sigma = [d_sigma(v_i) | d_sigma(v_j)], d_sigma(p, q) =
     p - sigma(q), has both invariant factors equal to 1, i.e. its 2 x 2
     minors have gcd d_1 d_2 = 1.  A pair can only pass if each circle is
     strictly free on its own (every d_sigma(v) primitive), so the other
-    vectors are dropped first.  This is the criterion is_free_exact
-    applies in strict mode on SU and Sp, where every symmetry is realized
-    by a conjugation; on SO(2n) is_free_exact counts only the even-signed
-    ones.  The two stay separate on purpose: the minors test every
-    candidate pair of one vector against all later ones in a few numpy
-    calls, while is_free_exact on each candidate would cost about 70 times
-    as much (the 1 128 + 18 336 candidates of SU(3) at bound 1 and Sp(2)
-    at bound 2: 26 ms against 1.9 s on a shared 2-vCPU x86-64 host), and
-    a test checks on every pair at bound 1 that both accept the same
-    pairs."""
+    vectors are dropped first.  The rest are taken PAIR_BLOCK rows at a
+    time: the first symmetry's minors of the block against every later
+    vector are one array pass, and each further symmetry tests only the
+    pairs still standing.  This is the criterion is_free_exact applies in
+    strict mode on SU and Sp, where every symmetry is realized by a
+    conjugation; on SO(2n) is_free_exact counts only the even-signed ones.
+    The two stay separate on purpose: is_free_exact on each candidate would
+    cost about 2 000 times as much (the 1 128 + 18 336 candidates of SU(3)
+    at bound 1 and Sp(2) at bound 2: 1.0 ms against 2.0 s on a shared
+    2-vCPU x86-64 host), and a test checks on every pair at bound 1 that
+    both accept the same pairs.  A minor reaches 8 max|v|^2, which must
+    fit an int64."""
     n = vecs.shape[1] // 2
-    images = [
-        vecs[:, :n] - np.asarray(signs) * vecs[:, n:][:, list(perm)]
-        for perm, signs in conjugacy_symmetries(fam, n)
-    ]
-    circle_free = np.flatnonzero(np.all(
-        [np.gcd.reduce(np.abs(img), axis=1) == 1 for img in images], axis=0))
-    images = [img[circle_free] for img in images]
-    pairs = []
-    for a in range(len(circle_free)):
-        ok = np.ones(len(circle_free) - a - 1, dtype=bool)
-        for img in images:
-            da, rest = img[a], img[a + 1:]
-            minors = [da[r] * rest[:, s] - da[s] * rest[:, r]
-                      for r, s in itertools.combinations(range(n), 2)]
-            ok &= np.gcd.reduce(np.abs(minors), axis=0) == 1
-            if not ok.any():
-                break
-        pairs += [(circle_free[a], circle_free[a + 1 + b]) for b in np.flatnonzero(ok)]
-    return pairs
+    left, right = vecs[:, :n].T, vecs[:, n:].T
+    # images[sigma, r] is coordinate r of d_sigma on every vector
+    images = np.stack([left - np.asarray(signs)[:, None] * right[list(perm)]
+                       for perm, signs in conjugacy_symmetries(fam, n)])
+    circle_free = np.flatnonzero(
+        (np.gcd.reduce(np.abs(images), axis=1) == 1).all(axis=0))
+    images = images[:, :, circle_free]
+    count = len(circle_free)
+    minors = list(itertools.combinations(range(n), 2))
+
+    def coprime(a, b):
+        # do the 2 x 2 minors of [a | b], coordinates first, have gcd 1?
+        return abs(functools.reduce(np.gcd, [a[r] * b[s] - a[s] * b[r]
+                                             for r, s in minors])) == 1
+
+    found = [np.empty((0, 2), dtype=np.intp)]
+    for start in range(0, count, PAIR_BLOCK):
+        rows = np.arange(start, min(start + PAIR_BLOCK, count))
+        later = np.arange(start + 1, count)
+        ok = coprime(images[0][:, rows, None], images[0][:, None, later])
+        hits = np.flatnonzero(ok & (rows[:, None] < later))
+        a, b = start + hits // len(later), start + 1 + hits % len(later)
+        for img in images[1:]:
+            keep = coprime(img.take(a, axis=1), img.take(b, axis=1))
+            a, b = a[keep], b[keep]
+        found.append(np.column_stack((circle_free[a], circle_free[b])))
+    return np.concatenate(found)
 
 
-def _one_sided(cols, fam: GroupFamily) -> bool:
-    """Does the subtorus whose lattice the columns `cols` generate act on
-    one side only?  It does when every column has a trivial left block, or
-    every one a trivial right block: scalar on SU (scalars act trivially on
-    the determinant-one group), zero otherwise.  Trivial blocks form a
-    linear subspace, so any generating set gives the same answer."""
-    n = len(cols[0]) // 2
+def _annihilator(w: TorusActionWeights) -> np.ndarray:
+    """Integer rows A whose common kernel is the rational span of the
+    action's saturated lattice N: an integer v lies in N iff A v = 0."""
+    return np.array(smith_kernel(_lattice_columns(w))[2])
 
-    def trivial(block):
-        return len(set(block)) == 1 if fam.name == "SU" else not any(block)
 
-    return (all(trivial(c[:n]) for c in cols)
-            or all(trivial(c[n:]) for c in cols))
+def _pair_flags(vecs: np.ndarray, pairs: np.ndarray, fam: GroupFamily,
+                annihilator: np.ndarray):
+    """(one_sided, in_orbit) per free pair of _strict_free_pairs, against
+    the lattice N that `annihilator` (from _annihilator) cuts out;
+    _scan_two_torus says why both flags are exact.  A block is trivial
+    when it is scalar on SU (scalars act trivially on the determinant-one
+    group) and zero otherwise.  Each symmetry is a signed permutation
+    matrix P_t, so one table of A P_t v over the vectors in some pair and
+    every t decides the orbit membership of all pairs."""
+    used, pair_rows = np.unique(pairs, return_inverse=True)
+    pair_rows = pair_rows.reshape(pairs.shape)
+    vecs = vecs[used]
+    blocks = np.split(vecs, 2, axis=1)
+    if fam.name == "SU":
+        trivial = [(b == b[:, :1]).all(axis=1) for b in blocks]
+    else:
+        trivial = [~b.any(axis=1) for b in blocks]
+    one_sided = np.any([t[pair_rows].all(axis=1) for t in trivial], axis=0)
+    index, sign = map(np.array, zip(*_symmetry_transforms(fam, vecs.shape[1] // 2)))
+    # perms[t] = P_t: P_t[c, index[t, c]] = sign[t, c], zero elsewhere
+    perms = np.zeros(index.shape + index.shape[1:], dtype=vecs.dtype)
+    np.put_along_axis(perms, index[..., None], sign[..., None], axis=2)
+    member = ~(annihilator @ perms @ vecs.T).any(axis=1).T  # (vector, symmetry)
+    in_orbit = (member[pair_rows[:, 0]] & member[pair_rows[:, 1]]).any(axis=1)
+    return one_sided, in_orbit
 
 
 def _scan_two_torus(fam: GroupFamily, bound: int,
@@ -733,38 +769,41 @@ def _scan_two_torus(fam: GroupFamily, bound: int,
     entries bounded by `bound`: every strictly free, genuinely two-sided
     action must be lattice equivalent to `corollary`.
 
-    The Hermite forms of the corollary's symmetry images are hashed once.
-    Each free pair (v_i, v_j), with the scalar circle 1 added on SU, is
-    used as it stands, without a saturation: its lattice is already
-    saturated.  Take one symmetry sigma; the pair passed the scan because
-    d_sigma(v_i), d_sigma(v_j) have 2 x 2 minors of gcd 1, so they span a
-    saturated rank-2 lattice in Z^n, and d_sigma(1) = 0 on SU.  If an
-    integer x equals a v_i + b v_j (+ c 1) with a, b, c rational, then
-    d_sigma(x) = a d_sigma(v_i) + b d_sigma(v_j) is integral, which forces
-    a and b to be integers, and then c 1 = x - a v_i - b v_j is integral
-    too.  So the raw lattice is the primitive closure, of rank 2 (3 on
-    SU), and lattice_canonical_key would see the same lattice.  The pair
-    decides the one-sided test, and its single Hermite form decides
-    membership in the corollary's orbit.  Only a pair outside the orbit
-    pays for a full canonical key (2 |W|^2 Hermite forms)."""
+    Each free pair (v_i, v_j), with the scalar circle 1 added on SU, spans
+    a saturated lattice.  Take one symmetry sigma; the pair passed the
+    scan because d_sigma(v_i), d_sigma(v_j) have 2 x 2 minors of gcd 1, so
+    they span a saturated rank-2 lattice in Z^n, and d_sigma(1) = 0 on SU.
+    If an integer x equals a v_i + b v_j (+ c 1) with a, b, c rational,
+    then d_sigma(x) = a d_sigma(v_i) + b d_sigma(v_j) is integral, which
+    forces a and b to be integers, and then c 1 = x - a v_i - b v_j is
+    integral too.  So the raw lattice is the primitive closure, of rank 2
+    (3 on SU), the rank of the corollary's saturated lattice N, and
+    lattice_canonical_key would see the same lattice.
+
+    That makes the classing a few array passes (_pair_flags).  A pair
+    acts on one side only when both vectors have a trivial block on the
+    same side (the scalar circle is trivial on both): trivial blocks form
+    a linear subspace.  A pair lies in N's symmetry orbit iff one symmetry
+    tau carries both vectors into N (tau fixes the scalar circle, which N
+    holds): then tau of the pair's lattice is a saturated sublattice of N
+    of equal rank, hence N.  The corollary's canonical key (2 |W|^2
+    Hermite forms) is computed once, and only a pair outside the orbit
+    pays for a full key of its own."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    annihilator = _annihilator(corollary)
+    # a minor reaches 8 bound^2, A tau(v) the largest row sum of |A| times bound
+    if max(8 * bound ** 2,
+           int(np.abs(annihilator).sum(axis=1).max()) * bound) > np.iinfo(np.int64).max:
+        raise ValueError(f"bound {bound} overflows the scan's int64 arithmetic")
+    normal_key = lattice_canonical_key(corollary)
     vecs = _weight_grid(fam, bound)
     pairs = _strict_free_pairs(vecs, fam)
-    rows = [tuple(v) for v in vecs.tolist()]
+    one_sided, in_orbit = _pair_flags(vecs, pairs, fam, annihilator)
+    classes = {normal_key} if (in_orbit & ~one_sided).any() else set()
     scalar = _scalar_circle(fam, vecs.shape[1])
-    normal_key = lattice_canonical_key(corollary)
-    orbit = _orbit_hnfs(_lattice_columns(corollary), fam)
-    classes = set()
-    for i, j in pairs:
-        cols = [rows[i], rows[j], *scalar]
-        hnf = hnf_columns(cols)
-        # a guard only: a minor gcd of 1 already implies rank 2
-        if len(hnf) != len(normal_key):
-            raise AlgebraError("weight columns do not define a 2-torus")
-        if _one_sided(cols, fam):
-            continue
-        classes.add(normal_key if hnf in orbit else min(_orbit_hnfs(cols, fam)))
+    for i, j in pairs[~in_orbit & ~one_sided]:
+        classes.add(min(_orbit_hnfs([*vecs[[i, j]].tolist(), *scalar], fam)))
     two_sided = tuple(sorted(classes))
     return ScanResult(
         family=str(fam),

@@ -1,18 +1,23 @@
 """Independent oracles used by the tests.
 
-The curvature oracle evaluates <R(X,Y)Y, X> from the Levi-Civita
-connection assembled via the Koszul formula for left-invariant fields,
-which shares no code path with the production four-term expression.
-The matrix oracles evaluate the production formulas with matrix-model
-brackets instead of the structure-constant kernel.  The exact oracles are
-the earlier forms of the freeness checker (one full Smith form per
-symmetry, no pruning), of the saturation (the kernel of the kernel), of
-the Hermite form (sort-and-subtract column reduction), of the numeric
-flat-plane search (random phase plus Nelder-Mead descents) and of the
-flat-plane criteria N1/N2/N3 (matrix brackets per candidate).  The scipy
-oracles are the earlier forms of the exponential (Pade scaling and
-squaring), of the orthonormal span, of the horizontal null space and of
-the flat-search polish (L-BFGS-B).
+The element checkers test the defining identities of algebra and group
+elements (skew-hermitian or real skew, traceless on su, quaternionic on
+sp, unitary, determinant one).  The curvature oracle evaluates
+<R(X,Y)Y, X> from the Levi-Civita connection assembled via the Koszul
+formula for left-invariant fields, which shares no code path with the
+production four-term expression.  The matrix oracles evaluate the
+production formulas with matrix-model brackets instead of the
+structure-constant kernel.  The exact oracles are the earlier forms of
+the freeness checker (one full Smith form per symmetry, no pruning), of
+the saturation (the kernel of the kernel), of the Hermite form
+(sort-and-subtract column reduction), of the two-torus scan's pair
+classing (one Hermite form per pair, looked up among the reference's
+orbit of Hermite forms), of the numeric flat-plane search (random phase
+plus Nelder-Mead descents) and of the flat-plane criteria N1/N2/N3
+(matrix brackets per candidate).  The scipy oracles are the earlier
+forms of the exponential (Pade scaling and squaring), of the orthonormal
+span, of the horizontal null space and of the flat-search polish
+(L-BFGS-B).
 """
 
 import math
@@ -21,7 +26,16 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from biq.algebra import GroupElement, Subspace, adjoint, bracket, inner_q
+from biq.algebra import (
+    DEFAULT_TOL,
+    AlgebraElement,
+    AlgebraError,
+    GroupElement,
+    Subspace,
+    adjoint,
+    bracket,
+    inner_q,
+)
 from biq.biquotient import BiquotientAction, PlaneReport, PointFrame, quotient_sectional
 from biq.curvature import FLAT_THRESHOLD
 from biq.detectors import (
@@ -46,8 +60,64 @@ from biq.freeness import (
     _scalar_is_central,
     conjugacy_symmetries,
 )
-from biq.intlattice import invariant_factors, kernel_generators
+from biq.catalog import _lattice_columns
+from biq.intlattice import hnf_columns, invariant_factors, kernel_generators
 from biq.metric import L_tensor, MetricOperator, apply_P
+
+
+# ---------------------------------------------------------------------------
+# element checkers
+# ---------------------------------------------------------------------------
+
+def _symplectic_j(n: int) -> np.ndarray:
+    j = np.zeros((2 * n, 2 * n))
+    j[:n, n:] = -np.eye(n)
+    j[n:, :n] = np.eye(n)
+    return j
+
+
+def check_algebra_element(x: AlgebraElement, tol: float = DEFAULT_TOL):
+    """Raise AlgebraError unless x satisfies its family's defining identities."""
+    m = x.mat
+    size = x.family.matrix_size
+    if m.shape != (size, size):
+        raise AlgebraError(f"expected {size}x{size} matrix for {x.family}")
+    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+    if x.family.name == "SO":
+        if np.abs(m.imag).max(initial=0.0) > tol * scale:
+            raise AlgebraError("so(m) elements must be real")
+        if np.abs(m + m.T).max() > tol * scale:
+            raise AlgebraError("so(m) elements must be skew-symmetric")
+        return
+    if np.abs(m + m.conj().T).max() > tol * scale:
+        raise AlgebraError("element must be skew-hermitian")
+    if x.family.name == "SU" and abs(np.trace(m)) > tol * scale * size:
+        raise AlgebraError("su(n) elements must be traceless")
+    if x.family.name == "Sp":
+        j = _symplectic_j(x.family.n)
+        if np.abs(j @ m.conj() - m @ j).max() > tol * scale:
+            raise AlgebraError("sp(n) element violates the quaternionic structure")
+
+
+def check_group_element(g: GroupElement, tol: float = DEFAULT_TOL):
+    """Raise AlgebraError unless g satisfies its family's defining identities."""
+    m = g.mat
+    size = g.family.matrix_size
+    if m.shape != (size, size):
+        raise AlgebraError(f"expected {size}x{size} matrix for {g.family}")
+    if np.abs(m @ m.conj().T - np.eye(size)).max() > tol:
+        raise AlgebraError("group element is not unitary")
+    if g.family.name == "SO":
+        if np.abs(m.imag).max() > tol:
+            raise AlgebraError("SO(m) elements must be real")
+        if abs(np.linalg.det(m.real) - 1) > tol * size:
+            raise AlgebraError("SO(m) elements must have determinant 1")
+    if g.family.name == "SU" and abs(np.linalg.det(m) - 1) > tol * size:
+        raise AlgebraError("SU(n) elements must have determinant 1")
+    if g.family.name == "Sp":
+        j = _symplectic_j(g.family.n)
+        if np.abs(j @ m.conj() - m @ j).max() > tol:
+            raise AlgebraError("Sp(n) element violates the quaternionic structure")
 
 
 _structure_cache = {}
@@ -352,6 +422,38 @@ def sort_subtract_hnf_columns(vectors):
             if q:
                 basis[j] = [x - q * y for x, y in zip(basis[j], col)]
     return tuple(tuple(c) for c in basis)
+
+
+def hnf_pair_flags(vecs, pairs, fam, reference: TorusActionWeights):
+    """(one_sided, in_orbit) per free pair of the two-torus scan by the
+    earlier per-pair classing: the pair's columns, with the scalar circle
+    on SU, are one-sided when every column has a trivial left block or
+    every one a trivial right block, and lie in the reference's orbit when
+    their one Hermite form is among those of the reference lattice's
+    symmetry images."""
+    n = fam.n
+    sym = list(conjugacy_symmetries(fam, n))
+
+    def image(col, left_sym, right_sym, swap):
+        (lp, ls), (rp, rs) = left_sym, right_sym
+        left = [ls[i] * col[lp[i]] for i in range(n)]
+        right = [rs[i] * col[n + rp[i]] for i in range(n)]
+        return tuple(right + left) if swap else tuple(left + right)
+
+    def trivial(block):
+        return len(set(block)) == 1 if fam.name == "SU" else not any(block)
+
+    normal = _lattice_columns(reference)
+    orbit = {hnf_columns([image(c, left, right, swap) for c in normal])
+             for left in sym for right in sym for swap in (False, True)}
+    scalar = [(1,) * (2 * n)] if fam.name == "SU" else []
+    one_sided, in_orbit = [], []
+    for i, j in pairs:
+        cols = [tuple(vecs[i].tolist()), tuple(vecs[j].tolist()), *scalar]
+        one_sided.append(all(trivial(c[:n]) for c in cols)
+                         or all(trivial(c[n:]) for c in cols))
+        in_orbit.append(hnf_columns(cols) in orbit)
+    return np.array(one_sided, dtype=bool), np.array(in_orbit, dtype=bool)
 
 
 def nelder_mead_flat_search(act, g, P, budget=10_000, rng=None, local_restarts=4,

@@ -10,7 +10,12 @@ from biq import curvature as cu
 from biq import detectors as de
 from biq import metric as me
 from biq import freeness as fr
-from oracles import matrix_quotient_sectional, matrix_z_squared, scipy_horizontal_coords
+from oracles import (
+    check_algebra_element,
+    matrix_quotient_sectional,
+    matrix_z_squared,
+    scipy_horizontal_coords,
+)
 
 
 def quat_diag(top, bot):
@@ -76,7 +81,7 @@ class TestVerticalSpace:
             quat_full([[(0, 0, 0, -1), QJ], [QJ, O]]),
         ]
         for e in expected:
-            al.check_algebra_element(e)
+            check_algebra_element(e)
             assert v.contains(e)
 
 

@@ -9,6 +9,10 @@ from biq import algebra as al
 from biq import catalog as ca
 from biq import freeness as fr
 from biq.intlattice import hnf_columns, saturate_columns
+from oracles import hnf_pair_flags
+
+#: an Sp(2) two-torus outside the normal form's class
+_OTHER_SP2 = fr.TorusActionWeights(al.sp(2), 2, ((1, 0), (0, 1)), ((0, 0), (1, 0)))
 
 
 class TestSuTori:
@@ -293,7 +297,7 @@ class TestScans:
             if fr.is_free_exact(w, fr.STRICT).free:
                 exact.add((i, j))
         assert checked == two_tori
-        assert set(ca._strict_free_pairs(vecs, fam)) == exact
+        assert set(map(tuple, ca._strict_free_pairs(vecs, fam).tolist())) == exact
         assert len(exact) == free
 
     @pytest.mark.parametrize("fam,bound,free", [
@@ -325,10 +329,39 @@ class TestScans:
         with pytest.raises(ValueError, match="bound must be at least 1"):
             scan(bound)
 
+    @pytest.mark.parametrize("fam,bound", [(al.su(3), 2), (al.sp(2), 3)])
+    def test_pair_block_size_keeps_the_pairs(self, fam, bound, monkeypatch):
+        vecs = ca._weight_grid(fam, bound)
+        default = ca._strict_free_pairs(vecs, fam)
+        monkeypatch.setattr(ca, "PAIR_BLOCK", 7)
+        assert ca._strict_free_pairs(vecs, fam).tolist() == default.tolist()
+
+    @pytest.mark.parametrize("fam,reference,counts", [
+        (al.su(3), ca.corollary_su3_weights(), [504, 4104]),
+        (al.sp(2), ca.corollary_sp2_weights(), [104, 416]),
+        (al.sp(2), _OTHER_SP2, [104, 0]),
+    ])
+    def test_pair_flags_match_per_pair_hermite_forms(self, fam, reference, counts):
+        # reference: one Hermite form per pair, looked up among the Hermite
+        # forms of the reference's symmetry images
+        vecs = ca._weight_grid(fam, 2)
+        pairs = ca._strict_free_pairs(vecs, fam)
+        one_sided, in_orbit = ca._pair_flags(vecs, pairs, fam, ca._annihilator(reference))
+        want_one_sided, want_in_orbit = hnf_pair_flags(vecs, pairs, fam, reference)
+        assert one_sided.tolist() == want_one_sided.tolist()
+        assert in_orbit.tolist() == want_in_orbit.tolist()
+        assert [one_sided.sum(), in_orbit.sum()] == counts
+
+    @pytest.mark.parametrize("scan", [ca.scan_two_torus_su3, ca.scan_two_torus_sp2])
+    def test_bound_overflowing_int64_rejected(self, scan):
+        # 8 bound^2 bounds a minor; 2^30 takes it past the int64 range
+        with pytest.raises(ValueError, match="int64"):
+            scan(2 ** 30)
+
     def test_pair_outside_the_orbit_takes_the_full_key(self):
         # a reference from another class: its orbit is disjoint from the
         # normal form's, so every two-sided pair is classed by a full key
-        other = fr.TorusActionWeights(al.sp(2), 2, ((1, 0), (0, 1)), ((0, 0), (1, 0)))
+        other = _OTHER_SP2
         assert ca.lattice_canonical_key(other) != ca.lattice_canonical_key(
             ca.corollary_sp2_weights())
         res = ca._scan_two_torus(al.sp(2), 1, other)
