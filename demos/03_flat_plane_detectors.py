@@ -13,6 +13,7 @@ import numpy as np
 from biq import algebra as al
 from biq import biquotient as bi
 from biq import detectors as de
+from biq import fixtures as fx
 from biq import metric as me
 
 rng = np.random.default_rng(1)
@@ -20,7 +21,7 @@ rng = np.random.default_rng(1)
 print("=" * 70)
 print("1. Circle quotients of Sp(2): flat planes everywhere")
 print("=" * 70)
-result = de.run_example1(seed=1, n_weights=3, n_metrics=3, n_points=3)
+result = fx.run_example1(seed=1, n_weights=3, n_metrics=3, n_points=3)
 print(f"27 random (weights, metric, point) trials: passed={result['passed']}, "
       f"worst |sec| of certified planes = {result['worst_residual']:.1e}")
 
@@ -33,7 +34,7 @@ print(f"p={p}, q={q}: the third right weight lies inside [min p, max p],")
 g = de.find_balanced_point(p, q)
 print("so a balanced point exists; rounded:")
 print(np.round(g.mat, 3))
-result = de.run_example2(seed=1, n_cases=3)
+result = fx.run_example2(seed=1, n_cases=3)
 print(f"3 random interior parameter sets: passed={result['passed']}")
 
 print()
@@ -46,15 +47,15 @@ P = me.bi_invariant_metric(dec)
 best = de.numeric_flat_search(act, al.identity(al.sp(2)), P, budget=3000, rng=rng)
 print("bi-invariant metric, identity point: minimum over sampled planes")
 print(f"refined by the exact eigen-descent = {best.sec_quotient:.6f} > 0")
-result = de.run_example3(seed=1, n_metrics=3, budget=3000)
+result = fx.run_example3(seed=1, n_metrics=3, budget=3000)
 print(f"turned point, 3 random right-invariant block metrics: "
-      f"flat plane certified, worst residual {result['worst_flat_residual']:.1e}")
+      f"flat plane certified, worst residual {result['worst_residual']:.1e}")
 
 print()
 print("=" * 70)
 print("4. Geodesic-flow quotients of SO(5) and SO(7)")
 print("=" * 70)
-result = de.run_example4(seed=1, ns=(2, 3), n_points=5, n_metrics=2)
+result = fx.run_example4(seed=1, ns=(2, 3), n_points=5, n_metrics=2)
 print(f"20 random (metric, point) trials across both groups: "
       f"passed={result['passed']}, worst residual {result['worst_residual']:.1e}")
 print()

@@ -4,8 +4,9 @@ Subpackages, in dependency order: algebra (matrix Lie algebras and root
 decompositions), metric (left-invariant metrics as positive operators),
 curvature (sectional curvature of such metrics), biquotient (two-sided
 actions, vertical geometry, quotient curvature), freeness (exact integer
-freeness tests), detectors (flat-plane criteria and worked-example
-fixtures), catalog (torus normal forms, classification tables and family
+freeness tests), detectors (flat-plane criteria and the numeric flat
+search), fixtures (the four worked examples as seeded runs of one trial
+driver), catalog (torus normal forms, classification tables and family
 enumerations), cli (command-line front end).
 """
 

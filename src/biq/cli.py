@@ -25,7 +25,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import catalog, detectors
+from . import catalog, detectors, fixtures
 from .algebra import (
     AlgebraError,
     GroupFamily,
@@ -37,7 +37,7 @@ from .biquotient import from_torus_weights
 from .freeness import TorusActionWeights, is_free_bruteforce, is_free_exact
 from .metric import build_metric
 
-SCHEMA_VERSION = "7"
+SCHEMA_VERSION = "8"
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,9 @@ class RunConfig:
     fmt: str = "json"
 
     def header(self):
-        return {
-            "seed": self.seed,
-            "budgets": {"points": self.points, "planes": self.planes,
-                        "restarts": self.restarts},
-            "schema_version": SCHEMA_VERSION,
-        }
+        """The report's config block; only `scan` takes budgets, so only
+        its report records them."""
+        return {"seed": self.seed, "schema_version": SCHEMA_VERSION}
 
 
 class InputError(Exception):
@@ -211,6 +208,8 @@ def cmd_scan(args) -> int:
     cfg = _config(args)
     if min(cfg.planes, cfg.points, cfg.restarts) < 1:
         raise InputError("budgets must be at least 1")
+    config = {**cfg.header(), "budgets": {"points": cfg.points, "planes": cfg.planes,
+                                          "restarts": cfg.restarts}}
     weights = load_weights(args.action)
     verdict = is_free_exact(weights)
     if not verdict.free:
@@ -218,7 +217,7 @@ def cmd_scan(args) -> int:
             "error": "action is not free; refusing to scan",
             "witness": _witness_dict(verdict.witness),
         }
-        _emit({"config": cfg.header(), "command": "scan", **refusal}, cfg,
+        _emit({"config": config, "command": "scan", **refusal}, cfg,
               csv_rows=[refusal])
         return 1
     act = from_torus_weights(weights)
@@ -253,7 +252,7 @@ def cmd_scan(args) -> int:
         if global_min is None or best.sec_quotient < global_min:
             global_min = best.sec_quotient
     report = {
-        "config": cfg.header(),
+        "config": config,
         "command": "scan",
         "group": str(weights.group),
         "points": rows,
@@ -269,11 +268,11 @@ def cmd_scan(args) -> int:
 
 def cmd_fixtures(args) -> int:
     cfg = _config(args)
-    runner = detectors.FIXTURES.get(args.name)
+    runner = fixtures.FIXTURES.get(args.name)
     if runner is None:
         raise InputError(
             f"unknown fixture {args.name!r}; choose from "
-            + ", ".join(sorted(detectors.FIXTURES))
+            + ", ".join(sorted(fixtures.FIXTURES))
         )
     result = runner(seed=cfg.seed)
     report = {
@@ -281,10 +280,7 @@ def cmd_fixtures(args) -> int:
         "command": "fixtures",
         "fixture": args.name,
         "passed": result["passed"],
-        "summary": {
-            k: v for k, v in result.items()
-            if isinstance(v, (int, float, str, bool))
-        },
+        "summary": {k: v for k, v in result.items() if k != "certificates"},
     }
     _emit(report, cfg)
     return 0 if result["passed"] else 1

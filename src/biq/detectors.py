@@ -1,5 +1,6 @@
-"""Executable sufficient criteria for zero-curvature planes, plus the four
-reusable worked-example fixtures.
+"""Executable sufficient criteria for zero-curvature planes, the numeric
+flat-plane search, and the balanced points and invariant blocks the worked
+examples are built on (the seeded example runs live in biq.fixtures).
 
 The three criteria certify a flat plane of the quotient metric at a point
 g from purely algebraic conditions:
@@ -19,9 +20,10 @@ vectors of a returned certificate.
 
 Every certificate records the residuals of the conditions it checked; the
 curvature engine independently confirms each certified plane, so a
-certificate is never taken on faith.  Hypothesis failures are reported
-separately from an unsuccessful search (a sufficient criterion that does
-not fire proves nothing).
+certificate is never taken on faith.  A criterion that does not fire
+returns None and records why in its diagnostics: under "hypothesis" when a
+structural hypothesis fails, under "search" when no plane was found (a
+sufficient criterion that does not fire proves nothing).
 """
 
 from __future__ import annotations
@@ -32,19 +34,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import freeness
 from .algebra import (
     AlgebraElement,
-    AlgebraError,
     GroupElement,
     GroupFamily,
     Subspace,
-    adjoint,
-    cartan_subspace,
     identity,
-    inner_q,
     quaternion_block,
-    random_group_element,
     root_decomposition,
     root_subspace,
     torus_element,
@@ -53,24 +49,12 @@ from .biquotient import (
     BiquotientAction,
     PlaneReport,
     PointFrame,
-    from_torus_weights,
-    gromoll_meyer_action,
     quotient_sectional,
-    unit_tangent_flow_action,
 )
 from .curvature import FLAT_THRESHOLD
-from .metric import (
-    MetricOperator,
-    bi_invariant_metric,
-    build_metric,
-    build_metric_from_subspaces,
-)
+from .metric import MetricOperator
 
 RESIDUAL_TOL = 1e-9
-
-
-class HypothesisError(ValueError):
-    """A criterion's structural hypothesis fails (not a failed search)."""
 
 
 class BalancedPointError(RuntimeError):
@@ -274,23 +258,24 @@ def check_N3(
 ) -> FlatCertificate | None:
     """Flat plane from an invariant eigenspace of P.
 
-    Validates that v_sub is an eigenspace of P and orthogonal to the right
-    generators of the action (raising HypothesisError otherwise), then
-    searches horizontal X in k_alg and horizontal Y in v_sub with
-    [P(X), Y] = 0.
+    Verifies that v_sub is an eigenspace of P and orthogonal to the right
+    generators of the action, then searches horizontal X in k_alg and
+    horizontal Y in v_sub with [P(X), Y] = 0.
     """
     dec = P.dec
     img = v_sub.coords @ P.mat
     lam = float(np.sum(img * v_sub.coords) / v_sub.dim)
     eig_res = float(np.abs(img - lam * v_sub.coords).max() / max(abs(lam), 1e-300))
     if eig_res > RESIDUAL_TOL:
-        raise HypothesisError(f"subspace is not a P-eigenspace (residual {eig_res:.2e})")
+        _record(diagnostics, "hypothesis",
+                f"subspace is not a P-eigenspace (residual {eig_res:.2e})")
+        return None
     frame = PointFrame.at(act, g, P)
     ur_res = float(np.abs(v_sub.coords @ frame.right.T).max(initial=0.0))
     if ur_res > RESIDUAL_TOL:
-        raise HypothesisError(
-            f"eigenspace is not orthogonal to the right generators ({ur_res:.2e})"
-        )
+        _record(diagnostics, "hypothesis",
+                f"eigenspace is not orthogonal to the right generators ({ur_res:.2e})")
+        return None
 
     slc_k = _metric_normal_slice(k_alg, frame)
     slc_v = _metric_normal_slice(v_sub, frame)
@@ -723,16 +708,8 @@ def numeric_flat_search(
 
 
 # ---------------------------------------------------------------------------
-# metric samplers used by the fixtures
+# invariant blocks and commuting pairs of the worked examples
 # ---------------------------------------------------------------------------
-
-def random_torus_invariant_metric(dec, rng) -> MetricOperator:
-    """Random positive Cartan block plus root scalars uniform in [0.4, 2.5]."""
-    a = rng.standard_normal((dec.rank, dec.rank))
-    t_block = a @ a.T + 0.3 * np.eye(dec.rank)
-    alphas = rng.uniform(0.4, 2.5, size=len(dec.roots))
-    return build_metric(dec, t_block, alphas)
-
 
 def gromoll_meyer_blocks(dec):
     """The three invariant subspaces of the Sp(1)-quotient of Sp(2):
@@ -755,22 +732,6 @@ def gromoll_meyer_blocks(dec):
         off.append(AlgebraElement(fam, quaternion_block(b, c)))
     w3 = Subspace.from_elements(dec, off, "W3")
     return w1, w2, w3
-
-
-def random_gromoll_meyer_metric(dec, rng) -> MetricOperator:
-    """Right-invariant metric for the Sp(1) quotient: scalars on the two
-    irreducible blocks, an arbitrary positive 3x3 form on the trivial one."""
-    w1, w2, w3 = gromoll_meyer_blocks(dec)
-    b2 = rng.standard_normal((3, 3))
-    b2 = b2 @ b2.T + 0.3 * np.eye(3)
-    return build_metric_from_subspaces(
-        dec,
-        [
-            (w1, float(rng.uniform(0.4, 2.5))),
-            (w2, b2),
-            (w3, float(rng.uniform(0.4, 2.5))),
-        ],
-    )
 
 
 def unit_tangent_blocks(n, dec):
@@ -804,188 +765,6 @@ def _unit_tangent_blocks(n):
         Subspace.from_elements(dec, w_col, "W"),
         Subspace.from_elements(dec, corner, "corner"),
     )
-
-
-def random_unit_tangent_metric(n, dec, rng) -> MetricOperator:
-    """Torus- and right-invariant metric for the flow quotient: a scalar
-    on the so(2n-1) block, one shared scalar on the two columns, and a
-    scalar on the corner line."""
-    sub_so, sub_v, sub_w, sub_a = unit_tangent_blocks(n, dec)
-    s, c, t = rng.uniform(0.4, 2.5, size=3)
-    return build_metric_from_subspaces(
-        dec,
-        [(sub_so, float(s)), (sub_v, float(c)), (sub_w, float(c)), (sub_a, float(t))],
-    )
-
-
-# ---------------------------------------------------------------------------
-# fixtures: the four worked examples as reusable, seeded runs
-# ---------------------------------------------------------------------------
-
-# pass thresholds of example 3: the least sampled curvature at the
-# identity, and the flat tolerance at the turned point (the other examples
-# use FLAT_THRESHOLD and BALANCE_TOL)
-MIN_POSITIVE = 0.01
-EXAMPLE3_FLAT_TOL = 1e-9
-
-
-def run_example1(seed=0, n_weights=20, n_metrics=20, n_points=20):
-    """Circle quotients of Sp(2): every free circle, every torus-invariant
-    metric, every point carries a flat plane certified by N2 on the two
-    long-root spaces."""
-    rng = np.random.default_rng(seed)
-    fam = GroupFamily("Sp", 2)
-    dec = root_decomposition(fam)
-    long_roots = [
-        i for i, r in enumerate(dec.roots) if sum(abs(t) for t in r.vector) == 2
-        and max(abs(t) for t in r.vector) == 2
-    ]
-    w1 = root_subspace(dec, long_roots[0], "V1")
-    w2 = root_subspace(dec, long_roots[1], "V2")
-
-    weights = []
-    while len(weights) < n_weights:
-        wl = tuple((int(x),) for x in rng.integers(-4, 5, size=2))
-        wr = tuple((int(x),) for x in rng.integers(-4, 5, size=2))
-        try:
-            w = freeness.TorusActionWeights(fam, 1, wl, wr)
-        except AlgebraError:  # a zero circle spans no 1-torus
-            continue
-        if freeness.is_free_exact(w).free:
-            weights.append(w)
-
-    certificates = []
-    worst = 0.0
-    for w in weights:
-        act = from_torus_weights(w)
-        for _ in range(n_metrics):
-            P = random_torus_invariant_metric(dec, rng)
-            for _ in range(n_points):
-                g = random_group_element(fam, rng)
-                cert = check_N2(P, w1, w2, act, g, rng=rng)
-                if cert is None:
-                    return {"passed": False, "seed": seed,
-                            "reason": "N2 produced no certificate"}
-                rep = quotient_sectional(act, g, P, cert.x, cert.y)
-                worst = max(worst, abs(rep.sec_quotient))
-                certificates.append((act, g, P, cert))
-    return {
-        "passed": worst < FLAT_THRESHOLD,
-        "seed": seed,
-        "trials": len(certificates),
-        "worst_residual": worst,
-        "certificates": certificates,
-    }
-
-
-def sample_balanced_eschenburg(rng, count, bound=4):
-    """Free parameter pairs with q_3 inside [min p, max p]."""
-    out = []
-    while len(out) < count:
-        p = tuple(int(x) for x in rng.integers(-bound, bound + 1, size=3))
-        q12 = [int(x) for x in rng.integers(-bound, bound + 1, size=2)]
-        q3 = sum(p) - sum(q12)
-        q = (q12[0], q12[1], q3)
-        if abs(q3) > bound:
-            continue
-        if not (min(p) <= q[2] <= max(p)):
-            continue
-        if freeness.eschenburg_free(p, q):
-            out.append((p, q))
-    return out
-
-
-def eschenburg_action(p, q) -> BiquotientAction:
-    fam = GroupFamily("SU", 3)
-    w = freeness.TorusActionWeights(
-        fam, 1, tuple((int(x),) for x in p), tuple((int(x),) for x in q)
-    )
-    return from_torus_weights(w, label=f"eschenburg{p}{q}")
-
-
-def run_example2(seed=0, n_cases=10):
-    """7-dimensional circle quotients with a parameter inside the interval:
-    a balanced point exists and N3 certifies a flat plane there, for any
-    torus-invariant metric."""
-    rng = np.random.default_rng(seed)
-    fam = GroupFamily("SU", 3)
-    dec = root_decomposition(fam)
-    t_sub = cartan_subspace(dec)
-    v1_index = next(
-        i for i, r in enumerate(dec.roots) if r.vector == (-1, 1, 0)
-    )
-    v1 = root_subspace(dec, v1_index, "V1")
-
-    cases = sample_balanced_eschenburg(rng, n_cases)
-    results = []
-    certificates = []
-    for p, q in cases:
-        act = eschenburg_action(p, q)
-        P = random_torus_invariant_metric(dec, rng)
-        g = find_balanced_point(p, q)
-        xl, xr = act.u_basis[0]
-        y3 = torus_element(fam, np.array(Y3_COORDS))
-        residual = abs(inner_q(adjoint(g.inverse(), xl) - xr, y3))
-        cert = check_N3(P, t_sub, v1, act, g)
-        if cert is None:
-            return {"passed": False, "seed": seed, "case": (p, q),
-                    "reason": "N3 produced no certificate"}
-        rep = quotient_sectional(act, g, P, cert.x, cert.y)
-        certificates.append((act, g, P, cert))
-        results.append(
-            {"p": p, "q": q, "balance_residual": residual,
-             "sec_quotient": rep.sec_quotient}
-        )
-        if residual > BALANCE_TOL or abs(rep.sec_quotient) > FLAT_THRESHOLD:
-            return {"passed": False, "seed": seed, "case": (p, q),
-                    "results": results}
-    return {"passed": True, "seed": seed, "results": results,
-            "certificates": certificates}
-
-
-def run_example3(seed=0, n_metrics=20, budget=10_000):
-    """The exotic 7-sphere quotient of Sp(2): positive curvature at the
-    identity for the bi-invariant metric (sampling evidence, not a proof),
-    and a flat plane at a quarter-turned point for every right-invariant
-    metric, certified by N2.
-
-    The quarter-turned point is the unitarized form of the worked example
-    (entries 1/sqrt(2), so the matrix lies in the group)."""
-    rng = np.random.default_rng(seed)
-    act = gromoll_meyer_action()
-    fam = act.group
-    dec = act.dec()
-
-    p_id = bi_invariant_metric(dec)
-    best = numeric_flat_search(act, identity(fam), p_id, budget=budget, rng=rng)
-    positive_ok = best.sec_quotient > MIN_POSITIVE
-
-    gmat = quaternion_block(
-        np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0), np.zeros((2, 2))
-    )
-    g = GroupElement(fam, gmat)
-    w1, w2, w3 = gromoll_meyer_blocks(dec)
-
-    worst = 0.0
-    certificates = []
-    for _ in range(n_metrics):
-        P = random_gromoll_meyer_metric(dec, rng)
-        cert = check_N2(P, w1, w2, act, g, rng=rng)
-        if cert is None:
-            return {"passed": False, "seed": seed,
-                    "reason": "N2 produced no certificate at the turned point"}
-        rep = quotient_sectional(act, g, P, cert.x, cert.y)
-        worst = max(worst, abs(rep.sec_quotient))
-        certificates.append((act, g, P, cert))
-    return {
-        "passed": positive_ok and worst < EXAMPLE3_FLAT_TOL,
-        "seed": seed,
-        "min_at_identity": best.sec_quotient,
-        "positivity_note": "sampling bound over horizontal planes, not a proof",
-        "point_normalization": "1/sqrt(2)",
-        "worst_flat_residual": worst,
-        "certificates": certificates,
-    }
 
 
 def _reference_in_slice(refs, rows, functional=None):
@@ -1023,42 +802,3 @@ def example4_abelian_pair(n, P, act, g):
     dots = mats[1:, : 2 * n - 1, 2 * n].real @ mats[0, : 2 * n - 1, 2 * n - 1].real
     y = _reference_in_slice(sub_w.coords, slc_w, dots)
     return None if y is None else (dec.from_coords(x), dec.from_coords(y))
-
-
-def run_example4(seed=0, ns=(2, 3), n_points=50, n_metrics=5):
-    """Flow quotients of odd orthogonal groups: N1 certifies a flat plane
-    at every sampled point for every sampled invariant metric."""
-    rng = np.random.default_rng(seed)
-    certificates = []
-    worst = 0.0
-    for n in ns:
-        act = unit_tangent_flow_action(n)
-        fam = act.group
-        dec = root_decomposition(fam)
-        for _ in range(n_metrics):
-            P = random_unit_tangent_metric(n, dec, rng)
-            for _ in range(n_points):
-                g = random_group_element(fam, rng)
-                pair = example4_abelian_pair(n, P, act, g)
-                if pair is None:
-                    return {"passed": False, "seed": seed, "n": n,
-                            "reason": "no horizontal commuting pair"}
-                a_sub = Subspace.from_elements(dec, list(pair), "plane")
-                cert = check_N1(P, a_sub, act, g)
-                if cert is None:
-                    return {"passed": False, "seed": seed, "n": n,
-                            "reason": "N1 produced no certificate"}
-                rep = quotient_sectional(act, g, P, cert.x, cert.y)
-                worst = max(worst, abs(rep.sec_quotient))
-                certificates.append((act, g, P, cert))
-    return {"passed": worst < FLAT_THRESHOLD, "seed": seed,
-            "worst_residual": worst, "trials": len(certificates),
-            "certificates": certificates}
-
-
-FIXTURES = {
-    "example1": run_example1,
-    "example2": run_example2,
-    "example3": run_example3,
-    "example4": run_example4,
-}

@@ -41,7 +41,6 @@ from biq.curvature import FLAT_THRESHOLD
 from biq.detectors import (
     RESIDUAL_TOL,
     FlatCertificate,
-    HypothesisError,
     _BudgetSpent,
     _metric_normal_slice,
     _pair_value,
@@ -672,25 +671,26 @@ def matrix_check_N3(
 ) -> FlatCertificate | None:
     """Flat plane from an invariant eigenspace of P.
 
-    Validates that v_sub is an eigenspace of P and orthogonal to the right
-    generators of the action (raising HypothesisError otherwise), then
-    searches horizontal X in k_alg and horizontal Y in v_sub with
-    [P(X), Y] = 0.
+    Verifies that v_sub is an eigenspace of P and orthogonal to the right
+    generators of the action, then searches horizontal X in k_alg and
+    horizontal Y in v_sub with [P(X), Y] = 0.
     """
     dec = P.dec
     img = v_sub.coords @ P.mat
     lam = float(np.sum(img * v_sub.coords) / v_sub.dim)
     eig_res = float(np.abs(img - lam * v_sub.coords).max() / max(abs(lam), 1e-300))
     if eig_res > RESIDUAL_TOL:
-        raise HypothesisError(f"subspace is not a P-eigenspace (residual {eig_res:.2e})")
+        _record(diagnostics, "hypothesis",
+                f"subspace is not a P-eigenspace (residual {eig_res:.2e})")
+        return None
     ur_res = 0.0
     for _, xr in act.u_basis:
         c = dec.to_coords(xr)
         ur_res = max(ur_res, float(np.abs(v_sub.coords @ c).max()))
     if ur_res > RESIDUAL_TOL:
-        raise HypothesisError(
-            f"eigenspace is not orthogonal to the right generators ({ur_res:.2e})"
-        )
+        _record(diagnostics, "hypothesis",
+                f"eigenspace is not orthogonal to the right generators ({ur_res:.2e})")
+        return None
 
     frame = PointFrame.at(act, g, P)
     slc_k = _metric_normal_slice(k_alg, frame)

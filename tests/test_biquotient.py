@@ -8,6 +8,7 @@ from biq import biquotient as bi
 from biq import catalog as ca
 from biq import curvature as cu
 from biq import detectors as de
+from biq import fixtures as fx
 from biq import metric as me
 from biq import freeness as fr
 from oracles import (
@@ -106,7 +107,7 @@ class TestHorizontalSpace:
         fam = al.su(3)
         dec = al.root_decomposition(fam)
         act = bi.trivial_action(fam)
-        P = de.random_torus_invariant_metric(dec, rng)
+        P = fx.random_torus_invariant_metric(dec, rng)
         g = al.random_group_element(fam, rng)
         frame = bi.PointFrame.at(act, g, P)
         assert frame.is_free_point
@@ -345,7 +346,7 @@ def _case(name, rng):
     """A free action with a metric invariant under its right projection."""
     if name == "gromoll-meyer":
         act = bi.gromoll_meyer_action()
-        return act, de.random_gromoll_meyer_metric(act.dec(), rng)
+        return act, fx.random_gromoll_meyer_metric(act.dec(), rng)
     if name == "sp2-circle":
         w = fr.TorusActionWeights(al.sp(2), 1, ((1,), (1,)), ((3,), (2,)))
     elif name == "su5-circle":
@@ -355,7 +356,7 @@ def _case(name, rng):
     else:  # su3-two-torus
         w = ca.corollary_su3_weights()
     act = bi.from_torus_weights(w)
-    return act, de.random_torus_invariant_metric(act.dec(), rng)
+    return act, fx.random_torus_invariant_metric(act.dec(), rng)
 
 
 CASES = ("gromoll-meyer", "sp2-circle", "su3-two-torus")

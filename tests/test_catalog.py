@@ -170,11 +170,6 @@ class TestVerifyEntry:
         assert names["quotient_dimension"]  # 24 - 16 = 8
         assert names["circle_normalizes_right_factor"]
 
-    def test_row6_quotient_dimension(self):
-        row = next(e for e in ca.table_entries("A") if e.row == 6)
-        rep = ca.verify_entry(row, 3)
-        assert rep["passed"]  # 15 - 11 = 4
-
     def test_row3_torus_only(self):
         row = next(e for e in ca.table_entries("A") if e.row == 3)
         rep = ca.verify_entry(row)

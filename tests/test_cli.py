@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from biq import biquotient, cli, detectors
+from biq import biquotient, cli, detectors, fixtures
 
 
 @pytest.fixture
@@ -57,7 +57,7 @@ class TestFree:
         assert cli.main(["free", thm2_file, "-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         report = json.loads(out1.read_text())
-        assert report["config"]["schema_version"] == "7"
+        assert report["config"]["schema_version"] == "8"
         assert report["stats"] == {"symmetries": 6, "leaves_examined": 0, "smith_forms": 0,
                                    "merged": 0}
 
@@ -121,7 +121,8 @@ class TestScan:
         assert len(report["points"]) == 2
         # a flat plane exists at every point of any circle quotient here
         assert report["flat_planes_found"] == 2
-        assert report["config"]["schema_version"] == "7"
+        assert report["config"]["schema_version"] == "8"
+        assert report["config"]["budgets"] == {"points": 2, "planes": 300, "restarts": 4}
         for row in report["points"]:
             assert row["flat_certificate"] == "N2"
             assert row["flat_certificate_abs_sec"] < 1e-8
@@ -269,29 +270,31 @@ class TestFixtures:
     def test_example1_passes(self, tmp_path, monkeypatch):
         # shrink the fixture through its seed interface only: run as-is at
         # reduced size via the runner map
-        import biq.detectors as de
-
         monkeypatch.setitem(
-            de.FIXTURES, "example1",
-            lambda seed=0: de.run_example1(seed, n_weights=2, n_metrics=2,
-                                           n_points=2),
+            fixtures.FIXTURES, "example1",
+            lambda seed=0: fixtures.run_example1(seed, n_weights=2, n_metrics=2,
+                                                 n_points=2),
         )
         out = tmp_path / "f.json"
         assert cli.main(["fixtures", "example1", "-o", str(out)]) == 0
-        assert json.loads(out.read_text())["passed"] is True
+        report = json.loads(out.read_text())
+        assert report["passed"] is True
+        assert report["summary"]["trials"] == 8
+        # only scan takes budgets, so only its report records them
+        assert "budgets" not in report["config"]
 
     def test_example3_passes(self, tmp_path, monkeypatch):
-        import biq.detectors as de
-
         monkeypatch.setitem(
-            de.FIXTURES, "example3",
-            lambda seed=0: de.run_example3(seed, n_metrics=2, budget=800),
+            fixtures.FIXTURES, "example3",
+            lambda seed=0: fixtures.run_example3(seed, n_metrics=2, budget=800),
         )
         out = tmp_path / "f.json"
         assert cli.main(["fixtures", "example3", "-o", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["passed"] is True
         assert report["summary"]["min_at_identity"] > 0.01
+        assert report["summary"]["trials"] == 2
+        assert report["summary"]["worst_residual"] < 1e-9
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_row_formats_are_usage_errors(self, fmt, capsys):

@@ -9,6 +9,7 @@ from biq import algebra as al
 from biq import biquotient as bi
 from biq import catalog as ca
 from biq import detectors as de
+from biq import fixtures as fx
 from biq import freeness as fr
 from biq import metric as me
 from conftest import assert_certificate_flat
@@ -69,7 +70,7 @@ class TestCheckN1:
         act = bi.unit_tangent_flow_action(n)
         dec = al.root_decomposition(act.group)
         for _ in range(3):
-            P = de.random_unit_tangent_metric(n, dec, rng)
+            P = fx.random_unit_tangent_metric(n, dec, rng)
             for _ in range(5):
                 g = al.random_group_element(act.group, rng)
                 pair = de.example4_abelian_pair(n, P, act, g)
@@ -92,7 +93,7 @@ class TestCheckN1:
             q, _ = np.linalg.qr(rows.T)
             return q @ q.T
 
-        P = de.random_unit_tangent_metric(n, dec, rng)
+        P = fx.random_unit_tangent_metric(n, dec, rng)
         for _ in range(8):
             g = al.random_group_element(act.group, rng)
             nudged = g.mat * (1 + 4e-16 * rng.standard_normal(g.mat.shape))
@@ -111,7 +112,7 @@ class TestCheckN2:
         assert fr.is_free_exact(w).free
         act = bi.from_torus_weights(w)
         for _ in range(3):
-            P = de.random_torus_invariant_metric(dec, rng)
+            P = fx.random_torus_invariant_metric(dec, rng)
             g = al.random_group_element(fam, rng)
             cert = de.check_N2(P, w1, w2, act, g, rng=rng)
             assert cert is not None
@@ -126,7 +127,7 @@ class TestCheckN2:
         g = al.GroupElement(al.sp(2), gmat)
         w1, w2, w3 = de.gromoll_meyer_blocks(dec)
         for _ in range(5):
-            P = de.random_gromoll_meyer_metric(dec, rng)
+            P = fx.random_gromoll_meyer_metric(dec, rng)
             cert = de.check_N2(P, w1, w2, act, g, rng=rng)
             assert cert is not None
             rep = assert_certificate_flat(act, g, P, cert, tol=1e-9)
@@ -155,8 +156,8 @@ class TestCheckN3:
         )
         p, q = (0, 0, 2), (1, -1, 2)
         assert fr.eschenburg_free(p, q)
-        act = de.eschenburg_action(p, q)
-        P = de.random_torus_invariant_metric(dec, rng)
+        act = fx.eschenburg_action(p, q)
+        P = fx.random_torus_invariant_metric(dec, rng)
         g = de.find_balanced_point(p, q)
         cert = de.check_N3(P, t_sub, v1, act, g)
         assert cert is not None
@@ -170,17 +171,20 @@ class TestCheckN3:
             dec, [dec.roots[0].x + dec.roots[1].x], "mixed"
         )
         act = bi.trivial_action(fam)
-        with pytest.raises(de.HypothesisError):
-            de.check_N3(P, al.cartan_subspace(dec), mixed, act, al.identity(fam))
+        diag = {}
+        assert de.check_N3(P, al.cartan_subspace(dec), mixed, act, al.identity(fam),
+                           diagnostics=diag) is None
+        assert "hypothesis" in diag
 
     def test_eigenspace_meeting_right_generators_rejected(self):
         fam = al.su(3)
         dec = al.root_decomposition(fam)
         P = me.build_metric(dec)
-        act = de.eschenburg_action((1, 1, 1), (0, 0, 3))
-        with pytest.raises(de.HypothesisError):
-            de.check_N3(P, al.root_subspace(dec, 0), al.cartan_subspace(dec),
-                        act, al.identity(fam))
+        act = fx.eschenburg_action((1, 1, 1), (0, 0, 3))
+        diag = {}
+        assert de.check_N3(P, al.root_subspace(dec, 0), al.cartan_subspace(dec),
+                           act, al.identity(fam), diagnostics=diag) is None
+        assert "hypothesis" in diag
 
     def test_positive_family_yields_no_certificate(self, rng):
         # positively-curvable parameters: the search over all root spaces
@@ -189,11 +193,11 @@ class TestCheckN3:
         assert fr.eschenburg_positive_flag(p, q)
         fam = al.su(3)
         dec = al.root_decomposition(fam)
-        act = de.eschenburg_action(p, q)
+        act = fx.eschenburg_action(p, q)
         t_sub = al.cartan_subspace(dec)
         found = 0
         for _ in range(50):
-            P = de.random_torus_invariant_metric(dec, rng)
+            P = fx.random_torus_invariant_metric(dec, rng)
             g = al.random_group_element(fam, rng)
             for i in range(3):
                 cert = de.check_N3(P, t_sub, al.root_subspace(dec, i), act, g)
@@ -206,7 +210,7 @@ class TestFindBalancedPoint:
     def test_interior_case_converges(self):
         p, q = (0, 0, 2), (1, -1, 2)
         g = de.find_balanced_point(p, q)
-        act = de.eschenburg_action(p, q)
+        act = fx.eschenburg_action(p, q)
         xl, xr = act.u_basis[0]
         y3 = al.torus_element(al.su(3), np.array(de.Y3_COORDS))
         resid = al.inner_q(al.adjoint(g.inverse(), xl) - xr, y3)
@@ -306,7 +310,7 @@ class TestNumericFlatSearch:
         dec = al.root_decomposition(fam)
         w = fr.TorusActionWeights(fam, 1, ((1,), (1,)), ((1,), (0,)))
         act = bi.from_torus_weights(w)
-        P = de.random_torus_invariant_metric(dec, rng)
+        P = fx.random_torus_invariant_metric(dec, rng)
         g = al.random_group_element(fam, rng)
         best = de.numeric_flat_search(act, g, P, budget=4000, rng=rng)
         assert best.sec_quotient < 1e-8
@@ -357,10 +361,10 @@ class TestNumericFlatSearch:
         rng = np.random.default_rng(3)
         if name == "gromoll-meyer":
             act = bi.gromoll_meyer_action()
-            P = de.random_gromoll_meyer_metric(act.dec(), rng)
+            P = fx.random_gromoll_meyer_metric(act.dec(), rng)
         else:
             act = _circle_action(name)
-            P = de.random_torus_invariant_metric(act.dec(), rng)
+            P = fx.random_torus_invariant_metric(act.dec(), rng)
         g = al.random_group_element(act.group, rng)
         frame = bi.PointFrame.at(act, g, P)
         hor = frame.horizontal()
@@ -386,7 +390,7 @@ class TestNumericFlatSearch:
     def test_not_above_the_nelder_mead_reference(self, name, at_identity):
         rng = np.random.default_rng(100)
         act = _circle_action(name)
-        P = de.random_torus_invariant_metric(act.dec(), rng)
+        P = fx.random_torus_invariant_metric(act.dec(), rng)
         g = al.identity(act.group) if at_identity else al.random_group_element(act.group, rng)
         new = de.numeric_flat_search(act, g, P, budget=2000,
                                      rng=np.random.default_rng(7))
@@ -413,7 +417,7 @@ class TestNumericFlatSearch:
         point and metric: the polish's start in numeric_flat_search."""
         rng = np.random.default_rng(seed)
         act = _circle_action(name)
-        P = de.random_torus_invariant_metric(act.dec(), rng)
+        P = fx.random_torus_invariant_metric(act.dec(), rng)
         g = al.random_group_element(act.group, rng)
         frame = bi.PointFrame.at(act, g, P)
         hor = frame.horizontal()
@@ -445,7 +449,7 @@ class TestNumericFlatSearch:
         rng = np.random.default_rng(5)
         act = bi.gromoll_meyer_action()
         dec = act.dec()
-        P = de.random_gromoll_meyer_metric(dec, rng)
+        P = fx.random_gromoll_meyer_metric(dec, rng)
         g = al.random_group_element(act.group, rng)
         frame = bi.PointFrame.at(act, g, P)
         hor = frame.horizontal()
@@ -474,39 +478,88 @@ class TestNumericFlatSearch:
 
 class TestFixturesSmall:
     def test_example1_small(self):
-        r = de.run_example1(seed=11, n_weights=2, n_metrics=2, n_points=2)
+        r = fx.run_example1(seed=11, n_weights=2, n_metrics=2, n_points=2)
         assert r["passed"]
 
     def test_example2_small(self):
-        r = de.run_example2(seed=11, n_cases=2)
+        r = fx.run_example2(seed=11, n_cases=2)
         assert r["passed"]
 
     def test_example3_small(self):
-        r = de.run_example3(seed=11, n_metrics=2, budget=800)
+        r = fx.run_example3(seed=11, n_metrics=2, budget=800)
         assert r["passed"]
         assert r["point_normalization"] == "1/sqrt(2)"
 
     def test_example4_small(self):
-        r = de.run_example4(seed=11, ns=(2,), n_points=3, n_metrics=2)
+        r = fx.run_example4(seed=11, ns=(2,), n_points=3, n_metrics=2)
         assert r["passed"]
+
+
+class TestRunTrials:
+    """The fixture driver's two ways to fail, on hand-built SU(3) trials
+    with the bi-invariant metric at the identity."""
+
+    @staticmethod
+    def _setup():
+        fam = al.su(3)
+        dec = al.root_decomposition(fam)
+        return fam, dec, me.build_metric(dec), al.identity(fam)
+
+    @pytest.mark.parametrize("kind", ["hypothesis", "search"])
+    def test_no_certificate_stops_with_the_criterion_reason(self, kind):
+        fam, dec, P, g = self._setup()
+        free = bi.trivial_action(fam)
+        # the Cartan algebra is abelian and P-invariant: flat under a trivial
+        # action, vertical under the full left torus
+        flat = (free, g, P, lambda diag: de.check_N1(
+            P, al.cartan_subspace(dec), free, g, diagnostics=diag))
+        if kind == "hypothesis":  # a root space is not abelian
+            act, sub = free, al.root_subspace(dec, 0)
+        else:
+            act = bi.one_sided_action(fam, list(dec.cartan), side="left")
+            sub = al.cartan_subspace(dec)
+        failing = (act, g, P, lambda diag: de.check_N1(P, sub, act, g, diagnostics=diag))
+        drawn = []
+
+        def trials():
+            for trial in (flat, flat, failing, flat):
+                drawn.append(trial)
+                yield trial
+
+        r = fx.run_trials(5, trials())
+        assert r["passed"] is False
+        assert r["seed"] == 5 and r["trials"] == 2
+        assert len(r["certificates"]) == 2
+        assert kind in r["reason"]
+        assert len(drawn) == 3  # nothing is drawn after the failure
+
+    def test_certificate_above_flat_tol_fails(self):
+        fam, dec, P, g = self._setup()
+        act = bi.trivial_action(fam)
+        # a root vector against the Cartan algebra does not commute, so
+        # the plane is curved (sec = |[x, y]|^2 / 4 > 0)
+        x, y = dec.roots[0].x, dec.cartan[0]
+        cert = de.FlatCertificate("N1", g, x, y, ())
+        sec = abs(bi.quotient_sectional(act, g, P, x, y).sec_quotient)
+        assert sec > 1e-3
+        trial = (act, g, P, lambda diag: cert)
+        r = fx.run_trials(0, [trial])
+        assert r["passed"] is False
+        assert r["trials"] == 1
+        assert r["worst_residual"] == sec
+        assert "reason" not in r
+        assert fx.run_trials(0, [trial], flat_tol=2 * sec)["passed"]
 
 
 _MATRIX_REFERENCE = {"check_N1": matrix_check_N1, "check_N2": matrix_check_N2,
                      "check_N3": matrix_check_N3}
 
 
-def _outcome(fn, args, kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except de.HypothesisError as exc:
-        return exc
-
-
 def _assert_same_certificate(expected, got):
     """Same verdict, criterion and X, Y to 1e-12 (N3's X up to sign: it
     is a null vector of an SVD)."""
-    if isinstance(expected, Exception) or expected is None:
-        assert type(got) is type(expected)
+    if expected is None:
+        assert got is None
         return
     assert got is not None and got.criterion == expected.criterion
     for a, b in ((expected.x, got.x), (expected.y, got.y)):
@@ -537,34 +590,32 @@ class TestCriteriaMatchMatrixReference:
                 ref_kw = dict(kw)
                 if kw.get("rng") is not None:
                     ref_kw["rng"] = copy.deepcopy(kw["rng"])
-                expected = _outcome(ref, args, ref_kw)
-                got = _outcome(new, args, kw)
+                expected = ref(*args, **ref_kw)
+                got = new(*args, **kw)
                 _assert_same_certificate(expected, got)
                 compared.append(crit)
-                if isinstance(got, Exception):
-                    raise got
                 return got
             return run
 
         for crit in _MATRIX_REFERENCE:
             monkeypatch.setattr(de, crit, twin(crit))
-        assert de.FIXTURES[name](seed=11, **kwargs)["passed"]
+        assert fx.FIXTURES[name](seed=11, **kwargs)["passed"]
         assert compared
 
     def test_positive_flag_no_certificate(self, rng):
         p, q = (1, 2, 3), (0, 0, 6)
         fam = al.su(3)
         dec = al.root_decomposition(fam)
-        act = de.eschenburg_action(p, q)
+        act = fx.eschenburg_action(p, q)
         t_sub = al.cartan_subspace(dec)
         for _ in range(10):
-            P = de.random_torus_invariant_metric(dec, rng)
+            P = fx.random_torus_invariant_metric(dec, rng)
             g = al.random_group_element(fam, rng)
             for i in range(3):
                 args = (P, t_sub, al.root_subspace(dec, i), act, g)
-                expected = _outcome(matrix_check_N3, args, {})
+                expected = matrix_check_N3(*args)
                 assert expected is None
-                _assert_same_certificate(expected, _outcome(de.check_N3, args, {}))
+                _assert_same_certificate(expected, de.check_N3(*args))
 
     def test_hypothesis_failures(self, rng):
         fam = al.su(3)
@@ -582,9 +633,9 @@ class TestCriteriaMatchMatrixReference:
         for crit, args, kwargs in cases:
             ref_kwargs = {k: copy.deepcopy(v) for k, v in kwargs.items()}
             ref_diag, diag = {}, {}
-            if crit != "check_N3":
-                ref_kwargs["diagnostics"], kwargs["diagnostics"] = ref_diag, diag
-            expected = _outcome(_MATRIX_REFERENCE[crit], args, ref_kwargs)
-            got = _outcome(getattr(de, crit), args, kwargs)
+            ref_kwargs["diagnostics"], kwargs["diagnostics"] = ref_diag, diag
+            expected = _MATRIX_REFERENCE[crit](*args, **ref_kwargs)
+            got = getattr(de, crit)(*args, **kwargs)
             _assert_same_certificate(expected, got)
+            assert "hypothesis" in diag
             assert ref_diag.keys() == diag.keys()

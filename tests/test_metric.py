@@ -113,7 +113,8 @@ class TestLTensor:
 class TestSubspaceMetric:
     def test_block_structure_and_invariance(self, rng):
         dec = al.root_decomposition(al.sp(2))
-        from biq.detectors import gromoll_meyer_blocks, random_gromoll_meyer_metric
+        from biq.detectors import gromoll_meyer_blocks
+        from biq.fixtures import random_gromoll_meyer_metric
 
         P = random_gromoll_meyer_metric(dec, rng)
         w1, w2, w3 = gromoll_meyer_blocks(dec)
