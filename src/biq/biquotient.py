@@ -26,7 +26,18 @@ also gives sec_G, so one kernel call evaluates the quotient curvature of
 a whole batch of planes (`PointFrame.curvature_rows`).  Since c is
 linear in each argument, the quotient numerator is a quadratic form in y
 for fixed x as well (`PointFrame.quotient_forms`).
-`quotient_sectional` is the checked single-plane entry point;
+
+`PointFrame` alone decides what is horizontal and what is a plane:
+
+- `slice` (and `horizontal`, the slice of the whole algebra) counts a
+  singular value of the vertical pairings as zero at or below 1e-10
+  times the largest vertical row's metric size;
+- `checked` accepts a vector whose pairings are within HORIZONTAL_TOL
+  times its own norm, and projects it onto the horizontal space;
+- `orthonormal` accepts a pair of Gram area > PLANE_AREA_RTOL |a|^2 |b|^2.
+
+Every method that needs G^{-1} raises NonFreePointError where the action
+is not free.  `quotient_sectional` is the checked single-plane entry point;
 `horizontal_space` and `z_term` are one-call forms of a frame's
 `horizontal` and `z_squared`.
 """
@@ -54,6 +65,9 @@ from .curvature import DegeneratePlaneError, PlaneTerms, numerator_forms, plane_
 from .metric import MetricOperator
 
 HORIZONTAL_TOL = 1e-9
+PLANE_AREA_RTOL = 1e-12
+# a floor that keeps the degenerate rows of PointFrame.orthonormal finite
+_TINY = np.finfo(float).tiny
 
 
 class NonFreePointError(ValueError):
@@ -77,7 +91,6 @@ class BiquotientAction:
     u_basis: tuple  # of (AlgebraElement, AlgebraElement) pairs
     torus_weights: "freeness.TorusActionWeights | None" = None
     mode: str = "strict"
-    label: str = ""
 
     def __post_init__(self):
         dec = root_decomposition(self.group)
@@ -97,7 +110,7 @@ class BiquotientAction:
         return root_decomposition(self.group)
 
 
-def from_torus_weights(w: "freeness.TorusActionWeights", label: str = "") -> BiquotientAction:
+def from_torus_weights(w: "freeness.TorusActionWeights") -> BiquotientAction:
     """Torus action from integer weight matrices (one circle per column).
 
     SU weight columns may have a nonzero (but equal on both sides) sum:
@@ -107,9 +120,9 @@ def from_torus_weights(w: "freeness.TorusActionWeights", label: str = "") -> Biq
     """
     fam = w.group
     pairs = []
+    wl, wr = np.array(w.w_left, dtype=float), np.array(w.w_right, dtype=float)
     for j in range(w.k):
-        cl = _column(w.w_left, j)
-        cr = _column(w.w_right, j)
+        cl, cr = wl[:, j], wr[:, j]
         if fam.name == "SU":
             # equal column sums are enforced by the weights invariant
             cl = cl - cl.mean()
@@ -117,20 +130,14 @@ def from_torus_weights(w: "freeness.TorusActionWeights", label: str = "") -> Biq
         xl = torus_element(fam, cl)
         xr = torus_element(fam, cr)
         pairs.append((xl, xr))
-    return BiquotientAction(
-        group=fam, u_basis=tuple(pairs), torus_weights=w, mode=w.mode, label=label
-    )
-
-
-def _column(rows, j):
-    return np.array([float(r[j]) for r in rows])
+    return BiquotientAction(group=fam, u_basis=tuple(pairs), torus_weights=w, mode=w.mode)
 
 
 def trivial_action(fam: GroupFamily) -> BiquotientAction:
-    return BiquotientAction(group=fam, u_basis=(), label="trivial")
+    return BiquotientAction(group=fam, u_basis=())
 
 
-def one_sided_action(fam, generators, side: str = "right", label: str = "") -> BiquotientAction:
+def one_sided_action(fam, generators, side: str = "right") -> BiquotientAction:
     """U acting by left translations only or right translations only."""
     z = zero(fam)
     if side == "right":
@@ -139,7 +146,7 @@ def one_sided_action(fam, generators, side: str = "right", label: str = "") -> B
         pairs = tuple((x, z) for x in generators)
     else:
         raise ValueError("side must be 'left' or 'right'")
-    return BiquotientAction(group=fam, u_basis=pairs, label=label or f"one-sided-{side}")
+    return BiquotientAction(group=fam, u_basis=pairs)
 
 
 def gromoll_meyer_action() -> BiquotientAction:
@@ -157,9 +164,7 @@ def gromoll_meyer_action() -> BiquotientAction:
     w = freeness.TorusActionWeights(
         group=fam, k=1, w_left=((1,), (1,)), w_right=((1,), (0,))
     )
-    return BiquotientAction(
-        group=fam, u_basis=pairs, torus_weights=w, label="gromoll-meyer"
-    )
+    return BiquotientAction(group=fam, u_basis=pairs, torus_weights=w)
 
 
 def _imag_unit(m):
@@ -190,10 +195,8 @@ def unit_tangent_flow_action(n: int) -> BiquotientAction:
         )
         + ((0,) * n,),
     )
-    return BiquotientAction(
-        group=fam, u_basis=tuple(pairs), torus_weights=w,
-        mode="mod-center", label=f"unit-tangent-flow-S{n}",
-    )
+    return BiquotientAction(group=fam, u_basis=tuple(pairs), torus_weights=w,
+                            mode="mod-center")
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +256,25 @@ class PointFrame:
     def is_free_point(self) -> bool:
         return self.gram_inv is not None
 
+    def _free_gram_inv(self) -> np.ndarray:
+        if self.gram_inv is None:
+            raise NonFreePointError("action is not free at this point")
+        return self.gram_inv
+
+    def slice(self, coords) -> np.ndarray:
+        """Orthonormal rows spanning the horizontal part of the span of the
+        orthonormal rows coords; the rank cut is absolute, since a
+        horizontal subspace pairs to noise that must count as zero."""
+        coords = np.asarray(coords)
+        vp = self.vert_coords @ self.P.mat
+        _, s, vt = np.linalg.svd(vp @ coords.T)
+        scale = max(float(np.linalg.norm(vp, axis=1).max(initial=0.0)), 1e-300)
+        return vt[np.count_nonzero(s > 1e-10 * scale):] @ coords
+
     def horizontal(self) -> Subspace:
         """Metric-orthogonal complement of the vertical space."""
-        # the null space of the pairings: right singular vectors past the
-        # numerical rank, cut at the largest singular value * max(shape) * eps
-        pairings = self.vert_coords @ self.P.mat
-        _, s, vh = np.linalg.svd(pairings)
-        rank = np.count_nonzero(s > s.max(initial=0.0) * max(pairings.shape) * np.finfo(float).eps)
-        return Subspace(self.act.dec(), vh[rank:], label="horizontal")
+        dec = self.act.dec()
+        return Subspace(dec, self.slice(np.eye(dec.dim)), label="horizontal")
 
     def horizontal_residual(self, coords) -> float:
         pairings = self.vert_coords @ (self.P.mat @ np.asarray(coords))
@@ -269,29 +283,47 @@ class PointFrame:
     def project_horizontal(self, coords) -> np.ndarray:
         """Metric-orthogonal projection onto the horizontal space."""
         c = np.asarray(coords, dtype=float)
-        if self.gram_inv is None:
-            raise NonFreePointError("action is not free at this point")
         pairings = self.vert_coords @ (self.P.mat @ c)
-        return c - self.vert_coords.T @ (self.gram_inv @ pairings)
+        return c - self.vert_coords.T @ (self._free_gram_inv() @ pairings)
+
+    def checked(self, a: AlgebraElement) -> np.ndarray:
+        """Coordinates of a projected onto the horizontal space; a must be
+        horizontal within HORIZONTAL_TOL times its own norm."""
+        self._free_gram_inv()  # a non-free point is reported first
+        c = self.act.dec().to_coords(a)
+        if self.horizontal_residual(c) > HORIZONTAL_TOL * max(np.linalg.norm(c), 1e-300):
+            raise NonHorizontalError("input vector is not horizontal at g")
+        return self.project_horizontal(c)
+
+    def orthonormal(self, c1, c2):
+        """Metric-orthonormal rows (x, y) spanning span{c1[n], c2[n]} and
+        the mask of the rows that span a plane (the degeneracy rule); rows
+        outside it are not normalized."""
+        pm = self.P.mat
+        p2 = c2 @ pm
+        aa = np.einsum("ij,ij->i", c1 @ pm, c1)
+        x = c1 / np.sqrt(np.maximum(aa, _TINY))[:, None]
+        y = c2 - np.einsum("ij,ij->i", p2, x)[:, None] * x
+        # |y|^2 = area / |a|^2 once a is normalized
+        yy = np.einsum("ij,ij->i", y @ pm, y)
+        ok = aa * yy > PLANE_AREA_RTOL * aa * np.einsum("ij,ij->i", p2, c2)
+        return x, y / np.sqrt(np.maximum(yy, _TINY))[:, None], ok
 
     def z_squared(self, terms: PlaneTerms) -> np.ndarray:
         """z^2 = c G^{-1} c per plane, with the pairings
         c = <Ad_{g^{-1}} X_L, L(x, y)> - <X_R, [x, y]> over the generators."""
-        if self.gram_inv is None:
-            raise NonFreePointError("action is not free at this point")
         c = terms.p_fusing @ self.ad_left.T - terms.p_bracket @ self.right.T
-        return np.maximum(np.einsum("ij,ij->i", c @ self.gram_inv, c), 0.0)
+        return np.maximum(np.einsum("ij,ij->i", c @ self._free_gram_inv(), c), 0.0)
 
     def quotient_forms(self, X) -> np.ndarray:
         """(r, d, d) symmetric forms Q with Y Q[n] Y = <R(X[n], Y) Y, X[n]>
         + 3/4 z(X[n], Y)^2 for horizontal Y: the numerator form plus
         3/4 K^T G^{-1} K, symmetrized, where K Y holds the pairings c of
         z_squared."""
+        gram_inv = self._free_gram_inv()
         terms = numerator_forms(self.P, X)
-        if self.gram_inv is None:
-            raise NonFreePointError("action is not free at this point")
         K = self.ad_left @ terms.p_fusing - self.right @ terms.p_bracket
-        Z = K.transpose(0, 2, 1) @ (self.gram_inv @ K)
+        Z = K.transpose(0, 2, 1) @ (gram_inv @ K)
         return terms.forms + 0.375 * (Z + Z.transpose(0, 2, 1))
 
     def curvature_rows(self, cx, cy):
@@ -312,14 +344,7 @@ def z_term(
     """Norm of the vertical part of the bracket of horizontal extensions of
     a, b at g; requires a, b horizontal and the action free at g."""
     frame = frame or PointFrame.at(act, g, P)
-    if frame.gram_inv is None:
-        raise NonFreePointError("action is not free at this point")
-    dec = act.dec()
-    ca, cb = dec.to_coords(a), dec.to_coords(b)
-    scale = max(np.linalg.norm(ca), np.linalg.norm(cb), 1e-300)
-    for c in (ca, cb):
-        if frame.horizontal_residual(c) > HORIZONTAL_TOL * scale:
-            raise NonHorizontalError("input vector is not horizontal at g")
+    ca, cb = frame.checked(a), frame.checked(b)
     z2 = frame.z_squared(plane_terms(P, ca[None], cb[None]))
     return float(np.sqrt(z2[0]))
 
@@ -328,21 +353,12 @@ def z_term(
 class PlaneReport:
     """Curvature record for one horizontal 2-plane at one point."""
 
-    point: GroupElement
     x: AlgebraElement
     y: AlgebraElement
     sec_g: float
     oneill_term: float
     sec_quotient: float
     certificate: str = "none"  # N1 | N2 | N3 | numeric | none
-
-    def to_dict(self):
-        return {
-            "sec_G": self.sec_g,
-            "oneill_term": self.oneill_term,
-            "sec_quotient": self.sec_quotient,
-            "certificate": self.certificate,
-        }
 
 
 def quotient_sectional(
@@ -359,33 +375,13 @@ def quotient_sectional(
     horizontal space, then orthonormalized; others are rejected.
     """
     frame = frame or PointFrame.at(act, g, P)
-    if not frame.is_free_point:
-        raise NonFreePointError("action is not free at this point")
-    dec = act.dec()
-    ca, cb = dec.to_coords(a), dec.to_coords(b)
-    for c in (ca, cb):
-        if frame.horizontal_residual(c) > HORIZONTAL_TOL * max(np.linalg.norm(c), 1e-300):
-            raise NonHorizontalError("input vector is not horizontal at g")
-    ca = frame.project_horizontal(ca)
-    cb = frame.project_horizontal(cb)
-
-    # metric orthonormalization of the frame
-    pm = P.mat
-    na = np.sqrt(ca @ pm @ ca)
-    if na <= 0:
-        raise DegeneratePlaneError("zero vector")
-    cx = ca / na
-    bb = cb @ pm @ cb
-    cb = cb - (cb @ pm @ cx) * cx
-    nb = np.sqrt(cb @ pm @ cb)
-    # relative to b's own norm, so the test does not depend on b's scale
-    if nb * nb <= 1e-12 * bb:
+    x, y, ok = frame.orthonormal(frame.checked(a)[None], frame.checked(b)[None])
+    if not ok[0]:
         raise DegeneratePlaneError("a and b do not span a 2-plane")
-    cy = cb / nb
-
-    sec_g, oneill = frame.curvature_rows(cx[None], cy[None])
+    sec_g, oneill = frame.curvature_rows(x, y)
     sec_g, oneill = float(sec_g[0]), float(oneill[0])
+    dec = act.dec()
     return PlaneReport(
-        point=g, x=dec.from_coords(cx), y=dec.from_coords(cy), sec_g=sec_g,
+        x=dec.from_coords(x[0]), y=dec.from_coords(y[0]), sec_g=sec_g,
         oneill_term=oneill, sec_quotient=sec_g + oneill,
     )

@@ -6,8 +6,9 @@ Contents:
   symplectic groups (two variants each), and the extra torus on SO(6)
   coming from its coincidence with SU(4);
 - the two classification tables of maximal equal-rank extensions, with a
-  per-row verifier (torus freeness, rank and dimension arithmetic, and
-  the normalization property of the circles that act on both sides).
+  per-row verifier (torus freeness, rank and dimension arithmetic, and,
+  on the rows whose circle acts on both sides, that the torus is the
+  circle times the maximal torus of the right factor's SU blocks).
   Each row is defined once: its printed text and the builder that turns
   its parameter into a group, a torus and the factors of U, whose
   dimensions and ranks come from GroupFamily (only G2 is given by size);
@@ -43,7 +44,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import AlgebraElement, GroupFamily, bracket, so, sp, su
+from .algebra import GroupFamily, so, sp, su
 from .freeness import (
     MOD_CENTER,
     STRICT,
@@ -282,14 +283,14 @@ def lattice_equal(w1: TorusActionWeights, w2: TorusActionWeights) -> bool:
 @dataclass(frozen=True)
 class RowInstance:
     """A table row at one parameter.  Each factor of U = U1 x U2 gives
-    its .dim and .rank; a circle that acts on both sides records its right
-    weights row and the rows of the right block it must normalize."""
+    its .dim and .rank; a circle that acts on both sides records its left
+    and right weights and the rows of each SU block of the right factor."""
 
     group: GroupFamily
     torus: TorusActionWeights
     factors: tuple
     quotient_dim: int | None
-    normalizing_circle: tuple | None  # (right weights row, block rows)
+    circle: tuple | None  # (left weights, right weights, right blocks)
 
 
 @dataclass(frozen=True)
@@ -319,8 +320,28 @@ class ClassificationEntry:
 _G2 = SimpleNamespace(dim=14, rank=2)
 
 
-def _s_row(n, l, variant, factors, quotient_dim, circle=None):
+def _s_row(n, l, variant, factors, quotient_dim):
     """A row on the torus S_{variant,l} of SU(n)."""
+    return RowInstance(su(n), su_tori(n, l, variant).weights, factors,
+                       quotient_dim, None)
+
+
+def _circle_row(nl, variant):
+    """Row 1 (variant 1) or 9 (variant 2) at (n, l): S_{variant,l} on SU(n)
+    with its circle as printed and the SU blocks of U2 = SU(n-1), resp.
+    SU(l)SU(n-l)."""
+    n, l = nl
+    if n < 5 or not 2 <= l < n / 2:
+        raise ValueError(f"rows 1 and 9 need n >= 5 and 2 <= l < n/2, got {nl}")
+    if variant == 1:
+        circle = ((2,) * l + (0,) * (n - l),
+                  (1,) + (2,) * (l - 1) + (0,) * (n - 1 - l) + (1,),
+                  (tuple(range(n - 1)),))
+        factors, quotient_dim = (so(2), su(n - 1)), 2 * (n - 1)
+    else:
+        circle = ((0,) * (n - 1) + (2,), (1,) + (0,) * (n - 2) + (1,),
+                  (tuple(range(l)), tuple(range(l, n))))
+        factors, quotient_dim = (so(2), su(l), su(n - l)), None
     return RowInstance(su(n), su_tori(n, l, variant).weights, factors,
                        quotient_dim, circle)
 
@@ -343,13 +364,8 @@ def _row14(pq):
 _TABLE_A = [
     ClassificationEntry(1, "A", "SU(n)", "n >= 5", "S_{1,l}, 2 <= l < n/2",
                         "S^1 (semidirect, both sides)", "SU(n-1)", "CP^{n-1}",
-                        "full", smallest=5,
-                        # l = 2; the circle's right weights, from the printed
-                        # display diag(z, z^2, ..., z^2, 1, ..., 1, z) with
-                        # l - 1 copies of z^2
-                        build=lambda n: _s_row(
-                            n, 2, 1, (so(2), su(n - 1)), 2 * (n - 1),
-                            ((1, 2) + (0,) * (n - 3) + (1,), tuple(range(n - 1))))),
+                        "full", smallest=(5, 2),
+                        build=lambda nl: _circle_row(nl, 1)),
     ClassificationEntry(2, "A", "SU(2n)", "n >= 2", "S_{1,n}",
                         "diagonal SU(2)", "SU(2n-1)", "HP^{n-1}", "full",
                         smallest=2,
@@ -384,11 +400,8 @@ _TABLE_A = [
 _TABLE_B = [
     ClassificationEntry(9, "B", "SU(n)", "n >= 5", "S_{2,l}, 2 <= l < n/2",
                         "S^1 (semidirect, both sides)", "SU(l)SU(n-l)", None,
-                        "full", smallest=5,
-                        # l = 2; the circle's right weights: diag(z, 1, ..., 1, z)
-                        build=lambda n: _s_row(
-                            n, 2, 2, (so(2), su(2), su(n - 2)), None,
-                            ((1,) + (0,) * (n - 2) + (1,), tuple(range(1, n - 1))))),
+                        "full", smallest=(5, 2),
+                        build=lambda nl: _circle_row(nl, 2)),
     ClassificationEntry(10, "B", "SU(2n)", "n >= 2", "S_{2,n}",
                         "S^1 (left only)", "SU(n)SU(n)", None, "full",
                         smallest=2,
@@ -435,33 +448,15 @@ def table_entries(table: str):
     raise ValueError("table must be 'A' or 'B'")
 
 
-def _normalization_check(inst: RowInstance) -> float:
-    """For rows whose circle acts on both sides: residual of the circle's
-    right generator normalizing the right block subalgebra."""
-    right_row, block_rows = inst.normalizing_circle
-    fam = inst.group
-    n = fam.n
-    circle = np.diag(1j * np.asarray(right_row, dtype=float))
-    circle = circle - np.trace(circle) / n * np.eye(n)
-    gen = AlgebraElement(fam, circle)
-    resid = 0.0
-    rows = set(block_rows)
-    for i in block_rows:
-        for j in block_rows:
-            if i == j:
-                continue
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = 1.0
-            m[j, i] = -1.0
-            br = bracket(gen, AlgebraElement(fam, m)).mat
-            outside = sum(
-                abs(br[a, b])
-                for a in range(n)
-                for b in range(n)
-                if not (a in rows and b in rows)
-            )
-            resid = max(resid, float(outside))
-    return resid
+def _circle_check(inst: RowInstance) -> bool:
+    """Whether the row's torus is (lattice_equal to) its circle together
+    with the maximal tori of the right factor's SU blocks."""
+    left, right, blocks = inst.circle
+    eye = np.eye(len(right), dtype=int)
+    roots = [eye[i] - eye[j] for b in blocks for i, j in zip(b, b[1:])]
+    wl = np.column_stack([left] + [0 * r for r in roots])
+    wr = np.column_stack([right] + roots)
+    return lattice_equal(inst.torus, TorusActionWeights(inst.group, wr.shape[1], wl, wr))
 
 
 def verify_entry(entry: ClassificationEntry, n=None) -> dict:
@@ -469,7 +464,8 @@ def verify_entry(entry: ClassificationEntry, n=None) -> dict:
 
     Checks: the torus passes the exact freeness test (mod center), the
     extension has full rank, the dimension arithmetic matches the stated
-    quotient for the first table, and both-sided circles normalize their
+    quotient for the first table, and the torus of a row whose circle
+    acts on both sides is that circle times the maximal torus of the
     right factor.  Rows needing spin or exceptional embeddings only get
     the torus check and report "torus-only".
     """
@@ -502,10 +498,10 @@ def verify_entry(entry: ClassificationEntry, n=None) -> dict:
             ("dimension_recorded", True, f"dim G - dim U = {dim_g - dim_u}")
         )
 
-    if inst.normalizing_circle is not None:
-        resid = _normalization_check(inst)
-        checks.append(("circle_normalizes_right_factor", resid < 1e-12,
-                       f"residual {resid:.2e}"))
+    if inst.circle is not None:
+        blocks = ", ".join(f"{b[0]}..{b[-1]}" for b in inst.circle[2])
+        checks.append(("torus_is_circle_and_right_blocks", _circle_check(inst),
+                       f"right SU blocks on rows {blocks}"))
 
     passed = all(ok for _, ok, _ in checks)
     return {

@@ -16,7 +16,9 @@ g from purely algebraic conditions:
 The criteria work on coordinate rows in the Q-orthonormal frame: every
 bracket comes from the cached structure constants (`RootDecomposition.ad`),
 and residuals are coordinate norms.  Matrices are built only for the
-vectors of a returned certificate.
+vectors of a returned certificate.  What is horizontal and what spans a
+plane is decided by the point's `PointFrame` (`slice` and `orthonormal`,
+the rules of biq.biquotient).
 
 Every certificate records the residuals of the conditions it checked; the
 curvature engine independently confirms each certified plane, so a
@@ -47,6 +49,7 @@ from .algebra import (
 )
 from .biquotient import (
     BiquotientAction,
+    PLANE_AREA_RTOL,
     PlaneReport,
     PointFrame,
     quotient_sectional,
@@ -67,7 +70,6 @@ class FlatCertificate:
     """A certified zero-curvature plane with the residuals that back it."""
 
     criterion: str  # "N1" | "N2" | "N3"
-    point: GroupElement
     x: AlgebraElement
     y: AlgebraElement
     checked_conditions: tuple  # of (name, residual)
@@ -79,23 +81,6 @@ class FlatCertificate:
 def _record(diag, key, value):
     if diag is not None:
         diag[key] = value
-
-
-def _metric_normal_slice(sub: Subspace, frame: PointFrame) -> np.ndarray:
-    """Orthonormal coordinate rows spanning sub intersected with the
-    metric-orthogonal complement of the vertical space.
-
-    The rank cut is absolute (scaled by the vertical and metric sizes),
-    not relative to the pairing matrix itself: a subspace that is already
-    horizontal pairs to numerical noise, which must count as zero."""
-    pairings = frame.vert_coords @ frame.P.mat @ sub.coords.T
-    scale = max(
-        float(np.linalg.norm(frame.vert_coords @ frame.P.mat, axis=1).max(initial=0.0)),
-        1e-300,
-    )
-    _, s, vt = np.linalg.svd(pairings)
-    rank = int(np.sum(s > 1e-10 * scale))
-    return vt[rank:] @ sub.coords
 
 
 def _subspace_p_invariance(P: MetricOperator, sub: Subspace) -> float:
@@ -130,7 +115,7 @@ def check_N1(
                 f"P-invariance residual {pinv_res:.2e}")
         return None
     frame = PointFrame.at(act, g, P)
-    slc = _metric_normal_slice(a_sub, frame)
+    slc = frame.slice(a_sub.coords)
     if slc.shape[0] < 2:
         _record(diagnostics, "search", "horizontal intersection has dimension < 2")
         return None
@@ -140,7 +125,7 @@ def check_N1(
         ("horizontal_X", frame.horizontal_residual(slc[0])),
         ("horizontal_Y", frame.horizontal_residual(slc[1])),
     )
-    return FlatCertificate("N1", g, dec.from_coords(slc[0]), dec.from_coords(slc[1]),
+    return FlatCertificate("N1", dec.from_coords(slc[0]), dec.from_coords(slc[1]),
                            conds)
 
 
@@ -171,8 +156,8 @@ def check_N2(
         return None
 
     frame = PointFrame.at(act, g, P)
-    slc1 = _metric_normal_slice(w1, frame)
-    slc2 = _metric_normal_slice(w2, frame)
+    slc1 = frame.slice(w1.coords)
+    slc2 = frame.slice(w2.coords)
     if slc1.shape[0] < 1 or slc2.shape[0] < 1:
         _record(diagnostics, "search", "no horizontal vectors in W1 or W2")
         return None
@@ -198,7 +183,7 @@ def check_N2(
         ("horizontal_X", frame.horizontal_residual(slc1[0])),
         ("horizontal_Y", frame.horizontal_residual(cy)),
     )
-    return FlatCertificate("N2", g, dec.from_coords(slc1[0]), dec.from_coords(cy), conds)
+    return FlatCertificate("N2", dec.from_coords(slc1[0]), dec.from_coords(cy), conds)
 
 
 def commuting_root_pairs(dec):
@@ -277,8 +262,8 @@ def check_N3(
                 f"eigenspace is not orthogonal to the right generators ({ur_res:.2e})")
         return None
 
-    slc_k = _metric_normal_slice(k_alg, frame)
-    slc_v = _metric_normal_slice(v_sub, frame)
+    slc_k = frame.slice(k_alg.coords)
+    slc_v = frame.slice(v_sub.coords)
     if slc_k.shape[0] < 1 or slc_v.shape[0] < 1:
         _record(diagnostics, "search", "no horizontal vectors available")
         return None
@@ -309,7 +294,7 @@ def check_N3(
                 ("horizontal_X", frame.horizontal_residual(ck)),
                 ("horizontal_Y", frame.horizontal_residual(cv)),
             )
-            return FlatCertificate("N3", g, dec.from_coords(ck), dec.from_coords(cv),
+            return FlatCertificate("N3", dec.from_coords(ck), dec.from_coords(cv),
                                    conds)
     _record(diagnostics, "search", "no pair with [P(X), Y] = 0 found")
     return None
@@ -440,7 +425,7 @@ def _pair_value(frame, H, theta):
     kappa = 0.5 * float(b @ gb)
     aa, bb, ab = a @ a, b @ b, a @ b
     area = aa * bb - ab * ab
-    if area <= 1e-12 * aa * bb:
+    if area <= PLANE_AREA_RTOL * aa * bb:
         return np.inf, np.zeros_like(theta)
     f = kappa / area
     grad = np.concatenate([
@@ -642,16 +627,9 @@ def numeric_flat_search(
     pm = P.mat
 
     def planes(thetas):
-        """Metric-orthonormal pair of each row of thetas and whether the
-        row spans a plane."""
+        """PointFrame.orthonormal of the pair in each row of thetas."""
         c = thetas.reshape(-1, h) @ hor.coords
-        c1, c2 = c[0::2], c[1::2]
-        n1 = np.sqrt(np.einsum("ij,ij->i", c1 @ pm, c1))
-        c1 = c1 / np.maximum(n1, 1e-12)[:, None]
-        c2 = c2 - np.einsum("ij,ij->i", c2 @ pm, c1)[:, None] * c1
-        n2 = np.sqrt(np.einsum("ij,ij->i", c2 @ pm, c2))
-        c2 = c2 / np.maximum(n2, 1e-8)[:, None]
-        return c1, c2, (n1 >= 1e-12) & (n2 >= 1e-8)
+        return frame.orthonormal(c[0::2], c[1::2])
 
     def values(thetas):
         """sec_quotient of the plane of each row of thetas (inf when the
@@ -792,8 +770,8 @@ def example4_abelian_pair(n, P, act, g):
     dec = P.dec
     frame = PointFrame.at(act, g, P)
     _, sub_v, sub_w, _ = unit_tangent_blocks(n, dec)
-    slc_v = _metric_normal_slice(sub_v, frame)
-    slc_w = _metric_normal_slice(sub_w, frame)
+    slc_v = frame.slice(sub_v.coords)
+    slc_w = frame.slice(sub_w.coords)
     x = _reference_in_slice(sub_v.coords, slc_v)
     if x is None:
         return None

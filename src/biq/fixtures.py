@@ -156,7 +156,7 @@ def eschenburg_action(p, q) -> BiquotientAction:
     w = freeness.TorusActionWeights(
         fam, 1, tuple((int(x),) for x in p), tuple((int(x),) for x in q)
     )
-    return from_torus_weights(w, label=f"eschenburg{p}{q}")
+    return from_torus_weights(w)
 
 
 def _example2_trials(rng, n_cases, balance):

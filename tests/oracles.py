@@ -42,7 +42,6 @@ from biq.detectors import (
     RESIDUAL_TOL,
     FlatCertificate,
     _BudgetSpent,
-    _metric_normal_slice,
     _pair_value,
     _record,
     _subspace_p_invariance,
@@ -469,20 +468,14 @@ def nelder_mead_flat_search(act, g, P, budget=10_000, rng=None, local_restarts=4
     h = hor.dim
     if h < 2:
         raise ValueError("horizontal space has dimension < 2")
-    pm = P.mat
 
     def values(thetas):
         """sec_quotient of the plane of each row of thetas (inf when the
         row does not span a plane)."""
         c = thetas.reshape(-1, h) @ hor.coords
-        c1, c2 = c[0::2], c[1::2]
-        n1 = np.sqrt(np.einsum("ij,ij->i", c1 @ pm, c1))
-        c1 = c1 / np.maximum(n1, 1e-12)[:, None]
-        c2 = c2 - np.einsum("ij,ij->i", c2 @ pm, c1)[:, None] * c1
-        n2 = np.sqrt(np.einsum("ij,ij->i", c2 @ pm, c2))
-        c2 = c2 / np.maximum(n2, 1e-8)[:, None]
+        c1, c2, ok = frame.orthonormal(c[0::2], c[1::2])
         sec_g, oneill = frame.curvature_rows(c1, c2)
-        return np.where((n1 >= 1e-12) & (n2 >= 1e-8), sec_g + oneill, np.inf)
+        return np.where(ok, sec_g + oneill, np.inf)
 
     n_samples = max(budget // 2, 1)
     thetas = rng.standard_normal((n_samples, 2 * h))
@@ -516,7 +509,7 @@ def nelder_mead_flat_search(act, g, P, budget=10_000, rng=None, local_restarts=4
     )
     cert = "numeric" if abs(rep.sec_quotient) < FLAT_THRESHOLD else "none"
     return PlaneReport(
-        point=g, x=rep.x, y=rep.y, sec_g=rep.sec_g,
+        x=rep.x, y=rep.y, sec_g=rep.sec_g,
         oneill_term=rep.oneill_term, sec_quotient=rep.sec_quotient,
         certificate=cert,
     )
@@ -583,7 +576,7 @@ def matrix_check_N1(
                 f"P-invariance residual {pinv_res:.2e}")
         return None
     frame = PointFrame.at(act, g, P)
-    slc = _metric_normal_slice(a_sub, frame)
+    slc = frame.slice(a_sub.coords)
     if slc.shape[0] < 2:
         _record(diagnostics, "search", "horizontal intersection has dimension < 2")
         return None
@@ -595,7 +588,7 @@ def matrix_check_N1(
         ("horizontal_X", frame.horizontal_residual(slc[0])),
         ("horizontal_Y", frame.horizontal_residual(slc[1])),
     )
-    return FlatCertificate("N1", g, x, y, conds)
+    return FlatCertificate("N1", x, y, conds)
 
 
 def matrix_check_N2(
@@ -626,8 +619,8 @@ def matrix_check_N2(
         return None
 
     frame = PointFrame.at(act, g, P)
-    slc1 = _metric_normal_slice(w1, frame)
-    slc2 = _metric_normal_slice(w2, frame)
+    slc1 = frame.slice(w1.coords)
+    slc2 = frame.slice(w2.coords)
     if slc1.shape[0] < 1 or slc2.shape[0] < 1:
         _record(diagnostics, "search", "no horizontal vectors in W1 or W2")
         return None
@@ -656,7 +649,7 @@ def matrix_check_N2(
                 ("horizontal_X", frame.horizontal_residual(x_coords)),
                 ("horizontal_Y", frame.horizontal_residual(cy)),
             )
-            return FlatCertificate("N2", g, x, y, conds)
+            return FlatCertificate("N2", x, y, conds)
     _record(diagnostics, "search", "no candidate Y satisfied [Y, P(Y)] in W2")
     return None
 
@@ -693,8 +686,8 @@ def matrix_check_N3(
         return None
 
     frame = PointFrame.at(act, g, P)
-    slc_k = _metric_normal_slice(k_alg, frame)
-    slc_v = _metric_normal_slice(v_sub, frame)
+    slc_k = frame.slice(k_alg.coords)
+    slc_v = frame.slice(v_sub.coords)
     if slc_k.shape[0] < 1 or slc_v.shape[0] < 1:
         _record(diagnostics, "search", "no horizontal vectors available")
         return None
@@ -729,7 +722,7 @@ def matrix_check_N3(
                 ("horizontal_X", frame.horizontal_residual(ck)),
                 ("horizontal_Y", frame.horizontal_residual(cv)),
             )
-            return FlatCertificate("N3", g, x, y, conds)
+            return FlatCertificate("N3", x, y, conds)
     _record(diagnostics, "search", "no pair with [P(X), Y] = 0 found")
     return None
 

@@ -7,7 +7,6 @@ from biq import algebra as al
 from biq import biquotient as bi
 from biq import catalog as ca
 from biq import curvature as cu
-from biq import detectors as de
 from biq import fixtures as fx
 from biq import metric as me
 from biq import freeness as fr
@@ -86,6 +85,15 @@ class TestVerticalSpace:
             assert v.contains(e)
 
 
+class TestNamedActions:
+    @pytest.mark.parametrize("act", [bi.gromoll_meyer_action()]
+                             + [bi.unit_tangent_flow_action(n) for n in (2, 3, 4)],
+                             ids=["gromoll-meyer", "flow-S2", "flow-S3", "flow-S4"])
+    def test_torus_weights_are_free_in_the_recorded_mode(self, act):
+        # the exact checker reads the action's own torus and mode
+        assert fr.is_free_exact(act.torus_weights, act.mode).free
+
+
 class TestHorizontalSpace:
     def test_gromoll_meyer_at_identity(self):
         act = bi.gromoll_meyer_action()
@@ -119,7 +127,7 @@ class TestHorizontalSpace:
         assert bi.z_term(act, g, P, a, b, frame=frame) == 0.0
         assert np.array_equal(frame.quotient_forms(c), cu.numerator_forms(P, c).forms)
         sub = al.root_subspace(dec, 0)
-        assert np.array_equal(de._metric_normal_slice(sub, frame), sub.coords)
+        assert np.array_equal(frame.slice(sub.coords), sub.coords)
 
     def test_dimensions_sum(self, rng):
         act = bi.gromoll_meyer_action()
@@ -247,7 +255,57 @@ class TestZTerm:
             bi.z_term(act, al.identity(fam), P, dec.cartan[0], dec.roots[0].x)
 
 
+def _non_free_frame():
+    """An SU(3) circle whose generator pair cancels at the identity."""
+    fam = al.su(3)
+    w = fr.TorusActionWeights(fam, 1, ((1,), (0,), (-1,)), ((1,), (0,), (-1,)))
+    act = bi.from_torus_weights(w)
+    P = me.build_metric(act.dec())
+    return bi.PointFrame.at(act, al.identity(fam), P)
+
+
+_NON_FREE_CALLS = {
+    "z_squared": lambda f, a, b: f.z_squared(cu.plane_terms(f.P, a[None], b[None])),
+    "quotient_forms": lambda f, a, b: f.quotient_forms(a[None]),
+    "project_horizontal": lambda f, a, b: f.project_horizontal(a),
+    "quotient_sectional": lambda f, a, b: bi.quotient_sectional(
+        f.act, f.g, f.P, f.act.dec().from_coords(a), f.act.dec().from_coords(b)),
+    "z_term": lambda f, a, b: bi.z_term(
+        f.act, f.g, f.P, f.act.dec().from_coords(a), f.act.dec().from_coords(b)),
+}
+
+
+@pytest.mark.parametrize("call", list(_NON_FREE_CALLS))
+def test_non_free_point_raises_everywhere(call):
+    frame = _non_free_frame()
+    assert not frame.is_free_point
+    # two root coordinates: horizontal, since the vertical row vanishes
+    a, b = np.eye(frame.act.dec().dim)[[2, 3]]
+    with pytest.raises(bi.NonFreePointError):
+        _NON_FREE_CALLS[call](frame, a, b)
+
+
 class TestQuotientSectional:
+    @pytest.mark.parametrize("t, spans", [(0.9e-6, False), (1.1e-6, True)])
+    def test_one_plane_degeneracy_rule(self, t, spans):
+        # a = e_2 and b = e_2 + t e_3 under the bi-invariant metric have
+        # area / (|a|^2 |b|^2) = t^2 / (1 + t^2): just under or just over
+        # PLANE_AREA_RTOL = 1e-12
+        fam = al.su(3)
+        dec = al.root_decomposition(fam)
+        P = me.build_metric(dec)
+        act, g = bi.trivial_action(fam), al.identity(fam)
+        e = np.eye(dec.dim)
+        ca, cb = e[2], e[2] + t * e[3]
+        _, _, ok = bi.PointFrame.at(act, g, P).orthonormal(ca[None], cb[None])
+        assert ok[0] == spans
+        a, b = dec.from_coords(ca), dec.from_coords(cb)
+        if spans:
+            assert bi.quotient_sectional(act, g, P, a, b).sec_quotient > 0
+        else:
+            with pytest.raises(cu.DegeneratePlaneError):
+                bi.quotient_sectional(act, g, P, a, b)
+
     def test_trivial_action_agrees_with_group_curvature(self, rng):
         from biq import curvature as cu
 
@@ -481,3 +539,28 @@ def test_oneill_term_nonnegative_on_horizontal_planes(name, seed):
     # computation agrees
     ref = 0.75 * matrix_z_squared(act, g, P, rep.x, rep.y)
     assert abs(rep.oneill_term - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(CASES), seed=st.integers(0, 2**32 - 1),
+       n_hor=st.integers(0, 3), n_other=st.integers(0, 4))
+def test_slice_rows_are_orthonormal_horizontal_and_inside(name, seed, n_hor, n_other):
+    # a subspace spanned by n_hor horizontal and n_other random vectors
+    # meets the horizontal space in n_hor + n_other - min(n_other, dim u)
+    # dimensions at a generic point
+    assume(n_hor + n_other > 0)
+    rng = np.random.default_rng(seed)
+    act, P = _case(name, rng)
+    g = al.random_group_element(act.group, rng)
+    frame = bi.PointFrame.at(act, g, P)
+    dec = act.dec()
+    hor = frame.horizontal()
+    rows = np.vstack([rng.standard_normal((n_hor, hor.dim)) @ hor.coords,
+                      rng.standard_normal((n_other, dec.dim))])
+    sub = al.Subspace(dec, np.linalg.svd(rows, full_matrices=False)[2])
+    slc = frame.slice(sub.coords)
+    assert slc.shape[0] == n_hor + n_other - min(n_other, act.dim_u)
+    assert np.abs(slc @ slc.T - np.eye(slc.shape[0])).max(initial=0.0) <= 1e-12
+    assert np.abs(slc - slc @ sub.coords.T @ sub.coords).max(initial=0.0) <= 1e-12
+    for row in slc:
+        assert frame.horizontal_residual(row) <= 1e-12

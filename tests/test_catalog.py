@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,10 +122,17 @@ class TestTables:
         assert "G2" in ca.EXCEPTIONAL_GROUPS["groups"]
 
 
+def _nl(row, nl, *sizes):
+    """A case of row 1 or 9, which take (n, l); its id names n only, as
+    it did while l was fixed at 2."""
+    return pytest.param(row, nl, *sizes, id="-".join(map(str, (row, nl[0], *sizes))))
+
+
 # (row, parameter, dim G - dim U, rank U, quotient_dim) at each row's two
-# smallest legal parameters; a row with a fixed group has one, None
+# smallest legal parameters, and rows 1 and 9 at two larger (n, l); a row
+# with a fixed group has one, None
 _ROW_SIZES = [
-    (1, 5, 8, 4, 8), (1, 6, 10, 5, 10),
+    _nl(1, (5, 2), 8, 4, 8), _nl(1, (6, 2), 10, 5, 10),
     (2, 2, 4, 3, 4), (2, 3, 8, 5, 8),
     (3, None, 4, 3, 4),
     (4, None, 4, 4, 4),
@@ -132,7 +140,7 @@ _ROW_SIZES = [
     (6, 3, 4, 3, 4), (6, 4, 6, 4, 6),
     (7, 2, 4, 4, 4), (7, 3, 8, 6, 8),
     (8, 2, 4, 2, 4), (8, 3, 8, 3, 8),
-    (9, 5, 12, 4, None), (9, 6, 16, 5, None),
+    _nl(9, (5, 2), 12, 4, None), _nl(9, (6, 2), 16, 5, None),
     (10, 2, 8, 3, None), (10, 3, 18, 5, None),
     (11, 5, 18, 5, None), (11, 6, 28, 6, None),
     (12, 5, 28, 5, None), (12, 6, 40, 6, None),
@@ -141,7 +149,32 @@ _ROW_SIZES = [
     (15, 2, 12, 4, None), (15, 3, 20, 6, None),
     (16, 3, 10, 3, None), (16, 4, 18, 4, None),
     (17, None, 24, 4, None),
+    _nl(1, (7, 3), 12, 6, 12), _nl(1, (9, 4), 16, 8, 16),
+    _nl(9, (7, 3), 24, 6, None), _nl(9, (9, 4), 40, 8, None),
 ]
+
+
+def _entry(row):
+    return next(e for t in "AB" for e in ca.table_entries(t) if e.row == row)
+
+
+def _bracket_outside_block(right_row, block_rows):
+    """Largest entry outside the block of [circle, E_ij - E_ji] over the
+    block's root vectors, for the diagonal circle with these right
+    weights on SU(len(right_row))."""
+    n = len(right_row)
+    fam = al.su(n)
+    circle = np.diag(1j * np.asarray(right_row, dtype=float))
+    gen = al.AlgebraElement(fam, circle - np.trace(circle) / n * np.eye(n))
+    outside = np.ones((n, n), dtype=bool)
+    outside[np.ix_(block_rows, block_rows)] = False
+    resid = 0.0
+    for i, j in itertools.permutations(block_rows, 2):
+        m = np.zeros((n, n), dtype=complex)
+        m[i, j], m[j, i] = 1.0, -1.0
+        br = al.bracket(gen, al.AlgebraElement(fam, m)).mat
+        resid = max(resid, float(np.abs(br[outside]).max()))
+    return resid
 
 
 class TestVerifyEntry:
@@ -149,7 +182,7 @@ class TestVerifyEntry:
     def test_row_sizes_at_two_smallest_parameters(self, row, n, codim, rank_u,
                                                  quotient_dim):
         # a wrong factor in a row's builder moves dim U or rank U
-        entry = next(e for t in "AB" for e in ca.table_entries(t) if e.row == row)
+        entry = _entry(row)
         inst = entry.instantiate(n)
         assert inst.group.dim - sum(f.dim for f in inst.factors) == codim
         assert sum(f.rank for f in inst.factors) == rank_u
@@ -163,12 +196,42 @@ class TestVerifyEntry:
         assert f"dim G - dim U = {codim}{expected}" in details
 
     def test_row1_dimension_arithmetic(self):
-        row = next(e for e in ca.table_entries("A") if e.row == 1)
-        rep = ca.verify_entry(row, 5)
+        row = _entry(1)
+        rep = ca.verify_entry(row, (5, 2))
         assert rep["passed"]
         names = dict((n, ok) for n, ok, _ in rep["checks"])
         assert names["quotient_dimension"]  # 24 - 16 = 8
-        assert names["circle_normalizes_right_factor"]
+        assert names["torus_is_circle_and_right_blocks"]
+
+    @pytest.mark.parametrize("row", [1, 9])
+    @pytest.mark.parametrize("nl", [(4, 2), (5, 1), (6, 3)])
+    def test_circle_rows_reject_illegal_parameters(self, row, nl):
+        with pytest.raises(ValueError):
+            _entry(row).instantiate(nl)
+
+    @pytest.mark.parametrize("row", [1, 9])
+    def test_circle_rows_pass_for_every_l_up_to_n_9(self, row):
+        for n in range(5, 10):
+            for l in range(2, (n + 1) // 2):
+                inst = _entry(row).instantiate((n, l))
+                assert ca._circle_check(inst), (row, n, l)
+
+    def test_row9_single_middle_block_fails(self):
+        # the one block of rows 1..n-2 that row 9 recorded before: its SU
+        # torus has rank n - 3, one short of the printed U2 = SU(l)SU(n-l)
+        inst = _entry(9).instantiate((5, 2))
+        left, right, _ = inst.circle
+        old = replace(inst, circle=(left, right, ((1, 2, 3),)))
+        assert not ca._circle_check(old)
+
+    def test_row1_wrong_circle_fails_where_normalization_passed(self):
+        # any diagonal circle normalizes the block, so the bracket residual
+        # the verifier checked before is 0 for a wrong circle as well
+        inst = _entry(1).instantiate((5, 2))
+        left, _, blocks = inst.circle
+        wrong = (1, 0, 0, 0, 3)
+        assert _bracket_outside_block(wrong, blocks[0]) == 0.0
+        assert not ca._circle_check(replace(inst, circle=(left, wrong, blocks)))
 
     def test_row3_torus_only(self):
         row = next(e for e in ca.table_entries("A") if e.row == 3)

@@ -175,7 +175,7 @@ class TestScan:
                 for y in hor:
                     if x is not y and abs(biquotient.quotient_sectional(
                             act, g, P, x, y, frame=frame).sec_quotient) > 1e-3:
-                        return detectors.FlatCertificate("N2", g, x, y, ())
+                        return detectors.FlatCertificate("N2", x, y, ())
             raise AssertionError("no curved horizontal plane")
 
         monkeypatch.setattr(detectors, "check_N2", non_flat_n2)

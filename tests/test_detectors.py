@@ -539,7 +539,7 @@ class TestRunTrials:
         # a root vector against the Cartan algebra does not commute, so
         # the plane is curved (sec = |[x, y]|^2 / 4 > 0)
         x, y = dec.roots[0].x, dec.cartan[0]
-        cert = de.FlatCertificate("N1", g, x, y, ())
+        cert = de.FlatCertificate("N1", x, y, ())
         sec = abs(bi.quotient_sectional(act, g, P, x, y).sec_quotient)
         assert sec > 1e-3
         trial = (act, g, P, lambda diag: cert)
