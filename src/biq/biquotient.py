@@ -280,20 +280,16 @@ class PointFrame:
         pairings = self.vert_coords @ (self.P.mat @ np.asarray(coords))
         return float(np.linalg.norm(pairings))
 
-    def project_horizontal(self, coords) -> np.ndarray:
-        """Metric-orthogonal projection onto the horizontal space."""
-        c = np.asarray(coords, dtype=float)
-        pairings = self.vert_coords @ (self.P.mat @ c)
-        return c - self.vert_coords.T @ (self._free_gram_inv() @ pairings)
-
     def checked(self, a: AlgebraElement) -> np.ndarray:
-        """Coordinates of a projected onto the horizontal space; a must be
-        horizontal within HORIZONTAL_TOL times its own norm."""
-        self._free_gram_inv()  # a non-free point is reported first
+        """Coordinates of a, metric-orthogonally projected onto the
+        horizontal space; a must be horizontal within HORIZONTAL_TOL times
+        its own norm."""
+        gram_inv = self._free_gram_inv()  # a non-free point is reported first
         c = self.act.dec().to_coords(a)
-        if self.horizontal_residual(c) > HORIZONTAL_TOL * max(np.linalg.norm(c), 1e-300):
+        pairings = self.vert_coords @ (self.P.mat @ c)
+        if float(np.linalg.norm(pairings)) > HORIZONTAL_TOL * max(np.linalg.norm(c), 1e-300):
             raise NonHorizontalError("input vector is not horizontal at g")
-        return self.project_horizontal(c)
+        return c - self.vert_coords.T @ (gram_inv @ pairings)
 
     def orthonormal(self, c1, c2):
         """Metric-orthonormal rows (x, y) spanning span{c1[n], c2[n]} and

@@ -14,20 +14,30 @@ Contents:
   dimensions and ranks come from GroupFamily (only G2 is given by size);
 - enumerators for the 7-dimensional circle-quotient family on SU(3) and
   the 13-dimensional family on SU(5), with canonical deduplication;
-- lattice-equivalence tests for weight matrices (Hermite-form comparison
-  of the saturated weight lattice, scalar circle included on the unitary
-  families, under the family's symmetries and the side swap), and one
-  desk-scale exhaustive two-torus scan, run on SU(3) and on Sp(2),
-  backing the uniqueness statements for the rank-2 groups.  The scan
-  decides strict freeness of all weight pairs in integer array passes,
-  by the gcd of the 2 x 2 minors of every symmetry image, which is the
-  product of the Smith invariant factors.  A pair that passes spans a
-  saturated lattice already, so it is classed as it stands: one-sided by
-  the trivial blocks of its vectors, and in the normal form's symmetry
-  orbit when one symmetry carries both vectors into the kernel of one
-  integer annihilator of the normal form's lattice.  Every symmetry
-  comes from freeness.conjugacy_symmetries, every Hermite form from
-  intlattice.hnf_columns.
+- lattice-equivalence tests for weight matrices, and one desk-scale
+  exhaustive two-torus scan, run on SU(3) and on Sp(2), backing the
+  uniqueness statements for the rank-2 groups.
+
+One integer rule decides every lattice question.  An action's lattice N,
+the primitive closure of its stacked weight columns (left block on top,
+the scalar circle added on the unitary families), depends only on the
+image subtorus.  Its annihilator A, the integer rows of one smith_kernel
+of the raw columns, has A v = 0 iff the integer v lies in N.  Two actions
+generate one subtorus (lattice_equal) iff the annihilators have one shape
+(N_1, N_2 of equal rank) and A_1 kills the columns of the second; they are
+equivalent (lattice_equivalent) iff the shapes match and one map t, a
+per-side eigenvalue symmetry on each side and maybe the side swap, gives
+A_1 t(v) = 0 on them.  That is exact: a signed permutation maps a
+saturated lattice onto a saturated one, so a t(N_2) inside the span of N_1
+of equal rank is N_1.  The scan reads the same membership table
+(_images_in); only lattice_canonical_key computes Hermite forms, the least
+over all 2 |W|^2 images.  The maps come from freeness.conjugacy_symmetries
+as before, so on SO(2n) they include a sign change on one side alone;
+whether that is an equivalence of biquotients is still open.  The scan
+decides strict freeness of all weight pairs by the gcd of the 2 x 2
+minors of every symmetry image, the product of the Smith invariant
+factors, and classes each free pair as it stands, since it spans a
+saturated lattice already.
 
 Rows whose right factor needs a spin or exceptional embedding are stored
 with full textual fidelity but verified only at the torus level.
@@ -39,7 +49,6 @@ import functools
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import itemgetter, mul
 from types import SimpleNamespace
 
 import numpy as np
@@ -219,61 +228,87 @@ def _scalar_circle(fam: GroupFamily, length: int) -> list:
     return [(1,) * length] if fam.name in ("SU", "U") else []
 
 
-def _lattice_columns(w: TorusActionWeights):
-    """Basis of the primitive closure of the action's stacked weight
-    columns (left block on top), extended first by the scalar circle:
-    that lattice depends only on the image subtorus."""
+def _weight_columns(w: TorusActionWeights) -> list:
+    """The action's stacked weight columns (left block on top), extended
+    by the scalar circle: the primitive closure N of their lattice
+    depends only on the image subtorus."""
     cols = list(zip(*(w.w_left + w.w_right)))
-    return saturate_columns(cols + _scalar_circle(w.group, len(cols[0])))
+    return cols + _scalar_circle(w.group, len(cols[0]))
 
 
-def _symmetry_transforms(fam: GroupFamily, n: int):
-    """The family's symmetries of stacked (left, right) vectors of length
-    2n: the per-side eigenvalue symmetries and the side swap, 2 |W|^2 maps,
-    each as (index, sign) with image[c] = sign[c] * v[index[c]]."""
-    sym = list(conjugacy_symmetries(fam, n))
-    for (lp, ls), (rp, rs) in itertools.product(sym, repeat=2):
-        rp = tuple(n + i for i in rp)
-        yield lp + rp, ls + rs
-        yield rp + lp, rs + ls
+def _annihilator(w: TorusActionWeights) -> np.ndarray:
+    """Integer rows A whose common kernel is the rational span of the
+    action's saturated lattice N: an integer v lies in N iff A v = 0."""
+    cols = _weight_columns(w)
+    return np.array(smith_kernel(cols)[2], dtype=np.int64).reshape(-1, len(cols[0]))
 
 
-def _symmetry_images(cols, fam: GroupFamily):
-    """Orbit of a stacked-column set under _symmetry_transforms."""
-    for index, sign in _symmetry_transforms(fam, len(cols[0]) // 2):
-        get = itemgetter(*index)
-        yield [tuple(map(mul, sign, get(c))) for c in cols]
+def _side_symmetries(fam: GroupFamily, n: int):
+    """The family's eigenvalue symmetries of one side, as (index, sign)
+    arrays of shape (|W|, n): image[s, c] = sign[s, c] * v[index[s, c]]."""
+    return tuple(map(np.array, zip(*conjugacy_symmetries(fam, n))))
+
+
+def _side_images(vecs: np.ndarray, fam: GroupFamily):
+    """(left, right): every symmetry of one side applied to that block of
+    every stacked vector, as (|W|, vectors, n) arrays."""
+    index, sign = _side_symmetries(fam, vecs.shape[1] // 2)
+    return [sign[:, None] * block[:, index].transpose(1, 0, 2)
+            for block in np.split(vecs, 2, axis=1)]
+
+
+def _images_in(annihilator: np.ndarray, vecs: np.ndarray, fam: GroupFamily):
+    """member[v, t]: does the map t carry the stacked vector vecs[v] into
+    the lattice that `annihilator` cuts out?  A map acts blockwise, so
+    with A = [A_L | A_R], A t(v) = A_L sigma(v_L) + A_R sigma'(v_R) with
+    the sides kept and A_L sigma'(v_R) + A_R sigma(v_L) with them swapped:
+    per row of A, two per-side tables meet in one (|W|, |W|, vectors)
+    boolean array."""
+    left, right = _side_images(vecs, fam)
+    member = np.ones((2, len(left), len(right), len(vecs)), dtype=bool)
+    for a_left, a_right in zip(*np.split(annihilator, 2, axis=1)):
+        for table, (x, y) in zip(member, ((a_left, a_right), (a_right, a_left))):
+            table &= (left @ x)[:, None] == -(right @ y)[None]
+    return member.reshape(-1, len(vecs)).T
+
+
+def _least_image_hnf(cols, fam: GroupFamily):
+    """The least Hermite form over the 2 |W|^2 images of the lattice
+    spanned by the stacked columns `cols`: equal for two lattices iff one
+    map carries one onto the other, since the maps form a group."""
+    left, right = (x.tolist() for x in _side_images(np.array(cols), fam))
+    return min(hnf_columns([a + b for a, b in zip(*pair)])
+               for lt, rt in itertools.product(left, right)
+               for pair in ((lt, rt), (rt, lt)))
 
 
 def lattice_canonical_key(w: TorusActionWeights):
-    """Canonical key of the action's weight lattice modulo the family's
-    symmetries; equal keys mean equivalent torus actions.
-
-    The key is computed from the primitive closure of the column lattice,
-    extended by the scalar circle for the unitary families: that is the
-    invariant of the image subtorus acting on the determinant-one group."""
-    return min(_orbit_hnfs(_lattice_columns(w), w.group))
-
-
-def _orbit_hnfs(cols, fam: GroupFamily) -> set:
-    """Hermite forms of every symmetry image of the lattice spanned by
-    `cols`.  Two lattices are equivalent iff their sets meet, and then
-    the sets are equal (the images form a group orbit), so the canonical
-    key is the least element and one HNF decides membership."""
-    return {hnf_columns(image) for image in _symmetry_images(cols, fam)}
+    """Canonical key of the action's saturated lattice N (see the module
+    docstring) modulo the family's maps: equal keys mean equivalent torus
+    actions."""
+    return _least_image_hnf(saturate_columns(_weight_columns(w)), w.group)
 
 
 def lattice_equivalent(w1: TorusActionWeights, w2: TorusActionWeights) -> bool:
+    """Whether one of the family's maps carries the saturated lattice of w2
+    onto that of w1 (see the module docstring for why one annihilator
+    decides it)."""
     if w1.group != w2.group:
         return False
-    return lattice_canonical_key(w1) == lattice_canonical_key(w2)
+    annihilator = _annihilator(w1)
+    if annihilator.shape != _annihilator(w2).shape:
+        return False
+    member = _images_in(annihilator, np.array(_weight_columns(w2)), w1.group)
+    return bool(member.all(axis=0).any())
 
 
 def lattice_equal(w1: TorusActionWeights, w2: TorusActionWeights) -> bool:
-    """Equality of the generated subtori (no symmetry applied):
-    saturated lattices are compared, extended by the scalar circle for
-    the unitary families."""
-    return hnf_columns(_lattice_columns(w1)) == hnf_columns(_lattice_columns(w2))
+    """Equality of the generated subtori (no symmetry applied): the
+    saturated lattices, extended by the scalar circle for the unitary
+    families, have equal rank and the first annihilates the second."""
+    annihilator = _annihilator(w1)
+    return (annihilator.shape == _annihilator(w2).shape
+            and not (annihilator @ np.array(_weight_columns(w2)).T).any())
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +734,8 @@ def _strict_free_pairs(vecs: np.ndarray, fam: GroupFamily) -> np.ndarray:
     n = vecs.shape[1] // 2
     left, right = vecs[:, :n].T, vecs[:, n:].T
     # images[sigma, r] is coordinate r of d_sigma on every vector
-    images = np.stack([left - np.asarray(signs)[:, None] * right[list(perm)]
-                       for perm, signs in conjugacy_symmetries(fam, n)])
+    index, sign = _side_symmetries(fam, n)
+    images = left - sign[:, :, None] * right[index]
     circle_free = np.flatnonzero(
         (np.gcd.reduce(np.abs(images), axis=1) == 1).all(axis=0))
     images = images[:, :, circle_free]
@@ -726,21 +761,14 @@ def _strict_free_pairs(vecs: np.ndarray, fam: GroupFamily) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _annihilator(w: TorusActionWeights) -> np.ndarray:
-    """Integer rows A whose common kernel is the rational span of the
-    action's saturated lattice N: an integer v lies in N iff A v = 0."""
-    return np.array(smith_kernel(_lattice_columns(w))[2])
-
-
 def _pair_flags(vecs: np.ndarray, pairs: np.ndarray, fam: GroupFamily,
                 annihilator: np.ndarray):
     """(one_sided, in_orbit) per free pair of _strict_free_pairs, against
     the lattice N that `annihilator` (from _annihilator) cuts out;
     _scan_two_torus says why both flags are exact.  A block is trivial
     when it is scalar on SU (scalars act trivially on the determinant-one
-    group) and zero otherwise.  Each symmetry is a signed permutation
-    matrix P_t, so one table of A P_t v over the vectors in some pair and
-    every t decides the orbit membership of all pairs."""
+    group) and zero otherwise.  One _images_in table over the vectors in
+    some pair decides the orbit membership of all pairs."""
     used, pair_rows = np.unique(pairs, return_inverse=True)
     pair_rows = pair_rows.reshape(pairs.shape)
     vecs = vecs[used]
@@ -750,11 +778,7 @@ def _pair_flags(vecs: np.ndarray, pairs: np.ndarray, fam: GroupFamily,
     else:
         trivial = [~b.any(axis=1) for b in blocks]
     one_sided = np.any([t[pair_rows].all(axis=1) for t in trivial], axis=0)
-    index, sign = map(np.array, zip(*_symmetry_transforms(fam, vecs.shape[1] // 2)))
-    # perms[t] = P_t: P_t[c, index[t, c]] = sign[t, c], zero elsewhere
-    perms = np.zeros(index.shape + index.shape[1:], dtype=vecs.dtype)
-    np.put_along_axis(perms, index[..., None], sign[..., None], axis=2)
-    member = ~(annihilator @ perms @ vecs.T).any(axis=1).T  # (vector, symmetry)
+    member = _images_in(annihilator, vecs, fam)
     in_orbit = (member[pair_rows[:, 0]] & member[pair_rows[:, 1]]).any(axis=1)
     return one_sided, in_orbit
 
@@ -779,12 +803,10 @@ def _scan_two_torus(fam: GroupFamily, bound: int,
     That makes the classing a few array passes (_pair_flags).  A pair
     acts on one side only when both vectors have a trivial block on the
     same side (the scalar circle is trivial on both): trivial blocks form
-    a linear subspace.  A pair lies in N's symmetry orbit iff one symmetry
-    tau carries both vectors into N (tau fixes the scalar circle, which N
-    holds): then tau of the pair's lattice is a saturated sublattice of N
-    of equal rank, hence N.  The corollary's canonical key (2 |W|^2
-    Hermite forms) is computed once, and only a pair outside the orbit
-    pays for a full key of its own."""
+    a linear subspace.  A pair lies in N's orbit iff one map carries both
+    vectors into N (every map fixes the scalar circle, which N holds), by
+    the module docstring's rule.  The corollary's canonical key is
+    computed once, and only a pair outside the orbit pays for its own."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
     annihilator = _annihilator(corollary)
@@ -799,7 +821,7 @@ def _scan_two_torus(fam: GroupFamily, bound: int,
     classes = {normal_key} if (in_orbit & ~one_sided).any() else set()
     scalar = _scalar_circle(fam, vecs.shape[1])
     for i, j in pairs[~in_orbit & ~one_sided]:
-        classes.add(min(_orbit_hnfs([*vecs[[i, j]].tolist(), *scalar], fam)))
+        classes.add(_least_image_hnf([*vecs[[i, j]].tolist(), *scalar], fam))
     two_sided = tuple(sorted(classes))
     return ScanResult(
         family=str(fam),

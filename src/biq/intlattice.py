@@ -6,8 +6,12 @@ freeness checker (kernel structure of character maps, and the echelon row
 insertions that decide whether rows span Z^k) and the catalog's
 lattice-equivalence tests, where floating point cannot certify gcd = 1.
 Every Hermite form and integer rank comes from one kernel, echelon_insert
-(an extended-gcd row insertion) followed by echelon_hermite; the Smith
-form is kept for invariant factors, kernels and saturation.
+(an extended-gcd row insertion) followed by echelon_hermite.  The Smith
+form gives invariant factors and integer kernels (smith_kernel).  A
+saturated lattice is held by its annihilator, the integer kernel of the
+matrix with its generators as rows: an integer v lies in the lattice's
+primitive closure iff the annihilator kills v, and saturate_columns reads
+a basis of that closure off the annihilator's own integer kernel.
 """
 
 from __future__ import annotations
@@ -24,27 +28,15 @@ def smith_normal_form(mat):
     left and right are unimodular, and d[0] | d[1] | ... are the
     nonnegative invariant factors (padded with zeros up to min(m, k)).
     """
-    d, left, right, _ = _smith(mat, left_inverse=False)
-    return d, left, right
-
-
-def _smith(mat, left_inverse):
-    """smith_normal_form's elimination; with left_inverse=True it also
-    returns left^-1, kept by the column operation inverse to each row
-    operation on left (else None)."""
     a = [[int(x) for x in row] for row in mat]
     m = len(a)
     k = len(a[0]) if m else 0
     left = _identity(m)
     right = _identity(k)
-    inv = _identity(m) if left_inverse else None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         left[i], left[j] = left[j], left[i]
-        if inv is not None:
-            for row in inv:
-                row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -53,12 +45,8 @@ def _smith(mat, left_inverse):
             row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, c):
-        # row[dst] += c * row[src]; its inverse takes c * col[dst] off col[src]
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
         left[dst] = [x + c * y for x, y in zip(left[dst], left[src])]
-        if inv is not None:
-            for row in inv:
-                row[src] -= c * row[dst]
 
     def add_col(dst, src, c):
         for row in a:
@@ -69,9 +57,6 @@ def _smith(mat, left_inverse):
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         left[i] = [-x for x in left[i]]
-        if inv is not None:
-            for row in inv:
-                row[i] = -row[i]
 
     s = 0
     while s < min(m, k):
@@ -132,17 +117,12 @@ def _smith(mat, left_inverse):
         s += 1
 
     d = [a[i][i] for i in range(min(m, k))]
-    return d, left, right, inv
+    return d, left, right
 
 
-def invariant_factors(mat, count=None):
-    """Invariant factors of `mat`, padded with zeros to `count` entries."""
-    m = len(mat)
-    k = len(mat[0]) if m else 0
-    d = smith_normal_form(mat)[0]
-    if count is None:
-        count = min(m, k)
-    return d + [0] * (count - len(d))
+def invariant_factors(mat):
+    """Invariant factors of `mat`, padded with zeros to its column count."""
+    return smith_kernel(mat)[0]
 
 
 def smith_kernel(mat):
@@ -201,17 +181,17 @@ def saturate_columns(vectors):
 
     The image of a torus homomorphism only depends on this closure, so
     weight matrices parametrizing the same subtorus have equal saturations
-    even when their raw column lattices differ by a finite index.  With the
-    vectors as the columns of M and diag(d) = L M R, M = L^-1 diag(d) R^-1
-    spans the same rational space as the first rank(M) columns of the
-    unimodular L^-1, which therefore form a basis of the closure.
+    even when their raw column lattices differ by a finite index.  The
+    closure is the integer kernel of the annihilator, the integer kernel
+    of the matrix with the vectors as rows: two smith_kernel calls.
     """
-    cols = [tuple(int(x) for x in v) for v in vectors if any(v)]
-    if not cols:
+    rows = [tuple(int(x) for x in v) for v in vectors if any(v)]
+    if not rows:
         return ()
-    d, _, _, inv = _smith(list(zip(*cols)), left_inverse=True)
-    rank = sum(1 for x in d if x != 0)
-    return [tuple(row[j] for row in inv) for j in range(rank)]
+    annihilator = smith_kernel(rows)[2]
+    if not annihilator:
+        return [tuple(r) for r in _identity(len(rows[0]))]
+    return smith_kernel(annihilator)[2]
 
 
 def echelon_insert(basis, row):

@@ -58,8 +58,8 @@ from biq.freeness import (
     _scalar_is_central,
     conjugacy_symmetries,
 )
-from biq.catalog import _lattice_columns
-from biq.intlattice import hnf_columns, invariant_factors, kernel_generators
+from biq.catalog import _weight_columns
+from biq.intlattice import hnf_columns, invariant_factors, kernel_generators, saturate_columns
 from biq.metric import L_tensor, MetricOperator, apply_P
 
 
@@ -326,7 +326,7 @@ def leafwise_is_free_exact(w: TorusActionWeights, mode: str | None = None) -> Fr
         d_matrix = [
             [w_left[i][j] - sw[i][j] for j in range(w.k)] for i in range(rows)
         ]
-        factors = invariant_factors(d_matrix, count=w.k)
+        factors = invariant_factors(d_matrix)
         if all(f == 1 for f in factors):
             continue
         if fam.kind == "SO-even" and math.prod(signs) < 0:
@@ -369,19 +369,6 @@ def leafwise_is_free_exact(w: TorusActionWeights, mode: str | None = None) -> Fr
             note="the violation is realized only through odd-signed symmetries",
         )
     return FreenessVerdict(free=True, mode=mode)
-
-
-def saturate_columns_two_kernels(vectors):
-    """Primitive closure of the lattice spanned by `vectors` as the kernel
-    of its orthogonal complement's kernel (two Smith forms)."""
-    cols = [tuple(int(x) for x in v) for v in vectors if any(v)]
-    if not cols:
-        return ()
-    m = len(cols[0])
-    _, complement = kernel_generators([list(v) for v in cols])
-    if not complement:
-        return tuple(tuple(1 if i == j else 0 for i in range(m)) for j in range(m))
-    return kernel_generators([list(c) for c in complement])[1]
 
 
 def sort_subtract_hnf_columns(vectors):
@@ -441,7 +428,7 @@ def hnf_pair_flags(vecs, pairs, fam, reference: TorusActionWeights):
     def trivial(block):
         return len(set(block)) == 1 if fam.name == "SU" else not any(block)
 
-    normal = _lattice_columns(reference)
+    normal = saturate_columns(_weight_columns(reference))
     orbit = {hnf_columns([image(c, left, right, swap) for c in normal])
              for left in sym for right in sym for swap in (False, True)}
     scalar = [(1,) * (2 * n)] if fam.name == "SU" else []

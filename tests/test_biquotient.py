@@ -121,9 +121,9 @@ class TestHorizontalSpace:
         assert frame.is_free_point
         assert np.array_equal(bi.horizontal_space(act, g, P).coords, np.eye(dec.dim))
         c = rng.standard_normal((2, dec.dim))
-        assert np.array_equal(frame.project_horizontal(c[0]), c[0])
-        assert np.array_equal(frame.z_squared(cu.plane_terms(P, c[:1], c[1:])), [0.0])
         a, b = dec.from_coords(c[0]), dec.from_coords(c[1])
+        assert np.array_equal(frame.checked(a), dec.to_coords(a))
+        assert np.array_equal(frame.z_squared(cu.plane_terms(P, c[:1], c[1:])), [0.0])
         assert bi.z_term(act, g, P, a, b, frame=frame) == 0.0
         assert np.array_equal(frame.quotient_forms(c), cu.numerator_forms(P, c).forms)
         sub = al.root_subspace(dec, 0)
@@ -267,7 +267,7 @@ def _non_free_frame():
 _NON_FREE_CALLS = {
     "z_squared": lambda f, a, b: f.z_squared(cu.plane_terms(f.P, a[None], b[None])),
     "quotient_forms": lambda f, a, b: f.quotient_forms(a[None]),
-    "project_horizontal": lambda f, a, b: f.project_horizontal(a),
+    "checked": lambda f, a, b: f.checked(f.act.dec().from_coords(a)),
     "quotient_sectional": lambda f, a, b: bi.quotient_sectional(
         f.act, f.g, f.P, f.act.dec().from_coords(a), f.act.dec().from_coords(b)),
     "z_term": lambda f, a, b: bi.z_term(

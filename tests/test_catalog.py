@@ -90,6 +90,49 @@ class TestSpin6Extra:
             assert not ca.lattice_equivalent(w3, other)
 
 
+def _normal_forms():
+    """Every catalog normal form through SU(4) (the rewritten l = 2 forms
+    too), Sp(3), SO(6) and SO(7), the extra torus on SO(6) and the two
+    corollaries."""
+    forms = [ca.su_tori(n, l, v).weights
+             for n in (3, 4) for l in range(1, n // 2 + 1) for v in (1, 2)]
+    forms += [ca.su_tori_rewritten(4, v).weights for v in (1, 2)]
+    forms += [ca.sp_tori(n, v).weights for n in (2, 3) for v in (1, 2)]
+    forms += [ca.p_torus_weights(g.rank, v, g) for g in (al.so(6), al.so(7)) for v in (1, 2)]
+    return forms + [ca.spin6_extra().weights, ca.corollary_su3_weights(),
+                    ca.corollary_sp2_weights()]
+
+
+class TestLatticeEquivalence:
+    def test_annihilator_rule_equals_key_equality_on_normal_forms(self):
+        forms = _normal_forms()
+        keys = [ca.lattice_canonical_key(w) for w in forms]
+        pairs = [(i, j) for i, j in itertools.combinations_with_replacement(range(len(forms)), 2)
+                 if forms[i].group == forms[j].group]
+        assert len(pairs) == 26 + len(forms)
+        for i, j in pairs:
+            same = keys[i] == keys[j]
+            assert ca.lattice_equivalent(forms[i], forms[j]) == same, (i, j)
+            assert ca.lattice_equivalent(forms[j], forms[i]) == same, (j, i)
+
+    @pytest.mark.parametrize("w1,w2,equivalent", [
+        (ca.sp_tori(4, 1).weights, ca.sp_tori(4, 2).weights, False),
+        (ca.p_torus_weights(4, 1, al.so(8)), ca.p_torus_weights(4, 2, al.so(8)), False),
+        (ca.su_tori(6, 1, 1).weights, ca.su_tori(6, 1, 2).weights, True),
+        (ca.su_tori(6, 3, 1).weights, ca.su_tori(6, 3, 2).weights, False),
+    ], ids=["Sp4-P1-P2", "SO8-P1-P2", "SU6-S11-S21", "SU6-S13-S23"])
+    def test_verdicts_beyond_the_reach_of_keys(self, w1, w2, equivalent):
+        # one canonical key alone takes seconds here (Sp(4): 294 912 images)
+        assert ca.lattice_equivalent(w1, w2) == equivalent
+
+    def test_other_group_or_rank_is_never_equivalent(self):
+        assert not ca.lattice_equivalent(ca.p_torus_weights(3, 2, al.so(6)),
+                                         ca.p_torus_weights(3, 2, al.so(7)))
+        circle = fr.TorusActionWeights(al.sp(2), 1, ((1,), (1,)), ((0,), (0,)))
+        assert not ca.lattice_equivalent(ca.corollary_sp2_weights(), circle)
+        assert not ca.lattice_equal(ca.corollary_sp2_weights(), circle)
+
+
 class TestTables:
     def test_row_counts(self):
         assert len(ca.table_entries("A")) == 8
@@ -446,7 +489,7 @@ class TestScans:
         for i, j in pairs:
             cols = vecs[[i, j]].T
             w = fr.TorusActionWeights(fam, 2, cols[:n], cols[n:])
-            sat = ca._lattice_columns(w)
+            sat = saturate_columns(ca._weight_columns(w))
             if all(trivial(c[:n]) for c in sat) or all(trivial(c[n:]) for c in sat):
                 continue
             count += 1
@@ -499,3 +542,35 @@ def _two_torus_and_image(draw, fam):
 def test_canonical_key_invariant_under_equivalences(fam, data):
     w, image = data.draw(_two_torus_and_image(fam))
     assert ca.lattice_canonical_key(image) == ca.lattice_canonical_key(w)
+
+
+@st.composite
+def _lattice_samples(draw, fam):
+    """(w, equivalent, rebased, independent): random 2-tori on fam, an
+    equivalent image of w, w under a change of basis only, and an
+    independent draw."""
+    w, image = draw(_two_torus_and_image(fam))
+    other, _ = draw(_two_torus_and_image(fam))
+    basis = draw(st.sampled_from(_UNIMODULAR))
+    same = (tuple(range(fam.n)), (1,) * fam.n)
+    rebased = fr.TorusActionWeights(fam, 2, _transform(w.w_left, same, basis),
+                                    _transform(w.w_right, same, basis))
+    return w, image, rebased, other
+
+
+def _saturated_hnf(w):
+    return hnf_columns(saturate_columns(ca._weight_columns(w)))
+
+
+@pytest.mark.parametrize("fam", [al.su(3), al.sp(2)])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_annihilator_rules_equal_hermite_form_rules(fam, data):
+    w, image, rebased, other = data.draw(_lattice_samples(fam))
+    key = ca.lattice_canonical_key(w)
+    assert ca.lattice_equivalent(w, image)
+    assert ca.lattice_equivalent(image, w)
+    assert ca.lattice_equivalent(w, other) == (key == ca.lattice_canonical_key(other))
+    assert ca.lattice_equal(w, rebased)
+    for x in (image, rebased, other):
+        assert ca.lattice_equal(w, x) == (_saturated_hnf(w) == _saturated_hnf(x))

@@ -16,12 +16,12 @@ from biq.intlattice import (
     echelon_spans_all,
     hnf_columns,
     invariant_factors,
+    kernel_generators,
     saturate_columns,
     smith_normal_form,
 )
 from oracles import (
     leafwise_is_free_exact,
-    saturate_columns_two_kernels,
     sort_subtract_hnf_columns,
     witness_conjugate,
 )
@@ -138,8 +138,16 @@ def test_saturation_invariant_under_scaling_a_generator(data):
 
 @_PROPERTY
 @given(vecs=_generators())
-def test_saturation_from_one_smith_form_matches_two_kernels(vecs):
-    assert hnf_columns(saturate_columns(vecs)) == hnf_columns(saturate_columns_two_kernels(vecs))
+def test_saturation_is_the_primitive_closure(vecs):
+    # by the definition: a basis of a saturated lattice (invariant factors
+    # all 1) with the input's annihilator, holding every input vector
+    m = len(vecs[0])
+    sat = list(saturate_columns(vecs))
+    if sat:
+        assert invariant_factors(sat) == [1] * len(sat) + [0] * (m - len(sat))
+    annihilator = kernel_generators(sat or [(0,) * m])[1]
+    assert hnf_columns(annihilator) == hnf_columns(kernel_generators(vecs)[1])
+    assert hnf_columns(sat + vecs) == hnf_columns(sat)
 
 
 def _exact_det(mat):
@@ -221,7 +229,7 @@ def test_echelon_rows_span_the_lattice_of_the_matrix(mat):
     assert (sort_subtract_hnf_columns([r for r in basis if r is not None])
             == sort_subtract_hnf_columns(mat))
     unimodular = len(mat) >= len(mat[0]) and all(
-        f == 1 for f in invariant_factors(mat, count=len(mat[0])))
+        f == 1 for f in invariant_factors(mat))
     assert echelon_spans_all(basis) == unimodular
 
 
@@ -254,7 +262,7 @@ def test_weights_rejected_exactly_when_an_invariant_factor_vanishes(w):
     # the echelon rank check in TorusActionWeights against the Smith form
     # of the stacked 2n x k matrix (W_L; W_R)
     fam, k, wl, wr = w
-    dependent = 0 in invariant_factors(wl + wr, count=k)
+    dependent = 0 in invariant_factors(wl + wr)
     try:
         fr.TorusActionWeights(fam, k, wl, wr)
     except al.AlgebraError as exc:
@@ -377,7 +385,7 @@ def test_walk_replays_signs_in_symmetry_order(w):
             continue
         d = [[x - s * y for x, y in zip(w.w_left[i], w.w_right[perm[i]])]
              for i, s in enumerate(signs)]
-        if any(f != 1 for f in invariant_factors(d, count=w.k)):
+        if any(f != 1 for f in invariant_factors(d)):
             expected.append((perm, signs, d))
     stats = {"leaves_examined": 0, "merged": 0}
     walked = list(fr._unpruned_symmetries(w, stats, True))
