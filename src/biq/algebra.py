@@ -257,6 +257,18 @@ def quaternion_block(b, c) -> np.ndarray:
     return np.block([[b, -c.conj()], [c, b.conj()]])
 
 
+#: the quaternion units i, j, k as the components (b, c) of b + jc
+QUATERNION_UNITS = ((1j, 0.0), (0.0, 1.0), (0.0, -1j))
+
+
+def quaternion_diag(family: GroupFamily, *quaternions) -> AlgebraElement:
+    """diag(q_1, ..., q_n) in sp(n), each quaternion given by its
+    components (b, c) of b + jc."""
+    b = np.diag([q[0] for q in quaternions])
+    c = np.diag([q[1] for q in quaternions])
+    return AlgebraElement(family, quaternion_block(b, c))
+
+
 # ---------------------------------------------------------------------------
 # root decomposition
 # ---------------------------------------------------------------------------
@@ -364,7 +376,9 @@ def _flatten_basis(elements, size) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _skew(size, i, j) -> np.ndarray:
+def skew_unit(size, i, j) -> np.ndarray:
+    """E_ij - E_ji as a complex size x size matrix: the generator of the
+    rotations in the (i, j) plane."""
     m = np.zeros((size, size), dtype=complex)
     m[i, j] = 1.0
     m[j, i] = -1.0
@@ -408,7 +422,7 @@ def _root_decomposition_cached(name: str, n: int) -> RootDecomposition:
                 vec = tuple(
                     1 if t == q else (-1 if t == p else 0) for t in range(n)
                 )
-                x = AlgebraElement(fam, _skew(n, p, q))
+                x = AlgebraElement(fam, skew_unit(n, p, q))
                 y = AlgebraElement(fam, _sym_i(n, p, q))
                 roots.append(Root(vec, x, y))
 
@@ -421,7 +435,7 @@ def _root_decomposition_cached(name: str, n: int) -> RootDecomposition:
         for p in range(n):
             for q in range(p + 1, n):
                 vec = tuple(1 if t == q else (-1 if t == p else 0) for t in range(n))
-                x = AlgebraElement(fam, inv * quaternion_block(_skew(n, p, q), np.zeros((n, n))))
+                x = AlgebraElement(fam, inv * quaternion_block(skew_unit(n, p, q), np.zeros((n, n))))
                 y = AlgebraElement(fam, inv * quaternion_block(_sym_i(n, p, q), np.zeros((n, n))))
                 roots.append(Root(vec, x, y))
         for p in range(n):
@@ -450,10 +464,10 @@ def _root_decomposition_cached(name: str, n: int) -> RootDecomposition:
             for q in range(p + 1, rank):
                 up, upp = 2 * p, 2 * p + 1
                 vq, vqq = 2 * q, 2 * q + 1
-                m1 = _skew(size, up, vq)
-                m2 = _skew(size, up, vqq)
-                m3 = _skew(size, upp, vq)
-                m4 = _skew(size, upp, vqq)
+                m1 = skew_unit(size, up, vq)
+                m2 = skew_unit(size, up, vqq)
+                m3 = skew_unit(size, upp, vq)
+                m4 = skew_unit(size, upp, vqq)
                 vec_diff = tuple(1 if t == q else (-1 if t == p else 0) for t in range(rank))
                 roots.append(
                     Root(
@@ -474,8 +488,8 @@ def _root_decomposition_cached(name: str, n: int) -> RootDecomposition:
             w = size - 1
             for p in range(rank):
                 vec = tuple(1 if t == p else 0 for t in range(rank))
-                x = AlgebraElement(fam, _skew(size, 2 * p + 1, w))
-                y = AlgebraElement(fam, _skew(size, 2 * p, w))
+                x = AlgebraElement(fam, skew_unit(size, 2 * p + 1, w))
+                y = AlgebraElement(fam, skew_unit(size, 2 * p, w))
                 roots.append(Root(vec, x, y))
 
     dec = RootDecomposition(

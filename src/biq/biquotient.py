@@ -56,8 +56,10 @@ from .algebra import (
     GroupFamily,
     RootDecomposition,
     Subspace,
-    quaternion_block,
+    quaternion_diag,
+    QUATERNION_UNITS,
     root_decomposition,
+    skew_unit,
     torus_element,
     zero,
 )
@@ -83,8 +85,10 @@ class BiquotientAction:
     """Subgroup U of G x G given by Lie-algebra generator pairs.
 
     torus_weights, when present, are the integer characters of a maximal
-    torus of U (equal to U's own characters when U is a torus); they feed
-    the exact freeness checker.  mode records the intended freeness notion.
+    torus of U (equal to U's own characters when U is a torus), and mode
+    the intended freeness notion.  Both are a record for the caller, who
+    can pass them to freeness.is_free_exact; no computation here reads
+    them.
     """
 
     group: GroupFamily
@@ -152,24 +156,13 @@ def one_sided_action(fam, generators, side: str = "right") -> BiquotientAction:
 def gromoll_meyer_action() -> BiquotientAction:
     """The Sp(1) action (diag(q,q), diag(q,1)) on Sp(2)."""
     fam = GroupFamily("Sp", 2)
-    units = [_imag_unit(m) for m in range(3)]
-
-    def dq(q1, q2):
-        b = np.diag([q1[0], q2[0]])
-        c = np.diag([q1[1], q2[1]])
-        return AlgebraElement(fam, quaternion_block(b, c))
-
     zero_q = (0.0, 0.0)
-    pairs = tuple((dq(uq, uq), dq(uq, zero_q)) for uq in units)
+    pairs = tuple((quaternion_diag(fam, uq, uq), quaternion_diag(fam, uq, zero_q))
+                  for uq in QUATERNION_UNITS)
     w = freeness.TorusActionWeights(
         group=fam, k=1, w_left=((1,), (1,)), w_right=((1,), (0,))
     )
     return BiquotientAction(group=fam, u_basis=pairs, torus_weights=w)
-
-
-def _imag_unit(m):
-    # quaternion units i, j, k as (b, c) components of b + jc
-    return [(1j, 0.0), (0.0, 1.0), (0.0, -1j)][m]
 
 
 def unit_tangent_flow_action(n: int) -> BiquotientAction:
@@ -182,10 +175,7 @@ def unit_tangent_flow_action(n: int) -> BiquotientAction:
     pairs = [(z_delta, zero(fam))]
     for i in range(2 * n - 1):
         for j in range(i + 1, 2 * n - 1):
-            m = np.zeros((size, size), dtype=complex)
-            m[i, j] = 1.0
-            m[j, i] = -1.0
-            pairs.append((zero(fam), AlgebraElement(fam, m)))
+            pairs.append((zero(fam), AlgebraElement(fam, skew_unit(size, i, j))))
     w = freeness.TorusActionWeights(
         group=fam,
         k=n,
@@ -354,7 +344,7 @@ class PlaneReport:
     sec_g: float
     oneill_term: float
     sec_quotient: float
-    certificate: str = "none"  # N1 | N2 | N3 | numeric | none
+    certificate: str = "none"  # numeric | none (numeric_flat_search)
 
 
 def quotient_sectional(

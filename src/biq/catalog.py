@@ -13,7 +13,9 @@ Contents:
   its parameter into a group, a torus and the factors of U, whose
   dimensions and ranks come from GroupFamily (only G2 is given by size);
 - enumerators for the 7-dimensional circle-quotient family on SU(3) and
-  the 13-dimensional family on SU(5), with canonical deduplication;
+  the 13-dimensional family on SU(5) that walk canonical forms: only
+  tuples with every side sorted are candidates, and each is kept iff it
+  is its own eschenburg_canonical (resp. bazaikin_canonical);
 - lattice-equivalence tests for weight matrices, and one desk-scale
   exhaustive two-torus scan, run on SU(3) and on Sp(2), backing the
   uniqueness statements for the rank-2 groups.
@@ -303,9 +305,11 @@ def lattice_equivalent(w1: TorusActionWeights, w2: TorusActionWeights) -> bool:
 
 
 def lattice_equal(w1: TorusActionWeights, w2: TorusActionWeights) -> bool:
-    """Equality of the generated subtori (no symmetry applied): the
-    saturated lattices, extended by the scalar circle for the unitary
-    families, have equal rank and the first annihilates the second."""
+    """Equality of the generated subtori (no symmetry applied): one group,
+    and the saturated lattices, extended by the scalar circle for the
+    unitary families, have equal rank and the first annihilates the second."""
+    if w1.group != w2.group:
+        return False
     annihilator = _annihilator(w1)
     return (annihilator.shape == _annihilator(w2).shape
             and not (annihilator @ np.array(_weight_columns(w2)).T).any())
@@ -603,33 +607,28 @@ def eschenburg_canonical(p, q):
 
 def enumerate_eschenburg(bound: int):
     """All canonical circle parameters on SU(3) with entries bounded by
-    `bound` and matching sums, flagged free / positively-curvable."""
+    `bound` and matching sums, flagged free / positively-curvable.
+
+    A canonical form has both sides sorted, so only pairs of non-increasing
+    triples of equal sum are candidates, each kept iff it is its own
+    eschenburg_canonical."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    vals = range(-bound, bound + 1)
-    seen = {}
-    for p in itertools.product(vals, repeat=3):
-        for q12 in itertools.product(vals, repeat=2):
-            q3 = sum(p) - sum(q12)
-            if abs(q3) > bound:
-                continue
-            q = (*q12, q3)
-            if all(x == 0 for x in p) and all(x == 0 for x in q):
-                continue
-            key = eschenburg_canonical(p, q)
-            if key in seen:
-                continue
-            cp, cq = key
-            free = eschenburg_free(cp, cq)
-            # the printed interval condition is not symmetric in the two
-            # sides while the side swap is an equivalence of actions, so
-            # the record is flagged when either orientation satisfies it
-            positive = free and (
-                eschenburg_positive_flag(cp, cq)
-                or eschenburg_positive_flag(cq, cp)
-            )
-            seen[key] = EschenburgRecord(cp, cq, free, positive)
-    return [seen[k] for k in sorted(seen)]
+    entries = range(bound, -bound - 1, -1)
+    triples = sorted(itertools.combinations_with_replacement(entries, 3), key=sum)
+    records = []
+    for p, q in sorted(pair for _, same_sum in itertools.groupby(triples, key=sum)
+                       for pair in itertools.product(same_sum, repeat=2)):
+        if not (any(p) or any(q)) or eschenburg_canonical(p, q) != (p, q):
+            continue
+        free = eschenburg_free(p, q)
+        # the printed interval condition is not symmetric in the two
+        # sides while the side swap is an equivalence of actions, so
+        # the record is flagged when either orientation satisfies it
+        positive = free and (eschenburg_positive_flag(p, q)
+                             or eschenburg_positive_flag(q, p))
+        records.append(EschenburgRecord(p, q, free, positive))
+    return records
 
 
 def bazaikin_canonical(p):
@@ -641,17 +640,14 @@ def bazaikin_canonical(p):
 def enumerate_bazaikin(bound: int):
     """All canonical 5-tuples of odd entries in [-bound, bound], up to
     sorting and a global sign, flagged by the closed-form freeness test
-    (an even bound takes the odd entries below it)."""
+    (an even bound takes the odd entries below it).  Only non-increasing
+    tuples are candidates, each kept iff it is its own bazaikin_canonical."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    vals = [x for x in range(-bound, bound + 1) if x % 2 != 0]
-    seen = {}
-    for p in itertools.product(vals, repeat=5):
-        key = bazaikin_canonical(p)
-        if key in seen:
-            continue
-        seen[key] = BazaikinRecord(key, bazaikin_free(key))
-    return [seen[k] for k in sorted(seen)]
+    odd = [x for x in range(bound, -bound - 1, -1) if x % 2 != 0]
+    return [BazaikinRecord(p, bazaikin_free(p))
+            for p in sorted(itertools.combinations_with_replacement(odd, 5))
+            if bazaikin_canonical(p) == p]
 
 
 # ---------------------------------------------------------------------------

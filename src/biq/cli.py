@@ -3,10 +3,10 @@ catalog enumeration and table verification.
 
 Input files are JSON documents validated against the schema files shipped
 in biq/schemas (weights.schema.json, metric.schema.json).  All randomness
-flows from the single seed in the run configuration, which is recorded in
-every report header, and output ordering is canonical, so identical
-invocations produce byte-identical reports.  Reports are written through a
-temporary file and renamed, never partially.
+flows from the single --seed option, which is recorded in every report
+header, and output ordering is canonical, so identical invocations
+produce byte-identical reports.  Reports are written through a temporary
+file and renamed, never partially.
 
 Exit codes: 0 success (for `free`: the action is free), 1 a check failed
 (for `free`: not free), 2 input or usage error.
@@ -20,7 +20,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -40,19 +39,10 @@ from .metric import build_metric
 SCHEMA_VERSION = "8"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    points: int = 5
-    planes: int = 2000
-    restarts: int = 4
-    output: str | None = None
-    fmt: str = "json"
-
-    def header(self):
-        """The report's config block; only `scan` takes budgets, so only
-        its report records them."""
-        return {"seed": self.seed, "schema_version": SCHEMA_VERSION}
+def _header(args):
+    """The report's config block; only `scan` takes budgets, so only its
+    report records them."""
+    return {"seed": args.seed, "schema_version": SCHEMA_VERSION}
 
 
 class InputError(Exception):
@@ -130,12 +120,12 @@ def _write_report(text: str, output: str | None):
     os.replace(tmp, output)
 
 
-def _emit(report, cfg: RunConfig, csv_rows=None):
-    if cfg.fmt == "json":
-        _write_report(json.dumps(report, indent=2, sort_keys=True), cfg.output)
-    elif cfg.fmt == "jsonl":
+def _emit(report, args, csv_rows=None):
+    if args.format == "json":
+        _write_report(json.dumps(report, indent=2, sort_keys=True), args.output)
+    elif args.format == "jsonl":
         lines = [json.dumps(r, sort_keys=True) for r in csv_rows or []]
-        _write_report("\n".join(lines), cfg.output)
+        _write_report("\n".join(lines), args.output)
     else:
         rows = [_flat_row(r) for r in csv_rows or []]
         buf = io.StringIO()
@@ -144,7 +134,7 @@ def _emit(report, cfg: RunConfig, csv_rows=None):
             writer.writeheader()
             for row in rows:
                 writer.writerow(row)
-        _write_report(buf.getvalue(), cfg.output)
+        _write_report(buf.getvalue(), args.output)
 
 
 def _flat_row(row):
@@ -175,12 +165,11 @@ def _witness_dict(witness):
 
 
 def cmd_free(args) -> int:
-    cfg = _config(args)
     weights = load_weights(args.weights)
     mode = args.mode or weights.mode
     verdict = is_free_exact(weights, mode)
     report = {
-        "config": cfg.header(),
+        "config": _header(args),
         "command": "free",
         "group": str(weights.group),
         "k": weights.k,
@@ -200,16 +189,15 @@ def cmd_free(args) -> int:
         }
         if verdict.free and not oracle.free:
             report["oracle"]["contradiction"] = True
-    _emit(report, cfg)
+    _emit(report, args)
     return 0 if verdict.free else 1
 
 
 def cmd_scan(args) -> int:
-    cfg = _config(args)
-    if min(cfg.planes, cfg.points, cfg.restarts) < 1:
+    if min(args.planes, args.points, args.restarts) < 1:
         raise InputError("budgets must be at least 1")
-    config = {**cfg.header(), "budgets": {"points": cfg.points, "planes": cfg.planes,
-                                          "restarts": cfg.restarts}}
+    config = {**_header(args), "budgets": {"points": args.points, "planes": args.planes,
+                                           "restarts": args.restarts}}
     weights = load_weights(args.action)
     verdict = is_free_exact(weights)
     if not verdict.free:
@@ -217,15 +205,15 @@ def cmd_scan(args) -> int:
             "error": "action is not free; refusing to scan",
             "witness": _witness_dict(verdict.witness),
         }
-        _emit({"config": config, "command": "scan", **refusal}, cfg,
+        _emit({"config": config, "command": "scan", **refusal}, args,
               csv_rows=[refusal])
         return 1
     act = from_torus_weights(weights)
     dec = root_decomposition(weights.group)
     P = load_metric(args.metric, dec) if args.metric else build_metric(dec)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
 
-    points = ["identity"] + [f"random[{i}]" for i in range(cfg.points - 1)]
+    points = ["identity"] + [f"random[{i}]" for i in range(args.points - 1)]
     rows = []
     global_min = None
     for name in points:
@@ -233,8 +221,8 @@ def cmd_scan(args) -> int:
             random_group_element(weights.group, rng)
         stats = {}
         best = detectors.numeric_flat_search(
-            act, g, P, budget=cfg.planes, rng=rng,
-            local_restarts=cfg.restarts, diagnostics=stats,
+            act, g, P, budget=args.planes, rng=rng,
+            local_restarts=args.restarts, diagnostics=stats,
         )
         cert, cert_sec = detectors.auto_flat_certificate(
             act, g, P, rng, diagnostics=stats
@@ -262,41 +250,39 @@ def cmd_scan(args) -> int:
             if r["numeric_certificate"] == "numeric" or r["flat_certificate"]
         ),
     }
-    _emit(report, cfg, csv_rows=rows)
+    _emit(report, args, csv_rows=rows)
     return 0
 
 
 def cmd_fixtures(args) -> int:
-    cfg = _config(args)
     runner = fixtures.FIXTURES.get(args.name)
     if runner is None:
         raise InputError(
             f"unknown fixture {args.name!r}; choose from "
             + ", ".join(sorted(fixtures.FIXTURES))
         )
-    result = runner(seed=cfg.seed)
+    result = runner(seed=args.seed)
     report = {
-        "config": cfg.header(),
+        "config": _header(args),
         "command": "fixtures",
         "fixture": args.name,
         "passed": result["passed"],
         "summary": {k: v for k, v in result.items() if k != "certificates"},
     }
-    _emit(report, cfg)
+    _emit(report, args)
     return 0 if result["passed"] else 1
 
 
 def cmd_catalog(args) -> int:
-    cfg = _config(args)
     enumerate_family = {
         "enumerate-eschenburg": catalog.enumerate_eschenburg,
         "enumerate-bazaikin": catalog.enumerate_bazaikin,
     }.get(args.what)
     if enumerate_family is not None:
         records = [r.to_dict() for r in enumerate_family(args.bound)]
-        report = {"config": cfg.header(), "command": "catalog",
+        report = {"config": _header(args), "command": "catalog",
                   "records": records, "count": len(records)}
-        _emit(report, cfg, csv_rows=records)
+        _emit(report, args, csv_rows=records)
         return 0
     # verify-tables
     rows = []
@@ -312,21 +298,10 @@ def cmd_catalog(args) -> int:
                     f"{name}={'ok' if okk else 'FAIL'}" for name, okk, _ in rep["checks"]
                 ),
             })
-    report = {"config": cfg.header(), "command": "catalog",
+    report = {"config": _header(args), "command": "catalog",
               "rows": rows, "all_passed": ok}
-    _emit(report, cfg, csv_rows=rows)
+    _emit(report, args, csv_rows=rows)
     return 0 if ok else 1
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        points=getattr(args, "points", RunConfig.points),
-        planes=getattr(args, "planes", RunConfig.planes),
-        restarts=getattr(args, "restarts", RunConfig.restarts),
-        output=args.output,
-        fmt=args.format,
-    )
 
 
 def _add_common(p, budgets=False, rows=True):
@@ -337,9 +312,9 @@ def _add_common(p, budgets=False, rows=True):
     p.add_argument("--format", choices=("json", "csv", "jsonl") if rows else ("json",),
                    default="json")
     if budgets:
-        p.add_argument("--points", type=int, default=RunConfig.points)
-        p.add_argument("--planes", type=int, default=RunConfig.planes)
-        p.add_argument("--restarts", type=int, default=RunConfig.restarts)
+        p.add_argument("--points", type=int, default=5)
+        p.add_argument("--planes", type=int, default=2000)
+        p.add_argument("--restarts", type=int, default=4)
 
 
 def build_parser():
@@ -387,10 +362,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AlgebraError, ValueError) as exc:
+    except (InputError, AlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

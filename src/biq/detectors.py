@@ -43,8 +43,11 @@ from .algebra import (
     Subspace,
     identity,
     quaternion_block,
+    quaternion_diag,
+    QUATERNION_UNITS,
     root_decomposition,
     root_subspace,
+    skew_unit,
     torus_element,
 )
 from .biquotient import (
@@ -693,16 +696,11 @@ def gromoll_meyer_blocks(dec):
     """The three invariant subspaces of the Sp(1)-quotient of Sp(2):
     imaginary top diagonal, imaginary bottom diagonal, off-diagonal."""
     fam = dec.family
-
-    def dq(top, bot):
-        b = np.diag([top[0], bot[0]])
-        c = np.diag([top[1], bot[1]])
-        return AlgebraElement(fam, quaternion_block(b, c))
-
-    units = [(1j, 0.0), (0.0, 1.0), (0.0, -1j)]
     zq = (0.0, 0.0)
-    w1 = Subspace.from_elements(dec, [dq(u, zq) for u in units], "W1")
-    w2 = Subspace.from_elements(dec, [dq(zq, u) for u in units], "W2")
+    top = [quaternion_diag(fam, u, zq) for u in QUATERNION_UNITS]
+    bottom = [quaternion_diag(fam, zq, u) for u in QUATERNION_UNITS]
+    w1 = Subspace.from_elements(dec, top, "W1")
+    w2 = Subspace.from_elements(dec, bottom, "W2")
     off = []
     for b_val, c_val in [(1.0, 0.0), (1j, 0.0), (0.0, 1.0), (0.0, -1j)]:
         b = np.array([[0, b_val], [-np.conj(b_val), 0]])
@@ -728,10 +726,7 @@ def _unit_tangent_blocks(n):
     size = fam.matrix_size
 
     def skew(i, j):
-        m = np.zeros((size, size), dtype=complex)
-        m[i, j] = 1.0
-        m[j, i] = -1.0
-        return AlgebraElement(fam, m)
+        return AlgebraElement(fam, skew_unit(size, i, j))
 
     so_small = [skew(i, j) for i in range(2 * n - 1) for j in range(i + 1, 2 * n - 1)]
     v_col = [skew(i, 2 * n - 1) for i in range(2 * n - 1)]

@@ -9,17 +9,18 @@ production four-term expression.  The matrix oracles evaluate the
 production formulas with matrix-model brackets instead of the
 structure-constant kernel.  The exact oracles are the earlier forms of
 the freeness checker (one full Smith form per symmetry, no pruning), of
-the saturation (the kernel of the kernel), of the Hermite form
-(sort-and-subtract column reduction), of the two-torus scan's pair
-classing (one Hermite form per pair, looked up among the reference's
-orbit of Hermite forms), of the numeric flat-plane search (random phase
-plus Nelder-Mead descents) and of the flat-plane criteria N1/N2/N3
-(matrix brackets per candidate).  The scipy oracles are the earlier
-forms of the exponential (Pade scaling and squaring), of the orthonormal
-span, of the horizontal null space and of the flat-search polish
-(L-BFGS-B).
+the Hermite form (sort-and-subtract column reduction), of the two-torus
+scan's pair classing (one Hermite form per pair, looked up among the reference's
+orbit of Hermite forms), of the Eschenburg and Bazaikin enumerations
+(a sweep of every raw tuple, deduplicated by canonical form), of the
+numeric flat-plane search (random phase plus Nelder-Mead descents) and of
+the flat-plane criteria N1/N2/N3 (matrix brackets per candidate).  The
+scipy oracles are the earlier forms of the exponential (Pade scaling and
+squaring), of the orthonormal span, of the horizontal null space and of
+the flat-search polish (L-BFGS-B).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -56,9 +57,18 @@ from biq.freeness import (
     _central_pair,
     _normalize_mode,
     _scalar_is_central,
+    bazaikin_free,
     conjugacy_symmetries,
+    eschenburg_free,
+    eschenburg_positive_flag,
 )
-from biq.catalog import _weight_columns
+from biq.catalog import (
+    BazaikinRecord,
+    EschenburgRecord,
+    _weight_columns,
+    bazaikin_canonical,
+    eschenburg_canonical,
+)
 from biq.intlattice import hnf_columns, invariant_factors, kernel_generators, saturate_columns
 from biq.metric import L_tensor, MetricOperator, apply_P
 
@@ -439,6 +449,52 @@ def hnf_pair_flags(vecs, pairs, fam, reference: TorusActionWeights):
                          or all(trivial(c[n:]) for c in cols))
         in_orbit.append(hnf_columns(cols) in orbit)
     return np.array(one_sided, dtype=bool), np.array(in_orbit, dtype=bool)
+
+
+def sweep_enumerate_eschenburg(bound: int):
+    """catalog.enumerate_eschenburg by the earlier sweep: every raw
+    parameter tuple, deduplicated by its canonical form."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    vals = range(-bound, bound + 1)
+    seen = {}
+    for p in itertools.product(vals, repeat=3):
+        for q12 in itertools.product(vals, repeat=2):
+            q3 = sum(p) - sum(q12)
+            if abs(q3) > bound:
+                continue
+            q = (*q12, q3)
+            if all(x == 0 for x in p) and all(x == 0 for x in q):
+                continue
+            key = eschenburg_canonical(p, q)
+            if key in seen:
+                continue
+            cp, cq = key
+            free = eschenburg_free(cp, cq)
+            # the printed interval condition is not symmetric in the two
+            # sides while the side swap is an equivalence of actions, so
+            # the record is flagged when either orientation satisfies it
+            positive = free and (
+                eschenburg_positive_flag(cp, cq)
+                or eschenburg_positive_flag(cq, cp)
+            )
+            seen[key] = EschenburgRecord(cp, cq, free, positive)
+    return [seen[k] for k in sorted(seen)]
+
+
+def sweep_enumerate_bazaikin(bound: int):
+    """catalog.enumerate_bazaikin by the earlier sweep: every raw odd
+    5-tuple, deduplicated by its canonical form."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    vals = [x for x in range(-bound, bound + 1) if x % 2 != 0]
+    seen = {}
+    for p in itertools.product(vals, repeat=5):
+        key = bazaikin_canonical(p)
+        if key in seen:
+            continue
+        seen[key] = BazaikinRecord(key, bazaikin_free(key))
+    return [seen[k] for k in sorted(seen)]
 
 
 def nelder_mead_flat_search(act, g, P, budget=10_000, rng=None, local_restarts=4,

@@ -10,7 +10,7 @@ from biq import algebra as al
 from biq import catalog as ca
 from biq import freeness as fr
 from biq.intlattice import hnf_columns, saturate_columns
-from oracles import hnf_pair_flags
+from oracles import hnf_pair_flags, sweep_enumerate_bazaikin, sweep_enumerate_eschenburg
 
 #: an Sp(2) two-torus outside the normal form's class
 _OTHER_SP2 = fr.TorusActionWeights(al.sp(2), 2, ((1, 0), (0, 1)), ((0, 0), (1, 0)))
@@ -131,6 +131,14 @@ class TestLatticeEquivalence:
         circle = fr.TorusActionWeights(al.sp(2), 1, ((1,), (1,)), ((0,), (0,)))
         assert not ca.lattice_equivalent(ca.corollary_sp2_weights(), circle)
         assert not ca.lattice_equal(ca.corollary_sp2_weights(), circle)
+
+    def test_lattice_equal_needs_one_group(self):
+        # the same weight matrices acting on Sp(2) and on SO(4)
+        on_sp2, on_so4 = ca.sp_tori(2, 1).weights, ca.p_torus_weights(2, 1, al.so(4))
+        assert on_sp2.w_left == on_so4.w_left and on_sp2.w_right == on_so4.w_right
+        assert ca.lattice_equal(on_sp2, on_sp2) and ca.lattice_equal(on_so4, on_so4)
+        assert not ca.lattice_equal(on_sp2, on_so4)
+        assert not ca.lattice_equal(on_so4, on_sp2)
 
 
 class TestTables:
@@ -339,6 +347,14 @@ class TestEschenburgEnumeration:
         rec = ca.enumerate_eschenburg(1)[0]
         assert rec.quotient_dim == 7
 
+    @pytest.mark.parametrize("bound", range(1, 6))
+    def test_canonical_walk_equals_raw_sweep(self, bound):
+        assert ca.enumerate_eschenburg(bound) == sweep_enumerate_eschenburg(bound)
+
+    def test_counts(self):
+        counts = [len(ca.enumerate_eschenburg(b)) for b in range(1, 7)]
+        assert counts == [7, 41, 151, 431, 1033, 2183]
+
 
 class TestBazaikinEnumeration:
     def test_all_ones_present_and_free(self):
@@ -362,6 +378,15 @@ class TestBazaikinEnumeration:
 
     def test_quotient_dimension_is_thirteen(self):
         assert ca.enumerate_bazaikin(1)[0].quotient_dim == 13
+
+    @pytest.mark.parametrize("bound", range(1, 10))
+    def test_canonical_walk_equals_raw_sweep(self, bound):
+        assert ca.enumerate_bazaikin(bound) == sweep_enumerate_bazaikin(bound)
+
+    def test_counts(self):
+        # an even bound takes the odd entries below it
+        counts = [len(ca.enumerate_bazaikin(b)) for b in range(1, 10)]
+        assert counts == [3, 3, 28, 28, 126, 126, 396, 396, 1001]
 
 
 class TestScans:
