@@ -539,7 +539,9 @@ class Subspace:
 
     @classmethod
     def from_elements(cls, dec, elements, label: str = ""):
-        rows = np.asarray([dec.to_coords(e) for e in elements])
+        rows = np.asarray([dec.to_coords(e) for e in elements]).reshape(-1, dec.dim)
+        if not len(rows):
+            return cls(dec, rows, label)
         # orthonormal basis of the span: left singular vectors whose
         # singular value exceeds 1e-12 times the largest
         u, s, _ = np.linalg.svd(rows.T, full_matrices=False)

@@ -28,6 +28,25 @@ kernel tests.  So the first failing symmetry, and its witness, never move.
 Only a symmetry that survives to a new leaf lattice gets a Smith form,
 one, for the invariant factors and the kernel generators alike.
 
+Twin rows shrink the walk further.  If rows i < j of W_L are equal,
+swapping (perm[i], s_i) with (perm[j], s_j) only permutes the rows of
+D_sigma; if rows p < p' of W_R are equal, swapping the values p and p' in
+perm leaves every row as it was.  Either swap keeps Lambda, so the walk
+visits only the symmetries with perm[i] < perm[j] for left twins and with
+p placed before p' for right twins.  The least symmetry of each class
+obeys both rules, since a swap that undoes a broken rule gives a smaller
+one.  The first failing symmetry is the least of its class, and every
+symmetry the restricted walk visits before it precedes it in the full
+order too, so it is still the first failure found, with the same witness.
+A twin swap moves signs without changing their product, so the SO(2n)
+parity is kept.  The prefix-state merge stays exact: a merged prefix has
+an earlier one with the same state, and that one with the merged prefix's
+completion is an earlier symmetry of the group with the same Lambda, so
+the first failing symmetry never lies under a merged prefix.  By the same
+argument the least symmetry with a given leaf lattice is walked, so the
+leaf lattices met up to the first failure, and their Smith forms, are the
+same: of the stats, only the leaf and merge counts change.
+
 "free modulo the center" additionally accepts kernel elements t whose
 images satisfy u_L(t) = u_R(t) = a central scalar of G.  All arithmetic is
 on arbitrary-precision integers; floating point never decides a verdict.
@@ -254,6 +273,17 @@ class _Walk:
             self.rows - self.so_even)
         # row_of[j, p, s]: row j of D_sigma for perm[j] = p, s_j = s; seen: state keys
         self.row_of, self.seen = {}, set()
+        # twin rows: left_prev[j] is the last earlier row of W_L equal to
+        # row j (or -1), right_before[p] the mask of earlier rows of W_R
+        # equal to row p
+        self.left_prev, last = [], {}
+        for j, row in enumerate(w.w_left):
+            self.left_prev.append(last.get(row, -1))
+            last[row] = j
+        self.right_before, before = [], {}
+        for p, row in enumerate(w.w_right):
+            self.right_before.append(before.get(row, 0))
+            before[row] = self.right_before[p] | 1 << p
 
     def extend(self, live, j, p, mask):
         stats, so_even, row_of, seen = self.stats, self.so_even, self.row_of, self.seen
@@ -288,8 +318,10 @@ class _Walk:
                 yield perm, signs, [list(self.row_of[i, p, s])
                                     for i, (p, s) in enumerate(zip(perm, signs))]
             return
-        for p in range(self.rows):
-            if not mask >> p & 1:
+        i = self.left_prev[j]
+        right_before = self.right_before
+        for p in range(perm[i] + 1 if i >= 0 else 0, self.rows):
+            if not mask >> p & 1 and right_before[p] & mask == right_before[p]:
                 child = _Replay(self.extend(live, j, p, mask | 1 << p))
                 if not child.empty():
                     yield from self.walk(perm + (p,), mask | 1 << p, child)
@@ -303,7 +335,12 @@ def _unpruned_symmetries(w: TorusActionWeights, stats: dict, merge_leaves: bool)
     symmetries whose rows do not span Z^k, except those under a prefix
     state equal to an earlier one: they repeat that state's leaf lattices
     at later symmetries, so the first failing symmetry is never skipped
-    (see the module docstring).  A node is a permutation prefix with the
+    (see the module docstring).  Of the symmetries that differ by
+    swapping twin rows, equal rows of W_L (perm[i] < perm[j] for equal
+    rows i < j) or of W_R (p placed before p' for equal rows p < p'),
+    only the first is walked: both swaps keep D_sigma's lattice, and the
+    first failing symmetry is the first of its class, so it and its
+    witness are kept.  A node is a permutation prefix with the
     live sign prefixes under it, each with the echelon basis of its rows;
     a sign prefix whose rows span Z^k is pruned, and so is a permutation
     prefix with no live sign prefix.  Sign prefixes are extended lazily in

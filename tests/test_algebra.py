@@ -214,6 +214,13 @@ class TestSubspace:
             assert sub.dim == ref.shape[0] == 3
             assert np.abs(_projector(sub.coords) - _projector(ref)).max() < 1e-12
 
+    def test_from_elements_of_nothing_is_the_zero_subspace(self):
+        dec = al.root_decomposition(al.so(3))
+        sub = al.Subspace.from_elements(dec, [], "empty")
+        assert sub.dim == 0 and sub.coords.shape == (0, dec.dim)
+        assert sub.basis_elements() == []
+        assert not sub.project_coords(np.ones(dec.dim)).any()
+
     @pytest.mark.parametrize("small, dim", [(1e-13, 2), (1e-10, 3)])
     def test_from_elements_cuts_rank_at_tol_times_the_largest_singular_value(
             self, rng, small, dim):

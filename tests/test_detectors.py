@@ -80,6 +80,15 @@ class TestCheckN1:
                 assert cert is not None
                 assert_certificate_flat(act, g, P, cert)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unit_tangent_blocks_split_the_algebra(self, n):
+        # so(2n+1) = so(2n-1) + V + W + corner; for n = 1 the so(1) block is empty
+        dec = al.root_decomposition(al.so(2 * n + 1))
+        blocks = de.unit_tangent_blocks(n, dec)
+        assert [b.dim for b in blocks] == [(n - 1) * (2 * n - 1), 2 * n - 1, 2 * n - 1, 1]
+        coords = np.vstack([b.coords for b in blocks])
+        assert np.abs(coords @ coords.T - np.eye(dec.dim)).max() < 1e-12
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_flow_pair_ignores_last_digit_changes_of_the_point(self, n):
         # the horizontal slices have dimension > 1, so a pair read off their

@@ -278,16 +278,24 @@ _FAMILIES = (al.su(3), al.su(4), al.su(5), al.u(2), al.u(3), al.sp(2), al.sp(3),
 
 
 @st.composite
-def _tori(draw, families=_FAMILIES):
+def _tori(draw, families=_FAMILIES, twins=False):
     """A k-torus, k = 1..rank, on one of `families` with entries in [-3, 3]
     (on SU the last right row is forced by the equal column sums), in
-    either mode."""
+    either mode.  With `twins`, each row of either side is a copy of an
+    earlier row of that side with probability 2/5."""
     fam = draw(st.sampled_from(families))
     rows = fam.rank if fam.name == "SO" else fam.n
     k = draw(st.integers(1, fam.n if fam.name == "U" else fam.rank))
-    block = st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
-                     min_size=rows, max_size=rows)
-    wl, wr = draw(block), draw(block)
+    row = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+
+    def block():
+        out = []
+        for i in range(rows):
+            twin = twins and i > 0 and draw(st.integers(0, 4)) < 2
+            out.append(list(out[draw(st.integers(0, i - 1))]) if twin else draw(row))
+        return out
+
+    wl, wr = block(), block()
     if fam.name == "SU":
         wr[-1] = [sum(r[j] for r in wl) - sum(r[j] for r in wr[:-1]) for j in range(k)]
     mode = draw(st.sampled_from((fr.STRICT, fr.MOD_CENTER)))
@@ -305,6 +313,15 @@ _TORI = settings(max_examples=300, deadline=None, derandomize=True, database=Non
 def test_pruned_walk_equals_leafwise_reference(w):
     # equal verdicts compare the witness and note too; on SO(2n) the
     # reference still enumerates the odd-signed kernels the walk skips
+    assert fr.is_free_exact(w) == leafwise_is_free_exact(w)
+
+
+@settings(_TORI, max_examples=400)
+@given(w=_tori(_FAMILIES + (al.sp(4), al.so(9)), twins=True))
+def test_twin_row_walk_equals_leafwise_reference(w):
+    # the walk visits one symmetry per class of twin-row swaps; the
+    # reference builds every leaf, so the first failing symmetry, its
+    # witness and the note must agree
     assert fr.is_free_exact(w) == leafwise_is_free_exact(w)
 
 
@@ -393,7 +410,19 @@ def test_walk_replays_signs_in_symmetry_order(w):
     assert all(leaf in rest for leaf in walked)  # an ordered subsequence
     assert walked[:1] == expected[:1]
     assert {hnf_columns(d) for *_, d in walked} == {hnf_columns(d) for *_, d in expected}
-    assert stats["merged"] > 0
+
+
+@pytest.mark.parametrize("w, merged", [
+    (ca.spin6_extra().weights, 3),
+    (ca.sp_tori(6, 1).weights, 14),
+    (ca.su_tori(7, 1, 1).weights, 106),
+], ids=["spin6-extra", "sp6-normal-form", "su7-normal-form"])
+def test_prefix_states_merge_under_the_twin_rules(w, merged):
+    # the twin rules leave one symmetry per class of row swaps, but prefixes
+    # of distinct classes still reach one state and are walked once
+    stats = {"leaves_examined": 0, "merged": 0}
+    list(fr._unpruned_symmetries(w, stats, True))
+    assert stats["merged"] == merged
 
 
 class TestIsFreeExact:
@@ -456,12 +485,22 @@ class TestIsFreeExact:
                            "merged": 0}
 
     def test_so_even_walk_builds_no_odd_signed_leaf(self):
-        # SO(6): 3! * 2^2 even-signed symmetries; every row of this torus
-        # survives, so each of them is a leaf, but all 24 leaves span one
-        # lattice: one Smith form, 23 leaves merged
+        # SO(6): 3! * 2^2 even-signed symmetries; the three left rows are
+        # equal, so the walk keeps only perm (0, 1, 2), whose 4 even sign
+        # patterns all survive as leaves spanning one lattice: one Smith
+        # form, 3 leaves merged
         v = fr.is_free_exact(ca.spin6_extra().weights, "mod-center")
-        assert v.stats == {"symmetries": 24, "leaves_examined": 24, "smith_forms": 1,
-                           "merged": 23}
+        assert v.stats == {"symmetries": 24, "leaves_examined": 4, "smith_forms": 1,
+                           "merged": 3}
+
+    @pytest.mark.parametrize("w, leaves", [
+        (ca.p_torus_weights(8, 2, al.so(16)), 128),  # of 5 160 960 symmetries
+        (ca.sp_tori(6, 1).weights, 24),  # of 46 080
+    ], ids=["so16-P2", "sp6-P1"])
+    def test_twin_rows_shrink_the_walk(self, w, leaves):
+        # P2's left rows are all equal, P1 has n - 1 zero left rows
+        v = fr.is_free_exact(w, fr.MOD_CENTER)
+        assert v.free and v.stats["leaves_examined"] == leaves
 
     def test_equal_prefix_states_are_walked_once(self):
         sp5 = fr.is_free_exact(ca.sp_tori(5, 1).weights)
