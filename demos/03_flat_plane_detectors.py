@@ -43,7 +43,7 @@ print("3. The exotic 7-sphere as a quotient of Sp(2)")
 print("=" * 70)
 act = bi.gromoll_meyer_action()
 dec = act.dec()
-P = me.bi_invariant_metric(dec)
+P = me.build_metric(dec)
 best = de.numeric_flat_search(act, al.identity(al.sp(2)), P, budget=3000, rng=rng)
 print("bi-invariant metric, identity point: minimum over sampled planes")
 print(f"refined by the exact eigen-descent = {best.sec_quotient:.6f} > 0")

@@ -1,8 +1,12 @@
 """Two-sided subgroup actions on a compact group and their quotient curvature.
 
-A subgroup U of G x G acts by (u_L, u_R) . g = u_L g u_R^{-1}.  When the
-action is free and the metric is invariant under the right projection of
-U, the quotient carries a metric and
+A subgroup U of G x G acts by (u_L, u_R) . g = u_L g u_R^{-1}.  An action
+(`BiquotientAction`) is its group and its Lie-algebra generator pairs
+(X_L, X_R), nothing more.  To check the freeness of its maximal torus, the
+caller passes that torus's integer weights to freeness.is_free_exact
+(`from_torus_weights` builds the torus action from the same weights).
+When the action is free and the metric is invariant under the right
+projection of U, the quotient carries a metric and
 
     sec_quotient(x, y) = sec_G(x, y) + 3/4 ||[X, Y]^vertical||^2
 
@@ -48,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import freeness
 from .algebra import (
     AlgebraElement,
     AlgebraError,
@@ -64,6 +67,7 @@ from .algebra import (
     zero,
 )
 from .curvature import DegeneratePlaneError, PlaneTerms, numerator_forms, plane_terms
+from .freeness import TorusActionWeights
 from .metric import MetricOperator
 
 HORIZONTAL_TOL = 1e-9
@@ -82,19 +86,12 @@ class NonHorizontalError(ValueError):
 
 @dataclass(frozen=True)
 class BiquotientAction:
-    """Subgroup U of G x G given by Lie-algebra generator pairs.
-
-    torus_weights, when present, are the integer characters of a maximal
-    torus of U (equal to U's own characters when U is a torus), and mode
-    the intended freeness notion.  Both are a record for the caller, who
-    can pass them to freeness.is_free_exact; no computation here reads
-    them.
-    """
+    """Subgroup U of G x G given by its Lie-algebra generator pairs and
+    nothing else.  The freeness of U's maximal torus is decided by passing
+    that torus's integer weights to freeness.is_free_exact."""
 
     group: GroupFamily
     u_basis: tuple  # of (AlgebraElement, AlgebraElement) pairs
-    torus_weights: "freeness.TorusActionWeights | None" = None
-    mode: str = "strict"
 
     def __post_init__(self):
         dec = root_decomposition(self.group)
@@ -114,7 +111,7 @@ class BiquotientAction:
         return root_decomposition(self.group)
 
 
-def from_torus_weights(w: "freeness.TorusActionWeights") -> BiquotientAction:
+def from_torus_weights(w: TorusActionWeights) -> BiquotientAction:
     """Torus action from integer weight matrices (one circle per column).
 
     SU weight columns may have a nonzero (but equal on both sides) sum:
@@ -134,23 +131,7 @@ def from_torus_weights(w: "freeness.TorusActionWeights") -> BiquotientAction:
         xl = torus_element(fam, cl)
         xr = torus_element(fam, cr)
         pairs.append((xl, xr))
-    return BiquotientAction(group=fam, u_basis=tuple(pairs), torus_weights=w, mode=w.mode)
-
-
-def trivial_action(fam: GroupFamily) -> BiquotientAction:
-    return BiquotientAction(group=fam, u_basis=())
-
-
-def one_sided_action(fam, generators, side: str = "right") -> BiquotientAction:
-    """U acting by left translations only or right translations only."""
-    z = zero(fam)
-    if side == "right":
-        pairs = tuple((z, x) for x in generators)
-    elif side == "left":
-        pairs = tuple((x, z) for x in generators)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return BiquotientAction(group=fam, u_basis=pairs)
+    return BiquotientAction(group=fam, u_basis=tuple(pairs))
 
 
 def gromoll_meyer_action() -> BiquotientAction:
@@ -159,10 +140,7 @@ def gromoll_meyer_action() -> BiquotientAction:
     zero_q = (0.0, 0.0)
     pairs = tuple((quaternion_diag(fam, uq, uq), quaternion_diag(fam, uq, zero_q))
                   for uq in QUATERNION_UNITS)
-    w = freeness.TorusActionWeights(
-        group=fam, k=1, w_left=((1,), (1,)), w_right=((1,), (0,))
-    )
-    return BiquotientAction(group=fam, u_basis=pairs, torus_weights=w)
+    return BiquotientAction(group=fam, u_basis=pairs)
 
 
 def unit_tangent_flow_action(n: int) -> BiquotientAction:
@@ -176,17 +154,7 @@ def unit_tangent_flow_action(n: int) -> BiquotientAction:
     for i in range(2 * n - 1):
         for j in range(i + 1, 2 * n - 1):
             pairs.append((zero(fam), AlgebraElement(fam, skew_unit(size, i, j))))
-    w = freeness.TorusActionWeights(
-        group=fam,
-        k=n,
-        w_left=tuple((1,) + (0,) * (n - 1) for _ in range(n)),
-        w_right=tuple(
-            tuple(1 if j == i + 1 else 0 for j in range(n)) for i in range(n - 1)
-        )
-        + ((0,) * n,),
-    )
-    return BiquotientAction(group=fam, u_basis=tuple(pairs), torus_weights=w,
-                            mode="mod-center")
+    return BiquotientAction(group=fam, u_basis=tuple(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -31,15 +31,17 @@ equivalent (lattice_equivalent) iff the shapes match and one map t, a
 per-side eigenvalue symmetry on each side and maybe the side swap, gives
 A_1 t(v) = 0 on them.  That is exact: a signed permutation maps a
 saturated lattice onto a saturated one, so a t(N_2) inside the span of N_1
-of equal rank is N_1.  The scan reads the same membership table
-(_images_in); only lattice_canonical_key computes Hermite forms, the least
-over all 2 |W|^2 images.  The maps come from freeness.conjugacy_symmetries
-as before, so on SO(2n) they include a sign change on one side alone;
-whether that is an equivalence of biquotients is still open.  The scan
-decides strict freeness of all weight pairs by the gcd of the 2 x 2
-minors of every symmetry image, the product of the Smith invariant
-factors, and classes each free pair as it stands, since it spans a
-saturated lattice already.
+of equal rank is N_1.  Since t acts blockwise, lattice_equivalent joins
+the per-side images, one side's in a set and the other's looked up, in
+O(|W|); the scan needs membership per vector and map and reads a
+(|W|, |W|) table of it (_images_in).  Only lattice_canonical_key computes
+Hermite forms, the least over all 2 |W|^2 images.  The maps come from
+freeness.conjugacy_symmetries, so on SO(2n) they include a sign change on
+one side alone; whether that is an equivalence of biquotients is still
+open.  The scan decides strict freeness of all weight pairs by the gcd of
+the 2 x 2 minors of every symmetry image, the product of the Smith
+invariant factors, and classes each free pair as it stands, since it
+spans a saturated lattice already.
 
 Rows whose right factor needs a spin or exceptional embedding are stored
 with full textual fidelity but verified only at the torus level.
@@ -85,7 +87,6 @@ EXCEPTIONAL_GROUPS = {
 @dataclass(frozen=True)
 class TorusNormalForm:
     name: str  # "S1l" | "S2l" | "P1" | "P2" | "P3"
-    group: GroupFamily
     weights: TorusActionWeights
 
 
@@ -129,7 +130,7 @@ def su_tori(n: int, l: int, variant: int) -> TorusNormalForm:
         raise ValueError("variant must be 1 or 2")
     w = TorusActionWeights(su(n), k, tuple(map(tuple, wl)), tuple(map(tuple, wr)),
                            mode=MOD_CENTER)
-    return TorusNormalForm(f"S{variant}l", su(n), w)
+    return TorusNormalForm(f"S{variant}l", w)
 
 
 def su_tori_rewritten(n: int, variant: int) -> TorusNormalForm:
@@ -173,7 +174,7 @@ def su_tori_rewritten(n: int, variant: int) -> TorusNormalForm:
         raise ValueError("variant must be 1 or 2")
     w = TorusActionWeights(su(n), k, tuple(map(tuple, wl)), tuple(map(tuple, wr)),
                            mode=MOD_CENTER)
-    return TorusNormalForm(f"S{variant}l-rewritten", su(n), w)
+    return TorusNormalForm(f"S{variant}l-rewritten", w)
 
 
 def p_torus_weights(n: int, variant: int, family: GroupFamily) -> TorusActionWeights:
@@ -203,7 +204,7 @@ def p_torus_weights(n: int, variant: int, family: GroupFamily) -> TorusActionWei
 
 def sp_tori(n: int, variant: int) -> TorusNormalForm:
     """The two free n-torus normal forms on Sp(n)."""
-    return TorusNormalForm(f"P{variant}", sp(n), p_torus_weights(n, variant, sp(n)))
+    return TorusNormalForm(f"P{variant}", p_torus_weights(n, variant, sp(n)))
 
 
 def spin6_extra() -> TorusNormalForm:
@@ -216,7 +217,7 @@ def spin6_extra() -> TorusNormalForm:
     wl = ((1, 0, 0), (1, 0, 0), (1, 0, 0))
     wr = ((1, 1, 0), (0, 0, 1), (0, -1, -1))
     w = TorusActionWeights(so(6), 3, wl, wr, mode=MOD_CENTER)
-    return TorusNormalForm("P3", so(6), w)
+    return TorusNormalForm("P3", w)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +295,21 @@ def lattice_canonical_key(w: TorusActionWeights):
 def lattice_equivalent(w1: TorusActionWeights, w2: TorusActionWeights) -> bool:
     """Whether one of the family's maps carries the saturated lattice of w2
     onto that of w1 (see the module docstring for why one annihilator
-    decides it)."""
+    decides it).  With the sides kept a map passes iff A_L sigma(V_L) =
+    -A_R sigma'(V_R), swapped iff A_R sigma(V_L) = -A_L sigma'(V_R): per
+    pairing, the right products are looked up among the left ones."""
     if w1.group != w2.group:
         return False
     annihilator = _annihilator(w1)
     if annihilator.shape != _annihilator(w2).shape:
         return False
-    member = _images_in(annihilator, np.array(_weight_columns(w2)), w1.group)
-    return bool(member.all(axis=0).any())
+    left, right = _side_images(np.array(_weight_columns(w2)), w1.group)
+    a_left, a_right = np.split(annihilator, 2, axis=1)
+    for x, y in ((a_left, a_right), (a_right, a_left)):
+        kept = {image.tobytes() for image in left @ x.T}
+        if any((-image).tobytes() in kept for image in right @ y.T):
+            return True
+    return False
 
 
 def lattice_equal(w1: TorusActionWeights, w2: TorusActionWeights) -> bool:
@@ -321,11 +329,11 @@ def lattice_equal(w1: TorusActionWeights, w2: TorusActionWeights) -> bool:
 
 @dataclass(frozen=True)
 class RowInstance:
-    """A table row at one parameter.  Each factor of U = U1 x U2 gives
-    its .dim and .rank; a circle that acts on both sides records its left
-    and right weights and the rows of each SU block of the right factor."""
+    """A table row at one parameter, on the group torus.group.  Each factor
+    of U = U1 x U2 gives its .dim and .rank; a circle that acts on both
+    sides records its left and right weights and the rows of each SU block
+    of the right factor."""
 
-    group: GroupFamily
     torus: TorusActionWeights
     factors: tuple
     quotient_dim: int | None
@@ -361,8 +369,7 @@ _G2 = SimpleNamespace(dim=14, rank=2)
 
 def _s_row(n, l, variant, factors, quotient_dim):
     """A row on the torus S_{variant,l} of SU(n)."""
-    return RowInstance(su(n), su_tori(n, l, variant).weights, factors,
-                       quotient_dim, None)
+    return RowInstance(su_tori(n, l, variant).weights, factors, quotient_dim, None)
 
 
 def _circle_row(nl, variant):
@@ -381,15 +388,14 @@ def _circle_row(nl, variant):
         circle = ((0,) * (n - 1) + (2,), (1,) + (0,) * (n - 2) + (1,),
                   (tuple(range(l)), tuple(range(l, n))))
         factors, quotient_dim = (so(2), su(l), su(n - l)), None
-    return RowInstance(su(n), su_tori(n, l, variant).weights, factors,
-                       quotient_dim, circle)
+    return RowInstance(su_tori(n, l, variant).weights, factors, quotient_dim, circle)
 
 
 def _p_row(group, variant, factors, quotient_dim):
     """A row on the torus P_variant of a rank-n group: Sp(n), SO(2n) or
     SO(2n+1)."""
-    return RowInstance(group, p_torus_weights(group.rank, variant, group),
-                       factors, quotient_dim, None)
+    return RowInstance(p_torus_weights(group.rank, variant, group), factors,
+                       quotient_dim, None)
 
 
 def _row14(pq):
@@ -400,7 +406,7 @@ def _row14(pq):
     return _p_row(so(p + q), 2, (so(2), so(p), so(q)), None)
 
 
-_TABLE_A = [
+_TABLE = [
     ClassificationEntry(1, "A", "SU(n)", "n >= 5", "S_{1,l}, 2 <= l < n/2",
                         "S^1 (semidirect, both sides)", "SU(n-1)", "CP^{n-1}",
                         "full", smallest=(5, 2),
@@ -434,9 +440,6 @@ _TABLE_A = [
                         "Sp(n-1)", "HP^{n-1}", "full", smallest=2,
                         build=lambda n: _p_row(sp(n), 2, (sp(1), sp(n - 1)),
                                                4 * (n - 1))),
-]
-
-_TABLE_B = [
     ClassificationEntry(9, "B", "SU(n)", "n >= 5", "S_{2,l}, 2 <= l < n/2",
                         "S^1 (semidirect, both sides)", "SU(l)SU(n-l)", None,
                         "full", smallest=(5, 2),
@@ -480,11 +483,9 @@ _TABLE_B = [
 
 def table_entries(table: str):
     """All rows of the requested classification table ("A" or "B")."""
-    if table == "A":
-        return list(_TABLE_A)
-    if table == "B":
-        return list(_TABLE_B)
-    raise ValueError("table must be 'A' or 'B'")
+    if table not in ("A", "B"):
+        raise ValueError("table must be 'A' or 'B'")
+    return [entry for entry in _TABLE if entry.table == table]
 
 
 def _circle_check(inst: RowInstance) -> bool:
@@ -495,7 +496,8 @@ def _circle_check(inst: RowInstance) -> bool:
     roots = [eye[i] - eye[j] for b in blocks for i, j in zip(b, b[1:])]
     wl = np.column_stack([left] + [0 * r for r in roots])
     wr = np.column_stack([right] + roots)
-    return lattice_equal(inst.torus, TorusActionWeights(inst.group, wr.shape[1], wl, wr))
+    return lattice_equal(inst.torus,
+                         TorusActionWeights(inst.torus.group, wr.shape[1], wl, wr))
 
 
 def verify_entry(entry: ClassificationEntry, n=None) -> dict:
@@ -516,8 +518,9 @@ def verify_entry(entry: ClassificationEntry, n=None) -> dict:
     verdict = is_free_exact(inst.torus, MOD_CENTER)
     checks.append(("torus_free", verdict.free, f"mode={verdict.mode}"))
 
+    group = inst.torus.group
     rank_u = sum(f.rank for f in inst.factors)
-    rank_g = inst.group.rank
+    rank_g = group.rank
     checks.append(("rank_equal", rank_u == rank_g, f"rank U={rank_u}, rank G={rank_g}"))
     checks.append(
         ("torus_rank_matches", inst.torus.k == rank_g,
@@ -525,7 +528,7 @@ def verify_entry(entry: ClassificationEntry, n=None) -> dict:
     )
 
     dim_u = sum(f.dim for f in inst.factors)
-    dim_g = inst.group.dim
+    dim_g = group.dim
     if inst.quotient_dim is not None:
         ok = dim_g - dim_u == inst.quotient_dim
         checks.append(
@@ -546,7 +549,7 @@ def verify_entry(entry: ClassificationEntry, n=None) -> dict:
     return {
         "row": entry.row,
         "table": entry.table,
-        "group": str(inst.group),
+        "group": str(group),
         "verified": entry.verified,
         "parameter": n,
         "checks": checks,

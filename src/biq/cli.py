@@ -9,12 +9,14 @@ produce byte-identical reports.  Reports are written through a temporary
 file and renamed, never partially.
 
 Exit codes: 0 success (for `free`: the action is free), 1 a check failed
-(for `free`: not free), 2 input or usage error.
+(for `free`: not free), 2 input or usage error, an output path that
+cannot be written included.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -113,11 +115,16 @@ def _write_report(text: str, output: str | None):
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return
-    directory = os.path.dirname(os.path.abspath(output))
-    tmp = os.path.join(directory, f".{os.path.basename(output)}.tmp")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, output)
+    directory, name = os.path.split(os.path.abspath(output))
+    tmp = os.path.join(directory, f".{name}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, output)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise InputError(f"cannot write {output}: {exc}") from exc
 
 
 def _emit(report, args, csv_rows=None):

@@ -24,8 +24,7 @@ from .algebra import (AlgebraError, GroupElement, GroupFamily, Subspace, adjoint
 from .biquotient import (BiquotientAction, from_torus_weights, gromoll_meyer_action,
                          quotient_sectional, unit_tangent_flow_action)
 from .curvature import FLAT_THRESHOLD
-from .metric import (MetricOperator, bi_invariant_metric, build_metric,
-                     build_metric_from_subspaces)
+from .metric import MetricOperator, build_metric, build_metric_from_subspaces
 
 # pass thresholds of example 3: the least sampled curvature at the
 # identity, and the flat tolerance at the turned point (the other examples
@@ -213,7 +212,7 @@ def run_example3(seed=0, n_metrics=20, budget=10_000):
     rng = np.random.default_rng(seed)
     act = gromoll_meyer_action()
     best = detectors.numeric_flat_search(
-        act, identity(act.group), bi_invariant_metric(act.dec()), budget=budget, rng=rng)
+        act, identity(act.group), build_metric(act.dec()), budget=budget, rng=rng)
     result = run_trials(seed, _example3_trials(act, rng, n_metrics),
                         flat_tol=EXAMPLE3_FLAT_TOL)
     return {

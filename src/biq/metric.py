@@ -28,7 +28,6 @@ __all__ = [
     "MetricOperator",
     "build_metric",
     "build_metric_from_subspaces",
-    "bi_invariant_metric",
     "apply_P",
     "L_tensor",
 ]
@@ -100,10 +99,6 @@ def build_metric(dec: RootDecomposition, t_block=None, alphas=None) -> MetricOpe
         mat[s, s] = a * np.eye(2)
         inv[s, s] = (1.0 / a) * np.eye(2)
     return MetricOperator(dec, mat, inv)
-
-
-def bi_invariant_metric(dec: RootDecomposition) -> MetricOperator:
-    return build_metric(dec)
 
 
 def build_metric_from_subspaces(dec: RootDecomposition, blocks) -> MetricOperator:

@@ -1,15 +1,17 @@
 """Independent oracles used by the tests.
 
-The element checkers test the defining identities of algebra and group
-elements (skew-hermitian or real skew, traceless on su, quaternionic on
-sp, unitary, determinant one).  The curvature oracle evaluates
-<R(X,Y)Y, X> from the Levi-Civita connection assembled via the Koszul
-formula for left-invariant fields, which shares no code path with the
-production four-term expression.  The matrix oracles evaluate the
+The two action constructors give the trivial action and one acting by
+translations on a single side.  The element checkers test the defining
+identities of algebra and group elements (skew-hermitian or real skew,
+traceless on su, quaternionic on sp, unitary, determinant one).  The
+curvature oracle evaluates <R(X,Y)Y, X> from the Levi-Civita connection
+assembled via the Koszul formula for left-invariant fields, which shares
+no code path with the production four-term expression.  The matrix oracles evaluate the
 production formulas with matrix-model brackets instead of the
 structure-constant kernel.  The exact oracles are the earlier forms of
 the freeness checker (one full Smith form per symmetry, no pruning), of
-the Hermite form (sort-and-subtract column reduction), of the two-torus
+the Hermite form (sort-and-subtract column reduction), of lattice
+equivalence (one membership table over all maps), of the two-torus
 scan's pair classing (one Hermite form per pair, looked up among the reference's
 orbit of Hermite forms), of the Eschenburg and Bazaikin enumerations
 (a sweep of every raw tuple, deduplicated by canonical form), of the
@@ -32,10 +34,12 @@ from biq.algebra import (
     AlgebraElement,
     AlgebraError,
     GroupElement,
+    GroupFamily,
     Subspace,
     adjoint,
     bracket,
     inner_q,
+    zero,
 )
 from biq.biquotient import BiquotientAction, PlaneReport, PointFrame, quotient_sectional
 from biq.curvature import FLAT_THRESHOLD
@@ -65,12 +69,34 @@ from biq.freeness import (
 from biq.catalog import (
     BazaikinRecord,
     EschenburgRecord,
+    _annihilator,
+    _images_in,
     _weight_columns,
     bazaikin_canonical,
     eschenburg_canonical,
 )
 from biq.intlattice import hnf_columns, invariant_factors, kernel_generators, saturate_columns
 from biq.metric import L_tensor, MetricOperator, apply_P
+
+
+# ---------------------------------------------------------------------------
+# actions: U trivial, or acting on one side only
+# ---------------------------------------------------------------------------
+
+def trivial_action(fam: GroupFamily) -> BiquotientAction:
+    return BiquotientAction(group=fam, u_basis=())
+
+
+def one_sided_action(fam, generators, side: str = "right") -> BiquotientAction:
+    """U acting by left translations only or right translations only."""
+    z = zero(fam)
+    if side == "right":
+        pairs = tuple((z, x) for x in generators)
+    elif side == "left":
+        pairs = tuple((x, z) for x in generators)
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    return BiquotientAction(group=fam, u_basis=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +443,19 @@ def sort_subtract_hnf_columns(vectors):
             if q:
                 basis[j] = [x - q * y for x, y in zip(basis[j], col)]
     return tuple(tuple(c) for c in basis)
+
+
+def table_lattice_equivalent(w1: TorusActionWeights, w2: TorusActionWeights) -> bool:
+    """catalog.lattice_equivalent by the earlier membership table: one
+    (2, |W|, |W|, vectors) boolean array over every map, as the scan
+    builds it (catalog._images_in)."""
+    if w1.group != w2.group:
+        return False
+    annihilator = _annihilator(w1)
+    if annihilator.shape != _annihilator(w2).shape:
+        return False
+    member = _images_in(annihilator, np.array(_weight_columns(w2)), w1.group)
+    return bool(member.all(axis=0).any())
 
 
 def hnf_pair_flags(vecs, pairs, fam, reference: TorusActionWeights):

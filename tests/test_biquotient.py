@@ -14,7 +14,9 @@ from oracles import (
     check_algebra_element,
     matrix_quotient_sectional,
     matrix_z_squared,
+    one_sided_action,
     scipy_horizontal_coords,
+    trivial_action,
 )
 
 
@@ -56,7 +58,7 @@ class TestVerticalSpace:
     def test_one_sided_at_identity(self, rng):
         fam = al.su(3)
         gens = [al.random_algebra_element(fam, rng) for _ in range(2)]
-        act = bi.one_sided_action(fam, gens, side="left")
+        act = one_sided_action(fam, gens, side="left")
         v = vertical_span(act, al.identity(fam))
         assert v.dim == 2
         for x in gens:
@@ -85,13 +87,30 @@ class TestVerticalSpace:
             assert v.contains(e)
 
 
+def _flow_torus(n):
+    """The maximal torus of unit_tangent_flow_action(n): the diagonal
+    circle on the left, the block circles of SO(2n-1) on the right."""
+    return fr.TorusActionWeights(
+        al.so(2 * n + 1), n,
+        tuple((1,) + (0,) * (n - 1) for _ in range(n)),
+        tuple(tuple(int(j == i + 1) for j in range(n)) for i in range(n - 1)) + ((0,) * n,),
+        mode=fr.MOD_CENTER)
+
+
 class TestNamedActions:
-    @pytest.mark.parametrize("act", [bi.gromoll_meyer_action()]
-                             + [bi.unit_tangent_flow_action(n) for n in (2, 3, 4)],
-                             ids=["gromoll-meyer", "flow-S2", "flow-S3", "flow-S4"])
-    def test_torus_weights_are_free_in_the_recorded_mode(self, act):
-        # the exact checker reads the action's own torus and mode
-        assert fr.is_free_exact(act.torus_weights, act.mode).free
+    @pytest.mark.parametrize("act, torus", [
+        (bi.gromoll_meyer_action(),
+         fr.TorusActionWeights(al.sp(2), 1, ((1,), (1,)), ((1,), (0,)))),
+        *((bi.unit_tangent_flow_action(n), _flow_torus(n)) for n in (2, 3, 4)),
+    ], ids=["gromoll-meyer", "flow-S2", "flow-S3", "flow-S4"])
+    def test_maximal_torus_is_free(self, act, torus):
+        # the torus lies in U (its generator pairs add nothing to the span
+        # of u_basis) and the exact checker finds it free
+        dec = act.dec()
+        rows = [np.concatenate([dec.to_coords(xl), dec.to_coords(xr)])
+                for xl, xr in act.u_basis + bi.from_torus_weights(torus).u_basis]
+        assert np.linalg.matrix_rank(np.array(rows)) == act.dim_u
+        assert fr.is_free_exact(torus).free
 
 
 class TestHorizontalSpace:
@@ -114,7 +133,7 @@ class TestHorizontalSpace:
         # group's own values exactly
         fam = al.su(3)
         dec = al.root_decomposition(fam)
-        act = bi.trivial_action(fam)
+        act = trivial_action(fam)
         P = fx.random_torus_invariant_metric(dec, rng)
         g = al.random_group_element(fam, rng)
         frame = bi.PointFrame.at(act, g, P)
@@ -197,7 +216,7 @@ class TestZTerm:
         # two Cartan directions of su(3) with a one-sided root-vector circle
         fam = al.su(3)
         dec = al.root_decomposition(fam)
-        act = bi.one_sided_action(fam, [dec.roots[2].x], side="right")
+        act = one_sided_action(fam, [dec.roots[2].x], side="right")
         P = me.build_metric(dec)
         g = al.identity(fam)
         a = dec.cartan[0]
@@ -210,7 +229,7 @@ class TestZTerm:
         fam = al.su(3)
         dec = al.root_decomposition(fam)
         gens = [al.random_algebra_element(fam, rng) for _ in range(2)]
-        act = bi.one_sided_action(fam, gens, side="right")
+        act = one_sided_action(fam, gens, side="right")
         P = me.build_metric(dec)
         for _ in range(5):
             g = al.random_group_element(fam, rng)
@@ -294,7 +313,7 @@ class TestQuotientSectional:
         fam = al.su(3)
         dec = al.root_decomposition(fam)
         P = me.build_metric(dec)
-        act, g = bi.trivial_action(fam), al.identity(fam)
+        act, g = trivial_action(fam), al.identity(fam)
         e = np.eye(dec.dim)
         ca, cb = e[2], e[2] + t * e[3]
         _, _, ok = bi.PointFrame.at(act, g, P).orthonormal(ca[None], cb[None])
@@ -311,7 +330,7 @@ class TestQuotientSectional:
 
         fam = al.su(3)
         dec = al.root_decomposition(fam)
-        act = bi.trivial_action(fam)
+        act = trivial_action(fam)
         a_blk = rng.standard_normal((2, 2))
         P = me.build_metric(dec, a_blk @ a_blk.T + np.eye(2), [0.5, 1.5, 2.5])
         x = al.random_algebra_element(fam, rng)
@@ -346,7 +365,7 @@ class TestQuotientSectional:
         P = me.build_metric(dec)
         for side in ("left", "right"):
             gens = [al.random_algebra_element(fam, rng) for _ in range(2)]
-            act = bi.one_sided_action(fam, gens, side=side)
+            act = one_sided_action(fam, gens, side=side)
             g = al.random_group_element(fam, rng)
             frame = bi.PointFrame.at(act, g, P)
             hor = frame.horizontal()
@@ -449,12 +468,12 @@ class TestCoordinateKernel:
         if name == "flow-S3":
             act = bi.unit_tangent_flow_action(3)
         elif name == "trivial":
-            act = bi.trivial_action(al.su(3))
+            act = trivial_action(al.su(3))
         else:
             act, _ = _case(name, rng)
         dec = act.dec()
         g = al.random_group_element(act.group, rng)
-        frame = bi.PointFrame.at(act, g, me.bi_invariant_metric(dec))
+        frame = bi.PointFrame.at(act, g, me.build_metric(dec))
         ad_left = [dec.to_coords(al.adjoint(g.inverse(), xl)) for xl, _ in act.u_basis]
         right = [dec.to_coords(xr) for _, xr in act.u_basis]
         assert frame.ad_left.shape == frame.right.shape == (act.dim_u, dec.dim)

@@ -10,7 +10,12 @@ from biq import algebra as al
 from biq import catalog as ca
 from biq import freeness as fr
 from biq.intlattice import hnf_columns, saturate_columns
-from oracles import hnf_pair_flags, sweep_enumerate_bazaikin, sweep_enumerate_eschenburg
+from oracles import (
+    hnf_pair_flags,
+    sweep_enumerate_bazaikin,
+    sweep_enumerate_eschenburg,
+    table_lattice_equivalent,
+)
 
 #: an Sp(2) two-torus outside the normal form's class
 _OTHER_SP2 = fr.TorusActionWeights(al.sp(2), 2, ((1, 0), (0, 1)), ((0, 0), (1, 0)))
@@ -81,7 +86,7 @@ class TestSpin6Extra:
 
     def test_quotient_dimension(self):
         tor = ca.spin6_extra()
-        assert tor.group.dim - tor.weights.k == 15 - 3 == 12
+        assert tor.weights.group.dim - tor.weights.k == 15 - 3 == 12
 
     def test_inequivalent_to_other_forms(self):
         w3 = ca.spin6_extra().weights
@@ -112,8 +117,9 @@ class TestLatticeEquivalence:
         assert len(pairs) == 26 + len(forms)
         for i, j in pairs:
             same = keys[i] == keys[j]
-            assert ca.lattice_equivalent(forms[i], forms[j]) == same, (i, j)
-            assert ca.lattice_equivalent(forms[j], forms[i]) == same, (j, i)
+            for a, b in ((i, j), (j, i)):
+                assert ca.lattice_equivalent(forms[a], forms[b]) == same, (a, b)
+                assert table_lattice_equivalent(forms[a], forms[b]) == same, (a, b)
 
     @pytest.mark.parametrize("w1,w2,equivalent", [
         (ca.sp_tori(4, 1).weights, ca.sp_tori(4, 2).weights, False),
@@ -123,6 +129,22 @@ class TestLatticeEquivalence:
     ], ids=["Sp4-P1-P2", "SO8-P1-P2", "SU6-S11-S21", "SU6-S13-S23"])
     def test_verdicts_beyond_the_reach_of_keys(self, w1, w2, equivalent):
         # one canonical key alone takes seconds here (Sp(4): 294 912 images)
+        assert ca.lattice_equivalent(w1, w2) == equivalent
+        assert table_lattice_equivalent(w1, w2) == equivalent
+
+    @pytest.mark.parametrize("w1,w2,equivalent", [
+        (ca.su_tori(7, 1, 1).weights, ca.su_tori(7, 1, 2).weights, True),
+        (ca.sp_tori(5, 1).weights, ca.sp_tori(5, 2).weights, False),
+        (ca.p_torus_weights(5, 1, al.so(10)), ca.p_torus_weights(5, 2, al.so(10)), False),
+        (ca.su_tori(8, 1, 1).weights, ca.su_tori(8, 1, 2).weights, True),
+        (ca.su_tori(8, 4, 1).weights, ca.su_tori_rewritten(8, 1).weights, True),
+        (ca.sp_tori(6, 1).weights, ca.sp_tori(6, 2).weights, False),
+    ], ids=["SU7-S11-S21", "Sp5-P1-P2", "SO10-P1-P2", "SU8-S11-S21", "SU8-S14-rewritten",
+            "Sp6-P1-P2"])
+    def test_verdicts_beyond_the_reach_of_a_table(self, w1, w2, equivalent):
+        # the join keeps O(|W|) images (SU(8): 40 320 per side); a
+        # (|W|, |W|) membership table would take SU(7) 0.5 GB and SU(8)
+        # some 26 GB
         assert ca.lattice_equivalent(w1, w2) == equivalent
 
     def test_other_group_or_rank_is_never_equivalent(self):
@@ -143,8 +165,11 @@ class TestLatticeEquivalence:
 
 class TestTables:
     def test_row_counts(self):
-        assert len(ca.table_entries("A")) == 8
-        assert len(ca.table_entries("B")) == 9
+        # one list holds both tables; each letter picks its rows in order
+        for table, rows in (("A", range(1, 9)), ("B", range(9, 18))):
+            entries = ca.table_entries(table)
+            assert [e.row for e in entries] == list(rows)
+            assert {e.table for e in entries} == {table}
 
     def test_row8_contents(self):
         row = next(e for e in ca.table_entries("A") if e.row == 8)
@@ -235,7 +260,7 @@ class TestVerifyEntry:
         # a wrong factor in a row's builder moves dim U or rank U
         entry = _entry(row)
         inst = entry.instantiate(n)
-        assert inst.group.dim - sum(f.dim for f in inst.factors) == codim
+        assert inst.torus.group.dim - sum(f.dim for f in inst.factors) == codim
         assert sum(f.rank for f in inst.factors) == rank_u
         assert inst.quotient_dim == quotient_dim
         rep = ca.verify_entry(entry, n)
@@ -534,8 +559,9 @@ _UNIMODULAR = [
 
 def _transform(side, sym, basis):
     perm, signs = sym
+    k = len(basis)
     rows = [[signs[i] * x for x in side[perm[i]]] for i in range(len(side))]
-    return [[sum(r[t] * basis[t][j] for t in range(2)) for j in range(2)] for r in rows]
+    return [[sum(r[t] * basis[t][j] for t in range(k)) for j in range(k)] for r in rows]
 
 
 @st.composite
@@ -599,3 +625,58 @@ def test_annihilator_rules_equal_hermite_form_rules(fam, data):
     assert ca.lattice_equal(w, rebased)
     for x in (image, rebased, other):
         assert ca.lattice_equal(w, x) == (_saturated_hnf(w) == _saturated_hnf(x))
+
+
+def _join_forms():
+    """Normal forms through SU(5), Sp(4), SO(8), SO(9) and the third torus
+    on SO(6), by group."""
+    forms = [ca.su_tori(n, l, v).weights
+             for n in (4, 5) for l in range(1, n // 2 + 1) for v in (1, 2)]
+    forms += [ca.su_tori_rewritten(4, v).weights for v in (1, 2)]
+    forms += [ca.sp_tori(n, v).weights for n in (3, 4) for v in (1, 2)]
+    forms += [ca.p_torus_weights(g.rank, v, g)
+              for g in (al.so(6), al.so(8), al.so(9)) for v in (1, 2)]
+    forms.append(ca.spin6_extra().weights)
+    by_group = {}
+    for w in forms:
+        by_group.setdefault(w.group, []).append(w)
+    return list(by_group.values())
+
+
+_JOIN_FORMS = _join_forms()
+
+
+@st.composite
+def _unimodular(draw, k):
+    """A k x k integer matrix of determinant +-1: a few column operations
+    (add a multiple of one column to another, negate one) on the identity."""
+    basis = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        c = draw(st.integers(-2, 2))
+        for row in basis:
+            if a == b:
+                row[a] = -row[a]
+            else:
+                row[b] += c * row[a]
+    return basis
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_join_equals_table_on_images_of_normal_forms(data):
+    # an image (one signed permutation per side, the side swap half the
+    # time, a unimodular change of torus basis) is equivalent to its form;
+    # against any form of its group the join gives the table's verdict
+    forms = data.draw(st.sampled_from(_JOIN_FORMS))
+    w, other = data.draw(st.sampled_from(forms)), data.draw(st.sampled_from(forms))
+    sym = list(fr.conjugacy_symmetries(w.group, len(w.w_left)))
+    basis = data.draw(_unimodular(w.k))
+    left = _transform(w.w_left, data.draw(st.sampled_from(sym)), basis)
+    right = _transform(w.w_right, data.draw(st.sampled_from(sym)), basis)
+    if data.draw(st.booleans()):
+        left, right = right, left
+    image = fr.TorusActionWeights(w.group, w.k, left, right, mode=w.mode)
+    assert ca.lattice_equivalent(w, image) and ca.lattice_equivalent(image, w)
+    assert table_lattice_equivalent(w, image)
+    assert ca.lattice_equivalent(image, other) == table_lattice_equivalent(image, other)

@@ -88,6 +88,15 @@ class TestFree:
     def test_missing_file_exits_two(self):
         assert cli.main(["free", "/nonexistent/weights.json"]) == 2
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "existing"],
+                             ids=["missing-directory", "existing-directory"])
+    def test_unwritable_output_exits_two_and_leaves_no_temporary(
+            self, thm2_file, tmp_path, target, capsys):
+        (tmp_path / "existing").mkdir()
+        assert cli.main(["free", thm2_file, "-o", str(tmp_path / target)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
     def test_file_mode_is_honoured_unless_overridden(self, tmp_path):
         # (z^-2, z^-2) against (z^-2, 1) on Sp(2): t = 1/2 maps to the
         # central identity on both sides, so the circle is free only mod center

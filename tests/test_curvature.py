@@ -7,7 +7,7 @@ from biq import algebra as al
 from biq import biquotient as bi
 from biq import curvature as cu
 from biq import metric as me
-from oracles import koszul_numerator, matrix_b_tensor, matrix_numerator
+from oracles import koszul_numerator, matrix_b_tensor, matrix_numerator, trivial_action
 
 
 def random_invariant_metric(dec, rng):
@@ -195,7 +195,7 @@ class TestSectional:
         P = me.build_metric(al.root_decomposition(fam))
         x = al.random_algebra_element(fam, rng)
         with pytest.raises(cu.DegeneratePlaneError):
-            bi.quotient_sectional(bi.trivial_action(fam), al.identity(fam), P, x, 2.0 * x)
+            bi.quotient_sectional(trivial_action(fam), al.identity(fam), P, x, 2.0 * x)
 
     @pytest.mark.parametrize("j, expected", [(3, 1.0), (4, 0.25)])
     def test_degeneracy_is_scale_free(self, j, expected):
@@ -204,7 +204,7 @@ class TestSectional:
         fam = al.su(3)
         dec = al.root_decomposition(fam)
         P = me.build_metric(dec)
-        act, g = bi.trivial_action(fam), al.identity(fam)
+        act, g = trivial_action(fam), al.identity(fam)
         x, y = (dec.from_coords(row) for row in np.eye(dec.dim)[[2, j]])
         for a, b in ((1e-7 * x, y), (x, 1e-7 * y)):
             rep = bi.quotient_sectional(act, g, P, a, b)

@@ -19,7 +19,9 @@ from oracles import (
     matrix_check_N3,
     matrix_quotient_sectional,
     nelder_mead_flat_search,
+    one_sided_action,
     scipy_lbfgsb_polish,
+    trivial_action,
 )
 
 
@@ -34,7 +36,7 @@ class TestCheckN1:
         a_sub = al.Subspace.from_elements(
             dec, [dec.roots[i01].x, dec.roots[i23].x], "commuting"
         )
-        act = bi.trivial_action(fam)
+        act = trivial_action(fam)
         P = me.build_metric(dec, alphas=rng.uniform(0.5, 2, size=len(dec.roots)))
         g = al.identity(fam)
         cert = de.check_N1(P, a_sub, act, g)
@@ -46,7 +48,7 @@ class TestCheckN1:
         # the identity, so no horizontal pair exists inside it
         fam = al.su(3)
         dec = al.root_decomposition(fam)
-        act = bi.one_sided_action(fam, list(dec.cartan), side="left")
+        act = one_sided_action(fam, list(dec.cartan), side="left")
         P = me.build_metric(dec)
         diag = {}
         cert = de.check_N1(P, al.cartan_subspace(dec), act, al.identity(fam), diagnostics=diag)
@@ -57,7 +59,7 @@ class TestCheckN1:
         fam = al.su(3)
         dec = al.root_decomposition(fam)
         sub = al.root_subspace(dec, 0)  # [X, Y] lands in the Cartan algebra
-        act = bi.trivial_action(fam)
+        act = trivial_action(fam)
         P = me.build_metric(dec)
         diag = {}
         cert = de.check_N1(P, sub, act, al.identity(fam), diagnostics=diag)
@@ -147,7 +149,7 @@ class TestCheckN2:
         fam = al.su(3)
         dec = al.root_decomposition(fam)
         sub = al.root_subspace(dec, 0)
-        act = bi.trivial_action(fam)
+        act = trivial_action(fam)
         P = me.build_metric(dec)
         diag = {}
         cert = de.check_N2(P, sub, sub, act, al.identity(fam), rng=rng, diagnostics=diag)
@@ -179,7 +181,7 @@ class TestCheckN3:
         mixed = al.Subspace.from_elements(
             dec, [dec.roots[0].x + dec.roots[1].x], "mixed"
         )
-        act = bi.trivial_action(fam)
+        act = trivial_action(fam)
         diag = {}
         assert de.check_N3(P, al.cartan_subspace(dec), mixed, act, al.identity(fam),
                            diagnostics=diag) is None
@@ -326,7 +328,7 @@ class TestNumericFlatSearch:
 
     def test_trivial_action_finds_cartan_plane(self, rng):
         fam = al.su(3)
-        act = bi.trivial_action(fam)
+        act = trivial_action(fam)
         P = me.build_metric(al.root_decomposition(fam))
         best = de.numeric_flat_search(act, al.identity(fam), P, budget=4000, rng=rng)
         assert best.sec_quotient < 1e-8
@@ -517,7 +519,7 @@ class TestRunTrials:
     @pytest.mark.parametrize("kind", ["hypothesis", "search"])
     def test_no_certificate_stops_with_the_criterion_reason(self, kind):
         fam, dec, P, g = self._setup()
-        free = bi.trivial_action(fam)
+        free = trivial_action(fam)
         # the Cartan algebra is abelian and P-invariant: flat under a trivial
         # action, vertical under the full left torus
         flat = (free, g, P, lambda diag: de.check_N1(
@@ -525,7 +527,7 @@ class TestRunTrials:
         if kind == "hypothesis":  # a root space is not abelian
             act, sub = free, al.root_subspace(dec, 0)
         else:
-            act = bi.one_sided_action(fam, list(dec.cartan), side="left")
+            act = one_sided_action(fam, list(dec.cartan), side="left")
             sub = al.cartan_subspace(dec)
         failing = (act, g, P, lambda diag: de.check_N1(P, sub, act, g, diagnostics=diag))
         drawn = []
@@ -544,7 +546,7 @@ class TestRunTrials:
 
     def test_certificate_above_flat_tol_fails(self):
         fam, dec, P, g = self._setup()
-        act = bi.trivial_action(fam)
+        act = trivial_action(fam)
         # a root vector against the Cartan algebra does not commute, so
         # the plane is curved (sec = |[x, y]|^2 / 4 > 0)
         x, y = dec.roots[0].x, dec.cartan[0]
@@ -629,7 +631,7 @@ class TestCriteriaMatchMatrixReference:
     def test_hypothesis_failures(self, rng):
         fam = al.su(3)
         dec = al.root_decomposition(fam)
-        act = bi.trivial_action(fam)
+        act = trivial_action(fam)
         g = al.identity(fam)
         P = me.build_metric(dec, alphas=[1.0, 2.0, 3.0])
         root0 = al.root_subspace(dec, 0)
