@@ -63,7 +63,6 @@ from .freeness import (
     STRICT,
     TorusActionWeights,
     bazaikin_free,
-    conjugacy_symmetries,
     eschenburg_free,
     eschenburg_positive_flag,
     is_free_exact,
@@ -246,10 +245,24 @@ def _annihilator(w: TorusActionWeights) -> np.ndarray:
     return np.array(smith_kernel(cols)[2], dtype=np.int64).reshape(-1, len(cols[0]))
 
 
+@functools.lru_cache(maxsize=None)
 def _side_symmetries(fam: GroupFamily, n: int):
-    """The family's eigenvalue symmetries of one side, as (index, sign)
-    arrays of shape (|W|, n): image[s, c] = sign[s, c] * v[index[s, c]]."""
-    return tuple(map(np.array, zip(*conjugacy_symmetries(fam, n))))
+    """The family's eigenvalue symmetries of one side, as read-only (index,
+    sign) arrays of shape (|W|, n), in the order of conjugacy_symmetries:
+    image[s, c] = sign[s, c] * v[index[s, c]].  The permutations of
+    range(m), lexicographic, are each first entry f followed by those of
+    range(m - 1) with the entries from f up raised by one; the sign
+    patterns count in binary, a set bit for -1."""
+    index = np.zeros((1, 0), dtype=np.int64)
+    for m in range(1, n + 1):
+        index = np.concatenate([np.column_stack([np.full(len(index), f), index + (index >= f)])
+                                for f in range(m)])
+    sign = np.ones_like(index)
+    if fam.name not in ("SU", "U"):
+        bits = np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+        index, sign = np.repeat(index, len(bits), axis=0), np.tile(1 - 2 * bits, (len(index), 1))
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
 
 
 def _side_images(vecs: np.ndarray, fam: GroupFamily):

@@ -47,6 +47,22 @@ argument the least symmetry with a given leaf lattice is walked, so the
 leaf lattices met up to the first failure, and their Smith forms, are the
 same: of the stats, only the leaf and merge counts change.
 
+A room rule stops the prefixes that the twin rules cannot complete.  If
+row j of W_L has r later twins, they take r distinct right rows above
+perm[j], none used by the prefix, so the walk tries p for row j only if
+at least r unused right rows lie above p.  Every prefix of a twin-ordered
+symmetry passes, so no walked leaf lies under a stopped prefix, and the
+first failing symmetry and the least symmetry of each leaf lattice are
+walked as before.  Stopping a prefix only keeps its states out of the
+merge set.  A merged prefix still has an earlier walked one with its
+state, so the merge stays exact; a prefix that merged against a stopped
+one is walked instead.  The verdict, witness, note and Smith forms stay
+the same, and the leaf and merge counts can move either way.  The rule is
+necessary, not sufficient: a prefix that passes it can still lack a
+completion, where two twin classes of W_L compete for the same right rows
+or where the right rows left above p wait for an earlier right twin; the
+twin rules then end it at a later row.
+
 "free modulo the center" additionally accepts kernel elements t whose
 images satisfy u_L(t) = u_R(t) = a central scalar of G.  All arithmetic is
 on arbitrary-precision integers; floating point never decides a verdict.
@@ -274,12 +290,13 @@ class _Walk:
         # row_of[j, p, s]: row j of D_sigma for perm[j] = p, s_j = s; seen: state keys
         self.row_of, self.seen = {}, set()
         # twin rows: left_prev[j] is the last earlier row of W_L equal to
-        # row j (or -1), right_before[p] the mask of earlier rows of W_R
-        # equal to row p
+        # row j (or -1), left_later[j] the number of later rows equal to it,
+        # right_before[p] the mask of earlier rows of W_R equal to row p
         self.left_prev, last = [], {}
         for j, row in enumerate(w.w_left):
             self.left_prev.append(last.get(row, -1))
             last[row] = j
+        self.left_later = [w.w_left[j + 1:].count(row) for j, row in enumerate(w.w_left)]
         self.right_before, before = [], {}
         for p, row in enumerate(w.w_right):
             self.right_before.append(before.get(row, 0))
@@ -318,10 +335,12 @@ class _Walk:
                 yield perm, signs, [list(self.row_of[i, p, s])
                                     for i, (p, s) in enumerate(zip(perm, signs))]
             return
-        i = self.left_prev[j]
-        right_before = self.right_before
+        i, room = self.left_prev[j], self.left_later[j]
+        right_before, unused = self.right_before, ((1 << self.rows) - 1) ^ mask
         for p in range(perm[i] + 1 if i >= 0 else 0, self.rows):
-            if not mask >> p & 1 and right_before[p] & mask == right_before[p]:
+            if (unused >> p + 1).bit_count() < room:
+                break  # too few right rows above p for row j's later twins
+            if unused >> p & 1 and right_before[p] & mask == right_before[p]:
                 child = _Replay(self.extend(live, j, p, mask | 1 << p))
                 if not child.empty():
                     yield from self.walk(perm + (p,), mask | 1 << p, child)
@@ -340,12 +359,17 @@ def _unpruned_symmetries(w: TorusActionWeights, stats: dict, merge_leaves: bool)
     rows i < j) or of W_R (p placed before p' for equal rows p < p'),
     only the first is walked: both swaps keep D_sigma's lattice, and the
     first failing symmetry is the first of its class, so it and its
-    witness are kept.  A node is a permutation prefix with the
-    live sign prefixes under it, each with the echelon basis of its rows;
-    a sign prefix whose rows span Z^k is pruned, and so is a permutation
-    prefix with no live sign prefix.  Sign prefixes are extended lazily in
-    lexicographic order (+1 first) and replayed for every permutation
-    sharing the prefix, so the first symmetry costs one insertion per row.
+    witness are kept.  Row j is given the right row p only if its later
+    twins in W_L, which need distinct unused right rows above p, have room
+    there: a prefix that breaks this has no twin-ordered completion, so no
+    walked leaf lies under it, and skipping it only keeps its states out
+    of the merge set (only the leaf and merge counts move).  A node is a
+    permutation prefix with the live sign prefixes under it, each with the
+    echelon basis of its rows; a sign prefix whose rows span Z^k is
+    pruned, and so is a permutation prefix with no live sign prefix.  Sign
+    prefixes are extended lazily in lexicographic order (+1 first) and
+    replayed for every permutation sharing the prefix, so the first
+    symmetry costs one insertion per row.
     On SO(2n) the last sign is fixed by the parity of the others.
     Leaf states are keyed only with merge_leaves (mod-center mode, where a
     passing leaf lattice can recur).  Sets stats["symmetries"] to |W| and
@@ -440,8 +464,11 @@ def is_free_bruteforce(
     Eigenvalue multisets are compared exactly (the exponents are rational),
     with the family's +- pairing for Sp and SO and, for SO(2n), the even
     sign-flip rule of its Weyl group.  A clean run proves nothing beyond
-    the stated order; it only fails to falsify.
+    the stated order; it only fails to falsify.  A max_order below 1
+    raises ValueError.
     """
+    if max_order < 1:
+        raise ValueError(f"the oracle's max order must be at least 1, not {max_order}")
     mode = _normalize_mode(mode or w.mode)
     fam = w.group
     for m in range(1, max_order + 1):

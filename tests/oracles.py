@@ -17,9 +17,10 @@ orbit of Hermite forms), of the Eschenburg and Bazaikin enumerations
 (a sweep of every raw tuple, deduplicated by canonical form), of the
 numeric flat-plane search (random phase plus Nelder-Mead descents) and of
 the flat-plane criteria N1/N2/N3 (matrix brackets per candidate).  The
-scipy oracles are the earlier forms of the exponential (Pade scaling and
-squaring), of the orthonormal span, of the horizontal null space and of
-the flat-search polish (L-BFGS-B).
+twin-ordered permutations, which bound the exact walk, come from a filter
+over every permutation.  The scipy oracles are the earlier forms of the
+exponential (Pade scaling and squaring), of the orthonormal span, of the
+horizontal null space and of the flat-search polish (L-BFGS-B).
 """
 
 import itertools
@@ -338,6 +339,24 @@ def _odd_sigma_offender(w: TorusActionWeights, d_matrix, mode: str):
                 if mode == STRICT or not _central_pair(w, aj, bj, order):
                     return tuple((m * c) % order for c in col), order, "circle"
     return None
+
+
+def twin_ordered_perms(w: TorusActionWeights) -> np.ndarray:
+    """The permutations of the twin-ordered symmetries, one per row, in
+    lexicographic order: perm[i] < perm[j] for equal rows i < j of W_L, and
+    p placed at an earlier row than p' for equal rows p < p' of W_R.  The
+    rules do not touch the signs, so each of these permutations with every
+    sign pattern of the family (even ones on SO(2n)) is a twin-ordered
+    symmetry.  Filters every permutation."""
+    rows = w.n_rows
+    perms = np.array(list(itertools.permutations(range(rows))), dtype=np.int8).reshape(-1, rows)
+    place = np.argsort(perms, axis=1)  # place[:, p]: the row that takes p
+    keep = np.ones(len(perms), dtype=bool)
+    for side, order in ((w.w_left, perms), (w.w_right, place)):
+        for a, b in itertools.combinations(range(rows), 2):
+            if side[a] == side[b]:
+                keep &= order[:, a] < order[:, b]
+    return perms[keep]
 
 
 def leafwise_is_free_exact(w: TorusActionWeights, mode: str | None = None) -> FreenessVerdict:

@@ -108,6 +108,21 @@ def _normal_forms():
                     ca.corollary_sp2_weights()]
 
 
+@pytest.mark.parametrize("fam", [
+    *(al.su(n) for n in range(3, 7)), *(al.sp(n) for n in range(2, 5)),
+    *(al.so(m) for m in range(5, 9)),
+], ids=str)
+def test_side_symmetries_are_the_conjugacy_symmetries_in_order(fam):
+    n = fam.rank if fam.name == "SO" else fam.n
+    index, sign = ca._side_symmetries(fam, n)
+    perms, signs = zip(*fr.conjugacy_symmetries(fam, n))
+    assert index.tolist() == [list(p) for p in perms]
+    assert sign.tolist() == [list(s) for s in signs]
+    # the arrays are cached per group, so no caller may write to them
+    assert not index.flags.writeable and not sign.flags.writeable
+    assert ca._side_symmetries(fam, n)[0] is index
+
+
 class TestLatticeEquivalence:
     def test_annihilator_rule_equals_key_equality_on_normal_forms(self):
         forms = _normal_forms()

@@ -85,6 +85,15 @@ class TestFree:
         assert cli.main(["free", thm2_file, "--format", fmt]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_negative_oracle_order_exits_two(self, thm2_file, tmp_path, capsys):
+        # --oracle 0 is off; a negative order is a usage error, not a clean run
+        out = tmp_path / "report.json"
+        assert cli.main(["free", thm2_file, "--oracle", "-3", "-o", str(out)]) == 2
+        assert "max order" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["free", thm2_file, "--oracle", "0", "-o", str(out)]) == 0
+        assert "oracle" not in json.loads(out.read_text())
+
     def test_missing_file_exits_two(self):
         assert cli.main(["free", "/nonexistent/weights.json"]) == 2
 

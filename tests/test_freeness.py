@@ -23,6 +23,7 @@ from biq.intlattice import (
 from oracles import (
     leafwise_is_free_exact,
     sort_subtract_hnf_columns,
+    twin_ordered_perms,
     witness_conjugate,
 )
 
@@ -281,21 +282,30 @@ _FAMILIES = (al.su(3), al.su(4), al.su(5), al.u(2), al.u(3), al.sp(2), al.sp(3),
 def _tori(draw, families=_FAMILIES, twins=False):
     """A k-torus, k = 1..rank, on one of `families` with entries in [-3, 3]
     (on SU the last right row is forced by the equal column sums), in
-    either mode.  With `twins`, each row of either side is a copy of an
-    earlier row of that side with probability 2/5."""
+    either mode.  With `twins`, each side gets two twin classes, planted
+    as two pairs of equal rows at random places (one pair where the side
+    has fewer than four free rows), and every other row is a copy of
+    another row of that side with probability 2/5."""
     fam = draw(st.sampled_from(families))
     rows = fam.rank if fam.name == "SO" else fam.n
     k = draw(st.integers(1, fam.n if fam.name == "U" else fam.rank))
     row = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
 
-    def block():
-        out = []
-        for i in range(rows):
-            twin = twins and i > 0 and draw(st.integers(0, 4)) < 2
-            out.append(list(out[draw(st.integers(0, i - 1))]) if twin else draw(row))
+    def block(free):
+        out = [draw(row) for _ in range(rows)]
+        if not twins:
+            return out
+        order = draw(st.permutations(range(free)))
+        pairs = min(2, free // 2)
+        for a, b in zip(order[:2 * pairs:2], order[1:2 * pairs:2]):
+            out[b] = list(out[a])
+        assume(len({tuple(out[a]) for a in order[:2 * pairs:2]}) == pairs)
+        for i in order[2 * pairs:]:
+            if draw(st.integers(0, 4)) < 2:
+                out[i] = list(out[draw(st.integers(0, rows - 1))])
         return out
 
-    wl, wr = block(), block()
+    wl, wr = block(rows), block(rows - (fam.name == "SU"))
     if fam.name == "SU":
         wr[-1] = [sum(r[j] for r in wl) - sum(r[j] for r in wr[:-1]) for j in range(k)]
     mode = draw(st.sampled_from((fr.STRICT, fr.MOD_CENTER)))
@@ -415,7 +425,7 @@ def test_walk_replays_signs_in_symmetry_order(w):
 @pytest.mark.parametrize("w, merged", [
     (ca.spin6_extra().weights, 3),
     (ca.sp_tori(6, 1).weights, 14),
-    (ca.su_tori(7, 1, 1).weights, 106),
+    (ca.su_tori(7, 3, 1).weights, 9),
 ], ids=["spin6-extra", "sp6-normal-form", "su7-normal-form"])
 def test_prefix_states_merge_under_the_twin_rules(w, merged):
     # the twin rules leave one symmetry per class of row swaps, but prefixes
@@ -423,6 +433,29 @@ def test_prefix_states_merge_under_the_twin_rules(w, merged):
     stats = {"leaves_examined": 0, "merged": 0}
     list(fr._unpruned_symmetries(w, stats, True))
     assert stats["merged"] == merged
+
+
+def test_every_walked_prefix_has_a_twin_ordered_completion(monkeypatch):
+    # the room rule stops a prefix once too few right rows are left above
+    # a row's value for its later twins; on the catalog normal forms no
+    # walked prefix is left that the twin rules cannot complete
+    walked, walk = [], fr._Walk.walk
+
+    def recording(self, perm, mask, live):
+        walked.append(perm)
+        return walk(self, perm, mask, live)
+
+    monkeypatch.setattr(fr._Walk, "walk", recording)
+    forms = [ca.su_tori(n, l, v).weights
+             for n in range(3, 9) for l in range(1, n // 2 + 1) for v in (1, 2)]
+    forms += [ca.sp_tori(n, v).weights for n in range(2, 7) for v in (1, 2)]
+    forms += [ca.p_torus_weights(n, v, al.so(2 * n)) for n in range(3, 9) for v in (1, 2)]
+    for w in forms + [ca.spin6_extra().weights]:
+        walked.clear()
+        assert fr.is_free_exact(w).free
+        prefixes = {tuple(perm[:j]) for perm in twin_ordered_perms(w).tolist()
+                    for j in range(w.n_rows + 1)}
+        assert walked and set(walked) <= prefixes, w
 
 
 class TestIsFreeExact:
@@ -505,8 +538,8 @@ class TestIsFreeExact:
     def test_equal_prefix_states_are_walked_once(self):
         sp5 = fr.is_free_exact(ca.sp_tori(5, 1).weights)
         assert sp5.free and sp5.stats["leaves_examined"] < 1000  # of 3 840
-        su7 = fr.is_free_exact(ca.su_tori(7, 1, 1).weights)
-        assert su7.free and su7.stats["merged"] > 0
+        su8 = fr.is_free_exact(ca.su_tori(8, 4, 1).weights)
+        assert su8.free and su8.stats["merged"] == 25
 
     @pytest.mark.parametrize("w", [
         ca.su_tori(7, 1, 1).weights,
@@ -627,6 +660,12 @@ class TestBruteforce:
     def test_order_one_checks_nothing(self):
         w = circle(al.su(3), (1, 1, 1), (1, 1, 1))
         assert fr.is_free_bruteforce(w, 1).free
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_order_below_one_is_rejected(self, order):
+        w = circle(al.su(3), (1, 1, 1), (1, 1, 1))
+        with pytest.raises(ValueError, match="at least 1"):
+            fr.is_free_bruteforce(w, order)
 
     def test_so_even_odd_flip_without_real_eigenvalue_is_no_violation(self):
         # at t = 1/5 the angles (2/5, 2/5) and (2/5, 3/5) agree up to one
