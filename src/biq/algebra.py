@@ -319,24 +319,14 @@ class RootDecomposition:
 
     def to_coords(self, x: AlgebraElement) -> np.ndarray:
         """Coordinates of x in the Q-orthonormal basis."""
-        m = np.asarray(x.mat)
-        flat = np.concatenate([m.real.ravel(), m.imag.ravel()])
-        return 0.5 * (self._basis_flat @ flat)
+        return self.coords_rows(x.mat)
 
     def from_coords(self, c) -> AlgebraElement:
-        c = np.asarray(c, dtype=float)
-        flat = c @ self._basis_flat
-        n2 = self.family.matrix_size ** 2
-        size = self.family.matrix_size
-        mat = flat[:n2].reshape(size, size) + 1j * flat[n2:].reshape(size, size)
-        return AlgebraElement(self.family, mat)
+        return AlgebraElement(self.family, self.matrices(c))
 
     def coords_rows(self, mats) -> np.ndarray:
         """to_coords along the leading axes of a (..., s, s) matrix stack."""
-        m = np.asarray(mats)
-        shape = m.shape[:-2] + (m.shape[-1] * m.shape[-2],)
-        flat = np.concatenate([m.real.reshape(shape), m.imag.reshape(shape)], axis=-1)
-        return 0.5 * (flat @ self._basis_flat.T)
+        return 0.5 * (_real_rows(mats) @ self._basis_flat.T)
 
     def matrices(self, rows) -> np.ndarray:
         """from_coords along the leading axes of (..., d) coordinate rows,
@@ -368,12 +358,12 @@ class RootDecomposition:
         return _structure_constants_cached(self.family.name, self.family.n)
 
 
-def _flatten_basis(elements, size) -> np.ndarray:
-    rows = []
-    for e in elements:
-        m = np.asarray(e.mat)
-        rows.append(np.concatenate([m.real.ravel(), m.imag.ravel()]))
-    return np.asarray(rows)
+def _real_rows(mats) -> np.ndarray:
+    """A (..., s, s) complex matrix stack as (..., 2 s^2) real rows: the
+    real parts of each whole matrix, then its imaginary parts."""
+    m = np.asarray(mats)
+    shape = m.shape[:-2] + (m.shape[-1] * m.shape[-2],)
+    return np.concatenate([m.real.reshape(shape), m.imag.reshape(shape)], axis=-1)
 
 
 def skew_unit(size, i, j) -> np.ndarray:
@@ -496,8 +486,8 @@ def _root_decomposition_cached(name: str, n: int) -> RootDecomposition:
         family=fam,
         cartan=tuple(cartan),
         roots=tuple(roots),
-        _basis_flat=_flatten_basis(
-            list(cartan) + [e for r in roots for e in (r.x, r.y)], size
+        _basis_flat=_real_rows(
+            [e.mat for e in cartan + [e for r in roots for e in (r.x, r.y)]]
         ),
     )
     assert dec.dim == fam.dim, f"dimension mismatch for {fam}"
@@ -512,12 +502,10 @@ def root_decomposition(family: GroupFamily) -> RootDecomposition:
 @lru_cache(maxsize=None)
 def _structure_constants_cached(name: str, n: int) -> np.ndarray:
     dec = _root_decomposition_cached(name, n)
-    size = dec.family.matrix_size
     mats = np.array([e.mat for e in dec.basis])
     prod = np.einsum("iab,jbc->ijac", mats, mats)
-    brackets = (prod - prod.transpose(1, 0, 2, 3)).reshape(dec.dim * dec.dim, size * size)
-    flat = np.concatenate([brackets.real, brackets.imag], axis=1)
-    c = (0.5 * (flat @ dec._basis_flat.T)).reshape(dec.dim, dec.dim * dec.dim)
+    brackets = (prod - prod.transpose(1, 0, 2, 3)).reshape(-1, *mats.shape[1:])
+    c = dec.coords_rows(brackets).reshape(dec.dim, dec.dim * dec.dim)
     c.setflags(write=False)
     return c
 

@@ -127,8 +127,7 @@ def su_tori(n: int, l: int, variant: int) -> TorusNormalForm:
             wr[n - 1][j] = -1  # z \bar w_l ... \bar w_{n-2}
     else:
         raise ValueError("variant must be 1 or 2")
-    w = TorusActionWeights(su(n), k, tuple(map(tuple, wl)), tuple(map(tuple, wr)),
-                           mode=MOD_CENTER)
+    w = TorusActionWeights(su(n), k, wl, wr, mode=MOD_CENTER)
     return TorusNormalForm(f"S{variant}l", w)
 
 
@@ -171,8 +170,7 @@ def su_tori_rewritten(n: int, variant: int) -> TorusNormalForm:
             wr[n - 1][j] = -1
     else:
         raise ValueError("variant must be 1 or 2")
-    w = TorusActionWeights(su(n), k, tuple(map(tuple, wl)), tuple(map(tuple, wr)),
-                           mode=MOD_CENTER)
+    w = TorusActionWeights(su(n), k, wl, wr, mode=MOD_CENTER)
     return TorusNormalForm(f"S{variant}l-rewritten", w)
 
 
@@ -197,8 +195,7 @@ def p_torus_weights(n: int, variant: int, family: GroupFamily) -> TorusActionWei
             wr[i][i + 1] = 1  # diag(w_1, ..., w_{n-1}, 1)
     else:
         raise ValueError("variant must be 1 or 2")
-    return TorusActionWeights(family, k, tuple(map(tuple, wl)),
-                              tuple(map(tuple, wr)), mode=MOD_CENTER)
+    return TorusActionWeights(family, k, wl, wr, mode=MOD_CENTER)
 
 
 def sp_tori(n: int, variant: int) -> TorusNormalForm:

@@ -173,21 +173,20 @@ def _witness_dict(witness):
 
 def cmd_free(args) -> int:
     weights = load_weights(args.weights)
-    mode = args.mode or weights.mode
-    verdict = is_free_exact(weights, mode)
+    verdict = is_free_exact(weights, args.mode)
     report = {
         "config": _header(args),
         "command": "free",
         "group": str(weights.group),
         "k": weights.k,
-        "mode": mode,
+        "mode": verdict.mode,
         "free": verdict.free,
         "witness": _witness_dict(verdict.witness),
         "note": verdict.note,
         "stats": verdict.stats,
     }
     if args.oracle:
-        oracle = is_free_bruteforce(weights, args.oracle, mode)
+        oracle = is_free_bruteforce(weights, args.oracle, verdict.mode)
         report["oracle"] = {
             "max_order": args.oracle,
             "violation_found": not oracle.free,

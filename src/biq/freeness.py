@@ -152,14 +152,19 @@ class TorusActionWeights:
         return fam.rank if fam.name == "SO" else fam.n
 
     def left_exponents(self, col):
-        return tuple(sum(r[j] * col[j] for j in range(self.k)) for r in self.w_left)
+        return _exponents(self.w_left, col)
 
     def right_exponents(self, col):
-        return tuple(sum(r[j] * col[j] for j in range(self.k)) for r in self.w_right)
+        return _exponents(self.w_right, col)
 
 
 def _as_int_rows(w):
     return tuple(tuple(int(x) for x in row) for row in w)
+
+
+def _exponents(w, col):
+    """The exponents W @ col of one side's image of the torus element col."""
+    return tuple(sum(x * c for x, c in zip(row, col)) for row in w)
 
 
 @dataclass(frozen=True)

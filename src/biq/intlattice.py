@@ -7,7 +7,8 @@ insertions that decide whether rows span Z^k) and the catalog's
 lattice-equivalence tests, where floating point cannot certify gcd = 1.
 Every Hermite form and integer rank comes from one kernel, echelon_insert
 (an extended-gcd row insertion) followed by echelon_hermite.  The Smith
-form gives invariant factors and integer kernels (smith_kernel).  A
+form gives invariant factors and integer kernels (smith_kernel); it
+keeps only its column transform, since no caller reads the row one.  A
 saturated lattice is held by its annihilator, the integer kernel of the
 matrix with its generators as rows: an integer v lies in the lattice's
 primitive closure iff the annihilator kills v, and saturate_columns reads
@@ -22,42 +23,17 @@ def _identity(n):
 
 
 def smith_normal_form(mat):
-    """Smith normal form with transforms.
+    """Smith normal form with its column transform.
 
-    Returns (d, left, right) where diag(d) = left @ mat @ right,
-    left and right are unimodular, and d[0] | d[1] | ... are the
-    nonnegative invariant factors (padded with zeros up to min(m, k)).
+    Returns (d, right) where left @ mat @ right = diag(d) for a unimodular
+    left that is never built (row operations act on mat alone), right is
+    unimodular, and d[0] | d[1] | ... are the nonnegative invariant
+    factors (padded with zeros up to min(m, k)).
     """
     a = [[int(x) for x in row] for row in mat]
     m = len(a)
     k = len(a[0]) if m else 0
-    left = _identity(m)
     right = _identity(k)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + c * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(dst, src, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in right:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
     s = 0
     while s < min(m, k):
         # pivot: first nonzero entry of least magnitude in the trailing
@@ -77,22 +53,24 @@ def smith_normal_form(mat):
                 break
         if piv is None:
             break
-        if piv[0] != s:
-            swap_rows(s, piv[0])
-        if piv[1] != s:
-            swap_cols(s, piv[1])
+        i, j = piv
+        a[s], a[i] = a[i], a[s]
+        if j != s:
+            for row in a + right:  # column operations act on right too
+                row[s], row[j] = row[j], row[s]
 
         dirty = False
         for i in range(s + 1, m):
             if a[i][s] != 0:
                 q = a[i][s] // a[s][s]
-                add_row(i, s, -q)
+                a[i] = [x - q * y for x, y in zip(a[i], a[s])]
                 if a[i][s] != 0:
                     dirty = True
         for j in range(s + 1, k):
             if a[s][j] != 0:
                 q = a[s][j] // a[s][s]
-                add_col(j, s, -q)
+                for row in a + right:
+                    row[j] -= q * row[s]
                 if a[s][j] != 0:
                     dirty = True
         if dirty:
@@ -100,24 +78,18 @@ def smith_normal_form(mat):
 
         # divisibility: a[s][s] must divide the rest of the block, which a
         # unit pivot always does
-        stuck = False
         if best != 1:
-            for i in range(s + 1, m):
-                for j in range(s + 1, k):
-                    if a[i][j] % a[s][s] != 0:
-                        add_row(s, i, 1)
-                        stuck = True
-                        break
-                if stuck:
-                    break
-        if stuck:
-            continue
+            r = next((r for r in range(s + 1, m)
+                      if any(x % a[s][s] for x in a[r][s + 1:])), None)
+            if r is not None:
+                a[s] = [x + y for x, y in zip(a[s], a[r])]
+                continue
         if a[s][s] < 0:
-            negate_row(s)
+            a[s] = [-x for x in a[s]]
         s += 1
 
     d = [a[i][i] for i in range(min(m, k))]
-    return d, left, right
+    return d, right
 
 
 def invariant_factors(mat):
@@ -132,7 +104,7 @@ def smith_kernel(mat):
     zeros to the column count, and kernel_generators' two lists.
     """
     k = len(mat[0]) if mat else 0
-    d, _, right = smith_normal_form(mat)
+    d, right = smith_normal_form(mat)
     d = d + [0] * (k - len(d))
     torsion = []
     circles = []

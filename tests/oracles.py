@@ -8,10 +8,12 @@ curvature oracle evaluates <R(X,Y)Y, X> from the Levi-Civita connection
 assembled via the Koszul formula for left-invariant fields, which shares
 no code path with the production four-term expression.  The matrix oracles evaluate the
 production formulas with matrix-model brackets instead of the
-structure-constant kernel.  The exact oracles are the earlier forms of
-the freeness checker (one full Smith form per symmetry, no pruning), of
-the Hermite form (sort-and-subtract column reduction), of lattice
-equivalence (one membership table over all maps), of the two-torus
+structure-constant kernel.  The determinantal oracle reads invariant
+factors off gcds of minors, with no Smith form.  The exact oracles are
+the earlier forms of the freeness checker (one full Smith form per
+symmetry, no pruning), of the Hermite form (sort-and-subtract column
+reduction), of lattice equivalence (one membership table over all
+maps), of the two-torus
 scan's pair classing (one Hermite form per pair, looked up among the reference's
 orbit of Hermite forms), of the Eschenburg and Bazaikin enumerations
 (a sweep of every raw tuple, deduplicated by canonical form), of the
@@ -25,6 +27,7 @@ horizontal null space and of the flat-search polish (L-BFGS-B).
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -271,6 +274,42 @@ def witness_conjugate(weights, witness, tol=1e-8):
 # ---------------------------------------------------------------------------
 # exact oracles
 # ---------------------------------------------------------------------------
+
+def exact_det(mat):
+    """Determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def determinantal_invariant_factors(mat):
+    """Invariant factors of an m x k integer matrix from its minors:
+    d_1 ... d_i is the gcd of the i x i minors, each an exact determinant.
+    Padded with zeros to min(m, k), as the Smith form's diagonal is."""
+    m, k = len(mat), len(mat[0])
+    factors, prev = [], 1
+    for i in range(1, min(m, k) + 1):
+        g = math.gcd(*(int(exact_det([[mat[r][c] for c in cols] for r in rows]))
+                       for rows in itertools.combinations(range(m), i)
+                       for cols in itertools.combinations(range(k), i)))
+        if g == 0:
+            break
+        factors.append(g // prev)
+        prev = g
+    return factors + [0] * (min(m, k) - len(factors))
+
 
 def _apply_symmetry(w_right, perm, signs):
     return [

@@ -1,6 +1,5 @@
 import gc
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +20,8 @@ from biq.intlattice import (
     smith_normal_form,
 )
 from oracles import (
+    determinantal_invariant_factors,
+    exact_det,
     leafwise_is_free_exact,
     sort_subtract_hnf_columns,
     twin_ordered_perms,
@@ -38,17 +39,7 @@ class TestIntLattice:
     def test_smith_transforms(self, rng):
         for _ in range(30):
             m = rng.integers(-6, 7, size=(rng.integers(1, 5), rng.integers(1, 5)))
-            d, left, right = smith_normal_form(m.tolist())
-            full = np.array(left) @ m @ np.array(right)
-            diag = np.zeros_like(m)
-            for i, x in enumerate(d):
-                diag[i, i] = x
-            assert np.array_equal(full, diag)
-            assert abs(round(np.linalg.det(np.array(left, dtype=float)))) == 1
-            assert abs(round(np.linalg.det(np.array(right, dtype=float)))) == 1
-            for i in range(len(d) - 1):
-                if d[i + 1] != 0:
-                    assert d[i] != 0 and d[i + 1] % d[i] == 0
+            _assert_smith_form(m.tolist())
 
     def test_hnf_invariant_under_recombination(self, rng):
         for _ in range(20):
@@ -151,25 +142,6 @@ def test_saturation_is_the_primitive_closure(vecs):
     assert hnf_columns(sat + vecs) == hnf_columns(sat)
 
 
-def _exact_det(mat):
-    """Determinant by Gaussian elimination over the rationals."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        for r in range(c + 1, n):
-            f = a[r][c] / a[c][c]
-            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return det
-
-
 @st.composite
 def _int_matrices(draw, max_rows=5, max_cols=5, bound=6):
     m = draw(st.integers(1, max_rows))
@@ -181,16 +153,30 @@ def _int_matrices(draw, max_rows=5, max_cols=5, bound=6):
 @_PROPERTY
 @given(mat=_int_matrices())
 def test_smith_form_identities(mat):
-    d, left, right = smith_normal_form(mat)
+    _assert_smith_form(mat)
+
+
+def _assert_smith_form(mat):
+    """(d, right) is a Smith form of mat, checked with no row transform:
+    mat @ right = L diag(d) for a unimodular L exactly when column j of
+    mat @ right is d_j times a column of L (zero where d_j = 0 or
+    j >= min(m, k)), and those quotient columns, being part of a basis,
+    have invariant factors all 1."""
+    d, right = smith_normal_form(mat)
     m, k = len(mat), len(mat[0])
-    product = [[sum(left[i][r] * mat[r][c] for r in range(m)) for c in range(k)]
-               for i in range(m)]
-    product = [[sum(product[i][c] * right[c][j] for c in range(k)) for j in range(k)]
-               for i in range(m)]
-    assert product == [[d[i] if i == j and i < len(d) else 0 for j in range(k)]
-                       for i in range(m)]
-    assert _exact_det(left) in (1, -1)
-    assert _exact_det(right) in (1, -1)
+    assert exact_det(right) in (1, -1)
+    cols = [[sum(mat[i][c] * right[c][j] for c in range(k)) for i in range(m)]
+            for j in range(k)]
+    quotient = []
+    for j, col in enumerate(cols):
+        if j >= len(d) or d[j] == 0:
+            assert not any(col)
+        else:
+            assert all(x % d[j] == 0 for x in col)
+            quotient.append([x // d[j] for x in col])
+    if quotient:
+        assert determinantal_invariant_factors(list(zip(*quotient))) == [1] * len(quotient)
+    assert d == determinantal_invariant_factors(mat)
     assert len(d) == min(m, k) and all(x >= 0 for x in d)
     for a, b in zip(d, d[1:]):
         assert (b == 0) if a == 0 else (b % a == 0)
@@ -631,6 +617,74 @@ def test_merged_walk_equals_leafwise_reference_on_normal_forms(mode):
     so6 = circle(al.so(6), (0, 1, 1), (0, 1, 2))
     for w in _catalog_normal_forms() + [so6]:
         assert fr.is_free_exact(w, mode) == leafwise_is_free_exact(w, mode), (w, mode)
+
+
+# Non-free inputs and their full witnesses, pinned from a run before the
+# Smith form lost its row transform.  The numerators are read off the
+# column transform, which the walk and leafwise_is_free_exact share, so
+# only a recorded value catches a change in it.  Rows: group, mode, W_L,
+# W_R, then (perm, signs, numerators, denominator, invariant factors, kind).
+_S, _M = fr.STRICT, fr.MOD_CENTER
+_SP2 = ([[1, 2], [-2, 2]], [[0, 0], [1, -1]],
+        ((0, 1), (1, 1), (7, 1), 9, (1, 9), "torsion"))
+_SO6 = ([[2, -2, -1], [-1, 0, 0], [-2, -2, -2]], [[-2, -2, 2], [-2, 1, 1], [-1, -1, 0]],
+        ((0, 1, 2), (1, 1, 1), (7, 1, 6), 10, (1, 1, 10), "torsion"))
+_SU4 = ([[-1, 2, -2], [2, 1, 2], [-2, -1, 1], [0, 1, 1]],
+        [[1, -2, 2], [0, 2, -1], [-1, 2, -2], [-1, 1, 3]],
+        ((0, 1, 2, 3), (1, 1, 1, 1), (2, 7, 1), 20, (1, 1, 20), "torsion"))
+_PINNED_WITNESSES = [
+    *((al.sp(2), mode, *_SP2) for mode in (_S, _M)),
+    *((al.so(6), mode, *_SO6) for mode in (_S, _M)),
+    *((al.su(4), mode, *_SU4) for mode in (_S, _M)),
+    (al.su(3), _S, [[-1, -1], [2, -1], [2, 3]], [[0, -1], [3, -2], [0, 4]],
+     ((0, 2, 1), (1, 1, 1), (0, 1), 5, (1, 5), "torsion")),
+    (al.su(3), _M, [[-2, -2], [1, -3], [-1, 3]], [[2, -3], [0, -3], [-4, 4]],
+     ((0, 2, 1), (1, 1, 1), (1, 4), 23, (1, 23), "torsion")),
+    (al.su(4), _S, [[-1, 2], [0, -3], [0, 2], [0, -3]], [[-3, 3], [-3, -2], [1, 2], [4, -5]],
+     ((0, 2, 1, 3), (1, 1, 1, 1), (1, 2), 11, (1, 11), "torsion")),
+    (al.su(4), _M, [[2, -3], [0, 0], [3, -3], [-3, -1]], [[3, 0], [0, -1], [2, -3], [-3, -3]],
+     ((0, 2, 3, 1), (1, 1, 1, 1), (6, 1), 9, (1, 9), "torsion")),
+    (al.u(3), _S, [[-3, -3], [-3, -2], [3, -1]], [[0, 3], [-1, 1], [-3, -2]],
+     ((0, 2, 1), (1, 1, 1), (28, 11), 30, (1, 30), "torsion")),
+    (al.u(3), _M, [[2, -3, 1], [-1, 1, 0], [1, 0, 1]], [[2, 2, 0], [0, 3, 3], [1, 2, 1]],
+     ((0, 2, 1), (1, 1, 1), (13, 1, 5), 32, (1, 1, 32), "torsion")),
+    (al.u(3), _M, [[0, 2], [2, -1], [0, -2]], [[0, 2], [-3, -1], [-1, -2]],
+     ((0, 1, 2), (1, 1, 1), (0, 1), 2, (1, 0), "circle")),
+    (al.sp(2), _M, [[3, -2], [1, 1]], [[-2, -2], [0, 0]],
+     ((1, 0), (1, 1), (13, 12), 15, (1, 15), "torsion")),
+    (al.sp(3), _S, [[1, 1], [1, 2], [3, 0]], [[-3, 1], [0, -1], [-2, 2]],
+     ((1, 0, 2), (1, 1, -1), (5, 1), 7, (1, 7), "torsion")),
+    (al.sp(3), _M, [[0, 0], [0, -3], [3, 2]], [[3, 1], [-2, -3], [-1, -1]],
+     ((2, 0, 1), (1, -1, 1), (4, 1), 5, (1, 5), "torsion")),
+    (al.so(5), _S, [[1, -1], [-1, -2]], [[-2, 3], [2, -3]],
+     ((0, 1), (1, 1), (1, 3), 9, (1, 9), "torsion")),
+    (al.so(5), _M, [[3, 3], [-1, -1]], [[-3, 0], [0, 0]],
+     ((1, 0), (1, 1), (1, 2), 9, (1, 9), "torsion")),
+    (al.so(7), _S, [[-1, 0], [2, 3], [3, -1]], [[0, 0], [1, 1], [2, -2]],
+     ((0, 2, 1), (1, 1, -1), (0, 1), 5, (1, 5), "torsion")),
+    (al.so(7), _S, [[-2, 3], [2, 3], [-3, -2]], [[3, 3], [-2, 3], [-3, -2]],
+     ((0, 1, 2), (1, 1, 1), (0, 1), 2, (1, 0), "circle")),
+    (al.so(7), _M, [[2, 0], [-3, -2], [-2, -3]], [[2, -2], [-1, 3], [-1, -1]],
+     ((1, 0, 2), (-1, 1, -1), (2, 1), 5, (1, 5), "torsion")),
+    (al.so(6), _S, [[-3, 2], [1, -3], [-2, 1]], [[-1, -1], [2, 2], [0, -1]],
+     ((1, 0, 2), (1, 1, 1), (6, 1), 10, (1, 10), "torsion")),
+    (al.so(6), _M, [[1, 2], [0, -2], [-3, 3]], [[-2, 1], [-1, -2], [0, 2]],
+     ((0, 2, 1), (1, -1, -1), (1, 4), 7, (1, 7), "torsion")),
+    (al.so(8), _S, [[-2, 1], [-3, 3], [-1, 0], [-2, -1]], [[-3, 0], [2, 1], [0, 2], [-1, -3]],
+     ((1, 0, 3, 2), (1, 1, 1, 1), (3, 4), 6, (1, 6), "torsion")),
+    (al.so(8), _M, [[0, 0, 0], [-2, 2, 0], [0, -2, -2], [-3, 0, 1]],
+     [[3, 3, 1], [1, -1, -2], [3, 0, 0], [1, 1, -3]],
+     ((0, 1, 3, 2), (1, 1, 1, 1), (39, 37, 24), 42, (1, 1, 42), "torsion")),
+]
+
+
+@pytest.mark.parametrize("fam, mode, wl, wr, expected", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}-{i}") for i, case in enumerate(_PINNED_WITNESSES)
+])
+def test_non_free_witness_is_pinned(fam, mode, wl, wr, expected):
+    verdict = fr.is_free_exact(fr.TorusActionWeights(fam, len(wl[0]), wl, wr, mode=mode))
+    assert not verdict.free and verdict.note == ""
+    assert verdict.witness == fr.Witness(*expected)
 
 
 class TestRankScaling:
