@@ -29,7 +29,8 @@ P-rows come out of the curvature kernel (`curvature.plane_terms`) that
 also gives sec_G, so one kernel call evaluates the quotient curvature of
 a whole batch of planes (`PointFrame.curvature_rows`).  Since c is
 linear in each argument, the quotient numerator is a quadratic form in y
-for fixed x as well (`PointFrame.quotient_forms`).
+for fixed x as well; `PointFrame.horizontal_forms` builds once per point
+the kernel that gives these forms in P-orthonormal horizontal rows.
 
 `PointFrame` alone decides what is horizontal and what is a plane:
 
@@ -66,7 +67,7 @@ from .algebra import (
     torus_element,
     zero,
 )
-from .curvature import DegeneratePlaneError, PlaneTerms, numerator_forms, plane_terms
+from .curvature import DegeneratePlaneError, PlaneTerms, plane_terms
 from .freeness import TorusActionWeights
 from .metric import MetricOperator
 
@@ -269,16 +270,48 @@ class PointFrame:
         c = terms.p_fusing @ self.ad_left.T - terms.p_bracket @ self.right.T
         return np.maximum(np.einsum("ij,ij->i", c @ self._free_gram_inv(), c), 0.0)
 
-    def quotient_forms(self, X) -> np.ndarray:
-        """(r, d, d) symmetric forms Q with Y Q[n] Y = <R(X[n], Y) Y, X[n]>
-        + 3/4 z(X[n], Y)^2 for horizontal Y: the numerator form plus
-        3/4 K^T G^{-1} K, symmetrized, where K Y holds the pairings c of
-        z_squared."""
+    def horizontal_forms(self, H):
+        """The quotient forms in P-orthonormal horizontal rows H (h, d): a
+        function taking (r, h) rows a to the (r, h, h) symmetric F(a) with
+        b F(a) b = <R(X, Y) Y, X> + 3/4 z(X, Y)^2 for X = a H, Y = b H.
+
+        With A = ad_X, A' = ad_{PX} and A_c = ad_c for c = P^{-1}[X, PX] on
+        coordinate columns, the numerator is Y^T M Y with
+
+            M = 1/2 A^T (A' + A P) - 3/4 A^T P A
+                + 1/4 (A P - A')^T P^{-1} (A P - A') - A_c^T P,
+
+        the last term by ad-invariance of Q, and the pairings of z_squared
+        are K Y with K = L [A; A P; A'], L = [V P, -ad_left, -ad_left] for
+        the vertical rows V.  So S(a) = [A; A P; A'] H^T is linear in a, and
+        all but the last term are S^T W S, W symmetric 3d x 3d: first block
+        row [-3/4 P, 1/4 I, 1/4 I], then 1/4 P^{-1} on the diagonal and
+        -1/4 P^{-1} off it, plus 3/4 L^T G^{-1} L.  The last term is linear
+        in c, quadratic in a, and H_k P [c, H_l] = <c, [H_l, P H_k]> makes it
+        two products of a (x) a with one table of [H_i, P H_j]."""
         gram_inv = self._free_gram_inv()
-        terms = numerator_forms(self.P, X)
-        K = self.ad_left @ terms.p_fusing - self.right @ terms.p_bracket
-        Z = K.transpose(0, 2, 1) @ (gram_inv @ K)
-        return terms.forms + 0.375 * (Z + Z.transpose(0, 2, 1))
+        pm, pinv = self.P.mat, self.P.mat_inv
+        h, d = H.shape
+        HP = H @ pm
+        # row operators of H_i and P H_i: V @ R[i] = [H_i, V]
+        C = self.P.dec.structure_constants
+        R, RP = (H @ C).reshape(h, d, d), (HP @ C).reshape(h, d, d)
+        hp = HP @ R  # hp[i, j] = [H_i, P H_j]
+        # S(e_i) as the (3d, h) columns [H_i, H_l], [H_i, P H_l], [P H_i, H_l]
+        s_flat = np.concatenate([H @ R, hp, H @ RP], axis=2).transpose(0, 2, 1).reshape(h, -1)
+        quarter, q = 0.25 * np.eye(d), 0.25 * pinv
+        W = np.block([[-0.75 * pm, quarter, quarter], [quarter, q, -q], [quarter, -q, q]])
+        L = np.hstack([self.vert_coords @ pm, -self.ad_left, -self.ad_left])
+        W += 0.75 * L.T @ gram_inv @ L
+        c_of_aa, lin_of_c = hp.reshape(h * h, d) @ pinv, hp.transpose(2, 1, 0).reshape(d, h * h)
+
+        def forms(a):
+            S = (a @ s_flat).reshape(-1, 3 * d, h)
+            lin = ((a[:, :, None] * a[:, None, :]).reshape(-1, h * h) @ c_of_aa) @ lin_of_c
+            F = S.transpose(0, 2, 1) @ (W @ S) - lin.reshape(-1, h, h)
+            return 0.5 * (F + F.transpose(0, 2, 1))
+
+        return forms
 
     def curvature_rows(self, cx, cy):
         """(sec_G, O'Neill term) arrays for the planes span{cx[n], cy[n]}

@@ -35,10 +35,14 @@ of equal rank is N_1.  Since t acts blockwise, lattice_equivalent joins
 the per-side images, one side's in a set and the other's looked up, in
 O(|W|); the scan needs membership per vector and map and reads a
 (|W|, |W|) table of it (_images_in).  Only lattice_canonical_key computes
-Hermite forms, the least over all 2 |W|^2 images.  The maps come from
-freeness.conjugacy_symmetries, so on SO(2n) they include a sign change on
-one side alone; whether that is an equivalence of biquotients is still
-open.  The scan decides strict freeness of all weight pairs by the gcd of
+Hermite forms, the least over all images.  Each side's maps are
+freeness.conjugacy_symmetries, and on SO(2n) only equal sign parities
+pair: a map g -> a phi(g) b (phi an automorphism; inversion swaps the
+sides) changes signs evenly on each side (inner) or oddly on both
+(conjugation by a reflection); on one side alone it needs det(a b) = -1,
+and it makes the free spin6_extra non-free.  Triality on SO(8) is no
+signed permutation and stays out.  The scan decides strict freeness of
+all weight pairs by the gcd of
 the 2 x 2 minors of every symmetry image, the product of the Smith
 invariant factors, and classes each free pair as it stands, since it
 spans a saturated lattice already.
@@ -244,12 +248,13 @@ def _annihilator(w: TorusActionWeights) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _side_symmetries(fam: GroupFamily, n: int):
-    """The family's eigenvalue symmetries of one side, as read-only (index,
-    sign) arrays of shape (|W|, n), in the order of conjugacy_symmetries:
-    image[s, c] = sign[s, c] * v[index[s, c]].  The permutations of
-    range(m), lexicographic, are each first entry f followed by those of
-    range(m - 1) with the entries from f up raised by one; the sign
-    patterns count in binary, a set bit for -1."""
+    """The family's maps of one side as read-only arrays: (index, sign) of
+    shape (|W|, n) in the order of conjugacy_symmetries, image[s, c] =
+    sign[s, c] * v[index[s, c]], and parity: two maps pair iff their
+    parities agree (odd sign counts on SO(2n), 0 elsewhere).  The
+    permutations of range(m), lexicographic, are each first entry f
+    followed by those of range(m - 1) with the entries from f up raised by
+    one; the sign patterns count in binary, a set bit for -1."""
     index = np.zeros((1, 0), dtype=np.int64)
     for m in range(1, n + 1):
         index = np.concatenate([np.column_stack([np.full(len(index), f), index + (index >= f)])
@@ -258,16 +263,17 @@ def _side_symmetries(fam: GroupFamily, n: int):
     if fam.name not in ("SU", "U"):
         bits = np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1
         index, sign = np.repeat(index, len(bits), axis=0), np.tile(1 - 2 * bits, (len(index), 1))
-    index.flags.writeable = sign.flags.writeable = False
-    return index, sign
+    parity = (sign < 0).sum(axis=1) % 2 * (fam.kind == "SO-even")
+    index.flags.writeable = sign.flags.writeable = parity.flags.writeable = False
+    return index, sign, parity
 
 
 def _side_images(vecs: np.ndarray, fam: GroupFamily):
-    """(left, right): every symmetry of one side applied to that block of
-    every stacked vector, as (|W|, vectors, n) arrays."""
-    index, sign = _side_symmetries(fam, vecs.shape[1] // 2)
-    return [sign[:, None] * block[:, index].transpose(1, 0, 2)
-            for block in np.split(vecs, 2, axis=1)]
+    """(left, right, parity): each side's maps applied to that block of
+    every stacked vector, as (|W|, vectors, n) arrays, and their parity."""
+    index, sign, parity = _side_symmetries(fam, vecs.shape[1] // 2)
+    return *(sign[:, None] * block[:, index].transpose(1, 0, 2)
+             for block in np.split(vecs, 2, axis=1)), parity
 
 
 def _images_in(annihilator: np.ndarray, vecs: np.ndarray, fam: GroupFamily):
@@ -276,9 +282,10 @@ def _images_in(annihilator: np.ndarray, vecs: np.ndarray, fam: GroupFamily):
     with A = [A_L | A_R], A t(v) = A_L sigma(v_L) + A_R sigma'(v_R) with
     the sides kept and A_L sigma'(v_R) + A_R sigma(v_L) with them swapped:
     per row of A, two per-side tables meet in one (|W|, |W|, vectors)
-    boolean array."""
-    left, right = _side_images(vecs, fam)
-    member = np.ones((2, len(left), len(right), len(vecs)), dtype=bool)
+    boolean array, False where the parities of sigma and sigma' differ."""
+    left, right, parity = _side_images(vecs, fam)
+    member = np.empty((2, len(left), len(right), len(vecs)), dtype=bool)
+    member[:] = (parity[:, None] == parity)[:, :, None]
     for a_left, a_right in zip(*np.split(annihilator, 2, axis=1)):
         for table, (x, y) in zip(member, ((a_left, a_right), (a_right, a_left))):
             table &= (left @ x)[:, None] == -(right @ y)[None]
@@ -286,13 +293,15 @@ def _images_in(annihilator: np.ndarray, vecs: np.ndarray, fam: GroupFamily):
 
 
 def _least_image_hnf(cols, fam: GroupFamily):
-    """The least Hermite form over the 2 |W|^2 images of the lattice
-    spanned by the stacked columns `cols`: equal for two lattices iff one
-    map carries one onto the other, since the maps form a group."""
-    left, right = (x.tolist() for x in _side_images(np.array(cols), fam))
+    """The least Hermite form over the images of the lattice spanned by
+    the stacked columns `cols` (2 |W|^2 maps, half of them on SO(2n)):
+    equal for two lattices iff one map carries one onto the other, since
+    the maps form a group."""
+    left, right, parity = _side_images(np.array(cols), fam)
+    left, right = left.tolist(), right.tolist()
     return min(hnf_columns([a + b for a, b in zip(*pair)])
-               for lt, rt in itertools.product(left, right)
-               for pair in ((lt, rt), (rt, lt)))
+               for s, t in zip(*np.nonzero(parity[:, None] == parity))
+               for pair in ((left[s], right[t]), (right[t], left[s])))
 
 
 def lattice_canonical_key(w: TorusActionWeights):
@@ -307,17 +316,18 @@ def lattice_equivalent(w1: TorusActionWeights, w2: TorusActionWeights) -> bool:
     onto that of w1 (see the module docstring for why one annihilator
     decides it).  With the sides kept a map passes iff A_L sigma(V_L) =
     -A_R sigma'(V_R), swapped iff A_R sigma(V_L) = -A_L sigma'(V_R): per
-    pairing, the right products are looked up among the left ones."""
+    pairing, the right products are looked up among the left ones of the
+    same parity."""
     if w1.group != w2.group:
         return False
     annihilator = _annihilator(w1)
     if annihilator.shape != _annihilator(w2).shape:
         return False
-    left, right = _side_images(np.array(_weight_columns(w2)), w1.group)
+    left, right, parity = _side_images(np.array(_weight_columns(w2)), w1.group)
     a_left, a_right = np.split(annihilator, 2, axis=1)
     for x, y in ((a_left, a_right), (a_right, a_left)):
-        kept = {image.tobytes() for image in left @ x.T}
-        if any((-image).tobytes() in kept for image in right @ y.T):
+        kept = {(p, image.tobytes()) for p, image in zip(parity.tolist(), left @ x.T)}
+        if any((p, (-image).tobytes()) in kept for p, image in zip(parity.tolist(), right @ y.T)):
             return True
     return False
 
@@ -743,7 +753,7 @@ def _strict_free_pairs(vecs: np.ndarray, fam: GroupFamily) -> np.ndarray:
     n = vecs.shape[1] // 2
     left, right = vecs[:, :n].T, vecs[:, n:].T
     # images[sigma, r] is coordinate r of d_sigma on every vector
-    index, sign = _side_symmetries(fam, n)
+    index, sign, _ = _side_symmetries(fam, n)
     images = left - sign[:, :, None] * right[index]
     circle_free = np.flatnonzero(
         (np.gcd.reduce(np.abs(images), axis=1) == 1).all(axis=0))

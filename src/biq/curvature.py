@@ -22,10 +22,10 @@ normalized curvature is the numerator over the area
 <X,X><Y,Y> - <X,Y>^2, and the quotient's single-plane entry point is
 `biquotient.quotient_sectional`.
 
-The numerator is biquadratic: for fixed X it is a quadratic form Y^T M Y,
-which `numerator_forms` builds in closed form from the same structure
-constants.  The flat-plane search minimizes over unit Y with one eigen
-solve of such a form instead of one kernel call per plane.
+The numerator is biquadratic: for fixed X it is a quadratic form Y^T M Y.
+The flat-plane search reads these forms, with the quotient's O'Neill term,
+in the horizontal rows from one kernel built per point
+(`biquotient.PointFrame.horizontal_forms`, which derives M in closed form).
 """
 
 from __future__ import annotations
@@ -86,51 +86,6 @@ def plane_terms(P: MetricOperator, X, Y) -> PlaneTerms:
         - np.einsum("ij,ij->i", xpx, ypy @ pinv.T)
     )
     return PlaneTerms(numerator, p_xy, p_xy - xpy + ypx)
-
-
-class NumeratorForms(NamedTuple):
-    """Symmetric forms of the numerator in Y at fixed rows X."""
-
-    forms: np.ndarray  # (r, d, d) M with numerator(X[n], Y) = Y M[n] Y
-    p_bracket: np.ndarray  # (r, d, d) P ad_X: Y -> P[X, Y]
-    p_fusing: np.ndarray  # (r, d, d) Y -> P L(X, Y)
-
-
-def numerator_forms(P: MetricOperator, X) -> NumeratorForms:
-    """The curvature numerator as a quadratic form in Y for each row of X.
-
-    With A = ad_X, A' = ad_{PX} and A_c = ad_c for c = P^{-1}[X, PX],
-    acting on coordinate columns, the four terms of the numerator read
-    Y^T M Y with
-
-        M = 1/2 A^T (A' + A P) - 3/4 A^T P A
-            + 1/4 (A P - A')^T P^{-1} (A P - A') - A_c^T P,
-
-    the last one by ad-invariance of Q; M is returned symmetrized.  The
-    operators P A and P A - A P - A' give the kernel's p_bracket and
-    p_fusing rows as linear maps of Y, for the quotient's O'Neill term.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    r, d = X.shape
-    pm, pinv = P.mat, P.mat_inv
-    PX = X @ pm.T
-    C = P.dec.structure_constants
-    # column operators, the kernel's row operators transposed: A[n] @ v = [X[n], v]
-    A = (X @ C).reshape(r, d, d).transpose(0, 2, 1)
-    A1 = (PX @ C).reshape(r, d, d).transpose(0, 2, 1)
-    c = np.einsum("nij,nj->ni", A, PX) @ pinv.T
-    Ac = (c @ C).reshape(r, d, d).transpose(0, 2, 1)
-    AP = A @ pm
-    PA = pm @ A
-    B = AP - A1
-    At = A.transpose(0, 2, 1)
-    M = (
-        0.5 * At @ (A1 + AP)
-        - 0.75 * At @ PA
-        + 0.25 * B.transpose(0, 2, 1) @ (pinv @ B)
-        - Ac.transpose(0, 2, 1) @ pm
-    )
-    return NumeratorForms(0.5 * (M + M.transpose(0, 2, 1)), PA, PA - AP - A1)
 
 
 def puttmann_numerator(P: MetricOperator, x: AlgebraElement, y: AlgebraElement) -> float:

@@ -20,6 +20,10 @@ vectors of a returned certificate.  What is horizontal and what spans a
 plane is decided by the point's `PointFrame` (`slice` and `orthonormal`,
 the rules of biq.biquotient).
 
+The numeric search samples planes through the batched curvature kernel
+and descends on h x h quotient forms in the horizontal rows, from one
+kernel built per point (`PointFrame.horizontal_forms`).
+
 Every certificate records the residuals of the conditions it checked; the
 curvature engine independently confirms each certified plane, so a
 certificate is never taken on faith.  A criterion that does not fire
@@ -30,7 +34,6 @@ sufficient criterion that does not fire proves nothing).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -399,32 +402,27 @@ class _BudgetSpent(Exception):
     """The polish used up its evaluations."""
 
 
-def _alternation_step(frame, H, a):
+def _alternation_step(forms, a):
     """One block step from each unit row a (P-orthonormal horizontal
-    coordinates in the rows of H): the least value over unit b orthogonal
-    to a of kappa(a H, b H) and its minimizer b.
+    coefficients, forms from PointFrame.horizontal_forms): the least value
+    over unit b orthogonal to a of kappa(a, b) and its minimizer b.
 
-    Q_x annihilates x, so the form is projected onto the complement of a
-    and a is moved above its spectrum, which leaves the least eigenvalue
-    on the complement."""
-    F = H @ frame.quotient_forms(a @ H) @ H.T
-    proj = np.eye(a.shape[1]) - a[:, :, None] * a[:, None, :]
-    shift = 1.0 + np.abs(F).sum(axis=(1, 2))
-    F = proj @ F @ proj + shift[:, None, None] * (a[:, :, None] * a[:, None, :])
-    w, v = np.linalg.eigh(F)
-    b = v[:, :, 0]
-    b = b - np.einsum("ij,ij->i", b, a)[:, None] * a
-    return w[:, 0], b / np.linalg.norm(b, axis=1)[:, None]
+    The Householder reflection that takes a to -+e_0 has its columns past
+    the first as an orthonormal basis Q of a's complement, so the least
+    eigenvalue of Q^T F(a) Q, (h - 1) x (h - 1), is the least value there."""
+    eye = np.eye(a.shape[1])
+    v = a + np.where(a[:, :1] < 0, -1.0, 1.0) * eye[0]
+    Q = eye[:, 1:] - 2.0 * v[:, :, None] * v[:, None, 1:] / (v * v).sum(axis=1)[:, None, None]
+    w, y = np.linalg.eigh(Q.transpose(0, 2, 1) @ forms(a) @ Q)
+    return w[:, 0], (Q @ y[:, :, :1])[:, :, 0]
 
 
-def _pair_value(frame, H, theta):
-    """kappa / area of the pair theta = (a, b) of coordinates in the rows
-    of H, and its gradient from the closed forms 2 Q_b a and 2 Q_a b;
-    (inf, 0) when a and b are nearly parallel."""
-    h = H.shape[0]
-    a, b = theta[:h], theta[h:]
-    Fa, Fb = H @ frame.quotient_forms(np.stack([a, b]) @ H) @ H.T
-    ga, gb = 2.0 * Fb @ a, 2.0 * Fa @ b
+def _pair_value(forms, theta):
+    """kappa / area of the pair theta = (a, b) of horizontal coefficients,
+    and its gradient from the closed forms 2 F(b) a and 2 F(a) b, read from
+    one batched product; (inf, 0) when a and b are nearly parallel."""
+    a, b = pair = theta.reshape(2, -1)
+    gb, ga = 2.0 * (forms(pair) @ pair[::-1, :, None])[:, :, 0]
     kappa = 0.5 * float(b @ gb)
     aa, bb, ab = a @ a, b @ b, a @ b
     area = aa * bb - ab * ab
@@ -438,21 +436,19 @@ def _pair_value(frame, H, theta):
     return f, grad
 
 
-def _lbfgs_direction(g, memory):
-    """-M g for the L-BFGS inverse Hessian M of the pairs (s, y, 1 / s.y)
-    in memory: the two-loop recursion from M_0 = (s.y / y.y) I of the
-    newest pair (Nocedal and Wright, Alg. 7.4)."""
+def _lbfgs_direction(g, S, Y, rho):
+    """-M g for the L-BFGS inverse Hessian M of the pairs (S[i], Y[i]) with
+    rho[i] = 1 / S[i].Y[i], oldest first: the two-loop recursion from
+    M_0 = (s.y / y.y) I of the newest pair (Nocedal and Wright, Alg. 7.4)."""
     q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(memory):
-        alpha = rho * (s @ q)
-        q -= alpha * y
-        alphas.append(alpha)
-    if memory:
-        s, y, _ = memory[-1]
-        q *= (s @ y) / (y @ y)
-    for (s, y, rho), alpha in zip(memory, reversed(alphas)):
-        q += (alpha - rho * (y @ q)) * s
+    alphas = np.empty(len(rho))
+    for i in reversed(range(len(rho))):
+        alphas[i] = rho[i] * (S[i] @ q)
+        q -= alphas[i] * Y[i]
+    if len(rho):
+        q *= (S[-1] @ Y[-1]) / (Y[-1] @ Y[-1])
+    for i in range(len(rho)):
+        q += (alphas[i] - rho[i] * (Y[i] @ q)) * S[i]
     return -q
 
 
@@ -512,9 +508,9 @@ def _wolfe_step(fun, x, f0, g0, p, alpha):
     return lo if lo[0] > 0 else None
 
 
-def _polish(frame, H, a, b, max_evals):
+def _polish(forms, a, b, max_evals):
     """L-BFGS on kappa / area over pairs (a, b), with the closed-form
-    gradients 2 Q_b a and 2 Q_a b: memory LBFGS_MEMORY, the two-loop
+    gradients 2 F(b) a and 2 F(a) b: memory LBFGS_MEMORY, the two-loop
     recursion and a strong-Wolfe line search (Nocedal and Wright,
     Numerical Optimization, 2nd ed., 2006, Alg. 7.4, 3.5 and 3.6).
 
@@ -529,7 +525,7 @@ def _polish(frame, H, a, b, max_evals):
     max_evals evaluations (_BudgetSpent).  Returns (value, a, b,
     evaluations) of the best pair evaluated, with a and b scaled to unit
     length."""
-    h = H.shape[0]
+    h = a.size
     x = np.concatenate([a, b])
     best = [np.inf, x]
     count = [0]
@@ -538,26 +534,28 @@ def _polish(frame, H, a, b, max_evals):
         if count[0] == max_evals:
             raise _BudgetSpent
         count[0] += 1
-        f, grad = _pair_value(frame, H, theta)
+        f, grad = _pair_value(forms, theta)
         if f < best[0]:
             best[:] = f, theta
         return f, grad
 
+    # the stored pairs (S[i], Y[i], rho[i]), oldest first, in the first k rows
+    (S, Y), rho = np.empty((2, LBFGS_MEMORY, 2 * h)), np.empty(LBFGS_MEMORY)
+    k = 0
     try:
         f, g = fun(x)
-        memory = deque(maxlen=LBFGS_MEMORY)
         while np.abs(g).max() > GTOL:
-            p = _lbfgs_direction(g, memory)
-            alpha = 1.0 if memory else 1.0 / np.linalg.norm(p)
+            p = _lbfgs_direction(g, S[:k], Y[:k], rho[:k])
+            alpha = 1.0 if k else 1.0 / np.linalg.norm(p)
             # the relative-decrease stop, on the first trial step's
             # first-order decrease
             if -alpha * (g @ p) <= FTOL * max(abs(f), 1.0):
                 break
             t = _wolfe_step(fun, x, f, g, p, alpha)
             if t is None:
-                if not memory:
+                if not k:
                     break
-                memory.clear()
+                k = 0
                 continue
             step, f_new, g_new, _ = t
             if f - f_new <= FTOL * max(abs(f), abs(f_new), 1.0):
@@ -565,14 +563,18 @@ def _polish(frame, H, a, b, max_evals):
             s, y = step * p, g_new - g
             sy = s @ y
             if sy > np.finfo(float).eps * (y @ y):
-                memory.append((s, y, 1.0 / sy))
+                if k == LBFGS_MEMORY:
+                    S[:-1], Y[:-1], rho[:-1] = S[1:], Y[1:], rho[1:]
+                    k -= 1
+                S[k], Y[k], rho[k] = s, y, 1.0 / sy
+                k += 1
             # back to unit a and b; the gradient and the stored pairs follow
             # the change of scale D (s -> D s, y -> y / D)
             x = x + s
             d = np.repeat(1.0 / np.linalg.norm(x.reshape(2, h), axis=1), h)
             x, f, g = x * d, f_new, g_new / d
-            memory = deque(((s * d, y / d, rho) for s, y, rho in memory),
-                           maxlen=LBFGS_MEMORY)
+            S[:k] *= d
+            Y[:k] /= d
     except _BudgetSpent:
         pass
     f, theta = best
@@ -598,7 +600,7 @@ def numeric_flat_search(
     other half of the budget.  kappa(x, y) = <R(x,y)y, x> + 3/4 z(x,y)^2
     is biquadratic, so for fixed unit x the least value over unit
     horizontal y orthogonal to x is the least eigenvalue of the quotient
-    form Q_x on that complement (PointFrame.quotient_forms); alternating
+    form F(x) on that complement (PointFrame.horizontal_forms); alternating
     x <- that minimizer never raises kappa (the alternating method for
     biquadratic forms on two spheres).  All starts alternate together for
     up to ALTERNATIONS rounds, one batched eigen solve per round, and
@@ -660,11 +662,12 @@ def numeric_flat_search(
         # P-orthonormal rows spanning the horizontal space
         chol = np.linalg.cholesky(hor.coords @ pm @ hor.coords.T)
         H = np.linalg.solve(chol, hor.coords)
+        forms = frame.horizontal_forms(H)
         a, b = c1[live] @ pm @ H.T, c2[live] @ pm @ H.T
         val = sampled[order][live]
         stats["descent_starts"] = n_starts
         for _ in range(ALTERNATIONS):
-            lam, nxt = _alternation_step(frame, H, b)
+            lam, nxt = _alternation_step(forms, b)
             stats["alternation_steps"] += n_starts
             gain = val - lam
             better = gain > 0
@@ -672,8 +675,7 @@ def numeric_flat_search(
             if not np.any(gain > ALTERNATION_RTOL * np.maximum(1.0, np.abs(val))):
                 break
         k = int(np.argmin(val))
-        f, pa, pb, n = _polish(frame, H, a[k], b[k],
-                               evals - stats["alternation_steps"])
+        f, pa, pb, n = _polish(forms, a[k], b[k], evals - stats["alternation_steps"])
         stats["polish_evaluations"] = n
         x, y = (pa, pb) if f < val[k] else (a[k], b[k])
         best_pair = x @ H, y @ H

@@ -13,12 +13,15 @@ factors off gcds of minors, with no Smith form.  The exact oracles are
 the earlier forms of the freeness checker (one full Smith form per
 symmetry, no pruning), of the Hermite form (sort-and-subtract column
 reduction), of lattice equivalence (one membership table over all
-maps), of the two-torus
+maps of the catalog's parity model), of the two-torus
 scan's pair classing (one Hermite form per pair, looked up among the reference's
 orbit of Hermite forms), of the Eschenburg and Bazaikin enumerations
 (a sweep of every raw tuple, deduplicated by canonical form), of the
-numeric flat-plane search (random phase plus Nelder-Mead descents) and of
-the flat-plane criteria N1/N2/N3 (matrix brackets per candidate).  The
+numeric flat-plane search (random phase plus Nelder-Mead descents), of
+its quotient forms (d x d operators per call, before the per-point
+horizontal kernel) and alternation step (a projector and a shift instead
+of a deflated basis), and of the flat-plane criteria N1/N2/N3 (matrix
+brackets per candidate).  The
 twin-ordered permutations, which bound the exact walk, come from a filter
 over every permutation.  The scipy oracles are the earlier forms of the
 exponential (Pade scaling and squaring), of the orthonormal span, of the
@@ -28,6 +31,7 @@ horizontal null space and of the flat-search polish (L-BFGS-B).
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -247,6 +251,73 @@ def matrix_quotient_sectional(act, g, P, cx, cy):
     """sec_G + 3/4 z^2 of metric-orthonormal horizontal coordinate rows."""
     x, y = P.dec.from_coords(cx), P.dec.from_coords(cy)
     return matrix_numerator(P, x, y) + 0.75 * matrix_z_squared(act, g, P, x, y)
+
+
+# ---------------------------------------------------------------------------
+# the quotient forms and the alternation step before the horizontal kernel
+# ---------------------------------------------------------------------------
+
+class NumeratorForms(NamedTuple):
+    """Symmetric forms of the numerator in Y at fixed rows X."""
+
+    forms: np.ndarray  # (r, d, d) M with numerator(X[n], Y) = Y M[n] Y
+    p_bracket: np.ndarray  # (r, d, d) P ad_X: Y -> P[X, Y]
+    p_fusing: np.ndarray  # (r, d, d) Y -> P L(X, Y)
+
+
+def numerator_forms(P: MetricOperator, X) -> NumeratorForms:
+    """The curvature numerator as a quadratic form in Y for each row of X,
+    built as d x d operators (the derivation is in
+    PointFrame.horizontal_forms); P A and P A - A P - A' give the kernel's
+    p_bracket and p_fusing rows as linear maps of Y."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    r, d = X.shape
+    pm, pinv = P.mat, P.mat_inv
+    PX = X @ pm.T
+    C = P.dec.structure_constants
+    # column operators, the kernel's row operators transposed: A[n] @ v = [X[n], v]
+    A = (X @ C).reshape(r, d, d).transpose(0, 2, 1)
+    A1 = (PX @ C).reshape(r, d, d).transpose(0, 2, 1)
+    c = np.einsum("nij,nj->ni", A, PX) @ pinv.T
+    Ac = (c @ C).reshape(r, d, d).transpose(0, 2, 1)
+    AP = A @ pm
+    PA = pm @ A
+    B = AP - A1
+    At = A.transpose(0, 2, 1)
+    M = (
+        0.5 * At @ (A1 + AP)
+        - 0.75 * At @ PA
+        + 0.25 * B.transpose(0, 2, 1) @ (pinv @ B)
+        - Ac.transpose(0, 2, 1) @ pm
+    )
+    return NumeratorForms(0.5 * (M + M.transpose(0, 2, 1)), PA, PA - AP - A1)
+
+
+def quotient_forms(frame: PointFrame, X) -> np.ndarray:
+    """(r, d, d) symmetric forms Q with Y Q[n] Y = <R(X[n], Y) Y, X[n]>
+    + 3/4 z(X[n], Y)^2 for horizontal Y: the numerator form plus
+    3/4 K^T G^{-1} K, symmetrized, where K Y holds the pairings c of
+    z_squared."""
+    gram_inv = frame._free_gram_inv()
+    terms = numerator_forms(frame.P, X)
+    K = frame.ad_left @ terms.p_fusing - frame.right @ terms.p_bracket
+    Z = K.transpose(0, 2, 1) @ (gram_inv @ K)
+    return terms.forms + 0.375 * (Z + Z.transpose(0, 2, 1))
+
+
+def projector_alternation_step(frame: PointFrame, H, a):
+    """The alternation step on full-size forms: the form H Q(a H) H^T is
+    projected onto the complement of each unit row a and a is moved above
+    its spectrum by a shift, so the least eigenvalue of the h x h matrix
+    is the least one on the complement; returns (lambda, b)."""
+    F = H @ quotient_forms(frame, a @ H) @ H.T
+    proj = np.eye(a.shape[1]) - a[:, :, None] * a[:, None, :]
+    shift = 1.0 + np.abs(F).sum(axis=(1, 2))
+    F = proj @ F @ proj + shift[:, None, None] * (a[:, :, None] * a[:, None, :])
+    w, v = np.linalg.eigh(F)
+    b = v[:, :, 0]
+    b = b - np.einsum("ij,ij->i", b, a)[:, None] * a
+    return w[:, 0], b / np.linalg.norm(b, axis=1)[:, None]
 
 
 def folded_angle_multiset(exponents, coords, fold):
@@ -506,7 +577,8 @@ def sort_subtract_hnf_columns(vectors):
 def table_lattice_equivalent(w1: TorusActionWeights, w2: TorusActionWeights) -> bool:
     """catalog.lattice_equivalent by the earlier membership table: one
     (2, |W|, |W|, vectors) boolean array over every map, as the scan
-    builds it (catalog._images_in)."""
+    builds it (catalog._images_in, so on SO(2n) only pairs of equal sign
+    parity)."""
     if w1.group != w2.group:
         return False
     annihilator = _annihilator(w1)
@@ -655,11 +727,11 @@ def nelder_mead_flat_search(act, g, P, budget=10_000, rng=None, local_restarts=4
     )
 
 
-def scipy_lbfgsb_polish(frame, H, a, b, max_evals):
+def scipy_lbfgsb_polish(forms, a, b, max_evals):
     """The flat-search polish before the numpy L-BFGS: scipy's L-BFGS-B on
     the same kappa / area and gradient, with the same stopping rules and
     budget; returns (value, a, b, evaluations) of the best pair evaluated."""
-    h = H.shape[0]
+    h = a.size
     theta0 = np.concatenate([a, b])
     best = [np.inf, theta0]
     count = [0]
@@ -668,7 +740,7 @@ def scipy_lbfgsb_polish(frame, H, a, b, max_evals):
         if count[0] == max_evals:
             raise _BudgetSpent
         count[0] += 1
-        f, grad = _pair_value(frame, H, theta)
+        f, grad = _pair_value(forms, theta)
         if f < best[0]:
             best[:] = f, theta.copy()
         return f, grad

@@ -14,7 +14,9 @@ from oracles import (
     check_algebra_element,
     matrix_quotient_sectional,
     matrix_z_squared,
+    numerator_forms,
     one_sided_action,
+    quotient_forms,
     scipy_horizontal_coords,
     trivial_action,
 )
@@ -144,7 +146,7 @@ class TestHorizontalSpace:
         assert np.array_equal(frame.checked(a), dec.to_coords(a))
         assert np.array_equal(frame.z_squared(cu.plane_terms(P, c[:1], c[1:])), [0.0])
         assert bi.z_term(act, g, P, a, b, frame=frame) == 0.0
-        assert np.array_equal(frame.quotient_forms(c), cu.numerator_forms(P, c).forms)
+        assert np.array_equal(quotient_forms(frame, c), numerator_forms(P, c).forms)
         sub = al.root_subspace(dec, 0)
         assert np.array_equal(frame.slice(sub.coords), sub.coords)
 
@@ -285,7 +287,8 @@ def _non_free_frame():
 
 _NON_FREE_CALLS = {
     "z_squared": lambda f, a, b: f.z_squared(cu.plane_terms(f.P, a[None], b[None])),
-    "quotient_forms": lambda f, a, b: f.quotient_forms(a[None]),
+    "quotient_forms": lambda f, a, b: quotient_forms(f, a[None]),
+    "horizontal_forms": lambda f, a, b: f.horizontal_forms(np.stack([a, b])),
     "checked": lambda f, a, b: f.checked(f.act.dec().from_coords(a)),
     "quotient_sectional": lambda f, a, b: bi.quotient_sectional(
         f.act, f.g, f.P, f.act.dec().from_coords(a), f.act.dec().from_coords(b)),
@@ -538,10 +541,56 @@ def test_quotient_forms_equal_the_kernel(name, at_identity, seed):
     Y = rng.standard_normal((3, hor.dim)) @ hor.coords
     terms = cu.plane_terms(P, X, Y)
     ref = terms.numerator + 0.75 * frame.z_squared(terms)
-    forms = frame.quotient_forms(X)
+    forms = quotient_forms(frame, X)
     value = np.einsum("ni,nij,nj->n", Y, forms, Y)
     assert np.array_equal(forms, forms.transpose(0, 2, 1))
     assert np.abs(value - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
+
+
+def _kernel_case(name, rng):
+    """An action and a metric invariant under its right projection: the
+    circle (1, ..., 1) against (n, 0, ..., 0) on n torus rows of a named
+    group, the SU(3)
+    two-torus, Gromoll-Meyer or the trivial action on SU(3)."""
+    if name in ("gromoll-meyer", "su3-two-torus"):
+        return _case(name, rng)
+    if name == "trivial":
+        act = trivial_action(al.su(3))
+    else:
+        fam = {"SU": al.su, "Sp": al.sp, "SO": al.so}[name[:2]](int(name[3]))
+        n = fam.n if fam.name == "SU" else fam.rank
+        w = fr.TorusActionWeights(fam, 1, ((1,),) * n, ((n,),) + ((0,),) * (n - 1))
+        act = bi.from_torus_weights(w)
+    return act, fx.random_torus_invariant_metric(act.dec(), rng)
+
+
+@pytest.mark.parametrize("at_identity", [True, False], ids=["identity", "random"])
+@pytest.mark.parametrize("name", [
+    "SU(3)", "SU(4)", "SU(5)", "Sp(2)", "Sp(3)", "SO(5)", "SO(6)", "SO(7)", "SO(8)",
+    "su3-two-torus", "gromoll-meyer", "trivial",
+])
+def test_horizontal_forms_equal_the_references(name, at_identity):
+    # F(a) = H Q(a H) H^T for the earlier d x d forms, and b F(a) b is
+    # sec_G + O'Neill term of the P-orthonormal plane (a H, b H)
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        act, P = _kernel_case(name, rng)
+        g = al.identity(act.group) if at_identity else al.random_group_element(act.group, rng)
+        frame = bi.PointFrame.at(act, g, P)
+        hor = frame.horizontal()
+        H = np.linalg.solve(np.linalg.cholesky(hor.coords @ P.mat @ hor.coords.T), hor.coords)
+        forms = frame.horizontal_forms(H)
+        a = rng.standard_normal((3, hor.dim))
+        F = forms(a)
+        assert np.array_equal(F, F.transpose(0, 2, 1))
+        ref = H @ quotient_forms(frame, a @ H) @ H.T
+        assert np.abs(F - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        q = np.linalg.qr(rng.standard_normal((hor.dim, 6)))[0].T
+        x, y = q[:3], q[3:]
+        sec_g, oneill = frame.curvature_rows(x @ H, y @ H)
+        value = np.einsum("ni,nij,nj->n", y, forms(x), y)
+        scale = max(1.0, np.abs(sec_g + oneill).max())
+        assert np.abs(value - (sec_g + oneill)).max() <= 1e-12 * scale
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)

@@ -114,16 +114,38 @@ def _normal_forms():
 ], ids=str)
 def test_side_symmetries_are_the_conjugacy_symmetries_in_order(fam):
     n = fam.rank if fam.name == "SO" else fam.n
-    index, sign = ca._side_symmetries(fam, n)
+    index, sign, parity = ca._side_symmetries(fam, n)
     perms, signs = zip(*fr.conjugacy_symmetries(fam, n))
     assert index.tolist() == [list(p) for p in perms]
     assert sign.tolist() == [list(s) for s in signs]
+    # only SO(2n) splits its maps by the parity of their sign changes
+    odd = [s.count(-1) % 2 for s in signs] if fam.kind == "SO-even" else [0] * len(signs)
+    assert parity.tolist() == odd
     # the arrays are cached per group, so no caller may write to them
-    assert not index.flags.writeable and not sign.flags.writeable
+    assert not any(a.flags.writeable for a in (index, sign, parity))
     assert ca._side_symmetries(fam, n)[0] is index
 
 
+def _spin6_row0_negated():
+    w = ca.spin6_extra().weights
+    return fr.TorusActionWeights(w.group, w.k, ((-1, 0, 0),) + w.w_left[1:], w.w_right,
+                                 mode=w.mode)
+
+
 class TestLatticeEquivalence:
+    @pytest.mark.parametrize("w1,w2", [
+        (ca.spin6_extra().weights, _spin6_row0_negated()),
+        (fr.TorusActionWeights(al.so(4), 1, ((-1,), (1,)), ((-2,), (-1,))),
+         fr.TorusActionWeights(al.so(4), 1, ((1,), (1,)), ((-2,), (-1,)))),
+    ], ids=["spin6-row0-negated", "SO4-circle"])
+    def test_odd_sign_change_on_one_side_is_no_equivalence(self, w1, w2):
+        # the second is free and the first is not, or the other way round,
+        # so no equivalence carries one to the other
+        assert fr.is_free_exact(w1).free != fr.is_free_exact(w2).free
+        assert not ca.lattice_equivalent(w1, w2) and not ca.lattice_equivalent(w2, w1)
+        assert not table_lattice_equivalent(w1, w2)
+        assert ca.lattice_canonical_key(w1) != ca.lattice_canonical_key(w2)
+
     def test_annihilator_rule_equals_key_equality_on_normal_forms(self):
         forms = _normal_forms()
         keys = [ca.lattice_canonical_key(w) for w in forms]
@@ -677,6 +699,47 @@ def _unimodular(draw, k):
     return basis
 
 
+@st.composite
+def _model_map(draw, w):
+    """((perm, signs), (perm', signs')): one map of each side of w's
+    family that pair into a map of both sides (equal parity)."""
+    index, sign, parity = ca._side_symmetries(w.group, len(w.w_left))
+    s = draw(st.integers(0, len(index) - 1))
+    t = draw(st.sampled_from(np.flatnonzero(parity == parity[s]).tolist()))
+    return (index[s].tolist(), sign[s].tolist()), (index[t].tolist(), sign[t].tolist())
+
+
+_MODEL_FAMILIES = [al.su(3), al.su(4), al.su(5), al.sp(2), al.sp(3),
+                   *(al.so(m) for m in range(4, 11))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_freeness_invariant_under_the_model_maps(data):
+    # every map of the model (a pair of per-side maps of equal parity, the
+    # sides swapped half the time) keeps the exact verdict, in both modes
+    fam = data.draw(st.sampled_from(_MODEL_FAMILIES))
+    k = data.draw(st.integers(1, 2))
+    n = fam.n if fam.name == "SU" else fam.rank
+    entry = st.integers(-3, 3)
+    wl = [[data.draw(entry) for _ in range(k)] for _ in range(n)]
+    wr = [[data.draw(entry) for _ in range(k)] for _ in range(n)]
+    if fam.name == "SU":
+        wr[-1] = [sum(r[j] for r in wl) - sum(r[j] for r in wr[:-1]) for j in range(k)]
+    mode = data.draw(st.sampled_from([fr.STRICT, fr.MOD_CENTER]))
+    try:
+        w = fr.TorusActionWeights(fam, k, wl, wr, mode=mode)
+    except al.AlgebraError:
+        assume(False)
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
+    left, right = (_transform(side, sym, identity)
+                   for side, sym in zip((wl, wr), data.draw(_model_map(w))))
+    if data.draw(st.booleans()):
+        left, right = right, left
+    image = fr.TorusActionWeights(fam, k, left, right, mode=mode)
+    assert fr.is_free_exact(image).free == fr.is_free_exact(w).free
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_join_equals_table_on_images_of_normal_forms(data):
@@ -685,10 +748,9 @@ def test_join_equals_table_on_images_of_normal_forms(data):
     # against any form of its group the join gives the table's verdict
     forms = data.draw(st.sampled_from(_JOIN_FORMS))
     w, other = data.draw(st.sampled_from(forms)), data.draw(st.sampled_from(forms))
-    sym = list(fr.conjugacy_symmetries(w.group, len(w.w_left)))
     basis = data.draw(_unimodular(w.k))
-    left = _transform(w.w_left, data.draw(st.sampled_from(sym)), basis)
-    right = _transform(w.w_right, data.draw(st.sampled_from(sym)), basis)
+    left, right = (_transform(side, sym, basis)
+                   for side, sym in zip((w.w_left, w.w_right), data.draw(_model_map(w))))
     if data.draw(st.booleans()):
         left, right = right, left
     image = fr.TorusActionWeights(w.group, w.k, left, right, mode=w.mode)

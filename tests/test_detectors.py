@@ -20,6 +20,7 @@ from oracles import (
     matrix_quotient_sectional,
     nelder_mead_flat_search,
     one_sided_action,
+    projector_alternation_step,
     scipy_lbfgsb_polish,
     trivial_action,
 )
@@ -304,6 +305,23 @@ def _circle_action(name):
     return bi.from_torus_weights(w)
 
 
+def _horizontal_rows(name, seed):
+    """The frame, P-orthonormal horizontal rows H, their kernel and the
+    generator at a random point and metric of a named action."""
+    rng = np.random.default_rng(seed)
+    if name == "gromoll-meyer":
+        act = bi.gromoll_meyer_action()
+        P = fx.random_gromoll_meyer_metric(act.dec(), rng)
+    else:
+        act = _circle_action(name)
+        P = fx.random_torus_invariant_metric(act.dec(), rng)
+    g = al.random_group_element(act.group, rng)
+    frame = bi.PointFrame.at(act, g, P)
+    hor = frame.horizontal()
+    H = np.linalg.solve(np.linalg.cholesky(hor.coords @ P.mat @ hor.coords.T), hor.coords)
+    return frame, H, frame.horizontal_forms(H), rng
+
+
 class TestNumericFlatSearch:
     def test_gromoll_meyer_identity_positive(self, rng):
         act = bi.gromoll_meyer_action()
@@ -369,30 +387,49 @@ class TestNumericFlatSearch:
 
     @pytest.mark.parametrize("name", ["gromoll-meyer", "Sp(2)", "SU(5)"])
     def test_alternation_steps_never_raise_kappa(self, name):
-        rng = np.random.default_rng(3)
-        if name == "gromoll-meyer":
-            act = bi.gromoll_meyer_action()
-            P = fx.random_gromoll_meyer_metric(act.dec(), rng)
-        else:
-            act = _circle_action(name)
-            P = fx.random_torus_invariant_metric(act.dec(), rng)
-        g = al.random_group_element(act.group, rng)
-        frame = bi.PointFrame.at(act, g, P)
-        hor = frame.horizontal()
-        chol = np.linalg.cholesky(hor.coords @ P.mat @ hor.coords.T)
-        H = np.linalg.solve(chol, hor.coords)
-        q, _ = np.linalg.qr(rng.standard_normal((hor.dim, 2)))
+        frame, H, forms, rng = _horizontal_rows(name, 3)
+        q, _ = np.linalg.qr(rng.standard_normal((H.shape[0], 2)))
         a, b = q.T[None, 0], q.T[None, 1]
         sec_g, oneill = frame.curvature_rows(a @ H, b @ H)
         value = sec_g + oneill
         for _ in range(15):
-            lam, nxt = de._alternation_step(frame, H, b)
+            lam, nxt = de._alternation_step(forms, b)
             assert lam[0] <= value[0] + 1e-12 * max(1.0, abs(value[0]))
             # the step's value is the curvature of the orthonormal pair
             assert abs(nxt[0] @ b[0]) < 1e-12 and abs(nxt[0] @ nxt[0] - 1) < 1e-12
             sec_g, oneill = frame.curvature_rows(b @ H, nxt @ H)
             assert abs(sec_g[0] + oneill[0] - lam[0]) <= 1e-10 * max(1.0, abs(lam[0]))
             value, b = lam, nxt
+
+    @pytest.mark.parametrize("name", ["gromoll-meyer", "Sp(2)", "SU(3)", "two-torus", "SU(5)"])
+    def test_deflated_step_equals_the_projector_step(self, name):
+        # eigh on a Householder basis of the complement of a gives the
+        # least value of the projected and shifted full-size form
+        frame, H, forms, rng = _horizontal_rows(name, 4)
+        a = rng.standard_normal((5, H.shape[0]))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        a[0] = np.eye(H.shape[0])[0]  # the reflection's pivot on either sign
+        a[1] = -a[0]
+        lam, b = de._alternation_step(forms, a)
+        ref, _ = projector_alternation_step(frame, H, a)
+        assert np.abs(lam - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        assert np.abs(np.einsum("ij,ij->i", b, b) - 1).max() < 1e-12
+        assert np.abs(np.einsum("ij,ij->i", a, b)).max() < 1e-12
+        sec_g, oneill = frame.curvature_rows(a @ H, b @ H)
+        assert np.abs(sec_g + oneill - lam).max() <= 1e-12 * max(1.0, np.abs(lam).max())
+
+    @pytest.mark.parametrize("name", ["gromoll-meyer", "Sp(2)", "two-torus", "SU(5)"])
+    def test_pair_value_gradient_equals_central_differences(self, name):
+        _, H, forms, rng = _horizontal_rows(name, 5)
+        theta = rng.standard_normal(2 * H.shape[0])
+        f, grad = de._pair_value(forms, theta)
+        step = 1e-6
+        for i in range(theta.size):
+            e = np.zeros_like(theta)
+            e[i] = step
+            diff = (de._pair_value(forms, theta + e)[0]
+                    - de._pair_value(forms, theta - e)[0]) / (2 * step)
+            assert abs(diff - grad[i]) <= 1e-7 * max(1.0, abs(f), np.abs(grad).max())
 
     @pytest.mark.parametrize("name, at_identity", [
         ("Sp(2)", True), ("SU(3)", True), ("two-torus", True),
@@ -424,30 +461,23 @@ class TestNumericFlatSearch:
 
     @staticmethod
     def _polish_start(name, seed):
-        """The frame, horizontal rows and alternation result at a random
-        point and metric: the polish's start in numeric_flat_search."""
-        rng = np.random.default_rng(seed)
-        act = _circle_action(name)
-        P = fx.random_torus_invariant_metric(act.dec(), rng)
-        g = al.random_group_element(act.group, rng)
-        frame = bi.PointFrame.at(act, g, P)
-        hor = frame.horizontal()
-        H = np.linalg.solve(np.linalg.cholesky(hor.coords @ P.mat @ hor.coords.T),
-                            hor.coords)
-        q, _ = np.linalg.qr(rng.standard_normal((hor.dim, 2)))
+        """The kernel and the alternation result at a random point and
+        metric: the polish's start in numeric_flat_search."""
+        _, H, forms, rng = _horizontal_rows(name, seed)
+        q, _ = np.linalg.qr(rng.standard_normal((H.shape[0], 2)))
         b = q.T[None, 1]
         for _ in range(de.ALTERNATIONS):
-            _, nxt = de._alternation_step(frame, H, b)
+            _, nxt = de._alternation_step(forms, b)
             a, b = b, nxt
-        return frame, H, a[0], b[0]
+        return forms, a[0], b[0]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("name", ["Sp(2)", "SU(3)", "two-torus", "SU(5)"])
     def test_polish_not_above_the_lbfgsb_reference(self, name, seed):
-        frame, H, a, b = self._polish_start(name, seed)
-        ref = scipy_lbfgsb_polish(frame, H, a, b, 1000)[0]
+        forms, a, b = self._polish_start(name, seed)
+        ref = scipy_lbfgsb_polish(forms, a, b, 1000)[0]
         for max_evals in (1, 2, 1000):
-            f, pa, pb, n = de._polish(frame, H, a, b, max_evals)
+            f, pa, pb, n = de._polish(forms, a, b, max_evals)
             assert 1 <= n <= max_evals
             assert abs(pa @ pa - 1) < 1e-12 and abs(pb @ pb - 1) < 1e-12
         assert f <= ref + 1e-12 * max(1.0, abs(ref))
