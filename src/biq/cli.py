@@ -4,9 +4,11 @@ catalog enumeration and table verification.
 Input files are JSON documents validated against the schema files shipped
 in biq/schemas (weights.schema.json, metric.schema.json).  All randomness
 flows from the single --seed option, which is recorded in every report
-header, and output ordering is canonical, so identical invocations
-produce byte-identical reports.  Reports are written through a temporary
-file and renamed, never partially.
+header, and output ordering is canonical, so identical invocations on one
+machine produce byte-identical reports.  Across CPUs, integer and text
+outputs stay identical, while float fields, and counts decided by float
+comparisons, can differ in the last digits.  Reports are written through
+a temporary file and renamed, never partially.
 
 Exit codes: 0 success (for `free`: the action is free), 1 a check failed
 (for `free`: not free), 2 input or usage error, an output path that

@@ -65,6 +65,8 @@ def _check_spd(m, what: str, tol: float = 1e-12):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise AlgebraError(f"{what} must be a square matrix")
+    if not np.isfinite(m).all():
+        raise AlgebraError(f"{what} must be finite")
     if np.abs(m - m.T).max() > tol * max(1.0, np.abs(m).max()):
         raise AlgebraError(f"{what} must be symmetric")
     if np.linalg.eigvalsh(m).min() <= 0:
@@ -87,6 +89,8 @@ def build_metric(dec: RootDecomposition, t_block=None, alphas=None) -> MetricOpe
     alphas = np.ones(nroots) if alphas is None else np.asarray(alphas, dtype=float)
     if alphas.shape != (nroots,):
         raise AlgebraError(f"expected {nroots} root scalars, got {alphas.shape}")
+    if not np.isfinite(alphas).all():
+        raise AlgebraError("alphas must be finite")
     if np.any(alphas <= 0):
         raise AlgebraError("all root scalars must be positive")
 
@@ -120,6 +124,8 @@ def build_metric_from_subspaces(dec: RootDecomposition, blocks) -> MetricOperato
     mat = np.zeros((dim, dim))
     for sub, block in blocks:
         if np.isscalar(block):
+            if not np.isfinite(block):
+                raise AlgebraError("block scalars must be finite")
             if block <= 0:
                 raise AlgebraError("block scalars must be positive")
             b = float(block) * np.eye(sub.dim)

@@ -30,6 +30,17 @@ class TestBuildMetric:
         with pytest.raises(al.AlgebraError):
             me.build_metric(su3_dec, t_block=np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"alphas": [np.nan, 1.0, 1.0]},
+        {"alphas": [1.0, np.inf, 1.0]},
+        {"t_block": [[np.inf, 0.0], [0.0, 1.0]]},
+        {"t_block": [[1.0, np.nan], [np.nan, 1.0]]},
+    ], ids=["nan-alpha", "inf-alpha", "inf-t-block", "nan-t-block"])
+    def test_non_finite_input_rejected(self, su3_dec, kwargs):
+        # nan <= 0 is False, so the positivity checks alone let NaN through
+        with pytest.raises(al.AlgebraError, match="must be finite"):
+            me.build_metric(su3_dec, **kwargs)
+
     def test_alphas_length_mismatch(self, su3_dec):
         with pytest.raises(al.AlgebraError):
             me.build_metric(su3_dec, alphas=[1.0, 2.0])
@@ -121,6 +132,14 @@ class TestSubspaceMetric:
         for sub in (w1, w2, w3):
             for e in sub.basis_elements():
                 assert sub.contains(me.apply_P(P, e), tol=1e-9)
+
+    def test_non_finite_scalar_block_rejected(self):
+        from biq.detectors import gromoll_meyer_blocks
+
+        dec = al.root_decomposition(al.sp(2))
+        w1, w2, w3 = gromoll_meyer_blocks(dec)
+        with pytest.raises(al.AlgebraError, match="must be finite"):
+            me.build_metric_from_subspaces(dec, [(w1, np.nan), (w2, 1.0), (w3, 1.0)])
 
     def test_incomplete_cover_rejected(self):
         dec = al.root_decomposition(al.su(3))
