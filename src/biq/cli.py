@@ -1,8 +1,8 @@
 """Command-line front end: freeness checks, curvature scans, fixture runs,
 catalog enumeration and table verification.
 
-Input files are JSON documents validated against the schema files shipped
-in biq/schemas (weights.schema.json, metric.schema.json).  All randomness
+Input files are JSON objects: this module checks their fields' JSON types,
+and the library's constructors check their values.  All randomness
 flows from the single --seed option, which is recorded in every report
 header, and output ordering is canonical, so identical invocations on one
 machine produce byte-identical reports.  Across CPUs, integer and text
@@ -24,7 +24,6 @@ import io
 import json
 import os
 import sys
-from importlib import resources
 
 import numpy as np
 
@@ -53,12 +52,34 @@ class InputError(Exception):
     """Malformed input file or arguments (exit code 2)."""
 
 
-def _load_schema(name):
-    with resources.files("biq.schemas").joinpath(name).open() as fh:
-        return json.load(fh)
+def _is_int(v):  # JSON Schema's integer: an integral number, never a boolean
+    return type(v) is int or (type(v) is float and v.is_integer())
 
 
-def _load_json(path, schema_name):
+def _is_number(v):
+    return type(v) in (int, float)
+
+
+def _list_of(entry):
+    return lambda v: type(v) is list and all(map(entry, v))
+
+
+# each field's JSON type; the constructors check the values
+_WEIGHTS_FIELDS = {
+    "group": ("a string", lambda v: type(v) is str),
+    "n": ("an integer", _is_int),
+    "k": ("an integer", _is_int),
+    "W_L": ("a matrix of integers", _list_of(_list_of(_is_int))),
+    "W_R": ("a matrix of integers", _list_of(_list_of(_is_int))),
+    "mode": ("a string", lambda v: type(v) is str),
+}
+_METRIC_FIELDS = {
+    "t_block": ("a matrix of numbers", _list_of(_list_of(_is_number))),
+    "alphas": ("a list of numbers", _list_of(_is_number)),
+}
+
+
+def _load_json(path, fields, required=()):
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -66,26 +87,25 @@ def _load_json(path, schema_name):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    import jsonschema  # slow to import, and only input files need it
-
-    validator = jsonschema.Draft7Validator(_load_schema(schema_name))
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        lines = [
-            f"{path}: field {'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
-            for err in errors
-        ]
-        raise InputError("\n".join(lines))
+    if type(doc) is not dict:
+        raise InputError(f"{path}: expected a JSON object")
+    for name in required:
+        if name not in doc:
+            raise InputError(f"{path}: missing field {name!r}")
+    for name, value in doc.items():
+        if name not in fields:
+            raise InputError(f"{path}: unknown field {name!r}")
+        if not fields[name][1](value):
+            raise InputError(f"{path}: field {name!r} must be {fields[name][0]}")
     return doc
 
 
 def load_weights(path) -> TorusActionWeights:
-    doc = _load_json(path, "weights.schema.json")
-    fam = GroupFamily(doc["group"], doc["n"])
+    doc = _load_json(path, _WEIGHTS_FIELDS, required=("group", "n", "k", "W_L", "W_R"))
     try:
         return TorusActionWeights(
-            group=fam,
-            k=doc["k"],
+            group=GroupFamily(doc["group"], int(doc["n"])),
+            k=int(doc["k"]),
             w_left=tuple(map(tuple, doc["W_L"])),
             w_right=tuple(map(tuple, doc["W_R"])),
             mode=doc.get("mode", "strict"),
@@ -95,7 +115,7 @@ def load_weights(path) -> TorusActionWeights:
 
 
 def load_metric(path, dec):
-    doc = _load_json(path, "metric.schema.json")
+    doc = _load_json(path, _METRIC_FIELDS)
     try:
         return build_metric(dec, doc.get("t_block"), doc.get("alphas"))
     except (AlgebraError, ValueError) as exc:

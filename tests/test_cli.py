@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,16 +69,6 @@ class TestFree:
         report = json.loads(out.read_text())
         assert report["free"] is False
         assert report["witness"]["element_denominator"] >= 2
-
-    def test_malformed_input_exits_two(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({
-            "group": "SU", "n": 3, "k": 1,
-            "W_L": [[2], [2], ["x"]], "W_R": [[0], [0], [4]],
-        }))
-        code = cli.main(["free", str(bad)])
-        assert code == 2
-        assert "W_L" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_row_formats_are_usage_errors(self, thm2_file, fmt, capsys):
@@ -288,8 +279,8 @@ class TestScan:
                              ids=["nan-alpha", "inf-t-block"])
     def test_non_finite_metric_names_the_file(self, gm_circle_file, tmp_path, doc,
                                               capsys):
-        # Python's json reads NaN and Infinity, and the schema's "number"
-        # admits them
+        # Python's json reads NaN and Infinity as numbers, so only
+        # build_metric can reject them
         metric = tmp_path / "m.json"
         metric.write_text(doc)
         assert cli.main(["scan", "--action", gm_circle_file, "--metric", str(metric),
@@ -401,6 +392,115 @@ class TestDeterminism:
         assert not out.exists()
 
 
+# the Gromoll-Meyer circle on Sp(2), free; each malformed document below
+# differs from it (or from METRIC) in one place
+WEIGHTS = {"group": "Sp", "n": 2, "k": 1, "W_L": [[1], [1]], "W_R": [[1], [0]]}
+METRIC = {"t_block": [[1.0, 0.0], [0.0, 2.0]], "alphas": [0.5, 1.0, 1.5, 2.0]}
+# wrong JSON types for any scalar field; each field also gets the other
+# kind of scalar, a number for a string field and a string for an integer
+_WRONG_TYPES = {"bool": True, "float": 1.5, "null": None}
+
+
+def _bad(base, field, value):
+    return {**base, field: value}
+
+
+# (document, the field a key or type error names, or None for a value error)
+MALFORMED_WEIGHTS = {
+    **{f"missing-{key}": ({k: v for k, v in WEIGHTS.items() if k != key}, key)
+       for key in ("group", "n", "k", "W_L", "W_R")},
+    "unknown-key": ({**WEIGHTS, "W_M": [[0], [0]]}, "W_M"),
+    "not-an-object": ([WEIGHTS], None),
+    **{f"{key}-{name}": (_bad(WEIGHTS, key, value), key)
+       for key, other in (("group", 2), ("mode", 2), ("n", "2"), ("k", "1"))
+       for name, value in {**_WRONG_TYPES, type(other).__name__: other}.items()},
+    **{f"W_L-{name}": (_bad(WEIGHTS, "W_L", value), "W_L")
+       for name, value in {"empty": [], "empty-row": [[]], "scalar": 5, "flat": [1, 1],
+                           "string-entry": [["x"], [1]], "float-entry": [[1.5], [1]],
+                           "bool-entry": [[True], [1]]}.items()},
+    "n-zero": (_bad(WEIGHTS, "n", 0), None),
+    "k-zero": (_bad(WEIGHTS, "k", 0), None),
+    "mode-unknown": (_bad(WEIGHTS, "mode", "loose"), None),
+}
+MALFORMED_METRICS = {
+    "unknown-key": ({**METRIC, "alpha": [1.0]}, "alpha"),
+    "not-an-object": ([1.0], None),
+    "t_block-string": (_bad(METRIC, "t_block", "I"), "t_block"),
+    "t_block-null": (_bad(METRIC, "t_block", None), "t_block"),
+    "t_block-string-entry": (_bad(METRIC, "t_block", [["1", 0], [0, 1]]), "t_block"),
+    "t_block-bool-entry": (_bad(METRIC, "t_block", [[True, 0], [0, 1]]), "t_block"),
+    "alphas-zero": (_bad(METRIC, "alphas", [0, 1, 1, 1]), None),
+    "alphas-string-entry": (_bad(METRIC, "alphas", ["x", 1, 1, 1]), "alphas"),
+    "alphas-bool-entry": (_bad(METRIC, "alphas", [True, 1, 1, 1]), "alphas"),
+    "alphas-not-a-list": (_bad(METRIC, "alphas", 1.0), "alphas"),
+}
+
+
+class TestInputFiles:
+    @staticmethod
+    def _write(tmp_path, name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @staticmethod
+    def _assert_rejected(code, err, path, field):
+        assert code == 2
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+        if field is not None:
+            assert re.search(rf"\b{field}\b", err[len(f"error: {path}: "):])
+
+    @pytest.mark.parametrize("doc, field", MALFORMED_WEIGHTS.values(),
+                             ids=MALFORMED_WEIGHTS.keys())
+    def test_malformed_weights_exit_two_and_name_the_file(self, tmp_path, capsys, doc,
+                                                          field):
+        path = self._write(tmp_path, "w.json", doc)
+        code = cli.main(["free", path])
+        self._assert_rejected(code, capsys.readouterr().err, path, field)
+
+    @pytest.mark.parametrize("doc, field", MALFORMED_METRICS.values(),
+                             ids=MALFORMED_METRICS.keys())
+    def test_malformed_metric_exits_two_and_names_the_file(self, tmp_path, capsys, doc,
+                                                           field):
+        action = self._write(tmp_path, "w.json", WEIGHTS)
+        path = self._write(tmp_path, "m.json", doc)
+        code = cli.main(["scan", "--action", action, "--metric", path, "--points", "1",
+                         "--planes", "50", "--restarts", "1"])
+        self._assert_rejected(code, capsys.readouterr().err, path, field)
+
+    @pytest.mark.parametrize("doc", [
+        WEIGHTS,
+        _bad(WEIGHTS, "W_L", [[1.0], [1.0]]),
+        _bad(WEIGHTS, "mode", "strict"),
+        _bad(WEIGHTS, "mode", "mod-center"),
+    ], ids=["no-mode", "integral-float-entries", "strict", "mod-center"])
+    def test_accepted_weights(self, tmp_path, doc):
+        assert cli.main(["free", self._write(tmp_path, "w.json", doc)]) == 0
+
+    @pytest.mark.parametrize("doc", [
+        {}, METRIC, {"alphas": [1, 2, 1, 1]}, {"t_block": [[1, 0], [0, 2]]},
+    ], ids=["empty", "floats", "integer-alphas", "integer-t_block"])
+    def test_accepted_metrics(self, tmp_path, doc):
+        code = cli.main(["scan", "--action", self._write(tmp_path, "w.json", WEIGHTS),
+                         "--metric", self._write(tmp_path, "m.json", doc),
+                         "--points", "1", "--planes", "50", "--restarts", "1",
+                         "-o", str(tmp_path / "scan.json")])
+        assert code == 0
+
+    @pytest.mark.parametrize("field, value", [("n", 2.0), ("k", 1.0)])
+    def test_integral_float_sizes_read_as_integers(self, tmp_path, field, value):
+        # an integral number is a JSON integer: "n": 2.0 is the Sp(2) circle,
+        # with the verdict and report of "n": 2
+        outs = []
+        for name, doc in (("int", WEIGHTS), ("float", _bad(WEIGHTS, field, value))):
+            out = tmp_path / f"{name}.json"
+            path = self._write(tmp_path, f"w_{name}.json", doc)
+            assert cli.main(["free", path, "-o", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
 def _src_env():
     """The environment with this checkout's biq first on the path."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -408,16 +508,41 @@ def _src_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def test_import_path_is_numpy_only():
-    # scipy.linalg, scipy.optimize and jsonschema take most of a cold
-    # start; biq never imports scipy, and only input validation imports
-    # jsonschema
-    probe = ("import sys, biq, biq.cli; print(sorted(m for m in sys.modules"
-             " if m.split('.')[0] == 'jsonschema'"
-             " or m.startswith(('scipy.linalg', 'scipy.optimize'))))")
-    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(), check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+def _free_and_scan(tmp_path, prelude=""):
+    """Run `biq free` and a small `biq scan` in a fresh interpreter after
+    `prelude`; return the two exit codes and the top-level modules loaded."""
+    action = tmp_path / "w.json"
+    action.write_text(json.dumps(WEIGHTS))
+    runs = [["free", str(action)],
+            ["scan", "--action", str(action), "--points", "1", "--planes", "50",
+             "--restarts", "1", "-o", str(tmp_path / "scan.json")]]
+    probe = (f"import json, sys; {prelude}\nfrom biq.cli import main\n"
+             f"codes = [main(argv) for argv in {runs!r}]\n"
+             "print(json.dumps([codes, sorted({m.split('.')[0] for m in sys.modules})]))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_input_files_are_read_without_jsonschema(tmp_path):
+    codes, _ = _free_and_scan(tmp_path, "sys.modules['jsonschema'] = None")
+    assert codes == [0, 0]
+
+
+def test_import_path_is_numpy_only(tmp_path):
+    # a free verdict and a scan load nothing beyond the standard library
+    # and what numpy loads itself (numpy.random's Cython extensions add
+    # cython_runtime and a _cython_* module): scipy, for one, is a test
+    # dependency only
+    probe = "import json, sys, numpy.random; print(json.dumps(sorted(sys.modules)))"
+    baseline = json.loads(subprocess.run(
+        [sys.executable, "-c", probe], env=_src_env(), check=True,
+        capture_output=True, text=True).stdout)
+    codes, loaded = _free_and_scan(tmp_path)
+    assert codes == [0, 0]
+    extra = set(loaded) - set(sys.stdlib_module_names) - {m.split(".")[0] for m in baseline}
+    assert extra == {"biq"}
 
 
 def test_scan_runs_without_scipy(gm_circle_file, tmp_path):
