@@ -51,6 +51,7 @@ class GroupFamily:
     def __post_init__(self):
         if self.name not in ("SU", "U", "Sp", "SO"):
             raise AlgebraError(f"unknown family {self.name!r}")
+        object.__setattr__(self, "n", as_int(self.n, "size parameter"))
         if self.n < 1:
             raise AlgebraError("size parameter must be positive")
 
@@ -84,6 +85,16 @@ class GroupFamily:
 
     def __str__(self):
         return f"{self.name}({self.n})"
+
+
+def as_int(x, what: str) -> int:
+    """x as an int if integral (2, 2.0, numpy integers); int() truncates."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise AlgebraError(f"{what} must be an integer, got {x!r}")
 
 
 def su(n: int) -> GroupFamily:

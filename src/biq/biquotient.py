@@ -23,14 +23,17 @@ matrix of the vertical generators (no iterative search).
 
 `PointFrame.at` caches everything that depends only on the point: the
 coordinate rows A of Ad_{g^{-1}} X_L and R of X_R, the vertical rows
-A - R, their Gram matrix G and its inverse.  For a metric-orthonormal
-plane, z^2 = c G^{-1} c with c = A P L(x, y) - R P [x, y], where both
-P-rows come out of the curvature kernel (`curvature.plane_terms`) that
-also gives sec_G, so one kernel call evaluates the quotient curvature of
-a whole batch of planes (`PointFrame.curvature_rows`).  Since c is
-linear in each argument, the quotient numerator is a quadratic form in y
-for fixed x as well; `PointFrame.horizontal_forms` builds once per point
-the kernel that gives these forms in P-orthonormal horizontal rows.
+A - R, their Gram matrix G and its inverse, once per (action, point,
+metric), keyed by identity (sound, as `PointFrame` says): a criterion
+and the re-evaluation of its certificate share one frame.  For a
+metric-orthonormal plane, z^2 = c G^{-1} c with
+c = A P L(x, y) - R P [x, y], where both P-rows come out of the
+curvature kernel (`curvature.plane_terms`) that also gives sec_G, so one
+kernel call evaluates the quotient curvature of a whole batch of planes
+(`PointFrame.curvature_rows`).  Since c is linear in each argument, the
+quotient numerator is a quadratic form in y for fixed x as well;
+`PointFrame.horizontal_forms` builds once per point the kernel that
+gives these forms in P-orthonormal horizontal rows.
 
 `PointFrame` alone decides what is horizontal and what is a plane:
 
@@ -49,7 +52,8 @@ is not free.  `quotient_sectional` is the checked single-plane entry point;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -93,16 +97,21 @@ class BiquotientAction:
 
     group: GroupFamily
     u_basis: tuple  # of (AlgebraElement, AlgebraElement) pairs
+    _left: np.ndarray = field(init=False, repr=False, compare=False)  # X_L stack
+    _right_rows: np.ndarray = field(init=False, repr=False, compare=False)  # X_R coords
 
     def __post_init__(self):
-        dec = root_decomposition(self.group)
-        rows = []
-        for xl, xr in self.u_basis:
-            if xl.family != self.group or xr.family != self.group:
-                raise AlgebraError("generator pair from the wrong algebra")
-            rows.append(np.concatenate([dec.to_coords(xl), dec.to_coords(xr)]))
-        if rows and np.linalg.matrix_rank(np.asarray(rows)) < len(rows):
+        if any(x.family != self.group for pair in self.u_basis for x in pair):
+            raise AlgebraError("generator pair from the wrong algebra")
+        size = self.group.matrix_size
+        pairs = np.array([(xl.mat, xr.mat) for xl, xr in self.u_basis],
+                         dtype=complex).reshape(-1, 2, size, size)
+        rows = root_decomposition(self.group).coords_rows(pairs)
+        if len(rows) and np.linalg.matrix_rank(rows.reshape(len(rows), -1)) < len(rows):
             raise AlgebraError("u_basis must be linearly independent in g + g")
+        for name, arr in (("_left", pairs[:, 0].copy()), ("_right_rows", rows[:, 1].copy())):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim_u(self) -> int:
@@ -174,7 +183,13 @@ class PointFrame:
     ad_left and right hold the coordinate rows of Ad_{g^{-1}} X_L and X_R
     per generator pair; their difference spans the vertical space, and
     its metric Gram matrix is positive definite exactly when the action is
-    free at g.
+    free at g.  Every array is read-only.
+
+    One frame per triple: `at` returns the frame it built last when handed
+    the same three objects again (`is`, not equality).  Sound, since the
+    point's matrix, P, P^{-1} and every generator matrix are read-only from
+    construction, and the slot holds the three, so no id is reused while
+    cached.  One slot suffices: every caller works one point at a time.
 
     U = {e} needs no branch: its rows are (0, dim) arrays, its Gram matrix
     and inverse are (0, 0), so the horizontal space is all of g and the
@@ -187,29 +202,36 @@ class PointFrame:
     ad_left: np.ndarray  # (dim_u, dim)
     right: np.ndarray  # (dim_u, dim)
     vert_coords: np.ndarray  # (dim_u, dim) raw generator coordinates
+    vert_p: np.ndarray  # vert_coords @ P.mat
+    vert_scale: float  # largest row norm of vert_p, floored at 1e-300
     gram: np.ndarray
     gram_inv: np.ndarray | None
 
+    _last: ClassVar[PointFrame | None] = None
+
     @classmethod
     def at(cls, act, g, P):
-        dec = act.dec()
-        size = act.group.matrix_size
-        # (dim_u, 2, s, s): X_L conjugated by g^{-1} next to X_R, so one
-        # flat-basis product gives both coordinate row sets
-        pairs = np.array(
-            [(xl.mat, xr.mat) for xl, xr in act.u_basis], dtype=complex
-        ).reshape(-1, 2, size, size)
-        pairs[:, 0] = g.mat.conj().T @ pairs[:, 0] @ g.mat
-        rows = dec.coords_rows(pairs)
-        ad_left, right = rows[:, 0], rows[:, 1]
-        vc = ad_left - right
-        gram = vc @ P.mat @ vc.T
+        last = cls._last  # one read, so a racing thread can only cause a miss
+        if last is not None and last.act is act and last.g is g and last.P is P:
+            return last
+        ad_left = act.dec().coords_rows(g.mat.conj().T @ act._left @ g.mat)
+        vc = ad_left - act._right_rows
+        vp = vc @ P.mat
+        gram = vp @ vc.T
+        # freeness by the least eigenvalue; the same eigh gives the inverse
+        w, v = np.linalg.eigh(gram)
         gram_inv = None
-        eigs = np.linalg.eigvalsh(gram)
-        if eigs.min(initial=np.inf) > 1e-12 * max(eigs.max(initial=0.0), 1.0):
-            gram_inv = np.linalg.inv(gram)
-        return cls(act=act, g=g, P=P, ad_left=ad_left, right=right,
-                   vert_coords=vc, gram=gram, gram_inv=gram_inv)
+        if w.min(initial=np.inf) > 1e-12 * max(w.max(initial=0.0), 1.0):
+            gram_inv = (v / w) @ v.T
+        for arr in (ad_left, vc, vp, gram, gram_inv):
+            if arr is not None:
+                arr.setflags(write=False)
+        scale = max(float(np.linalg.norm(vp, axis=1).max(initial=0.0)), 1e-300)
+        frame = cls(act=act, g=g, P=P, ad_left=ad_left, right=act._right_rows,
+                    vert_coords=vc, vert_p=vp, vert_scale=scale, gram=gram,
+                    gram_inv=gram_inv)
+        cls._last = frame
+        return frame
 
     @property
     def is_free_point(self) -> bool:
@@ -225,10 +247,8 @@ class PointFrame:
         orthonormal rows coords; the rank cut is absolute, since a
         horizontal subspace pairs to noise that must count as zero."""
         coords = np.asarray(coords)
-        vp = self.vert_coords @ self.P.mat
-        _, s, vt = np.linalg.svd(vp @ coords.T)
-        scale = max(float(np.linalg.norm(vp, axis=1).max(initial=0.0)), 1e-300)
-        return vt[np.count_nonzero(s > 1e-10 * scale):] @ coords
+        _, s, vt = np.linalg.svd(self.vert_p @ coords.T)
+        return vt[np.count_nonzero(s > 1e-10 * self.vert_scale):] @ coords
 
     def horizontal(self) -> Subspace:
         """Metric-orthogonal complement of the vertical space."""
@@ -236,8 +256,7 @@ class PointFrame:
         return Subspace(dec, self.slice(np.eye(dec.dim)), label="horizontal")
 
     def horizontal_residual(self, coords) -> float:
-        pairings = self.vert_coords @ (self.P.mat @ np.asarray(coords))
-        return float(np.linalg.norm(pairings))
+        return float(np.linalg.norm(self.vert_p @ np.asarray(coords)))
 
     def checked(self, a: AlgebraElement) -> np.ndarray:
         """Coordinates of a, metric-orthogonally projected onto the
@@ -245,7 +264,7 @@ class PointFrame:
         its own norm."""
         gram_inv = self._free_gram_inv()  # a non-free point is reported first
         c = self.act.dec().to_coords(a)
-        pairings = self.vert_coords @ (self.P.mat @ c)
+        pairings = self.vert_p @ c
         if float(np.linalg.norm(pairings)) > HORIZONTAL_TOL * max(np.linalg.norm(c), 1e-300):
             raise NonHorizontalError("input vector is not horizontal at g")
         return c - self.vert_coords.T @ (gram_inv @ pairings)
@@ -301,7 +320,7 @@ class PointFrame:
         s_flat = np.concatenate([H @ R, hp, H @ RP], axis=2).transpose(0, 2, 1).reshape(h, -1)
         quarter, q = 0.25 * np.eye(d), 0.25 * pinv
         W = np.block([[-0.75 * pm, quarter, quarter], [quarter, q, -q], [quarter, -q, q]])
-        L = np.hstack([self.vert_coords @ pm, -self.ad_left, -self.ad_left])
+        L = np.hstack([self.vert_p, -self.ad_left, -self.ad_left])
         W += 0.75 * L.T @ gram_inv @ L
         c_of_aa, lin_of_c = hp.reshape(h * h, d) @ pinv, hp.transpose(2, 1, 0).reshape(d, h * h)
 
@@ -326,11 +345,10 @@ def z_term(
     P: MetricOperator,
     a: AlgebraElement,
     b: AlgebraElement,
-    frame: PointFrame | None = None,
 ) -> float:
     """Norm of the vertical part of the bracket of horizontal extensions of
     a, b at g; requires a, b horizontal and the action free at g."""
-    frame = frame or PointFrame.at(act, g, P)
+    frame = PointFrame.at(act, g, P)
     ca, cb = frame.checked(a), frame.checked(b)
     z2 = frame.z_squared(plane_terms(P, ca[None], cb[None]))
     return float(np.sqrt(z2[0]))
@@ -354,14 +372,13 @@ def quotient_sectional(
     P: MetricOperator,
     a: AlgebraElement,
     b: AlgebraElement,
-    frame: PointFrame | None = None,
 ) -> PlaneReport:
     """Quotient sectional curvature of the horizontal plane span{a, b} at g.
 
     Inputs within the horizontality tolerance are projected onto the
     horizontal space, then orthonormalized; others are rejected.
     """
-    frame = frame or PointFrame.at(act, g, P)
+    frame = PointFrame.at(act, g, P)
     x, y, ok = frame.orthonormal(frame.checked(a)[None], frame.checked(b)[None])
     if not ok[0]:
         raise DegeneratePlaneError("a and b do not span a 2-plane")

@@ -683,8 +683,7 @@ def numeric_flat_search(
         diagnostics.update(stats)
 
     rep = quotient_sectional(
-        act, g, P, dec.from_coords(best_pair[0]), dec.from_coords(best_pair[1]),
-        frame=frame,
+        act, g, P, dec.from_coords(best_pair[0]), dec.from_coords(best_pair[1])
     )
     flat = abs(rep.sec_quotient) < FLAT_THRESHOLD
     return replace(rep, certificate="numeric" if flat else "none")

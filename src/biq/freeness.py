@@ -89,7 +89,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, gcd, prod
 
-from .algebra import AlgebraError, GroupFamily
+from .algebra import AlgebraError, GroupFamily, as_int
 from .intlattice import echelon_hermite, echelon_insert, echelon_spans_all, smith_kernel
 
 STRICT = "strict"
@@ -119,6 +119,7 @@ class TorusActionWeights:
     mode: str = STRICT
 
     def __post_init__(self):
+        object.__setattr__(self, "k", as_int(self.k, "torus rank k"))
         object.__setattr__(self, "w_left", _as_int_rows(self.w_left))
         object.__setattr__(self, "w_right", _as_int_rows(self.w_right))
         object.__setattr__(self, "mode", _normalize_mode(self.mode))
@@ -159,7 +160,7 @@ class TorusActionWeights:
 
 
 def _as_int_rows(w):
-    return tuple(tuple(int(x) for x in row) for row in w)
+    return tuple(tuple(as_int(x, "a weight") for x in row) for row in w)
 
 
 def _exponents(w, col):

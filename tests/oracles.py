@@ -21,7 +21,8 @@ numeric flat-plane search (random phase plus Nelder-Mead descents), of
 its quotient forms (d x d operators per call, before the per-point
 horizontal kernel) and alternation step (a projector and a shift instead
 of a deflated basis), and of the flat-plane criteria N1/N2/N3 (matrix
-brackets per candidate).  The
+brackets per candidate).  The reference point frame is the frame as built
+per call before the one-slot cache (eigvalsh and inv).  The
 twin-ordered permutations, which bound the exact walk, come from a filter
 over every permutation.  The scipy oracles are the earlier forms of the
 exponential (Pade scaling and squaring), of the orthonormal span, of the
@@ -105,6 +106,35 @@ def one_sided_action(fam, generators, side: str = "right") -> BiquotientAction:
     else:
         raise ValueError("side must be 'left' or 'right'")
     return BiquotientAction(group=fam, u_basis=pairs)
+
+
+class ReferenceFrame(NamedTuple):
+    ad_left: np.ndarray
+    right: np.ndarray
+    vert_coords: np.ndarray
+    gram: np.ndarray
+    gram_inv: np.ndarray | None
+
+
+def reference_frame(act, g, P) -> ReferenceFrame:
+    """PointFrame.at before it kept one frame per point: the generator
+    matrices stacked on every call, freeness from eigvalsh and the inverse
+    from inv."""
+    dec = act.dec()
+    size = act.group.matrix_size
+    pairs = np.array(
+        [(xl.mat, xr.mat) for xl, xr in act.u_basis], dtype=complex
+    ).reshape(-1, 2, size, size)
+    pairs[:, 0] = g.mat.conj().T @ pairs[:, 0] @ g.mat
+    rows = dec.coords_rows(pairs)
+    ad_left, right = rows[:, 0], rows[:, 1]
+    vc = ad_left - right
+    gram = vc @ P.mat @ vc.T
+    gram_inv = None
+    eigs = np.linalg.eigvalsh(gram)
+    if eigs.min(initial=np.inf) > 1e-12 * max(eigs.max(initial=0.0), 1.0):
+        gram_inv = np.linalg.inv(gram)
+    return ReferenceFrame(ad_left, right, vc, gram, gram_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +747,7 @@ def nelder_mead_flat_search(act, g, P, budget=10_000, rng=None, local_restarts=4
     c1 = hor.coords.T @ best_theta[:h]
     c2 = hor.coords.T @ best_theta[h:]
     rep = quotient_sectional(
-        act, g, P, dec.from_coords(c1), dec.from_coords(c2), frame=frame
+        act, g, P, dec.from_coords(c1), dec.from_coords(c2)
     )
     cert = "numeric" if abs(rep.sec_quotient) < FLAT_THRESHOLD else "none"
     return PlaneReport(

@@ -2,8 +2,23 @@ import numpy as np
 import pytest
 
 from biq import algebra as al
+from biq import freeness as fr
 from conftest import semisimple_families
 from oracles import check_algebra_element, check_group_element, scipy_exp_map, scipy_span_coords
+
+
+class TestGroupFamily:
+    def test_integral_float_size_reads_as_int(self):
+        fam = al.GroupFamily("Sp", 2.0)
+        assert fam == al.sp(2) and str(fam) == "Sp(2)" and type(fam.n) is int
+        # a float n used to reach factorial() in the walk and raise TypeError
+        w = fr.TorusActionWeights(fam, 1, ((1,), (1,)), ((1,), (0,)))
+        assert fr.is_free_exact(w).free
+
+    @pytest.mark.parametrize("n", [2.5, "2", None])
+    def test_non_integral_size_rejected(self, n):
+        with pytest.raises(al.AlgebraError, match="integer"):
+            al.GroupFamily("Sp", n)
 
 
 class TestBracket:

@@ -17,6 +17,7 @@ from oracles import (
     numerator_forms,
     one_sided_action,
     quotient_forms,
+    reference_frame,
     scipy_horizontal_coords,
     trivial_action,
 )
@@ -145,7 +146,7 @@ class TestHorizontalSpace:
         a, b = dec.from_coords(c[0]), dec.from_coords(c[1])
         assert np.array_equal(frame.checked(a), dec.to_coords(a))
         assert np.array_equal(frame.z_squared(cu.plane_terms(P, c[:1], c[1:])), [0.0])
-        assert bi.z_term(act, g, P, a, b, frame=frame) == 0.0
+        assert bi.z_term(act, g, P, a, b) == 0.0
         assert np.array_equal(quotient_forms(frame, c), numerator_forms(P, c).forms)
         sub = al.root_subspace(dec, 0)
         assert np.array_equal(frame.slice(sub.coords), sub.coords)
@@ -240,7 +241,7 @@ class TestZTerm:
             c = rng.standard_normal((2, hor.dim))
             a = dec.from_coords(hor.coords.T @ c[0])
             b = dec.from_coords(hor.coords.T @ c[1])
-            z = bi.z_term(act, g, P, a, b, frame=frame)
+            z = bi.z_term(act, g, P, a, b)
             vert = vertical_span(act, g)
             proj = vert.project_coords(dec.to_coords(al.bracket(a, b)))
             assert abs(z - np.linalg.norm(proj)) < 1e-9
@@ -355,7 +356,7 @@ class TestQuotientSectional:
             c = rng.standard_normal((2, hor.dim))
             a = dec.from_coords(hor.coords.T @ c[0])
             b = dec.from_coords(hor.coords.T @ c[1])
-            rep = bi.quotient_sectional(act, g, P, a, b, frame=frame)
+            rep = bi.quotient_sectional(act, g, P, a, b)
             assert rep.oneill_term >= 0
             assert rep.sec_quotient >= rep.sec_g - 1e-12
             assert abs(rep.sec_quotient - rep.sec_g - rep.oneill_term) < 1e-12
@@ -376,7 +377,7 @@ class TestQuotientSectional:
                 c = rng.standard_normal((2, hor.dim))
                 a = dec.from_coords(hor.coords.T @ c[0])
                 b = dec.from_coords(hor.coords.T @ c[1])
-                rep = bi.quotient_sectional(act, g, P, a, b, frame=frame)
+                rep = bi.quotient_sectional(act, g, P, a, b)
                 cab = dec.to_coords(al.bracket(rep.x, rep.y))
                 vpart = vertical_span(act, g).project_coords(cab)
                 hpart = cab - vpart
@@ -394,7 +395,7 @@ class TestQuotientSectional:
             c = rng.standard_normal((2, hor.dim))
             a = dec.from_coords(hor.coords.T @ c[0])
             b = dec.from_coords(hor.coords.T @ c[1])
-            rep = bi.quotient_sectional(act, g, P, a, b, frame=frame)
+            rep = bi.quotient_sectional(act, g, P, a, b)
             assert rep.sec_quotient > 0
 
     def test_orthonormalization_preserves_horizontality(self, rng):
@@ -407,7 +408,7 @@ class TestQuotientSectional:
         c = rng.standard_normal((2, hor.dim))
         a = dec.from_coords(hor.coords.T @ c[0])
         b = dec.from_coords(hor.coords.T @ c[1])
-        rep = bi.quotient_sectional(act, g, P, a, b, frame=frame)
+        rep = bi.quotient_sectional(act, g, P, a, b)
         for v in (rep.x, rep.y):
             assert frame.horizontal_residual(dec.to_coords(v)) < 1e-9
 
@@ -459,7 +460,7 @@ class TestCoordinateKernel:
         for seed in range(4):
             act, g, P, frame, c = _horizontal_plane(name, seed)
             a, b = act.dec().from_coords(c[0]), act.dec().from_coords(c[1])
-            z = bi.z_term(act, g, P, a, b, frame=frame)
+            z = bi.z_term(act, g, P, a, b)
             ref = matrix_z_squared(act, g, P, a, b)
             assert abs(z * z - ref) <= 1e-12 * max(ref, 1.0)
 
@@ -494,7 +495,7 @@ class TestCoordinateKernel:
         for _ in range(5):
             c = rng.standard_normal((2, hor.dim)) @ hor.coords
             rep = bi.quotient_sectional(
-                act, g, P, dec.from_coords(c[0]), dec.from_coords(c[1]), frame=frame
+                act, g, P, dec.from_coords(c[0]), dec.from_coords(c[1])
             )
             rows.append((dec.to_coords(rep.x), dec.to_coords(rep.y), rep))
         cx = np.array([r[0] for r in rows])
@@ -504,6 +505,86 @@ class TestCoordinateKernel:
             ref = matrix_quotient_sectional(act, g, P, x, y)
             assert abs(sec_g[n] + oneill[n] - ref) <= 1e-12 * max(abs(ref), 1.0)
             assert abs(rep.sec_quotient - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
+FRAME_FAMILIES = (al.su(3), al.su(4), al.su(5), al.sp(2), al.sp(3),
+                  al.so(5), al.so(6), al.so(7))
+
+
+def _assert_frame_matches_reference(frame, act, g, P):
+    ref = reference_frame(act, g, P)
+    for name in ("ad_left", "right", "vert_coords", "gram"):
+        assert np.abs(getattr(frame, name) - getattr(ref, name)).max(initial=0.0) <= 1e-12
+    assert np.array_equal(frame.vert_p, frame.vert_coords @ P.mat)
+    assert frame.is_free_point == (ref.gram_inv is not None)
+    if frame.is_free_point:
+        err = np.abs(frame.gram_inv - ref.gram_inv).max(initial=0.0)
+        assert err <= 1e-10 * np.abs(ref.gram_inv).max(initial=1.0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(fam=st.sampled_from(FRAME_FAMILIES), seed=st.integers(0, 2**32 - 1),
+       dim_u=st.integers(1, 3))
+def test_frame_matches_per_call_reference(fam, seed, dim_u):
+    # random generator pairs (a subspace of g + g, which is all the frame
+    # reads), and a pair (X, Ad_{g^-1} X) that makes the action non-free at g
+    rng = np.random.default_rng(seed)
+    dec = al.root_decomposition(fam)
+    P = fx.random_torus_invariant_metric(dec, rng)
+    g = al.random_group_element(fam, rng)
+    pairs = tuple((al.random_algebra_element(fam, rng), al.random_algebra_element(fam, rng))
+                  for _ in range(dim_u))
+    act = bi.BiquotientAction(fam, pairs)
+    frame = bi.PointFrame.at(act, g, P)
+    assert frame.is_free_point
+    _assert_frame_matches_reference(frame, act, g, P)
+    x = al.random_algebra_element(fam, rng)
+    stuck = bi.BiquotientAction(fam, ((x, al.adjoint(g.inverse(), x)),) + pairs[1:])
+    frame = bi.PointFrame.at(stuck, g, P)
+    assert not frame.is_free_point
+    _assert_frame_matches_reference(frame, stuck, g, P)
+    with pytest.raises(bi.NonFreePointError):
+        bi.z_term(stuck, g, P, x, x)
+
+
+class TestFrameSlot:
+    def _triple(self, seed):
+        rng = np.random.default_rng(seed)
+        act, P = _case("gromoll-meyer", rng)
+        return act, al.random_group_element(act.group, rng), P
+
+    def test_same_triple_returns_same_frame(self):
+        act, g, P = self._triple(0)
+        frame = bi.PointFrame.at(act, g, P)
+        assert bi.PointFrame.at(act, g, P) is frame
+
+    def test_equal_point_that_is_another_object_gets_a_new_frame(self):
+        act, g, P = self._triple(0)
+        frame = bi.PointFrame.at(act, g, P)
+        twin = al.GroupElement(g.family, g.mat.copy())
+        other = bi.PointFrame.at(act, twin, P)
+        assert other is not frame and other.g is twin
+        assert np.array_equal(other.gram, frame.gram)
+
+    def test_interleaved_triples_get_their_own_frames(self):
+        triples = [self._triple(seed) for seed in range(3)]
+        act, g, _ = triples[0]
+        triples.append((act, g, me.build_metric(act.dec())))  # only P differs
+        for i in (0, 1, 0, 2, 3, 0, 3, 3, 1):
+            act, g, P = triples[i]
+            frame = bi.PointFrame.at(act, g, P)
+            assert frame.act is act and frame.g is g and frame.P is P
+            _assert_frame_matches_reference(frame, act, g, P)
+
+    def test_frame_arrays_are_read_only(self):
+        act, g, P = self._triple(0)
+        frame = bi.PointFrame.at(act, g, P)
+        for name in ("ad_left", "right", "vert_coords", "vert_p", "gram", "gram_inv"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(frame, name)[0, 0] = 1.0
+        for arr in (act._left, act._right_rows):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] *= 2.0
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -518,11 +599,11 @@ def test_quotient_sectional_invariant_under_plane_basis_change(name, seed, m):
     act, g, P, frame, c = _horizontal_plane(name, seed)
     dec = act.dec()
     rep = bi.quotient_sectional(
-        act, g, P, dec.from_coords(c[0]), dec.from_coords(c[1]), frame=frame
+        act, g, P, dec.from_coords(c[0]), dec.from_coords(c[1])
     )
     mc = m @ c
     rep2 = bi.quotient_sectional(
-        act, g, P, dec.from_coords(mc[0]), dec.from_coords(mc[1]), frame=frame
+        act, g, P, dec.from_coords(mc[0]), dec.from_coords(mc[1])
     )
     assert abs(rep2.sec_quotient - rep.sec_quotient) <= 1e-9 * max(1.0, abs(rep.sec_quotient))
 
@@ -599,7 +680,7 @@ def test_oneill_term_nonnegative_on_horizontal_planes(name, seed):
     act, g, P, frame, c = _horizontal_plane(name, seed)
     dec = act.dec()
     rep = bi.quotient_sectional(
-        act, g, P, dec.from_coords(c[0]), dec.from_coords(c[1]), frame=frame
+        act, g, P, dec.from_coords(c[0]), dec.from_coords(c[1])
     )
     assert rep.oneill_term >= 0
     assert rep.sec_quotient >= rep.sec_g

@@ -183,7 +183,7 @@ class TestScan:
             for x in hor:
                 for y in hor:
                     if x is not y and abs(biquotient.quotient_sectional(
-                            act, g, P, x, y, frame=frame).sec_quotient) > 1e-3:
+                            act, g, P, x, y).sec_quotient) > 1e-3:
                         return detectors.FlatCertificate("N2", x, y, ())
             raise AssertionError("no curved horizontal plane")
 

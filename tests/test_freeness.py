@@ -473,6 +473,23 @@ class TestIsFreeExact:
                 al.su(3), 2, ((1, 2), (0, 0), (-1, -2)), ((0, 0), (0, 0), (0, 0))
             )
 
+    @pytest.mark.parametrize("entry", [1.5, np.float64(-0.5), "1", None])
+    def test_non_integral_weight_rejected(self, entry):
+        # int() used to truncate 1.5 to 1, which made this circle free
+        with pytest.raises(al.AlgebraError, match="integer"):
+            fr.TorusActionWeights(al.sp(2), 1, ((entry,), (1,)), ((1,), (0,)))
+
+    @pytest.mark.parametrize("entry", [1.0, np.int64(1), np.float64(1.0)])
+    def test_integral_weights_read_as_ints(self, entry):
+        w = fr.TorusActionWeights(al.sp(2), entry, ((entry,), (1,)), ((1,), (0,)))
+        assert w.w_left == ((1,), (1,)) and type(w.w_left[0][0]) is int
+        # a float k used to raise TypeError in the rank check
+        assert type(w.k) is int and fr.is_free_exact(w).free
+
+    def test_non_integral_torus_rank_rejected(self):
+        with pytest.raises(al.AlgebraError, match="integer"):
+            fr.TorusActionWeights(al.sp(2), 1.5, ((1,), (1,)), ((1,), (0,)))
+
     def test_row_permutation_equivariance(self, rng):
         for _ in range(20):
             p = rng.integers(-4, 5, size=3)
