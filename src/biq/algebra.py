@@ -113,8 +113,12 @@ def so(m: int) -> GroupFamily:
     return GroupFamily("SO", m)
 
 
-def _frozen(mat) -> np.ndarray:
-    arr = np.asarray(mat, dtype=complex)
+def read_only(mat, dtype=complex) -> np.ndarray:
+    """mat as a read-only array; a view is copied first, since its base
+    would stay writable."""
+    arr = np.asarray(mat, dtype=dtype)
+    if not arr.flags.owndata:
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -131,7 +135,7 @@ class AlgebraElement:
     mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen(self.mat))
+        object.__setattr__(self, "mat", read_only(self.mat))
 
     def __add__(self, other):
         _require_same(self, other)
@@ -158,7 +162,7 @@ class GroupElement:
     mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen(self.mat))
+        object.__setattr__(self, "mat", read_only(self.mat))
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.family, self.mat.conj().T)
@@ -534,7 +538,7 @@ class Subspace:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _frozen_real(self.coords))
+        object.__setattr__(self, "coords", read_only(self.coords, float))
 
     @classmethod
     def from_elements(cls, dec, elements, label: str = ""):
@@ -564,12 +568,6 @@ class Subspace:
         c = self.dec.to_coords(x)
         resid = np.linalg.norm(c - self.project_coords(c))
         return resid <= tol * max(1.0, np.linalg.norm(c))
-
-
-def _frozen_real(arr) -> np.ndarray:
-    out = np.asarray(arr, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 def cartan_subspace(dec: RootDecomposition, label: str = "cartan") -> Subspace:

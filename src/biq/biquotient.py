@@ -188,8 +188,9 @@ class PointFrame:
     One frame per triple: `at` returns the frame it built last when handed
     the same three objects again (`is`, not equality).  Sound, since the
     point's matrix, P, P^{-1} and every generator matrix are read-only from
-    construction, and the slot holds the three, so no id is reused while
-    cached.  One slot suffices: every caller works one point at a time.
+    construction (a view is copied first, since its base stays writable),
+    and the slot holds the three, so no id is reused while cached.  One
+    slot suffices: every caller works one point at a time.
 
     U = {e} needs no branch: its rows are (0, dim) arrays, its Gram matrix
     and inverse are (0, 0), so the horizontal space is all of g and the

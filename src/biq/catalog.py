@@ -42,10 +42,9 @@ sides) changes signs evenly on each side (inner) or oddly on both
 (conjugation by a reflection); on one side alone it needs det(a b) = -1,
 and it makes the free spin6_extra non-free.  Triality on SO(8) is no
 signed permutation and stays out.  The scan decides strict freeness of
-all weight pairs by the gcd of
-the 2 x 2 minors of every symmetry image, the product of the Smith
-invariant factors, and classes each free pair as it stands, since it
-spans a saturated lattice already.
+all weight pairs by the gcd of the 2 x 2 minors of every symmetry image,
+the product of the Smith invariant factors, and classes each free pair
+as it stands, since it spans a saturated lattice already.
 
 Rows whose right factor needs a spin or exceptional embedding are stored
 with full textual fidelity but verified only at the torus level.

@@ -39,7 +39,7 @@ from .biquotient import from_torus_weights
 from .freeness import TorusActionWeights, is_free_bruteforce, is_free_exact
 from .metric import build_metric
 
-SCHEMA_VERSION = "8"
+SCHEMA_VERSION = "9"
 
 
 def _header(args):

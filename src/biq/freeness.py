@@ -15,50 +15,43 @@ The symmetries are walked depth first, one row of D_sigma at a time, in
 the order of conjugacy_symmetries.  Each row prefix keeps an echelon basis
 of the lattice its rows span (one extended-gcd insertion per row, shared
 by every symmetry with that prefix); a prefix whose rows already span Z^k
-is pruned with all its completions.  A prefix whose state (used right
-rows, sign parity on SO(2n), Hermite form of the basis) an earlier prefix
-already had is skipped, as in the dynamic program over subsets of Held
-and Karp (J. SIAM 10, 1962).  This is exact: the completions, whether they
-prune and the row lattice Lambda of every leaf, depend on the state alone,
-and states are reached in (perm, signs) order, so a skipped symmetry has
-an earlier one with the same Lambda.  A leaf's verdict depends on Lambda
-alone: its kernel is Lambda*/Z^k, strict mode fails iff Lambda != Z^k,
-and the central pairs form a subgroup, which any generating set of the
-kernel tests.  So the first failing symmetry, and its witness, never move.
-Only a symmetry that survives to a new leaf lattice gets a Smith form,
-one, for the invariant factors and the kernel generators alike.
+is pruned with all its completions.  A leaf's verdict depends on its row
+lattice Lambda alone: its kernel is Lambda*/Z^k, strict mode fails iff
+Lambda != Z^k, and the central pairs form a subgroup, which any generating
+set of the kernel tests.  Each rule below skips a symmetry only if a move
+that keeps Lambda turns it into an earlier symmetry of the group.  The
+first failing symmetry has no such move, so it obeys every rule at once,
+and every symmetry walked before it precedes it in the full order: it is
+still the first failure found, with its own D_sigma and witness.  Every
+walked leaf gets one Smith form, for the invariant factors and the kernel
+generators alike, so strict mode takes at most one.
 
-Twin rows shrink the walk further.  If rows i < j of W_L are equal,
-swapping (perm[i], s_i) with (perm[j], s_j) only permutes the rows of
-D_sigma; if rows p < p' of W_R are equal, swapping the values p and p' in
-perm leaves every row as it was.  Either swap keeps Lambda, so the walk
-visits only the symmetries with perm[i] < perm[j] for left twins and with
-p placed before p' for right twins.  The least symmetry of each class
-obeys both rules, since a swap that undoes a broken rule gives a smaller
-one.  The first failing symmetry is the least of its class, and every
-symmetry the restricted walk visits before it precedes it in the full
-order too, so it is still the first failure found, with the same witness.
-A twin swap moves signs without changing their product, so the SO(2n)
-parity is kept.  The prefix-state merge stays exact: a merged prefix has
-an earlier one with the same state, and that one with the merged prefix's
-completion is an earlier symmetry of the group with the same Lambda, so
-the first failing symmetry never lies under a merged prefix.  By the same
-argument the least symmetry with a given leaf lattice is walked, so the
-leaf lattices met up to the first failure, and their Smith forms, are the
-same: of the stats, only the leaf and merge counts change.
+Twin rows.  If rows i < j of W_L are equal, swapping (perm[i], s_i) with
+(perm[j], s_j) only permutes the rows of D_sigma; if rows p < p' of W_R
+are equal, swapping the values p and p' in perm leaves every row as it
+was.  So the walk visits only the symmetries with perm[i] < perm[j] for
+left twins and with p placed before p' for right twins, since a swap that
+undoes a broken rule gives an earlier symmetry.  A twin swap moves signs
+without changing their product, so the SO(2n) parity is kept.
+
+Zero rows settle their own signs.  If row j of W_L is zero, row j of
+D_sigma is -s_j W_R[perm[j]]; if row perm[j] of W_R is zero, it is W_L[j]
+for either sign.  Both signs span one lattice, so the walk tries only
+s_j = +1 there: flipping s_j from -1 to +1 gives an earlier symmetry.  On
+SO(2n) one flip leaves the group, so only the zero rows of W_L before the
+last row qualify, and the last of them, c, keeps both signs to carry the
+parity: flipping s_j = -1 at another such row j < c together with s_c
+keeps the parity and Lambda and gives an earlier symmetry.  Without c,
+the walk, whose last sign the parity fixes, calls the SO(4) circle
+W_L = (0, 2), W_R = (0, 1) free; it fails only at perm (0, 1), signs
+(-1, -1).
 
 A room rule stops the prefixes that the twin rules cannot complete.  If
 row j of W_L has r later twins, they take r distinct right rows above
 perm[j], none used by the prefix, so the walk tries p for row j only if
 at least r unused right rows lie above p.  Every prefix of a twin-ordered
-symmetry passes, so no walked leaf lies under a stopped prefix, and the
-first failing symmetry and the least symmetry of each leaf lattice are
-walked as before.  Stopping a prefix only keeps its states out of the
-merge set.  A merged prefix still has an earlier walked one with its
-state, so the merge stays exact; a prefix that merged against a stopped
-one is walked instead.  The verdict, witness, note and Smith forms stay
-the same, and the leaf and merge counts can move either way.  The rule is
-necessary, not sufficient: a prefix that passes it can still lack a
+symmetry passes, so no walked leaf lies under a stopped prefix.  The rule
+is necessary, not sufficient: a prefix that passes it can still lack a
 completion, where two twin classes of W_L compete for the same right rows
 or where the right rows left above p wait for an earlier right twin; the
 twin rules then end it at a later row.
@@ -90,7 +83,7 @@ from itertools import combinations, permutations, product
 from math import factorial, gcd, prod
 
 from .algebra import AlgebraError, GroupFamily, as_int
-from .intlattice import echelon_hermite, echelon_insert, echelon_spans_all, smith_kernel
+from .intlattice import echelon_insert, echelon_spans_all, smith_kernel
 
 STRICT = "strict"
 MOD_CENTER = "mod-center"
@@ -287,14 +280,14 @@ class _Walk:
     """One _unpruned_symmetries walk.  Its state lives on an instance, not
     in a recursive closure, whose cycle would outlive every call."""
 
-    def __init__(self, w: TorusActionWeights, stats: dict, leaves: bool):
-        self.w, self.stats, self.rows, self.leaves = w, stats, w.n_rows, leaves
+    def __init__(self, w: TorusActionWeights, stats: dict):
+        self.w, self.stats, self.rows = w, stats, w.n_rows
         self.choices = (1,) if w.group.name in ("SU", "U") else (1, -1)
         self.so_even = w.group.kind == "SO-even"
         stats["symmetries"] = factorial(self.rows) * len(self.choices) ** (
             self.rows - self.so_even)
-        # row_of[j, p, s]: row j of D_sigma for perm[j] = p, s_j = s; seen: state keys
-        self.row_of, self.seen = {}, set()
+        # row_of[j, p, s]: row j of D_sigma for perm[j] = p, s_j = s
+        self.row_of = {}
         # twin rows: left_prev[j] is the last earlier row of W_L equal to
         # row j (or -1), left_later[j] the number of later rows equal to it,
         # right_before[p] the mask of earlier rows of W_R equal to row p
@@ -307,15 +300,20 @@ class _Walk:
         for p, row in enumerate(w.w_right):
             self.right_before.append(before.get(row, 0))
             before[row] = self.right_before[p] | 1 << p
+        # zero rows, whose sign is +1 only; on SO(2n) only those of W_L,
+        # less the last one before the last row, which carries the parity
+        self.plus_left = [not any(row) for row in w.w_left]
+        self.plus_right = [not (any(row) or self.so_even) for row in w.w_right]
+        zero = [j for j in range(self.rows - 1) if self.plus_left[j]]
+        if self.so_even and zero:
+            self.plus_left[zero[-1]] = False
 
-    def extend(self, live, j, p, mask):
-        stats, so_even, row_of, seen = self.stats, self.so_even, self.row_of, self.seen
+    def extend(self, live, j, p):
+        stats, row_of = self.stats, self.row_of
         last = j + 1 == self.rows
-        # key where a skip saves work: >= 2 rows left (on SU/U a one-row
-        # mask is reached once), or a leaf if asked (a Smith form)
-        keyed = self.leaves if last else (j > 0 or self.choices != (1,)) and j + 3 <= self.rows
+        choices = (1,) if self.plus_left[j] or self.plus_right[p] else self.choices
         for prefix, basis in live:
-            for s in (prod(prefix),) if so_even and last else self.choices:
+            for s in (prod(prefix),) if self.so_even and last else choices:
                 row = row_of.get((j, p, s))
                 if row is None:
                     row = row_of[j, p, s] = tuple(
@@ -323,16 +321,8 @@ class _Walk:
                 child = echelon_insert(basis, row)
                 if last:
                     stats["leaves_examined"] += 1
-                if echelon_spans_all(child):
-                    continue
-                if keyed:
-                    child = echelon_hermite(child)
-                    size = len(seen)
-                    seen.add((mask, so_even and s * prod(prefix), child))
-                    if len(seen) == size:
-                        stats["merged"] += 1
-                        continue
-                yield prefix + (s,), child
+                if not echelon_spans_all(child):
+                    yield prefix + (s,), child
 
     def walk(self, perm, mask, live):
         j = len(perm)
@@ -347,42 +337,38 @@ class _Walk:
             if (unused >> p + 1).bit_count() < room:
                 break  # too few right rows above p for row j's later twins
             if unused >> p & 1 and right_before[p] & mask == right_before[p]:
-                child = _Replay(self.extend(live, j, p, mask | 1 << p))
+                child = _Replay(self.extend(live, j, p))
                 if not child.empty():
                     yield from self.walk(perm + (p,), mask | 1 << p, child)
 
 
-def _unpruned_symmetries(w: TorusActionWeights, stats: dict, merge_leaves: bool):
+def _unpruned_symmetries(w: TorusActionWeights, stats: dict):
     """Depth-first walk over the rows of D_sigma = W_L - sigma . W_R, whose
     row i is W_L[i] - s_i W_R[perm[i]].
 
     Yields (perm, signs, D_sigma), in conjugacy_symmetries order, for the
-    symmetries whose rows do not span Z^k, except those under a prefix
-    state equal to an earlier one: they repeat that state's leaf lattices
-    at later symmetries, so the first failing symmetry is never skipped
-    (see the module docstring).  Of the symmetries that differ by
-    swapping twin rows, equal rows of W_L (perm[i] < perm[j] for equal
-    rows i < j) or of W_R (p placed before p' for equal rows p < p'),
-    only the first is walked: both swaps keep D_sigma's lattice, and the
-    first failing symmetry is the first of its class, so it and its
-    witness are kept.  Row j is given the right row p only if its later
-    twins in W_L, which need distinct unused right rows above p, have room
-    there: a prefix that breaks this has no twin-ordered completion, so no
-    walked leaf lies under it, and skipping it only keeps its states out
-    of the merge set (only the leaf and merge counts move).  A node is a
+    symmetries whose rows do not span Z^k, except those that a move
+    keeping D_sigma's lattice turns into an earlier symmetry, so the first
+    failing symmetry and its witness are kept (see the module docstring).
+    Of the symmetries that differ by swapping twin rows, equal rows of W_L
+    (perm[i] < perm[j] for equal rows i < j) or of W_R (p placed before p'
+    for equal rows p < p'), only the first is walked.  A row whose sign
+    cannot change the lattice, a zero row of W_L or, except on SO(2n), one
+    whose right row is zero, tries only +1; on SO(2n) the last zero row of
+    W_L before the last row keeps both signs to carry the parity.  Row j is
+    given the right row p only if its later twins in W_L, which need
+    distinct unused right rows above p, have room there.  A node is a
     permutation prefix with the live sign prefixes under it, each with the
     echelon basis of its rows; a sign prefix whose rows span Z^k is
     pruned, and so is a permutation prefix with no live sign prefix.  Sign
     prefixes are extended lazily in lexicographic order (+1 first) and
     replayed for every permutation sharing the prefix, so the first
     symmetry costs one insertion per row.
-    On SO(2n) the last sign is fixed by the parity of the others.
-    Leaf states are keyed only with merge_leaves (mod-center mode, where a
-    passing leaf lattice can recur).  Sets stats["symmetries"] to |W| and
-    counts in stats["leaves_examined"] the symmetries whose every row was
-    inserted, in stats["merged"] the prefix states skipped.
+    On SO(2n) the last sign is fixed by the parity of the others.  Sets
+    stats["symmetries"] to |W| and counts in stats["leaves_examined"] the
+    symmetries whose every row was inserted.
     """
-    return _Walk(w, stats, merge_leaves).walk((), 0, [((), (None,) * w.k)])
+    return _Walk(w, stats).walk((), 0, [((), (None,) * w.k)])
 
 
 def is_free_exact(w: TorusActionWeights, mode: str | None = None) -> FreenessVerdict:
@@ -392,17 +378,17 @@ def is_free_exact(w: TorusActionWeights, mode: str | None = None) -> FreenessVer
     Smith invariant factors equal to 1); mod-center mode accepts kernels
     acting by central scalars.  All factors are 1 exactly when the rows of
     D_sigma span Z^k, which the walk of _unpruned_symmetries decides with
-    echelon insertions; a symmetry that survives it with a new leaf lattice
-    gets one Smith form, for both the invariant factors and the kernel
-    generators.  The reported witness belongs to the first failing
-    symmetry in the iteration order, an even-signed one on SO(2n) (see the
-    module docstring).  The verdict's stats count the symmetries (|W|), the
-    leaves examined, the Smith forms and the prefix states merged.
+    echelon insertions; a symmetry that survives it gets one Smith form,
+    for both the invariant factors and the kernel generators.  The
+    reported witness belongs to the first failing symmetry in the
+    iteration order, an even-signed one on SO(2n) (see the module
+    docstring).  The verdict's stats count the symmetries (|W|), the
+    leaves examined and the Smith forms.
     """
     mode = _normalize_mode(mode or w.mode)
-    stats = {"symmetries": 0, "leaves_examined": 0, "smith_forms": 0, "merged": 0}
+    stats = {"symmetries": 0, "leaves_examined": 0, "smith_forms": 0}
 
-    for perm, signs, d_matrix in _unpruned_symmetries(w, stats, mode == MOD_CENTER):
+    for perm, signs, d_matrix in _unpruned_symmetries(w, stats):
         stats["smith_forms"] += 1
         factors, torsion, circles = smith_kernel(d_matrix)
         offender = None

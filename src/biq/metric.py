@@ -22,6 +22,7 @@ from .algebra import (
     AlgebraError,
     RootDecomposition,
     bracket,
+    read_only,
 )
 
 __all__ = [
@@ -47,9 +48,7 @@ class MetricOperator:
 
     def __post_init__(self):
         for name in ("mat", "mat_inv"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name), float))
 
     def apply_coords(self, c) -> np.ndarray:
         return self.mat @ np.asarray(c)

@@ -3,6 +3,7 @@ import pytest
 
 from biq import algebra as al
 from biq import freeness as fr
+from biq.metric import MetricOperator
 from conftest import semisimple_families
 from oracles import check_algebra_element, check_group_element, scipy_exp_map, scipy_span_coords
 
@@ -254,3 +255,22 @@ class TestSubspace:
 
 def _projector(rows):
     return rows.T @ rows
+
+
+
+@pytest.mark.parametrize("kind", ["GroupElement", "AlgebraElement", "MetricOperator",
+                                  "Subspace"])
+def test_an_array_view_is_copied_before_it_is_frozen(kind):
+    # freezing a view leaves its base writable; a write through the base
+    # would change the object under PointFrame.at's identity-keyed slot
+    dec = al.root_decomposition(al.sp(2))
+    build = {
+        "GroupElement": lambda m: al.GroupElement(dec.family, m).mat,
+        "AlgebraElement": lambda m: al.AlgebraElement(dec.family, m).mat,
+        "MetricOperator": lambda m: MetricOperator(dec, m, np.eye(dec.dim)).mat,
+        "Subspace": lambda m: al.Subspace(dec, m[:2]).coords,
+    }[kind]
+    base = np.eye(4, dtype=complex) if kind.endswith("Element") else np.eye(dec.dim)
+    arr = build(base[:])
+    base[0, 0] = 5
+    assert arr[0, 0] == 1 and not arr.flags.writeable

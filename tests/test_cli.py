@@ -58,9 +58,8 @@ class TestFree:
         assert cli.main(["free", thm2_file, "-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         report = json.loads(out1.read_text())
-        assert report["config"]["schema_version"] == "8"
-        assert report["stats"] == {"symmetries": 6, "leaves_examined": 0, "smith_forms": 0,
-                                   "merged": 0}
+        assert report["config"]["schema_version"] == "9"
+        assert report["stats"] == {"symmetries": 6, "leaves_examined": 0, "smith_forms": 0}
 
     def test_nonfree_action_exits_one_with_witness(self, nonfree_file, tmp_path):
         out = tmp_path / "report.json"
@@ -130,7 +129,7 @@ class TestScan:
         assert len(report["points"]) == 2
         # a flat plane exists at every point of any circle quotient here
         assert report["flat_planes_found"] == 2
-        assert report["config"]["schema_version"] == "8"
+        assert report["config"]["schema_version"] == "9"
         assert report["config"]["budgets"] == {"points": 2, "planes": 300, "restarts": 4}
         for row in report["points"]:
             assert row["flat_certificate"] == "N2"

@@ -268,10 +268,12 @@ _FAMILIES = (al.su(3), al.su(4), al.su(5), al.u(2), al.u(3), al.sp(2), al.sp(3),
 def _tori(draw, families=_FAMILIES, twins=False):
     """A k-torus, k = 1..rank, on one of `families` with entries in [-3, 3]
     (on SU the last right row is forced by the equal column sums), in
-    either mode.  With `twins`, each side gets two twin classes, planted
-    as two pairs of equal rows at random places (one pair where the side
-    has fewer than four free rows), and every other row is a copy of
-    another row of that side with probability 2/5."""
+    either mode.  Each side gets up to two zero rows at random places,
+    whose signs the walk settles without trying both.  With `twins`, each
+    side then gets two twin classes, planted as two pairs of equal rows at
+    random places (one pair where the side has fewer than four free rows),
+    and every other row is a copy of another row of that side with
+    probability 2/5."""
     fam = draw(st.sampled_from(families))
     rows = fam.rank if fam.name == "SO" else fam.n
     k = draw(st.integers(1, fam.n if fam.name == "U" else fam.rank))
@@ -279,6 +281,8 @@ def _tori(draw, families=_FAMILIES, twins=False):
 
     def block(free):
         out = [draw(row) for _ in range(rows)]
+        for i in draw(st.sets(st.integers(0, free - 1), max_size=2)):
+            out[i] = [0] * k
         if not twins:
             return out
         order = draw(st.permutations(range(free)))
@@ -400,25 +404,12 @@ def test_walk_replays_signs_in_symmetry_order(w):
              for i, s in enumerate(signs)]
         if any(f != 1 for f in invariant_factors(d)):
             expected.append((perm, signs, d))
-    stats = {"leaves_examined": 0, "merged": 0}
-    walked = list(fr._unpruned_symmetries(w, stats, True))
+    stats = {"leaves_examined": 0}
+    walked = list(fr._unpruned_symmetries(w, stats))
     rest = iter(expected)
     assert all(leaf in rest for leaf in walked)  # an ordered subsequence
     assert walked[:1] == expected[:1]
     assert {hnf_columns(d) for *_, d in walked} == {hnf_columns(d) for *_, d in expected}
-
-
-@pytest.mark.parametrize("w, merged", [
-    (ca.spin6_extra().weights, 3),
-    (ca.sp_tori(6, 1).weights, 14),
-    (ca.su_tori(7, 3, 1).weights, 9),
-], ids=["spin6-extra", "sp6-normal-form", "su7-normal-form"])
-def test_prefix_states_merge_under_the_twin_rules(w, merged):
-    # the twin rules leave one symmetry per class of row swaps, but prefixes
-    # of distinct classes still reach one state and are walked once
-    stats = {"leaves_examined": 0, "merged": 0}
-    list(fr._unpruned_symmetries(w, stats, True))
-    assert stats["merged"] == merged
 
 
 def test_every_walked_prefix_has_a_twin_ordered_completion(monkeypatch):
@@ -517,32 +508,30 @@ class TestIsFreeExact:
     def test_early_exit_takes_one_leaf_and_one_smith_form(self):
         v = fr.is_free_exact(circle(al.su(3), (1, 1, 1), (1, 1, 1)))
         assert not v.free
-        assert v.stats == {"symmetries": 6, "leaves_examined": 1, "smith_forms": 1,
-                           "merged": 0}
+        assert v.stats == {"symmetries": 6, "leaves_examined": 1, "smith_forms": 1}
 
     def test_so_even_walk_builds_no_odd_signed_leaf(self):
         # SO(6): 3! * 2^2 even-signed symmetries; the three left rows are
         # equal, so the walk keeps only perm (0, 1, 2), whose 4 even sign
-        # patterns all survive as leaves spanning one lattice: one Smith
-        # form, 3 leaves merged
+        # patterns all survive as leaves spanning one lattice, each with
+        # its Smith form
         v = fr.is_free_exact(ca.spin6_extra().weights, "mod-center")
-        assert v.stats == {"symmetries": 24, "leaves_examined": 4, "smith_forms": 1,
-                           "merged": 3}
+        assert v.stats == {"symmetries": 24, "leaves_examined": 4, "smith_forms": 4}
 
     @pytest.mark.parametrize("w, leaves", [
         (ca.p_torus_weights(8, 2, al.so(16)), 128),  # of 5 160 960 symmetries
-        (ca.sp_tori(6, 1).weights, 24),  # of 46 080
+        (ca.sp_tori(6, 1).weights, 12),  # of 46 080
     ], ids=["so16-P2", "sp6-P1"])
     def test_twin_rows_shrink_the_walk(self, w, leaves):
-        # P2's left rows are all equal, P1 has n - 1 zero left rows
+        # P2's left rows are all equal; P1 has n - 1 zero left rows, which
+        # are twins and take the sign +1 only
         v = fr.is_free_exact(w, fr.MOD_CENTER)
         assert v.free and v.stats["leaves_examined"] == leaves
 
     def test_equal_prefix_states_are_walked_once(self):
+        # Sp(5) P1: four zero left rows, twins whose signs are settled
         sp5 = fr.is_free_exact(ca.sp_tori(5, 1).weights)
         assert sp5.free and sp5.stats["leaves_examined"] < 1000  # of 3 840
-        su8 = fr.is_free_exact(ca.su_tori(8, 4, 1).weights)
-        assert su8.free and su8.stats["merged"] == 25
 
     @pytest.mark.parametrize("w", [
         ca.su_tori(7, 1, 1).weights,
@@ -618,8 +607,8 @@ class TestIsFreeExact:
 
 def _catalog_normal_forms():
     """Every catalog normal form through SU(6), Sp(4) and SO(8), and the
-    extra Spin(6) torus: free modulo the center, with zero rows, so many
-    prefix states of their walks are equal."""
+    extra Spin(6) torus: free modulo the center, with zero rows and twin
+    rows, whose rules skip most of their symmetries."""
     forms = [ca.su_tori(n, l, v).weights
              for n in range(3, 7) for l in range(1, n // 2 + 1) for v in (1, 2)]
     forms += [ca.sp_tori(n, v).weights for n in range(2, 5) for v in (1, 2)]
@@ -629,8 +618,9 @@ def _catalog_normal_forms():
 
 @pytest.mark.parametrize("mode", [fr.STRICT, fr.MOD_CENTER])
 def test_merged_walk_equals_leafwise_reference_on_normal_forms(mode):
-    # plus an SO(6) circle whose row-0 prefixes (0, +1) and (0, -1) span one
-    # lattice, with opposite sign parities: their completions differ
+    # plus an SO(6) circle whose zero left row 0 carries the sign parity:
+    # its prefixes (0, +1) and (0, -1) span one lattice, but their
+    # even-signed completions differ
     so6 = circle(al.so(6), (0, 1, 1), (0, 1, 2))
     for w in _catalog_normal_forms() + [so6]:
         assert fr.is_free_exact(w, mode) == leafwise_is_free_exact(w, mode), (w, mode)
@@ -692,6 +682,9 @@ _PINNED_WITNESSES = [
     (al.so(8), _M, [[0, 0, 0], [-2, 2, 0], [0, -2, -2], [-3, 0, 1]],
      [[3, 3, 1], [1, -1, -2], [3, 0, 0], [1, 1, -3]],
      ((0, 1, 3, 2), (1, 1, 1, 1), (39, 37, 24), 42, (1, 1, 42), "torsion")),
+    # a zero left row that must carry the SO(2n) sign parity
+    *((al.so(4), mode, [[0], [2]], [[0], [1]],
+       ((0, 1), (-1, -1), (1,), 3, (3,), "torsion")) for mode in (_S, _M)),
 ]
 
 

@@ -60,6 +60,9 @@ INPUTS = {
     # catalog.corollary_su3_weights, the genuinely two-sided free 2-torus
     "su3_two_torus.json": {"group": "SU", "n": 3, "k": 2,
                            "W_L": [[1, 0], [0, 1], [1, 1]], "W_R": [[0, 0], [0, 0], [2, 2]]},
+    # a zero left row that carries the SO(2n) sign parity: not free, the
+    # witness needs signs (-1, -1)
+    "so4_zero_row.json": {"group": "SO", "n": 4, "k": 1, "W_L": [[0], [2]], "W_R": [[0], [1]]},
     "metric.json": {"t_block": [[1.0, 0.2], [0.2, 1.5]], "alphas": [1.0, 2.0, 1.5, 0.5]},
 }
 
@@ -70,6 +73,7 @@ CLI_CASES = {
     "free_spin6_extra": (["free", "spin6_extra.json"], 0),
     "free_su7_s11": (["free", "su7_s11.json"], 0),
     "free_sp2_two_torus": (["free", "sp2_two_torus.json"], 1),
+    "free_so4_zero_row": (["free", "so4_zero_row.json"], 1),
     "verify_tables": (["catalog", "verify-tables"], 0),
     "verify_tables_csv": (["catalog", "verify-tables", "--format", "csv"], 0),
     "eschenburg_bound6": (["catalog", "enumerate-eschenburg", "--bound", "6"], 0),
