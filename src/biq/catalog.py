@@ -295,12 +295,12 @@ def _least_image_hnf(cols, fam: GroupFamily):
     """The least Hermite form over the images of the lattice spanned by
     the stacked columns `cols` (2 |W|^2 maps, half of them on SO(2n)):
     equal for two lattices iff one map carries one onto the other, since
-    the maps form a group."""
-    left, right, parity = _side_images(np.array(cols), fam)
-    left, right = left.tolist(), right.tolist()
-    return min(hnf_columns([a + b for a, b in zip(*pair)])
-               for s, t in zip(*np.nonzero(parity[:, None] == parity))
-               for pair in ((left[s], right[t]), (right[t], left[s])))
+    the maps form a group.  The images are built one at a time, each
+    read by one hnf_columns, and never held all at once."""
+    left, right, parity = (x.tolist() for x in _side_images(np.array(cols), fam))
+    return min(hnf_columns(image)
+               for a, pa in zip(left, parity) for b, pb in zip(right, parity) if pa == pb
+               for image in (map(list.__add__, a, b), map(list.__add__, b, a)))
 
 
 def lattice_canonical_key(w: TorusActionWeights):

@@ -15,16 +15,20 @@ The symmetries are walked depth first, one row of D_sigma at a time, in
 the order of conjugacy_symmetries.  Each row prefix keeps an echelon basis
 of the lattice its rows span (one extended-gcd insertion per row, shared
 by every symmetry with that prefix); a prefix whose rows already span Z^k
-is pruned with all its completions.  A leaf's verdict depends on its row
-lattice Lambda alone: its kernel is Lambda*/Z^k, strict mode fails iff
-Lambda != Z^k, and the central pairs form a subgroup, which any generating
-set of the kernel tests.  Each rule below skips a symmetry only if a move
-that keeps Lambda turns it into an earlier symmetry of the group.  The
-first failing symmetry has no such move, so it obeys every rule at once,
-and every symmetry walked before it precedes it in the full order: it is
+is pruned with all its completions.  The live sign prefixes under a
+permutation prefix are a generator pulled one item at a time, and every
+subtree below it iterates its own itertools.tee copy of that one
+sequence, so each prefix is inserted once and only as far as the walk
+gets.  A leaf's verdict depends on its row lattice Lambda alone: its
+kernel is Lambda*/Z^k, strict mode fails iff Lambda != Z^k, and the
+central pairs form a subgroup, which any generating set of the kernel
+tests.  Each rule below skips a symmetry only if a move that keeps
+Lambda turns it into an earlier symmetry of the group.  The first
+failing symmetry has no such move, so it obeys every rule at once, and
+every symmetry walked before it precedes it in the full order: it is
 still the first failure found, with its own D_sigma and witness.  Every
-walked leaf gets one Smith form, for the invariant factors and the kernel
-generators alike, so strict mode takes at most one.
+walked leaf gets one Smith form, for the invariant factors and the
+kernel generators alike, so strict mode takes at most one.
 
 Twin rows.  If rows i < j of W_L are equal, swapping (perm[i], s_i) with
 (perm[j], s_j) only permutes the rows of D_sigma; if rows p < p' of W_R
@@ -77,9 +81,10 @@ kernel of sigma' is not central either.  Either way sigma' fails already.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, tee
 from math import factorial, gcd, prod
 
 from .algebra import AlgebraError, GroupFamily, as_int
@@ -249,33 +254,6 @@ def _central_pair(w, exps_l, exps_r, order) -> bool:
     return ma is not None and ma == mb and _scalar_is_central(w.group, ma, order)
 
 
-class _Replay:
-    """A lazily filled list over an iterator: every pass replays the items
-    pulled so far and then pulls more, so the sibling subtrees of the
-    walk share one sequence of sign prefixes."""
-
-    __slots__ = ("_source", "_items")
-
-    def __init__(self, source):
-        self._source = source
-        self._items = []
-
-    def __iter__(self):
-        items = self._items
-        i = 0
-        while True:
-            if i == len(items):
-                item = next(self._source, None)
-                if item is None:
-                    return
-                items.append(item)
-            yield items[i]
-            i += 1
-
-    def empty(self) -> bool:
-        return next(iter(self), None) is None
-
-
 class _Walk:
     """One _unpruned_symmetries walk.  Its state lives on an instance, not
     in a recursive closure, whose cycle would outlive every call."""
@@ -312,7 +290,7 @@ class _Walk:
         stats, row_of = self.stats, self.row_of
         last = j + 1 == self.rows
         choices = (1,) if self.plus_left[j] or self.plus_right[p] else self.choices
-        for prefix, basis in live:
+        for prefix, basis in copy(live):
             for s in (prod(prefix),) if self.so_even and last else choices:
                 row = row_of.get((j, p, s))
                 if row is None:
@@ -327,7 +305,7 @@ class _Walk:
     def walk(self, perm, mask, live):
         j = len(perm)
         if j == self.rows:
-            for signs, _ in live:
+            for signs, _ in copy(live):
                 yield perm, signs, [list(self.row_of[i, p, s])
                                     for i, (p, s) in enumerate(zip(perm, signs))]
             return
@@ -337,8 +315,8 @@ class _Walk:
             if (unused >> p + 1).bit_count() < room:
                 break  # too few right rows above p for row j's later twins
             if unused >> p & 1 and right_before[p] & mask == right_before[p]:
-                child = _Replay(self.extend(live, j, p))
-                if not child.empty():
+                child = tee(self.extend(live, j, p), 1)[0]
+                if next(copy(child), None) is not None:
                     yield from self.walk(perm + (p,), mask | 1 << p, child)
 
 
@@ -362,8 +340,9 @@ def _unpruned_symmetries(w: TorusActionWeights, stats: dict):
     echelon basis of its rows; a sign prefix whose rows span Z^k is
     pruned, and so is a permutation prefix with no live sign prefix.  Sign
     prefixes are extended lazily in lexicographic order (+1 first) and
-    replayed for every permutation sharing the prefix, so the first
-    symmetry costs one insertion per row.
+    replayed for every permutation sharing the prefix as itertools.tee
+    copies of one sequence, so the first symmetry costs one insertion per
+    row.
     On SO(2n) the last sign is fixed by the parity of the others.  Sets
     stats["symmetries"] to |W| and counts in stats["leaves_examined"] the
     symmetries whose every row was inserted.

@@ -6,13 +6,15 @@ freeness checker (kernel structure of character maps, and the echelon row
 insertions that decide whether rows span Z^k) and the catalog's
 lattice-equivalence tests, where floating point cannot certify gcd = 1.
 Every Hermite form and integer rank comes from one kernel, echelon_insert
-(an extended-gcd row insertion) followed by echelon_hermite.  The Smith
-form gives invariant factors and integer kernels (smith_kernel); it
-keeps only its column transform, since no caller reads the row one.  A
-saturated lattice is held by its annihilator, the integer kernel of the
-matrix with its generators as rows: an integer v lies in the lattice's
-primitive closure iff the annihilator kills v, and saturate_columns reads
-a basis of that closure off the annihilator's own integer kernel.
+(an extended-gcd row insertion that does one divmod per nonzero column,
+and a gcd step only where it leaves a remainder) followed by
+echelon_hermite.  The Smith form gives invariant factors and integer
+kernels (smith_kernel); it keeps only its column transform, since no
+caller reads the row one.  A saturated lattice is held by its
+annihilator, the integer kernel of the matrix with its generators as
+rows: an integer v lies in the lattice's primitive closure iff the
+annihilator kills v, and saturate_columns reads a basis of that closure
+off the annihilator's own integer kernel.
 """
 
 from __future__ import annotations
@@ -142,9 +144,8 @@ def hnf_columns(vectors):
     """
     basis = ()
     for v in vectors:
-        v = [int(x) for x in v]
-        basis = echelon_insert(basis or (None,) * len(v), v)
-    return tuple(r for r in echelon_hermite(basis) if r is not None)
+        basis = echelon_insert(basis or (None,) * len(v), list(map(int, v)))
+    return tuple(filter(None, echelon_hermite(basis)))
 
 
 def saturate_columns(vectors):
@@ -172,29 +173,33 @@ def echelon_insert(basis, row):
     `basis` is a tuple of k slots: slot c is None or the basis row whose
     first nonzero entry, positive, sits in column c.  Returns the echelon
     basis of the lattice spanned by `basis` and `row`.  Column by column,
-    an extended-gcd step (a 2 x 2 unimodular change of the pivot row and
-    the incoming one) leaves the gcd in the pivot and zero in the incoming
-    row, so the lattice never changes; no transform is kept.
+    one divmod by the pivot either clears the incoming entry or, when it
+    leaves a remainder, an extended-gcd step (a 2 x 2 unimodular change of
+    the pivot row and the incoming one) leaves the gcd in the pivot and
+    zero in the incoming row, so the lattice never changes; no transform
+    is kept.
     """
     basis = list(basis)
     v = list(row)
-    for c in range(len(v)):
+    k = len(v)
+    c = 0
+    while c < k:
         x = v[c]
-        if x == 0:
-            continue
-        p = basis[c]
-        if p is None:
-            basis[c] = tuple(v) if x > 0 else tuple(-y for y in v)
-            return tuple(basis)
-        y = p[c]
-        if x % y == 0:
-            q = x // y
-            v = [a - q * b for a, b in zip(v, p)]
-            continue
-        g, s, t = _xgcd(y, x)
-        u, w = y // g, x // g  # s*y + t*x = g, so s*u + t*w = 1
-        basis[c] = tuple(s * b + t * a for a, b in zip(v, p))
-        v = [u * a - w * b for a, b in zip(v, p)]
+        if x:
+            p = basis[c]
+            if p is None:
+                basis[c] = tuple(v) if x > 0 else tuple([-a for a in v])
+                return tuple(basis)
+            y = p[c]
+            q, r = divmod(x, y)
+            if r:
+                g, s, t = _xgcd(y, x)
+                u, w = y // g, x // g  # s*y + t*x = g, so s*u + t*w = 1
+                basis[c] = tuple([s * b + t * a for a, b in zip(v, p)])
+                v = [u * a - w * b for a, b in zip(v, p)]
+            else:
+                v = [a - q * b for a, b in zip(v, p)]
+        c += 1
     return tuple(basis)
 
 
@@ -203,9 +208,14 @@ def echelon_hermite(basis):
     reduced into [0, pivot).  It is unique per lattice."""
     rows = list(basis)
     for c, p in enumerate(rows):
-        for i, r in enumerate(rows[:c] if p else ()):
-            if r is not None and not 0 <= r[c] < p[c]:
-                rows[i] = tuple([a - r[c] // p[c] * b for a, b in zip(r, p)])
+        if p is None:
+            continue
+        d = p[c]
+        for i in range(c):
+            r = rows[i]
+            if r is not None and not 0 <= r[c] < d:
+                q = r[c] // d
+                rows[i] = tuple([a - q * b for a, b in zip(r, p)])
     return tuple(rows)
 
 

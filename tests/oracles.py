@@ -12,7 +12,9 @@ structure-constant kernel.  The determinantal oracle reads invariant
 factors off gcds of minors, with no Smith form.  The exact oracles are
 the earlier forms of the freeness checker (one full Smith form per
 symmetry, no pruning), of the Hermite form (sort-and-subtract column
-reduction), of lattice equivalence (one membership table over all
+reduction), of the echelon kernel and the canonical key's image loop
+(a remainder test and a division per column; the images paired through
+numpy), of lattice equivalence (one membership table over all
 maps of the catalog's parity model), of the two-torus
 scan's pair classing (one Hermite form per pair, looked up among the reference's
 orbit of Hermite forms), of the Eschenburg and Bazaikin enumerations
@@ -80,11 +82,18 @@ from biq.catalog import (
     EschenburgRecord,
     _annihilator,
     _images_in,
+    _side_images,
     _weight_columns,
     bazaikin_canonical,
     eschenburg_canonical,
 )
-from biq.intlattice import hnf_columns, invariant_factors, kernel_generators, saturate_columns
+from biq.intlattice import (
+    _xgcd,
+    hnf_columns,
+    invariant_factors,
+    kernel_generators,
+    saturate_columns,
+)
 from biq.metric import L_tensor, MetricOperator, apply_P
 
 
@@ -602,6 +611,61 @@ def sort_subtract_hnf_columns(vectors):
             if q:
                 basis[j] = [x - q * y for x, y in zip(basis[j], col)]
     return tuple(tuple(c) for c in basis)
+
+
+def earlier_echelon_insert(basis, row):
+    """intlattice.echelon_insert before its one-divmod loop: a remainder
+    test and then a floor division per nonzero column."""
+    basis = list(basis)
+    v = list(row)
+    for c in range(len(v)):
+        x = v[c]
+        if x == 0:
+            continue
+        p = basis[c]
+        if p is None:
+            basis[c] = tuple(v) if x > 0 else tuple(-y for y in v)
+            return tuple(basis)
+        y = p[c]
+        if x % y == 0:
+            q = x // y
+            v = [a - q * b for a, b in zip(v, p)]
+            continue
+        g, s, t = _xgcd(y, x)
+        u, w = y // g, x // g
+        basis[c] = tuple(s * b + t * a for a, b in zip(v, p))
+        v = [u * a - w * b for a, b in zip(v, p)]
+    return tuple(basis)
+
+
+def earlier_echelon_hermite(basis):
+    """intlattice.echelon_hermite before it skipped empty slots: every
+    pivot reduces the slots above it, re-reading itself per entry."""
+    rows = list(basis)
+    for c, p in enumerate(rows):
+        for i, r in enumerate(rows[:c] if p else ()):
+            if r is not None and not 0 <= r[c] < p[c]:
+                rows[i] = tuple([a - r[c] // p[c] * b for a, b in zip(r, p)])
+    return tuple(rows)
+
+
+def earlier_hnf_columns(vectors):
+    """intlattice.hnf_columns on the earlier kernel."""
+    basis = ()
+    for v in vectors:
+        v = [int(x) for x in v]
+        basis = earlier_echelon_insert(basis or (None,) * len(v), v)
+    return tuple(r for r in earlier_echelon_hermite(basis) if r is not None)
+
+
+def earlier_least_image_hnf(cols, fam: GroupFamily):
+    """catalog._least_image_hnf before its direct loop: the parity-matched
+    (s, t) pairs from numpy, one earlier_hnf_columns per image."""
+    left, right, parity = _side_images(np.array(cols), fam)
+    left, right = left.tolist(), right.tolist()
+    return min(earlier_hnf_columns([a + b for a, b in zip(*pair)])
+               for s, t in zip(*np.nonzero(parity[:, None] == parity))
+               for pair in ((left[s], right[t]), (right[t], left[s])))
 
 
 def table_lattice_equivalent(w1: TorusActionWeights, w2: TorusActionWeights) -> bool:

@@ -11,6 +11,7 @@ from biq import catalog as ca
 from biq import freeness as fr
 from biq.intlattice import hnf_columns, saturate_columns
 from oracles import (
+    earlier_least_image_hnf,
     hnf_pair_flags,
     sweep_enumerate_bazaikin,
     sweep_enumerate_eschenburg,
@@ -106,6 +107,19 @@ def _normal_forms():
     forms += [ca.p_torus_weights(g.rank, v, g) for g in (al.so(6), al.so(7)) for v in (1, 2)]
     return forms + [ca.spin6_extra().weights, ca.corollary_su3_weights(),
                     ca.corollary_sp2_weights()]
+
+
+@pytest.mark.parametrize("w", _normal_forms() + [
+    *(ca.su_tori(5, l, v).weights for l in (1, 2) for v in (1, 2)),
+    *(ca.p_torus_weights(m // 2, v, al.so(m)) for m in (5, 8) for v in (1, 2)),
+])
+def test_canonical_key_equals_the_earlier_least_image_loop(w):
+    # every catalog normal form through SU(5), Sp(3) and SO(8), the extra
+    # SO(6) torus and both corollaries: the direct loop on the one-divmod
+    # kernel and the numpy pair walk on the earlier kernel give the same
+    # key, bit for bit
+    cols = saturate_columns(ca._weight_columns(w))
+    assert ca.lattice_canonical_key(w) == earlier_least_image_hnf(cols, w.group)
 
 
 @pytest.mark.parametrize("fam", [

@@ -21,6 +21,9 @@ from biq.intlattice import (
 )
 from oracles import (
     determinantal_invariant_factors,
+    earlier_echelon_hermite,
+    earlier_echelon_insert,
+    earlier_hnf_columns,
     exact_det,
     leafwise_is_free_exact,
     sort_subtract_hnf_columns,
@@ -218,6 +221,31 @@ def test_echelon_rows_span_the_lattice_of_the_matrix(mat):
     unimodular = len(mat) >= len(mat[0]) and all(
         f == 1 for f in invariant_factors(mat))
     assert echelon_spans_all(basis) == unimodular
+
+
+@st.composite
+def _wide_rows(draw, entries=st.integers(-3, 3) | st.integers(-2 ** 70, 2 ** 70)):
+    """1 to 8 integer rows of length 1 to 8, small entries mixed with
+    entries up to 2^70 in magnitude."""
+    k = draw(st.integers(1, 8))
+    return draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=1, max_size=8))
+
+
+@_PROPERTY
+@given(mat=_wide_rows(),
+       mat64=_wide_rows(st.integers(-3, 3) | st.integers(-2 ** 63, 2 ** 63 - 1)))
+def test_echelon_kernel_equals_the_earlier_kernel(mat, mat64):
+    # every insertion, the Hermite form and hnf_columns, bit for bit; numpy
+    # int64 input, which would overflow inside the kernel, is read as ints
+    basis = earlier = (None,) * len(mat[0])
+    for row in mat:
+        basis, earlier = echelon_insert(basis, row), earlier_echelon_insert(earlier, row)
+        assert basis == earlier
+    assert echelon_hermite(basis) == earlier_echelon_hermite(earlier)
+    assert hnf_columns(mat) == earlier_hnf_columns(mat)
+    form = hnf_columns(np.array(mat64, dtype=np.int64))
+    assert form == earlier_hnf_columns(mat64)
+    assert all(type(x) is int for col in form for x in col)
 
 
 @st.composite
@@ -630,7 +658,10 @@ def test_merged_walk_equals_leafwise_reference_on_normal_forms(mode):
 # Smith form lost its row transform.  The numerators are read off the
 # column transform, which the walk and leafwise_is_free_exact share, so
 # only a recorded value catches a change in it.  Rows: group, mode, W_L,
-# W_R, then (perm, signs, numerators, denominator, invariant factors, kind).
+# W_R, then (perm, signs, numerators, denominator, invariant factors, kind)
+# and the walk's (leaves_examined, smith_forms): a walk that extends its
+# sign prefixes eagerly, not pulled one at a time, inserts more leaves
+# before the first failure.
 _S, _M = fr.STRICT, fr.MOD_CENTER
 _SP2 = ([[1, 2], [-2, 2]], [[0, 0], [1, -1]],
         ((0, 1), (1, 1), (7, 1), 9, (1, 9), "torsion"))
@@ -640,61 +671,66 @@ _SU4 = ([[-1, 2, -2], [2, 1, 2], [-2, -1, 1], [0, 1, 1]],
         [[1, -2, 2], [0, 2, -1], [-1, 2, -2], [-1, 1, 3]],
         ((0, 1, 2, 3), (1, 1, 1, 1), (2, 7, 1), 20, (1, 1, 20), "torsion"))
 _PINNED_WITNESSES = [
-    *((al.sp(2), mode, *_SP2) for mode in (_S, _M)),
-    *((al.so(6), mode, *_SO6) for mode in (_S, _M)),
-    *((al.su(4), mode, *_SU4) for mode in (_S, _M)),
+    *((al.sp(2), mode, *_SP2, (1, 1)) for mode in (_S, _M)),
+    *((al.so(6), mode, *_SO6, (1, 1)) for mode in (_S, _M)),
+    *((al.su(4), mode, *_SU4, (1, 1)) for mode in (_S, _M)),
     (al.su(3), _S, [[-1, -1], [2, -1], [2, 3]], [[0, -1], [3, -2], [0, 4]],
-     ((0, 2, 1), (1, 1, 1), (0, 1), 5, (1, 5), "torsion")),
+     ((0, 2, 1), (1, 1, 1), (0, 1), 5, (1, 5), "torsion"), (1, 1)),
     (al.su(3), _M, [[-2, -2], [1, -3], [-1, 3]], [[2, -3], [0, -3], [-4, 4]],
-     ((0, 2, 1), (1, 1, 1), (1, 4), 23, (1, 23), "torsion")),
+     ((0, 2, 1), (1, 1, 1), (1, 4), 23, (1, 23), "torsion"), (1, 1)),
     (al.su(4), _S, [[-1, 2], [0, -3], [0, 2], [0, -3]], [[-3, 3], [-3, -2], [1, 2], [4, -5]],
-     ((0, 2, 1, 3), (1, 1, 1, 1), (1, 2), 11, (1, 11), "torsion")),
+     ((0, 2, 1, 3), (1, 1, 1, 1), (1, 2), 11, (1, 11), "torsion"), (1, 1)),
     (al.su(4), _M, [[2, -3], [0, 0], [3, -3], [-3, -1]], [[3, 0], [0, -1], [2, -3], [-3, -3]],
-     ((0, 2, 3, 1), (1, 1, 1, 1), (6, 1), 9, (1, 9), "torsion")),
+     ((0, 2, 3, 1), (1, 1, 1, 1), (6, 1), 9, (1, 9), "torsion"), (1, 1)),
     (al.u(3), _S, [[-3, -3], [-3, -2], [3, -1]], [[0, 3], [-1, 1], [-3, -2]],
-     ((0, 2, 1), (1, 1, 1), (28, 11), 30, (1, 30), "torsion")),
+     ((0, 2, 1), (1, 1, 1), (28, 11), 30, (1, 30), "torsion"), (2, 1)),
     (al.u(3), _M, [[2, -3, 1], [-1, 1, 0], [1, 0, 1]], [[2, 2, 0], [0, 3, 3], [1, 2, 1]],
-     ((0, 2, 1), (1, 1, 1), (13, 1, 5), 32, (1, 1, 32), "torsion")),
+     ((0, 2, 1), (1, 1, 1), (13, 1, 5), 32, (1, 1, 32), "torsion"), (2, 2)),
     (al.u(3), _M, [[0, 2], [2, -1], [0, -2]], [[0, 2], [-3, -1], [-1, -2]],
-     ((0, 1, 2), (1, 1, 1), (0, 1), 2, (1, 0), "circle")),
+     ((0, 1, 2), (1, 1, 1), (0, 1), 2, (1, 0), "circle"), (1, 1)),
     (al.sp(2), _M, [[3, -2], [1, 1]], [[-2, -2], [0, 0]],
-     ((1, 0), (1, 1), (13, 12), 15, (1, 15), "torsion")),
+     ((1, 0), (1, 1), (13, 12), 15, (1, 15), "torsion"), (3, 3)),
     (al.sp(3), _S, [[1, 1], [1, 2], [3, 0]], [[-3, 1], [0, -1], [-2, 2]],
-     ((1, 0, 2), (1, 1, -1), (5, 1), 7, (1, 7), "torsion")),
+     ((1, 0, 2), (1, 1, -1), (5, 1), 7, (1, 7), "torsion"), (18, 1)),
     (al.sp(3), _M, [[0, 0], [0, -3], [3, 2]], [[3, 1], [-2, -3], [-1, -1]],
-     ((2, 0, 1), (1, -1, 1), (4, 1), 5, (1, 5), "torsion")),
+     ((2, 0, 1), (1, -1, 1), (4, 1), 5, (1, 5), "torsion"), (15, 1)),
     (al.so(5), _S, [[1, -1], [-1, -2]], [[-2, 3], [2, -3]],
-     ((0, 1), (1, 1), (1, 3), 9, (1, 9), "torsion")),
+     ((0, 1), (1, 1), (1, 3), 9, (1, 9), "torsion"), (1, 1)),
     (al.so(5), _M, [[3, 3], [-1, -1]], [[-3, 0], [0, 0]],
-     ((1, 0), (1, 1), (1, 2), 9, (1, 9), "torsion")),
+     ((1, 0), (1, 1), (1, 2), 9, (1, 9), "torsion"), (3, 3)),
     (al.so(7), _S, [[-1, 0], [2, 3], [3, -1]], [[0, 0], [1, 1], [2, -2]],
-     ((0, 2, 1), (1, 1, -1), (0, 1), 5, (1, 5), "torsion")),
+     ((0, 2, 1), (1, 1, -1), (0, 1), 5, (1, 5), "torsion"), (6, 1)),
     (al.so(7), _S, [[-2, 3], [2, 3], [-3, -2]], [[3, 3], [-2, 3], [-3, -2]],
-     ((0, 1, 2), (1, 1, 1), (0, 1), 2, (1, 0), "circle")),
+     ((0, 1, 2), (1, 1, 1), (0, 1), 2, (1, 0), "circle"), (1, 1)),
     (al.so(7), _M, [[2, 0], [-3, -2], [-2, -3]], [[2, -2], [-1, 3], [-1, -1]],
-     ((1, 0, 2), (-1, 1, -1), (2, 1), 5, (1, 5), "torsion")),
+     ((1, 0, 2), (-1, 1, -1), (2, 1), 5, (1, 5), "torsion"), (22, 1)),
     (al.so(6), _S, [[-3, 2], [1, -3], [-2, 1]], [[-1, -1], [2, 2], [0, -1]],
-     ((1, 0, 2), (1, 1, 1), (6, 1), 10, (1, 10), "torsion")),
+     ((1, 0, 2), (1, 1, 1), (6, 1), 10, (1, 10), "torsion"), (7, 1)),
     (al.so(6), _M, [[1, 2], [0, -2], [-3, 3]], [[-2, 1], [-1, -2], [0, 2]],
-     ((0, 2, 1), (1, -1, -1), (1, 4), 7, (1, 7), "torsion")),
+     ((0, 2, 1), (1, -1, -1), (1, 4), 7, (1, 7), "torsion"), (5, 1)),
     (al.so(8), _S, [[-2, 1], [-3, 3], [-1, 0], [-2, -1]], [[-3, 0], [2, 1], [0, 2], [-1, -3]],
-     ((1, 0, 3, 2), (1, 1, 1, 1), (3, 4), 6, (1, 6), "torsion")),
+     ((1, 0, 3, 2), (1, 1, 1, 1), (3, 4), 6, (1, 6), "torsion"), (18, 1)),
     (al.so(8), _M, [[0, 0, 0], [-2, 2, 0], [0, -2, -2], [-3, 0, 1]],
      [[3, 3, 1], [1, -1, -2], [3, 0, 0], [1, 1, -3]],
-     ((0, 1, 3, 2), (1, 1, 1, 1), (39, 37, 24), 42, (1, 1, 42), "torsion")),
+     ((0, 1, 3, 2), (1, 1, 1, 1), (39, 37, 24), 42, (1, 1, 42), "torsion"), (7, 1)),
     # a zero left row that must carry the SO(2n) sign parity
     *((al.so(4), mode, [[0], [2]], [[0], [1]],
-       ((0, 1), (-1, -1), (1,), 3, (3,), "torsion")) for mode in (_S, _M)),
+       ((0, 1), (-1, -1), (1,), 3, (3,), "torsion"), (2, 1)) for mode in (_S, _M)),
+    # strict, failing at its first leaf while four sign prefixes are live
+    # at the last row: an eager walk inserts all eight leaves
+    (al.sp(3), _S, [[-1, 1], [-2, -2], [2, 0]], [[1, 3], [1, 0], [0, 2]],
+     ((0, 1, 2), (1, 1, 1), (0, 1), 2, (1, 2), "torsion"), (1, 1)),
 ]
 
 
-@pytest.mark.parametrize("fam, mode, wl, wr, expected", [
+@pytest.mark.parametrize("fam, mode, wl, wr, expected, stats", [
     pytest.param(*case, id=f"{case[0]}-{case[1]}-{i}") for i, case in enumerate(_PINNED_WITNESSES)
 ])
-def test_non_free_witness_is_pinned(fam, mode, wl, wr, expected):
+def test_non_free_witness_is_pinned(fam, mode, wl, wr, expected, stats):
     verdict = fr.is_free_exact(fr.TorusActionWeights(fam, len(wl[0]), wl, wr, mode=mode))
     assert not verdict.free and verdict.note == ""
     assert verdict.witness == fr.Witness(*expected)
+    assert (verdict.stats["leaves_examined"], verdict.stats["smith_forms"]) == stats
 
 
 class TestRankScaling:
