@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -75,6 +76,13 @@ class GroupFamily:
         if self.name == "SO":
             return self.n // 2
         return self.n - 1 if self.name == "SU" else self.n
+
+    @property
+    def torus_rows(self) -> int:
+        """Diagonal coordinates of the standard maximal torus: n on SU, U
+        and Sp (summing to zero on SU), the rank on SO, one per rotation
+        block."""
+        return self.rank if self.name == "SO" else self.n
 
     @property
     def kind(self) -> str:
@@ -224,17 +232,16 @@ def adjoint(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
 
 
 def torus_element(family: GroupFamily, a) -> AlgebraElement:
-    """Cartan element with diagonal torus coordinates `a` (length = rank).
+    """Cartan element with diagonal torus coordinates `a` (length =
+    family.torus_rows).
 
     SU/U: diag(i a); for SU the coordinates must sum to zero.
     Sp:   the embedding of the quaternionic diag(i a).
     SO:   sum of a_k times the rotation generator in the (2k, 2k+1) plane.
     """
     a = np.asarray(a, dtype=float)
-    expected = family.rank if family.name == "SO" else family.n
-    if a.shape != (expected,):
-        # SU uses all n diagonal coordinates, constrained to sum zero
-        raise AlgebraError(f"expected {expected} torus coordinates")
+    if a.shape != (family.torus_rows,):
+        raise AlgebraError(f"expected {family.torus_rows} torus coordinates")
     if family.name in ("SU", "U"):
         if family.name == "SU" and abs(a.sum()) > 1e-12 * max(1, np.abs(a).max()):
             raise AlgebraError("su(n) torus coordinates must sum to zero")
@@ -407,95 +414,50 @@ def _root_decomposition_cached(name: str, n: int) -> RootDecomposition:
     if name == "U":
         raise AlgebraError("U(n) is not semisimple; no root decomposition")
 
-    cartan = []
-    roots = []
-    size = fam.matrix_size
-
+    rows = fam.torus_rows
+    # the root functionals are integer combinations of the rows of e
+    e = np.eye(rows, dtype=int)
+    coords = e.astype(float)
     if name == "SU":
-        # orthonormalize diag(i a) with sum(a) = 0 under Q = (1/2) a.a'
-        vecs = []
-        for k in range(n - 1):
-            a = np.zeros(n)
-            a[k], a[k + 1] = 1.0, -1.0
-            for v in vecs:
+        # orthonormalize the e_k - e_{k+1}, which sum to zero, under Q = (1/2) a.a'
+        coords = coords[:-1] - coords[1:]
+        for k, a in enumerate(coords):
+            for v in coords[:k]:
                 a -= 0.5 * np.dot(a, v) * v
             a /= np.sqrt(0.5 * np.dot(a, a))
-            vecs.append(a)
-            cartan.append(AlgebraElement(fam, np.diag(1j * a)))
-        for p in range(n):
-            for q in range(p + 1, n):
-                vec = tuple(
-                    1 if t == q else (-1 if t == p else 0) for t in range(n)
-                )
-                x = AlgebraElement(fam, skew_unit(n, p, q))
-                y = AlgebraElement(fam, _sym_i(n, p, q))
-                roots.append(Root(vec, x, y))
+    cartan = [torus_element(fam, a) for a in coords]
 
-    elif name == "Sp":
-        for k in range(n):
-            a = np.zeros(n)
-            a[k] = 1.0
-            cartan.append(AlgebraElement(fam, np.diag(np.concatenate([1j * a, -1j * a]))))
-        inv = 1.0 / np.sqrt(2.0)
-        for p in range(n):
-            for q in range(p + 1, n):
-                vec = tuple(1 if t == q else (-1 if t == p else 0) for t in range(n))
-                x = AlgebraElement(fam, inv * quaternion_block(skew_unit(n, p, q), np.zeros((n, n))))
-                y = AlgebraElement(fam, inv * quaternion_block(_sym_i(n, p, q), np.zeros((n, n))))
-                roots.append(Root(vec, x, y))
-        for p in range(n):
-            for q in range(p, n):
-                # C-type roots a_p + a_q (p < q) and 2 a_p (p == q)
-                vec = tuple(
-                    2 if (t == p and p == q) else (1 if t in (p, q) else 0)
-                    for t in range(n)
-                )
-                c0 = np.zeros((n, n), dtype=complex)
-                c0[p, q] = 1.0
-                c0[q, p] = 1.0
-                scale = 1.0 if p == q else inv
-                x = AlgebraElement(fam, scale * quaternion_block(np.zeros((n, n)), c0))
-                y = AlgebraElement(fam, scale * quaternion_block(np.zeros((n, n)), 1j * c0))
-                roots.append(Root(vec, x, y))
+    roots = []
+    inv = 1.0 / np.sqrt(2.0)
+    zeros = np.zeros((rows, rows))
 
-    else:  # SO
-        rank = fam.rank
-        for k in range(rank):
-            a = np.zeros(rank)
-            a[k] = 1.0
-            cartan.append(torus_element(fam, a))
-        inv = 1.0 / np.sqrt(2.0)
-        for p in range(rank):
-            for q in range(p + 1, rank):
-                up, upp = 2 * p, 2 * p + 1
-                vq, vqq = 2 * q, 2 * q + 1
-                m1 = skew_unit(size, up, vq)
-                m2 = skew_unit(size, up, vqq)
-                m3 = skew_unit(size, upp, vq)
-                m4 = skew_unit(size, upp, vqq)
-                vec_diff = tuple(1 if t == q else (-1 if t == p else 0) for t in range(rank))
-                roots.append(
-                    Root(
-                        vec_diff,
-                        AlgebraElement(fam, inv * (m1 + m4)),
-                        AlgebraElement(fam, inv * (m3 - m2)),
-                    )
-                )
-                vec_sum = tuple(1 if t in (p, q) else 0 for t in range(rank))
-                roots.append(
-                    Root(
-                        vec_sum,
-                        AlgebraElement(fam, inv * (m1 - m4)),
-                        AlgebraElement(fam, -inv * (m2 + m3)),
-                    )
-                )
+    def add(vec, x, y):
+        roots.append(Root(tuple(vec.tolist()), AlgebraElement(fam, x), AlgebraElement(fam, y)))
+
+    if name in ("SU", "Sp"):
+        # A-type roots a_q - a_p; sp(n) holds su(n)'s pair in its block B
+        for p, q in combinations(range(rows), 2):
+            x, y = skew_unit(rows, p, q), _sym_i(rows, p, q)
+            if name == "Sp":
+                x, y = inv * quaternion_block(x, zeros), inv * quaternion_block(y, zeros)
+            add(e[q] - e[p], x, y)
+    if name == "Sp":
+        # C-type roots a_p + a_q (p < q) and 2 a_p (p == q), in the block C
+        for p, q in combinations_with_replacement(range(rows), 2):
+            c0 = np.zeros((rows, rows), dtype=complex)
+            c0[p, q] = c0[q, p] = 1.0
+            scale = 1.0 if p == q else inv
+            add(e[p] + e[q], scale * quaternion_block(zeros, c0),
+                scale * quaternion_block(zeros, 1j * c0))
+    if name == "SO":
+        for p, q in combinations(range(rows), 2):
+            m1, m2, m3, m4 = (skew_unit(n, i, j) for i in (2 * p, 2 * p + 1)
+                              for j in (2 * q, 2 * q + 1))
+            add(e[q] - e[p], inv * (m1 + m4), inv * (m3 - m2))
+            add(e[p] + e[q], inv * (m1 - m4), -inv * (m2 + m3))
         if n % 2 == 1:
-            w = size - 1
-            for p in range(rank):
-                vec = tuple(1 if t == p else 0 for t in range(rank))
-                x = AlgebraElement(fam, skew_unit(size, 2 * p + 1, w))
-                y = AlgebraElement(fam, skew_unit(size, 2 * p, w))
-                roots.append(Root(vec, x, y))
+            for p in range(rows):
+                add(e[p], skew_unit(n, 2 * p + 1, n - 1), skew_unit(n, 2 * p, n - 1))
 
     dec = RootDecomposition(
         family=fam,

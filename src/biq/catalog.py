@@ -66,6 +66,7 @@ from .freeness import (
     STRICT,
     TorusActionWeights,
     bazaikin_free,
+    conjugacy_symmetries,
     eschenburg_free,
     eschenburg_positive_flag,
     is_free_exact,
@@ -247,21 +248,11 @@ def _annihilator(w: TorusActionWeights) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _side_symmetries(fam: GroupFamily, n: int):
-    """The family's maps of one side as read-only arrays: (index, sign) of
-    shape (|W|, n) in the order of conjugacy_symmetries, image[s, c] =
+    """The family's maps of one side, conjugacy_symmetries(fam, n), as
+    read-only arrays: (index, sign) of shape (|W|, n), image[s, c] =
     sign[s, c] * v[index[s, c]], and parity: two maps pair iff their
-    parities agree (odd sign counts on SO(2n), 0 elsewhere).  The
-    permutations of range(m), lexicographic, are each first entry f
-    followed by those of range(m - 1) with the entries from f up raised by
-    one; the sign patterns count in binary, a set bit for -1."""
-    index = np.zeros((1, 0), dtype=np.int64)
-    for m in range(1, n + 1):
-        index = np.concatenate([np.column_stack([np.full(len(index), f), index + (index >= f)])
-                                for f in range(m)])
-    sign = np.ones_like(index)
-    if fam.name not in ("SU", "U"):
-        bits = np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1
-        index, sign = np.repeat(index, len(bits), axis=0), np.tile(1 - 2 * bits, (len(index), 1))
+    parities agree (odd sign counts on SO(2n), 0 elsewhere)."""
+    index, sign = (np.array(a, dtype=np.int64) for a in zip(*conjugacy_symmetries(fam, n)))
     parity = (sign < 0).sum(axis=1) % 2 * (fam.kind == "SO-even")
     index.flags.writeable = sign.flags.writeable = parity.flags.writeable = False
     return index, sign, parity

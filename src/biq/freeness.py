@@ -88,7 +88,7 @@ from itertools import combinations, permutations, product, tee
 from math import factorial, gcd, prod
 
 from .algebra import AlgebraError, GroupFamily, as_int
-from .intlattice import echelon_insert, echelon_spans_all, smith_kernel
+from .intlattice import echelon_insert, echelon_spans_all, hnf_columns, smith_kernel
 
 STRICT = "strict"
 MOD_CENTER = "mod-center"
@@ -105,9 +105,10 @@ def _normalize_mode(mode: str) -> str:
 class TorusActionWeights:
     """Integer weight matrices of a k-torus in G x G.
 
-    w_left and w_right have one row per torus coordinate of G (the matrix
-    size for SU/U/Sp, the rank for SO, where circles act through the
-    block-rotation embedding) and one column per circle of the k-torus.
+    w_left and w_right have one row per diagonal torus coordinate of G
+    (GroupFamily.torus_rows: n on SU, U and Sp, the rank on SO, where
+    circles act through the block-rotation embedding) and one column per
+    circle of the k-torus.
     """
 
     group: GroupFamily
@@ -138,17 +139,13 @@ class TorusActionWeights:
                         f"column {j} has {sl} vs {sr}"
                     )
         # the k columns of (W_L; W_R) are independent iff its rows span a
-        # rank-k lattice, i.e. their echelon basis fills every slot
-        basis = (None,) * self.k
-        for row in self.w_left + self.w_right:
-            basis = echelon_insert(basis, row)
-        if None in basis:
+        # rank-k lattice
+        if len(hnf_columns(self.w_left + self.w_right)) < self.k:
             raise AlgebraError("weight columns do not define a k-torus")
 
     @property
     def n_rows(self) -> int:
-        fam = self.group
-        return fam.rank if fam.name == "SO" else fam.n
+        return self.group.torus_rows
 
     def left_exponents(self, col):
         return _exponents(self.w_left, col)
@@ -199,17 +196,20 @@ class FreenessVerdict:
         return self.free
 
 
+def _sign_choices(fam: GroupFamily) -> tuple:
+    """The signs a symmetry may put on one row: +1 on SU and U, +-1 on Sp
+    and SO (on SO(2n) the Weyl group keeps only their even products)."""
+    return (1,) if fam.name in ("SU", "U") else (1, -1)
+
+
 def conjugacy_symmetries(fam: GroupFamily, rows: int):
     """Eigenvalue symmetry group elements as (perm, signs), in a fixed
-    deterministic order (permutations lexicographic, signs +1 first)."""
-    if fam.name in ("SU", "U"):
-        plus = (1,) * rows
-        for perm in permutations(range(rows)):
-            yield perm, plus
-    else:
-        for perm in permutations(range(rows)):
-            for signs in product((1, -1), repeat=rows):
-                yield perm, signs
+    deterministic order (permutations lexicographic, signs +1 first).
+    On SO(2n) the odd-signed ones are included."""
+    choices = _sign_choices(fam)
+    for perm in permutations(range(rows)):
+        for signs in product(choices, repeat=rows):
+            yield perm, signs
 
 
 def _scalar_is_central(fam: GroupFamily, m: int, d: int) -> bool:
@@ -260,7 +260,7 @@ class _Walk:
 
     def __init__(self, w: TorusActionWeights, stats: dict):
         self.w, self.stats, self.rows = w, stats, w.n_rows
-        self.choices = (1,) if w.group.name in ("SU", "U") else (1, -1)
+        self.choices = _sign_choices(w.group)
         self.so_even = w.group.kind == "SO-even"
         stats["symmetries"] = factorial(self.rows) * len(self.choices) ** (
             self.rows - self.so_even)
@@ -325,25 +325,10 @@ def _unpruned_symmetries(w: TorusActionWeights, stats: dict):
     row i is W_L[i] - s_i W_R[perm[i]].
 
     Yields (perm, signs, D_sigma), in conjugacy_symmetries order, for the
-    symmetries whose rows do not span Z^k, except those that a move
-    keeping D_sigma's lattice turns into an earlier symmetry, so the first
-    failing symmetry and its witness are kept (see the module docstring).
-    Of the symmetries that differ by swapping twin rows, equal rows of W_L
-    (perm[i] < perm[j] for equal rows i < j) or of W_R (p placed before p'
-    for equal rows p < p'), only the first is walked.  A row whose sign
-    cannot change the lattice, a zero row of W_L or, except on SO(2n), one
-    whose right row is zero, tries only +1; on SO(2n) the last zero row of
-    W_L before the last row keeps both signs to carry the parity.  Row j is
-    given the right row p only if its later twins in W_L, which need
-    distinct unused right rows above p, have room there.  A node is a
-    permutation prefix with the live sign prefixes under it, each with the
-    echelon basis of its rows; a sign prefix whose rows span Z^k is
-    pruned, and so is a permutation prefix with no live sign prefix.  Sign
-    prefixes are extended lazily in lexicographic order (+1 first) and
-    replayed for every permutation sharing the prefix as itertools.tee
-    copies of one sequence, so the first symmetry costs one insertion per
-    row.
-    On SO(2n) the last sign is fixed by the parity of the others.  Sets
+    symmetries whose rows do not span Z^k, less those that the twin,
+    zero-row and room rules skip, so the first failing symmetry and its
+    witness are kept.  The module docstring gives the rules, their proofs
+    and how sign prefixes are pruned and replayed.  Sets
     stats["symmetries"] to |W| and counts in stats["leaves_examined"] the
     symmetries whose every row was inserted.
     """

@@ -8,7 +8,9 @@ curvature oracle evaluates <R(X,Y)Y, X> from the Levi-Civita connection
 assembled via the Koszul formula for left-invariant fields, which shares
 no code path with the production four-term expression.  The matrix oracles evaluate the
 production formulas with matrix-model brackets instead of the
-structure-constant kernel.  The determinantal oracle reads invariant
+structure-constant kernel.  The reference root decomposition is the
+earlier per-family construction (each Cartan, root functional and root
+matrix written out by hand).  The determinantal oracle reads invariant
 factors off gcds of minors, with no Smith form.  The exact oracles are
 the earlier forms of the freeness checker (one full Smith form per
 symmetry, no pruning), of the Hermite form (sort-and-subtract column
@@ -46,10 +48,17 @@ from biq.algebra import (
     AlgebraError,
     GroupElement,
     GroupFamily,
+    Root,
+    RootDecomposition,
     Subspace,
+    _real_rows,
+    _sym_i,
     adjoint,
     bracket,
     inner_q,
+    quaternion_block,
+    skew_unit,
+    torus_element,
     zero,
 )
 from biq.biquotient import BiquotientAction, PlaneReport, PointFrame, quotient_sectional
@@ -199,6 +208,120 @@ def check_group_element(g: GroupElement, tol: float = DEFAULT_TOL):
         j = _symplectic_j(g.family.n)
         if np.abs(j @ m.conj() - m @ j).max() > tol:
             raise AlgebraError("Sp(n) element violates the quaternionic structure")
+
+
+def earlier_root_decomposition(fam: GroupFamily) -> RootDecomposition:
+    """algebra's root decomposition as written before one torus_element
+    built every Cartan and one loop every A-type pair: each family's
+    Cartan, root functionals and root matrices by hand."""
+    name, n = fam.name, fam.n
+    cartan = []
+    roots = []
+    size = fam.matrix_size
+
+    if name == "SU":
+        # orthonormalize diag(i a) with sum(a) = 0 under Q = (1/2) a.a'
+        vecs = []
+        for k in range(n - 1):
+            a = np.zeros(n)
+            a[k], a[k + 1] = 1.0, -1.0
+            for v in vecs:
+                a -= 0.5 * np.dot(a, v) * v
+            a /= np.sqrt(0.5 * np.dot(a, a))
+            vecs.append(a)
+            cartan.append(AlgebraElement(fam, np.diag(1j * a)))
+        for p in range(n):
+            for q in range(p + 1, n):
+                vec = tuple(
+                    1 if t == q else (-1 if t == p else 0) for t in range(n)
+                )
+                x = AlgebraElement(fam, skew_unit(n, p, q))
+                y = AlgebraElement(fam, _sym_i(n, p, q))
+                roots.append(Root(vec, x, y))
+
+    elif name == "Sp":
+        for k in range(n):
+            a = np.zeros(n)
+            a[k] = 1.0
+            cartan.append(AlgebraElement(fam, np.diag(np.concatenate([1j * a, -1j * a]))))
+        inv = 1.0 / np.sqrt(2.0)
+        for p in range(n):
+            for q in range(p + 1, n):
+                vec = tuple(1 if t == q else (-1 if t == p else 0) for t in range(n))
+                x = AlgebraElement(fam, inv * quaternion_block(skew_unit(n, p, q), np.zeros((n, n))))
+                y = AlgebraElement(fam, inv * quaternion_block(_sym_i(n, p, q), np.zeros((n, n))))
+                roots.append(Root(vec, x, y))
+        for p in range(n):
+            for q in range(p, n):
+                # C-type roots a_p + a_q (p < q) and 2 a_p (p == q)
+                vec = tuple(
+                    2 if (t == p and p == q) else (1 if t in (p, q) else 0)
+                    for t in range(n)
+                )
+                c0 = np.zeros((n, n), dtype=complex)
+                c0[p, q] = 1.0
+                c0[q, p] = 1.0
+                scale = 1.0 if p == q else inv
+                x = AlgebraElement(fam, scale * quaternion_block(np.zeros((n, n)), c0))
+                y = AlgebraElement(fam, scale * quaternion_block(np.zeros((n, n)), 1j * c0))
+                roots.append(Root(vec, x, y))
+
+    else:  # SO
+        rank = fam.rank
+        for k in range(rank):
+            a = np.zeros(rank)
+            a[k] = 1.0
+            cartan.append(torus_element(fam, a))
+        inv = 1.0 / np.sqrt(2.0)
+        for p in range(rank):
+            for q in range(p + 1, rank):
+                up, upp = 2 * p, 2 * p + 1
+                vq, vqq = 2 * q, 2 * q + 1
+                m1 = skew_unit(size, up, vq)
+                m2 = skew_unit(size, up, vqq)
+                m3 = skew_unit(size, upp, vq)
+                m4 = skew_unit(size, upp, vqq)
+                vec_diff = tuple(1 if t == q else (-1 if t == p else 0) for t in range(rank))
+                roots.append(
+                    Root(
+                        vec_diff,
+                        AlgebraElement(fam, inv * (m1 + m4)),
+                        AlgebraElement(fam, inv * (m3 - m2)),
+                    )
+                )
+                vec_sum = tuple(1 if t in (p, q) else 0 for t in range(rank))
+                roots.append(
+                    Root(
+                        vec_sum,
+                        AlgebraElement(fam, inv * (m1 - m4)),
+                        AlgebraElement(fam, -inv * (m2 + m3)),
+                    )
+                )
+        if n % 2 == 1:
+            w = size - 1
+            for p in range(rank):
+                vec = tuple(1 if t == p else 0 for t in range(rank))
+                x = AlgebraElement(fam, skew_unit(size, 2 * p + 1, w))
+                y = AlgebraElement(fam, skew_unit(size, 2 * p, w))
+                roots.append(Root(vec, x, y))
+
+    return RootDecomposition(
+        family=fam,
+        cartan=tuple(cartan),
+        roots=tuple(roots),
+        _basis_flat=_real_rows(
+            [e.mat for e in cartan + [e for r in roots for e in (r.x, r.y)]]
+        ),
+    )
+
+
+def earlier_structure_constants(dec: RootDecomposition) -> np.ndarray:
+    """The structure constants of `dec`'s basis by the library's formula:
+    C[i, j*d + k] is coordinate k of [B_i, B_j]."""
+    mats = np.array([e.mat for e in dec.basis])
+    prod = np.einsum("iab,jbc->ijac", mats, mats)
+    brackets = (prod - prod.transpose(1, 0, 2, 3)).reshape(-1, *mats.shape[1:])
+    return dec.coords_rows(brackets).reshape(dec.dim, dec.dim * dec.dim)
 
 
 _structure_cache = {}

@@ -66,7 +66,7 @@ def test_criterion_01_freeness_oracle_equivalence():
     # verdicts must agree: every circle on SO(4) and Sp(2), 1500 on SO(6)
     disagreements = {}
     for fam in (al.so(4), al.sp(2), al.so(6)):
-        rows = fam.rank if fam.name == "SO" else fam.n
+        rows = fam.torus_rows
         pairs = list(itertools.product(
             itertools.product(range(-2, 3), repeat=rows), repeat=2))
         if len(pairs) > 1500:

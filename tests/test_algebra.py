@@ -5,7 +5,14 @@ from biq import algebra as al
 from biq import freeness as fr
 from biq.metric import MetricOperator
 from conftest import semisimple_families
-from oracles import check_algebra_element, check_group_element, scipy_exp_map, scipy_span_coords
+from oracles import (
+    check_algebra_element,
+    check_group_element,
+    earlier_root_decomposition,
+    earlier_structure_constants,
+    scipy_exp_map,
+    scipy_span_coords,
+)
 
 
 class TestGroupFamily:
@@ -20,6 +27,20 @@ class TestGroupFamily:
     def test_non_integral_size_rejected(self, n):
         with pytest.raises(al.AlgebraError, match="integer"):
             al.GroupFamily("Sp", n)
+
+    @pytest.mark.parametrize("fam,rows", [
+        (al.su(3), 3), (al.u(2), 2), (al.sp(3), 3), (al.so(7), 3), (al.so(8), 4),
+    ], ids=str)
+    def test_torus_rows_sizes_torus_coordinates_and_weight_rows(self, fam, rows):
+        assert fam.torus_rows == rows
+        al.torus_element(fam, np.zeros(rows))
+        for wrong in (rows - 1, rows + 1):
+            with pytest.raises(al.AlgebraError, match=f"expected {rows} torus"):
+                al.torus_element(fam, np.zeros(wrong))
+        ones = ((1,),) * rows
+        assert fr.TorusActionWeights(fam, 1, ones, ones).n_rows == rows
+        with pytest.raises(al.AlgebraError, match=f"W_L must be {rows}x1"):
+            fr.TorusActionWeights(fam, 1, ones + ((1,),), ones)
 
 
 class TestBracket:
@@ -148,6 +169,21 @@ class TestRootDecomposition:
     def test_unsupported_family(self):
         with pytest.raises(al.AlgebraError):
             al.root_decomposition(al.u(3))
+
+    @pytest.mark.parametrize("fam", [
+        *(al.su(n) for n in range(2, 9)), *(al.sp(n) for n in range(1, 6)),
+        *(al.so(m) for m in range(3, 13)),
+    ], ids=str)
+    def test_decomposition_equals_the_earlier_construction(self, fam):
+        # every Cartan and root matrix, the integer root functionals, the
+        # coordinate frame and the structure constants, bit for bit
+        dec, ref = al.root_decomposition(fam), earlier_root_decomposition(fam)
+        assert [r.vector for r in dec.roots] == [r.vector for r in ref.roots]
+        assert all(type(v) is int for r in dec.roots for v in r.vector)
+        for a, b in zip(dec.basis, ref.basis, strict=True):
+            assert np.array_equal(a.mat, b.mat)
+        assert np.array_equal(dec._basis_flat, ref._basis_flat)
+        assert np.array_equal(dec.structure_constants, earlier_structure_constants(ref))
 
     def test_root_action_matrix(self, rng):
         for fam in semisimple_families():

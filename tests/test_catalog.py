@@ -127,7 +127,7 @@ def test_canonical_key_equals_the_earlier_least_image_loop(w):
     *(al.so(m) for m in range(5, 9)),
 ], ids=str)
 def test_side_symmetries_are_the_conjugacy_symmetries_in_order(fam):
-    n = fam.rank if fam.name == "SO" else fam.n
+    n = fam.torus_rows
     index, sign, parity = ca._side_symmetries(fam, n)
     perms, signs = zip(*fr.conjugacy_symmetries(fam, n))
     assert index.tolist() == [list(p) for p in perms]

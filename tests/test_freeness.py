@@ -255,7 +255,7 @@ def _stacked_weights(draw):
     another."""
     fam = draw(st.sampled_from((al.su(3), al.su(4), al.u(3), al.sp(3), al.so(6),
                                 al.so(7))))
-    rows = fam.rank if fam.name == "SO" else fam.n
+    rows = fam.torus_rows
     k = draw(st.integers(1, fam.n if fam.name == "U" else fam.rank))
     entry = st.integers(-2, 2)
     wl = [[draw(entry) for _ in range(k)] for _ in range(rows)]
@@ -303,7 +303,7 @@ def _tori(draw, families=_FAMILIES, twins=False):
     and every other row is a copy of another row of that side with
     probability 2/5."""
     fam = draw(st.sampled_from(families))
-    rows = fam.rank if fam.name == "SO" else fam.n
+    rows = fam.torus_rows
     k = draw(st.integers(1, fam.n if fam.name == "U" else fam.rank))
     row = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
 
