@@ -17,7 +17,7 @@ def numerator_and_area(P, x, y):
     """The kernel's curvature numerator of span{x, y} and the plane's area
     <x,x><y,y> - <x,y>^2 under the metric."""
     cx, cy = P.dec.to_coords(x), P.dec.to_coords(y)
-    area = P.inner_coords(cx, cx) * P.inner_coords(cy, cy) - P.inner_coords(cx, cy) ** 2
+    area = float(cx @ P.mat @ cx) * float(cy @ P.mat @ cy) - float(cx @ P.mat @ cy) ** 2
     return float(cu.plane_terms(P, cx[None], cy[None]).numerator[0]), area
 
 

@@ -22,7 +22,7 @@ so everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -371,13 +371,16 @@ class RootDecomposition:
         """Coordinate slice of the i-th root space."""
         return slice(self.rank + 2 * i, self.rank + 2 * i + 2)
 
-    @property
+    @cached_property
     def structure_constants(self) -> np.ndarray:
         """The bracket in the Q-orthonormal frame as a read-only (d, d*d)
         array C: C[i, j*d + k] is coordinate k of [B_i, B_j].  So
         (x @ C).reshape(d, d) is the matrix of ad_x acting on coordinate
         rows: y @ (x @ C).reshape(d, d) is the coordinate row of [x, y]."""
-        return _structure_constants_cached(self.family.name, self.family.n)
+        mats = np.array([e.mat for e in self.basis])
+        prod = np.einsum("iab,jbc->ijac", mats, mats)
+        brackets = (prod - prod.transpose(1, 0, 2, 3)).reshape(-1, *mats.shape[1:])
+        return read_only(self.coords_rows(brackets).reshape(self.dim, -1), float)
 
 
 def _real_rows(mats) -> np.ndarray:
@@ -405,8 +408,10 @@ def _sym_i(size, i, j) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _root_decomposition_cached(name: str, n: int) -> RootDecomposition:
-    fam = GroupFamily(name, n)
+def root_decomposition(family: GroupFamily) -> RootDecomposition:
+    """Root-space decomposition with respect to the standard maximal torus,
+    one per family."""
+    name, n = family.name, family.n
     if name == "SU" and n < 2:
         raise AlgebraError("root decomposition needs SU(n) with n >= 2")
     if name == "SO" and n < 3:
@@ -414,7 +419,7 @@ def _root_decomposition_cached(name: str, n: int) -> RootDecomposition:
     if name == "U":
         raise AlgebraError("U(n) is not semisimple; no root decomposition")
 
-    rows = fam.torus_rows
+    rows = family.torus_rows
     # the root functionals are integer combinations of the rows of e
     e = np.eye(rows, dtype=int)
     coords = e.astype(float)
@@ -425,14 +430,15 @@ def _root_decomposition_cached(name: str, n: int) -> RootDecomposition:
             for v in coords[:k]:
                 a -= 0.5 * np.dot(a, v) * v
             a /= np.sqrt(0.5 * np.dot(a, a))
-    cartan = [torus_element(fam, a) for a in coords]
+    cartan = [torus_element(family, a) for a in coords]
 
     roots = []
     inv = 1.0 / np.sqrt(2.0)
     zeros = np.zeros((rows, rows))
 
     def add(vec, x, y):
-        roots.append(Root(tuple(vec.tolist()), AlgebraElement(fam, x), AlgebraElement(fam, y)))
+        roots.append(Root(tuple(vec.tolist()), AlgebraElement(family, x),
+                          AlgebraElement(family, y)))
 
     if name in ("SU", "Sp"):
         # A-type roots a_q - a_p; sp(n) holds su(n)'s pair in its block B
@@ -460,31 +466,15 @@ def _root_decomposition_cached(name: str, n: int) -> RootDecomposition:
                 add(e[p], skew_unit(n, 2 * p + 1, n - 1), skew_unit(n, 2 * p, n - 1))
 
     dec = RootDecomposition(
-        family=fam,
+        family=family,
         cartan=tuple(cartan),
         roots=tuple(roots),
         _basis_flat=_real_rows(
             [e.mat for e in cartan + [e for r in roots for e in (r.x, r.y)]]
         ),
     )
-    assert dec.dim == fam.dim, f"dimension mismatch for {fam}"
+    assert dec.dim == family.dim, f"dimension mismatch for {family}"
     return dec
-
-
-def root_decomposition(family: GroupFamily) -> RootDecomposition:
-    """Root-space decomposition with respect to the standard maximal torus."""
-    return _root_decomposition_cached(family.name, family.n)
-
-
-@lru_cache(maxsize=None)
-def _structure_constants_cached(name: str, n: int) -> np.ndarray:
-    dec = _root_decomposition_cached(name, n)
-    mats = np.array([e.mat for e in dec.basis])
-    prod = np.einsum("iab,jbc->ijac", mats, mats)
-    brackets = (prod - prod.transpose(1, 0, 2, 3)).reshape(-1, *mats.shape[1:])
-    c = dec.coords_rows(brackets).reshape(dec.dim, dec.dim * dec.dim)
-    c.setflags(write=False)
-    return c
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,8 @@ class PointFrame:
         last = cls._last  # one read, so a racing thread can only cause a miss
         if last is not None and last.act is act and last.g is g and last.P is P:
             return last
+        if P.dec.family != act.group:
+            raise AlgebraError(f"a metric on {P.dec.family} for an action on {act.group}")
         ad_left = act.dec().coords_rows(g.mat.conj().T @ act._left @ g.mat)
         vc = ad_left - act._right_rows
         vp = vc @ P.mat

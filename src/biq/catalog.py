@@ -247,12 +247,12 @@ def _annihilator(w: TorusActionWeights) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _side_symmetries(fam: GroupFamily, n: int):
-    """The family's maps of one side, conjugacy_symmetries(fam, n), as
-    read-only arrays: (index, sign) of shape (|W|, n), image[s, c] =
-    sign[s, c] * v[index[s, c]], and parity: two maps pair iff their
-    parities agree (odd sign counts on SO(2n), 0 elsewhere)."""
-    index, sign = (np.array(a, dtype=np.int64) for a in zip(*conjugacy_symmetries(fam, n)))
+def _side_symmetries(fam: GroupFamily):
+    """The family's maps of one side, conjugacy_symmetries(fam), as
+    read-only arrays: (index, sign) of shape (|W|, fam.torus_rows),
+    image[s, c] = sign[s, c] * v[index[s, c]], and parity: two maps pair
+    iff their parities agree (odd sign counts on SO(2n), 0 elsewhere)."""
+    index, sign = (np.array(a, dtype=np.int64) for a in zip(*conjugacy_symmetries(fam)))
     parity = (sign < 0).sum(axis=1) % 2 * (fam.kind == "SO-even")
     index.flags.writeable = sign.flags.writeable = parity.flags.writeable = False
     return index, sign, parity
@@ -261,7 +261,7 @@ def _side_symmetries(fam: GroupFamily, n: int):
 def _side_images(vecs: np.ndarray, fam: GroupFamily):
     """(left, right, parity): each side's maps applied to that block of
     every stacked vector, as (|W|, vectors, n) arrays, and their parity."""
-    index, sign, parity = _side_symmetries(fam, vecs.shape[1] // 2)
+    index, sign, parity = _side_symmetries(fam)
     return *(sign[:, None] * block[:, index].transpose(1, 0, 2)
              for block in np.split(vecs, 2, axis=1)), parity
 
@@ -367,10 +367,6 @@ class ClassificationEntry:
     note: str = ""
     smallest: object = None  # the smallest legal parameter, None if fixed
     build: Callable = field(kw_only=True, repr=False, compare=False)
-
-    def instantiate(self, n=None):
-        """The row at parameter n, by default its smallest legal one."""
-        return self.build(self.smallest if n is None else n)
 
 
 #: G2 is not a classical family; the rows need only its size.
@@ -522,7 +518,7 @@ def verify_entry(entry: ClassificationEntry, n=None) -> dict:
     """
     if n is None:
         n = entry.smallest
-    inst = entry.instantiate(n)
+    inst = entry.build(n)
     checks = []
 
     verdict = is_free_exact(inst.torus, MOD_CENTER)
@@ -743,7 +739,7 @@ def _strict_free_pairs(vecs: np.ndarray, fam: GroupFamily) -> np.ndarray:
     n = vecs.shape[1] // 2
     left, right = vecs[:, :n].T, vecs[:, n:].T
     # images[sigma, r] is coordinate r of d_sigma on every vector
-    index, sign, _ = _side_symmetries(fam, n)
+    index, sign, _ = _side_symmetries(fam)
     images = left - sign[:, :, None] * right[index]
     circle_free = np.flatnonzero(
         (np.gcd.reduce(np.abs(images), axis=1) == 1).all(axis=0))

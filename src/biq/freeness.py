@@ -61,8 +61,10 @@ or where the right rows left above p wait for an earlier right twin; the
 twin rules then end it at a later row.
 
 "free modulo the center" additionally accepts kernel elements t whose
-images satisfy u_L(t) = u_R(t) = a central scalar of G.  All arithmetic is
-on arbitrary-precision integers; floating point never decides a verdict.
+images satisfy u_L(t) = u_R(t) = a central scalar of G.  Strict mode is
+the same rule with no central scalar allowed (_offender).  All arithmetic
+is on arbitrary-precision integers; floating point never decides a
+verdict.
 
 For SO(2n) the Weyl group consists of the even-signed permutations only,
 and the walk fixes the last sign by the parity of the others, so it
@@ -202,11 +204,12 @@ def _sign_choices(fam: GroupFamily) -> tuple:
     return (1,) if fam.name in ("SU", "U") else (1, -1)
 
 
-def conjugacy_symmetries(fam: GroupFamily, rows: int):
-    """Eigenvalue symmetry group elements as (perm, signs), in a fixed
-    deterministic order (permutations lexicographic, signs +1 first).
-    On SO(2n) the odd-signed ones are included."""
-    choices = _sign_choices(fam)
+def conjugacy_symmetries(fam: GroupFamily):
+    """Eigenvalue symmetry group elements as (perm, signs) on the
+    fam.torus_rows rows, in a fixed deterministic order (permutations
+    lexicographic, signs +1 first).  On SO(2n) the odd-signed ones are
+    included."""
+    rows, choices = fam.torus_rows, _sign_choices(fam)
     for perm in permutations(range(rows)):
         for signs in product(choices, repeat=rows):
             yield perm, signs
@@ -228,22 +231,21 @@ def _all_congruent(values, d):
     return m if all(v % d == m for v in values) else None
 
 
-def _kernel_is_central(w: TorusActionWeights, torsion, circles) -> tuple:
-    """Check that every kernel element of the character map, given by its
-    kernel generators, acts as an allowed central scalar.  Returns
-    (ok, offending_generator | None)."""
+def _offender(w: TorusActionWeights, mode: str, torsion, circles):
+    """The first kernel generator, torsion before circles, that violates
+    the mode, as (col, order, kind), or None.  In strict mode every one
+    does; modulo the center one does unless it acts as an allowed central
+    scalar, which a circle does only on U(n), as a scalar circle."""
+    central = mode == MOD_CENTER
     for col, order in torsion:
-        if not _central_pair(w, w.left_exponents(col), w.right_exponents(col), order):
-            return False, (col, order, "torsion")
+        if not (central and _central_pair(w, w.left_exponents(col),
+                                          w.right_exponents(col), order)):
+            return col, order, "torsion"
     for col in circles:
-        a = w.left_exponents(col)
-        b = w.right_exponents(col)
-        scalar_circle = (
-            len(set(a)) == 1 and len(set(b)) == 1 and a[0] == b[0]
-        )
-        if not (scalar_circle and w.group.name == "U"):
-            return False, (col, 2, "circle")
-    return True, None
+        if not (central and w.group.name == "U"
+                and len(set(w.left_exponents(col) + w.right_exponents(col))) == 1):
+            return col, 2, "circle"
+    return None
 
 
 def _central_pair(w, exps_l, exps_r, order) -> bool:
@@ -355,16 +357,9 @@ def is_free_exact(w: TorusActionWeights, mode: str | None = None) -> FreenessVer
     for perm, signs, d_matrix in _unpruned_symmetries(w, stats):
         stats["smith_forms"] += 1
         factors, torsion, circles = smith_kernel(d_matrix)
-        offender = None
-        if mode == MOD_CENTER:
-            ok, offender = _kernel_is_central(w, torsion, circles)
-            if ok:
-                continue
+        offender = _offender(w, mode, torsion, circles)
         if offender is None:
-            if torsion:
-                offender = (*torsion[0], "torsion")
-            else:
-                offender = (circles[0], 2, "circle")
+            continue
         col, order, kind = offender
         witness = Witness(
             perm=perm,

@@ -50,15 +50,6 @@ class MetricOperator:
         for name in ("mat", "mat_inv"):
             object.__setattr__(self, name, read_only(getattr(self, name), float))
 
-    def apply_coords(self, c) -> np.ndarray:
-        return self.mat @ np.asarray(c)
-
-    def apply_inv_coords(self, c) -> np.ndarray:
-        return self.mat_inv @ np.asarray(c)
-
-    def inner_coords(self, c1, c2) -> float:
-        return float(np.asarray(c1) @ self.mat @ np.asarray(c2))
-
 
 def _check_spd(m, what: str, tol: float = 1e-12):
     m = np.asarray(m, dtype=float)
@@ -112,6 +103,8 @@ def build_metric_from_subspaces(dec: RootDecomposition, blocks) -> MetricOperato
     subspace basis.  The subspaces must be mutually Q-orthogonal and fill
     the algebra; by construction P leaves each of them invariant.
     """
+    if any(sub.dec.family != dec.family for sub, _ in blocks):
+        raise AlgebraError(f"a block's subspace is not in the algebra of {dec.family}")
     dim = dec.dim
     rows = np.vstack([s.coords for s, _ in blocks])
     if rows.shape[0] != dim:
@@ -137,7 +130,7 @@ def build_metric_from_subspaces(dec: RootDecomposition, blocks) -> MetricOperato
 
 
 def apply_P(P: MetricOperator, x: AlgebraElement) -> AlgebraElement:
-    return P.dec.from_coords(P.apply_coords(P.dec.to_coords(x)))
+    return P.dec.from_coords(P.mat @ P.dec.to_coords(x))
 
 
 def L_tensor(P: MetricOperator, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -150,4 +143,4 @@ def L_tensor(P: MetricOperator, a: AlgebraElement, b: AlgebraElement) -> Algebra
     """
     ab = bracket(a, b)
     term = bracket(a, apply_P(P, b)) - bracket(b, apply_P(P, a))
-    return ab - P.dec.from_coords(P.apply_inv_coords(P.dec.to_coords(term)))
+    return ab - P.dec.from_coords(P.mat_inv @ P.dec.to_coords(term))

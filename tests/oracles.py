@@ -384,12 +384,12 @@ def matrix_numerator(P, x, y):
     c_mixed = dec.to_coords(bracket(px, y) + bracket(x, py))
 
     term1 = 0.5 * float(c_mixed @ c_xy)
-    term2 = -0.75 * float(P.apply_coords(c_xy) @ c_xy)
+    term2 = -0.75 * float((P.mat @ c_xy) @ c_xy)
 
     b_xy, b_xx, b_yy = (dec.to_coords(matrix_b_tensor(P, u, v))
                         for u, v in ((x, y), (x, x), (y, y)))
-    term3 = float(b_xy @ P.apply_inv_coords(b_xy))
-    term4 = -float(b_xx @ P.apply_inv_coords(b_yy))
+    term3 = float(b_xy @ (P.mat_inv @ b_xy))
+    term4 = -float(b_xx @ (P.mat_inv @ b_yy))
     return term1 + term2 + term3 + term4
 
 
@@ -399,8 +399,8 @@ def matrix_z_squared(act, g, P, x, y):
     the Gram matrix of the vertical generators."""
     dec = P.dec
     ginv = g.inverse()
-    p_ell = P.apply_coords(dec.to_coords(L_tensor(P, x, y)))
-    p_xy = P.apply_coords(dec.to_coords(bracket(x, y)))
+    p_ell = P.mat @ dec.to_coords(L_tensor(P, x, y))
+    p_xy = P.mat @ dec.to_coords(bracket(x, y))
     vert = np.array([dec.to_coords(adjoint(ginv, xl) - xr) for xl, xr in act.u_basis])
     c = np.array([
         dec.to_coords(adjoint(ginv, xl)) @ p_ell - dec.to_coords(xr) @ p_xy
@@ -648,7 +648,7 @@ def leafwise_is_free_exact(w: TorusActionWeights, mode: str | None = None) -> Fr
     w_left = [list(r) for r in w.w_left]
     first_odd_fail = None
 
-    for perm, signs in conjugacy_symmetries(fam, rows):
+    for perm, signs in conjugacy_symmetries(fam):
         sw = _apply_symmetry(w.w_right, perm, signs)
         d_matrix = [
             [w_left[i][j] - sw[i][j] for j in range(w.k)] for i in range(rows)
@@ -813,7 +813,7 @@ def hnf_pair_flags(vecs, pairs, fam, reference: TorusActionWeights):
     their one Hermite form is among those of the reference lattice's
     symmetry images."""
     n = fam.n
-    sym = list(conjugacy_symmetries(fam, n))
+    sym = list(conjugacy_symmetries(fam))
 
     def image(col, left_sym, right_sym, swap):
         (lp, ls), (rp, rs) = left_sym, right_sym

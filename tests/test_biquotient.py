@@ -342,7 +342,7 @@ class TestQuotientSectional:
         rep = bi.quotient_sectional(act, al.identity(fam), P, x, y)
         assert abs(rep.oneill_term) < 1e-12
         cx, cy = dec.to_coords(x), dec.to_coords(y)
-        area = P.inner_coords(cx, cx) * P.inner_coords(cy, cy) - P.inner_coords(cx, cy) ** 2
+        area = float(cx @ P.mat @ cx) * float(cy @ P.mat @ cy) - float(cx @ P.mat @ cy) ** 2
         assert abs(rep.sec_quotient - cu.puttmann_numerator(P, x, y) / area) < 1e-9
 
     def test_oneill_monotonicity(self, rng):
@@ -575,6 +575,19 @@ class TestFrameSlot:
             frame = bi.PointFrame.at(act, g, P)
             assert frame.act is act and frame.g is g and frame.P is P
             _assert_frame_matches_reference(frame, act, g, P)
+
+    def test_metric_of_another_group_is_rejected(self):
+        # so(3) and su(2) both have dimension 3: the so(3) brackets on the
+        # su(2) coordinates would read 2.0 where su(2)'s metric gives 8.0
+        w = fr.TorusActionWeights(al.su(2), 1, ((1,), (-1,)), ((0,), (0,)))
+        act, g = bi.from_torus_weights(w), al.identity(al.su(2))
+        root = act.dec().roots[0]
+        own = me.build_metric(act.dec(), alphas=[2.0])
+        rep = bi.quotient_sectional(act, g, own, root.x, root.y)
+        assert rep.sec_quotient == pytest.approx(8.0)
+        other = me.build_metric(al.root_decomposition(al.so(3)), alphas=[2.0])
+        with pytest.raises(al.AlgebraError, match="metric on SO"):
+            bi.quotient_sectional(act, g, other, root.x, root.y)
 
     def test_frame_arrays_are_read_only(self):
         act, g, P = self._triple(0)

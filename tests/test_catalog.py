@@ -127,9 +127,8 @@ def test_canonical_key_equals_the_earlier_least_image_loop(w):
     *(al.so(m) for m in range(5, 9)),
 ], ids=str)
 def test_side_symmetries_are_the_conjugacy_symmetries_in_order(fam):
-    n = fam.torus_rows
-    index, sign, parity = ca._side_symmetries(fam, n)
-    perms, signs = zip(*fr.conjugacy_symmetries(fam, n))
+    index, sign, parity = ca._side_symmetries(fam)
+    perms, signs = zip(*fr.conjugacy_symmetries(fam))
     assert index.tolist() == [list(p) for p in perms]
     assert sign.tolist() == [list(s) for s in signs]
     # only SO(2n) splits its maps by the parity of their sign changes
@@ -137,7 +136,7 @@ def test_side_symmetries_are_the_conjugacy_symmetries_in_order(fam):
     assert parity.tolist() == odd
     # the arrays are cached per group, so no caller may write to them
     assert not any(a.flags.writeable for a in (index, sign, parity))
-    assert ca._side_symmetries(fam, n)[0] is index
+    assert ca._side_symmetries(fam)[0] is index
 
 
 def _spin6_row0_negated():
@@ -310,7 +309,7 @@ class TestVerifyEntry:
                                                  quotient_dim):
         # a wrong factor in a row's builder moves dim U or rank U
         entry = _entry(row)
-        inst = entry.instantiate(n)
+        inst = entry.build(n)
         assert inst.torus.group.dim - sum(f.dim for f in inst.factors) == codim
         assert sum(f.rank for f in inst.factors) == rank_u
         assert inst.quotient_dim == quotient_dim
@@ -334,19 +333,19 @@ class TestVerifyEntry:
     @pytest.mark.parametrize("nl", [(4, 2), (5, 1), (6, 3)])
     def test_circle_rows_reject_illegal_parameters(self, row, nl):
         with pytest.raises(ValueError):
-            _entry(row).instantiate(nl)
+            _entry(row).build(nl)
 
     @pytest.mark.parametrize("row", [1, 9])
     def test_circle_rows_pass_for_every_l_up_to_n_9(self, row):
         for n in range(5, 10):
             for l in range(2, (n + 1) // 2):
-                inst = _entry(row).instantiate((n, l))
+                inst = _entry(row).build((n, l))
                 assert ca._circle_check(inst), (row, n, l)
 
     def test_row9_single_middle_block_fails(self):
         # the one block of rows 1..n-2 that row 9 recorded before: its SU
         # torus has rank n - 3, one short of the printed U2 = SU(l)SU(n-l)
-        inst = _entry(9).instantiate((5, 2))
+        inst = _entry(9).build((5, 2))
         left, right, _ = inst.circle
         old = replace(inst, circle=(left, right, ((1, 2, 3),)))
         assert not ca._circle_check(old)
@@ -354,7 +353,7 @@ class TestVerifyEntry:
     def test_row1_wrong_circle_fails_where_normalization_passed(self):
         # any diagonal circle normalizes the block, so the bracket residual
         # the verifier checked before is 0 for a wrong circle as well
-        inst = _entry(1).instantiate((5, 2))
+        inst = _entry(1).build((5, 2))
         left, _, blocks = inst.circle
         wrong = (1, 0, 0, 0, 3)
         assert _bracket_outside_block(wrong, blocks[0]) == 0.0
@@ -625,7 +624,7 @@ def _two_torus_and_image(draw, fam):
     wr = [[draw(entry) for _ in range(2)] for _ in range(n)]
     if fam.name == "SU":
         wr[-1] = [sum(r[j] for r in wl) - sum(r[j] for r in wr[:-1]) for j in range(2)]
-    sym = list(fr.conjugacy_symmetries(fam, n))
+    sym = list(fr.conjugacy_symmetries(fam))
     basis = draw(st.sampled_from(_UNIMODULAR))
     left = _transform(wl, draw(st.sampled_from(sym)), basis)
     right = _transform(wr, draw(st.sampled_from(sym)), basis)
@@ -717,7 +716,7 @@ def _unimodular(draw, k):
 def _model_map(draw, w):
     """((perm, signs), (perm', signs')): one map of each side of w's
     family that pair into a map of both sides (equal parity)."""
-    index, sign, parity = ca._side_symmetries(w.group, len(w.w_left))
+    index, sign, parity = ca._side_symmetries(w.group)
     s = draw(st.integers(0, len(index) - 1))
     t = draw(st.sampled_from(np.flatnonzero(parity == parity[s]).tolist()))
     return (index[s].tolist(), sign[s].tolist()), (index[t].tolist(), sign[t].tolist())

@@ -37,7 +37,7 @@ def random_block_metric(dec, rng, n_blocks=3):
 def sectional(P, x, y):
     """The kernel's numerator over the area <x,x><y,y> - <x,y>^2 of span{x, y}."""
     cx, cy = P.dec.to_coords(x), P.dec.to_coords(y)
-    area = P.inner_coords(cx, cx) * P.inner_coords(cy, cy) - P.inner_coords(cx, cy) ** 2
+    area = float(cx @ P.mat @ cx) * float(cy @ P.mat @ cy) - float(cx @ P.mat @ cy) ** 2
     return float(cu.plane_terms(P, cx[None], cy[None]).numerator[0]) / area
 
 
@@ -84,8 +84,8 @@ class TestKernel:
         terms = cu.plane_terms(P, X, Y)
         for n in range(4):
             x, y = dec.from_coords(X[n]), dec.from_coords(Y[n])
-            p_ell = P.apply_coords(dec.to_coords(me.L_tensor(P, x, y)))
-            p_xy = P.apply_coords(dec.to_coords(al.bracket(x, y)))
+            p_ell = P.mat @ dec.to_coords(me.L_tensor(P, x, y))
+            p_xy = P.mat @ dec.to_coords(al.bracket(x, y))
             for row, ref in ((terms.p_fusing[n], p_ell), (terms.p_bracket[n], p_xy)):
                 assert np.linalg.norm(row - ref) <= 1e-12 * np.linalg.norm(ref)
 

@@ -370,8 +370,8 @@ def test_pruned_walk_equals_leafwise_reference_on_every_so4_circle():
         assert len(verdicts) == 4, fam  # free and not free in both modes
 
 
-def _even_symmetries(fam, rows):
-    return [(perm, signs) for perm, signs in fr.conjugacy_symmetries(fam, rows)
+def _even_symmetries(fam):
+    return [(perm, signs) for perm, signs in fr.conjugacy_symmetries(fam)
             if fam.kind != "SO-even" or np.prod(signs) > 0]
 
 
@@ -383,7 +383,7 @@ def _image(w_side, perm, signs):
 @given(w=_tori(), data=st.data())
 def test_verdict_invariant_under_a_symmetry_of_either_side(w, data):
     # on SO(2n) only the even-signed symmetries are conjugations in the group
-    perm, signs = data.draw(st.sampled_from(_even_symmetries(w.group, w.n_rows)))
+    perm, signs = data.draw(st.sampled_from(_even_symmetries(w.group)))
     verdict = fr.is_free_exact(w).free
     left = fr.TorusActionWeights(w.group, w.k, _image(w.w_left, perm, signs), w.w_right, w.mode)
     right = fr.TorusActionWeights(w.group, w.k, w.w_left, _image(w.w_right, perm, signs), w.mode)
@@ -425,7 +425,7 @@ def test_walk_replays_signs_in_symmetry_order(w):
     (on SO(2n) only the even-signed ones): the first of them, and one for
     every leaf lattice among them."""
     expected = []
-    for perm, signs in fr.conjugacy_symmetries(w.group, w.n_rows):
+    for perm, signs in fr.conjugacy_symmetries(w.group):
         if w.group.kind == "SO-even" and np.prod(signs) < 0:
             continue
         d = [[x - s * y for x, y in zip(w.w_left[i], w.w_right[perm[i]])]
@@ -580,6 +580,19 @@ class TestIsFreeExact:
         w2 = fr.TorusActionWeights(al.sp(2), 1, ((2,), (0,)), ((0,), (0,)))
         assert not fr.is_free_exact(w2, "strict").free
         assert fr.is_free_exact(w2, "mod-center").free
+
+    def test_only_a_scalar_circle_of_u_n_is_central(self):
+        # the offender rule's one family clause: modulo the center a circle
+        # of the kernel is forgiven on U(n) alone, where it acts by scalars
+        u2 = fr.TorusActionWeights(al.u(2), 1, ((1,), (1,)), ((1,), (1,)))
+        strict = fr.is_free_exact(u2, "strict")
+        assert not strict.free and strict.witness.kind == "circle"
+        assert fr.is_free_exact(u2, "mod-center").free
+        su2 = fr.TorusActionWeights(al.su(2), 1, ((1,), (-1,)), ((1,), (-1,)))
+        sp2 = fr.TorusActionWeights(al.sp(2), 1, ((1,), (1,)), ((1,), (1,)))
+        for w in (su2, sp2):  # sp2's circle acts by scalars, which Sp(2) lacks
+            verdict = fr.is_free_exact(w, "mod-center")
+            assert not verdict.free and verdict.witness.kind == "circle"
 
     def test_signed_conjugacy_everywhere_rejected_in_both_modes(self):
         # the diagonal circle against its conjugate is pointwise conjugate

@@ -3,6 +3,7 @@ import pytest
 
 from biq import algebra as al
 from biq import metric as me
+from biq.detectors import gromoll_meyer_blocks
 
 
 @pytest.fixture
@@ -61,7 +62,7 @@ class TestApplyP:
         a = rng.standard_normal((2, 2))
         P = me.build_metric(su3_dec, a @ a.T + np.eye(2), [0.5, 1.5, 2.5])
         c = rng.standard_normal(su3_dec.dim)
-        back = P.apply_inv_coords(P.apply_coords(c))
+        back = P.mat_inv @ (P.mat @ c)
         assert np.abs(back - c).max() < 1e-10
 
     def test_positive_definite(self, su3_dec, rng):
@@ -84,7 +85,7 @@ class TestApplyP:
         a = rng.standard_normal((2, 2))
         P = me.build_metric(su3_dec, a @ a.T + np.eye(2), [0.5, 1.5, 2.5])
         def inner(x, y):
-            return P.inner_coords(su3_dec.to_coords(x), su3_dec.to_coords(y))
+            return float(su3_dec.to_coords(x) @ P.mat @ su3_dec.to_coords(y))
 
         for _ in range(5):
             a = rng.uniform(-np.pi, np.pi, size=2)
@@ -140,6 +141,13 @@ class TestSubspaceMetric:
         w1, w2, w3 = gromoll_meyer_blocks(dec)
         with pytest.raises(al.AlgebraError, match="must be finite"):
             me.build_metric_from_subspaces(dec, [(w1, np.nan), (w2, 1.0), (w3, 1.0)])
+
+    def test_blocks_from_another_algebra_rejected(self):
+        # sp(2) and so(5) both have dimension 10, so the blocks fill so(5)
+        blocks = gromoll_meyer_blocks(al.root_decomposition(al.sp(2)))
+        with pytest.raises(al.AlgebraError, match="not in the algebra of SO"):
+            me.build_metric_from_subspaces(al.root_decomposition(al.so(5)),
+                                           [(b, 1.0) for b in blocks])
 
     def test_incomplete_cover_rejected(self):
         dec = al.root_decomposition(al.su(3))
